@@ -3,8 +3,10 @@
 Generators are e_0, ..., e_d.  A word is a tuple of letters in {0..d}; its
 degree is the letter count with every 0 counted twice, so e_0 behaves like a
 quadratic (time-like) symbol.  All products truncate words of degree > m.
-Elements are stored as sparse word -> coefficient maps; dense vectors over
-the graded-lexicographic basis are available for linear solves.
+Elements are dense coefficient vectors over the graded-lexicographic basis.
+The context owns the one product kernel, a scatter over the precomputed
+splits K = I*J of every basis word, and the segment exponential; both accept
+a single vector (dim,) or a word-major batch (dim, n).
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ContextMismatchError, DomainError, InvalidWordError
 
@@ -37,7 +41,7 @@ def word_degree(word, d=None):
 
 
 class AlgebraContext:
-    """Basis bookkeeping for fixed driver count d and truncation degree m.
+    """Basis bookkeeping and the dense kernels for driver count d and degree m.
 
     The basis is every word of degree <= m in graded-lexicographic order
     (degree first, then tuple order).  Contexts compare equal by (d, m).
@@ -66,8 +70,29 @@ class AlgebraContext:
             frontier = nxt
         words.sort(key=lambda w: (degrees[w], w))
         self.basis = tuple(words)
-        self.index = {w: i for i, w in enumerate(words)}
+        self.index = index = {w: i for i, w in enumerate(words)}
         self._degrees = degrees
+        self.degrees = _frozen(np.array([degrees[w] for w in words]))
+        # every split K = K[:cut] * K[cut:], ascending cut within each K; the
+        # basis is closed under prefixes and suffixes, so all parts are words
+        splits = np.array(
+            [(k, index[w[:cut]], index[w[cut:]]) for k, w in enumerate(words) for cut in range(len(w) + 1)]
+        )
+        self._split_k, self._split_i, self._split_j = (_frozen(col) for col in splits.T)
+        self._scatter = scipy.sparse.csr_matrix(
+            (np.ones(len(splits)), (splits[:, 0], np.arange(len(splits)))),
+            shape=(self.dim, len(splits)),
+        )
+        # prefix schedule by word length: (words, prefixes, last letters, 1/length)
+        self._exp_levels = []
+        for length in range(1, self.m + 1):
+            level = [w for w in words if len(w) == length]
+            self._exp_levels.append((
+                np.array([index[w] for w in level]),
+                np.array([index[w[:-1]] for w in level]),
+                np.array([w[-1] for w in level]),
+                1.0 / length,
+            ))
 
     @property
     def dim(self):
@@ -86,6 +111,31 @@ class AlgebraContext:
             raise InvalidWordError(f"word {word} has degree {deg} > m={self.m}")
         return word
 
+    def product(self, x, y):
+        """Truncated product of coefficient arrays of shape (dim,) or (dim, n).
+
+        Each K accumulates x[I]*y[J] over its splits in ascending cut order,
+        starting from zero.
+        """
+        terms = x[self._split_i]
+        terms *= y[self._split_j]
+        if terms.ndim == 1:
+            return np.bincount(self._split_k, terms, minlength=self.dim)
+        return self._scatter @ terms
+
+    def segment_exp(self, inc):
+        """exp(sum_i inc[i] e_i) for increments of shape (d+1,) or (d+1, n).
+
+        Coefficients build along prefixes: E_w = (E_prefix * inc[last]) / len(w),
+        with the division taken as a product by the reciprocal.
+        """
+        inc = np.asarray(inc, dtype=float)
+        out = np.zeros((self.dim,) + inc.shape[1:])
+        out[0] = 1.0
+        for idx, prefix, last, recip in self._exp_levels:
+            out[idx] = (out[prefix] * inc[last]) * recip
+        return out
+
     def __eq__(self, other):
         return isinstance(other, AlgebraContext) and (self.d, self.m) == (other.d, other.m)
 
@@ -96,6 +146,11 @@ class AlgebraContext:
         return f"AlgebraContext(d={self.d}, m={self.m})"
 
 
+def _frozen(array):
+    array.setflags(write=False)
+    return array
+
+
 @lru_cache(maxsize=None)
 def context(d, m):
     """Shared context instance for (d, m)."""
@@ -103,47 +158,62 @@ def context(d, m):
 
 
 class TensorElement:
-    """Sparse element of the truncated algebra: word -> coefficient.
+    """Element of the truncated algebra: a dense vector over the context basis.
 
-    Instances are immutable by convention; every operation returns a new
-    element and never mutates its inputs.
+    ``TensorElement(ctx, {word: c})`` sets the listed coefficients; ``coeffs``
+    is a read-only {word: c} view of the nonzero entries in basis order.
+    Instances are immutable; every operation returns a new element.
     """
 
-    __slots__ = ("context", "coeffs")
+    __slots__ = ("context", "vec", "_coeffs")
 
     def __init__(self, ctx, coeffs=None):
-        self.context = ctx
-        clean = {}
+        vec = np.zeros(ctx.dim)
         if coeffs:
             for w, c in coeffs.items():
-                w = tuple(w)
-                ctx.check_word(w)
-                c = float(c)
-                if c != 0.0:
-                    clean[w] = c
-        self.coeffs = clean
+                vec[ctx.index[ctx.check_word(tuple(w))]] = float(c)
+        self._set(ctx, vec)
+
+    def _set(self, ctx, vec):
+        vec.setflags(write=False)
+        self.context = ctx
+        self.vec = vec
+        self._coeffs = None
+
+    @classmethod
+    def _of(cls, ctx, vec):
+        """Wrap a fresh float vector without copying it."""
+        out = object.__new__(cls)
+        out._set(ctx, vec)
+        return out
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            basis = self.context.basis
+            values = self.vec.tolist()
+            self._coeffs = MappingProxyType({basis[i]: values[i] for i in np.flatnonzero(self.vec)})
+        return self._coeffs
 
     def coeff(self, word):
-        return self.coeffs.get(tuple(word), 0.0)
+        i = self.context.index.get(tuple(word))
+        return 0.0 if i is None else float(self.vec[i]) + 0.0
 
     def __add__(self, other):
         _check_same_context(self, other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0.0) + c
-        return TensorElement(self.context, out)
+        return TensorElement._of(self.context, self.vec + other.vec)
 
     def __sub__(self, other):
-        return self + (-other)
+        _check_same_context(self, other)
+        return TensorElement._of(self.context, self.vec - other.vec)
 
     def __neg__(self):
-        return TensorElement(self.context, {w: -c for w, c in self.coeffs.items()})
+        return TensorElement._of(self.context, -self.vec)
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             return mul(self, other)
-        s = float(other)
-        return TensorElement(self.context, {w: s * c for w, c in self.coeffs.items()})
+        return TensorElement._of(self.context, float(other) * self.vec)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -155,26 +225,27 @@ class TensorElement:
         return (
             isinstance(other, TensorElement)
             and self.context == other.context
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.vec, other.vec)
         )
 
     def __hash__(self):
         return hash((self.context, frozenset(self.coeffs.items())))
 
+    def __reduce__(self):
+        # the cached coeffs view is a mappingproxy, which pickle rejects
+        return (from_dense, (self.context, self.vec))
+
     def graded_part(self, n):
         """Projection onto the span of degree-n words."""
-        deg = self.context.degree
-        return TensorElement(
-            self.context, {w: c for w, c in self.coeffs.items() if deg(w) == n}
-        )
+        return TensorElement._of(self.context, np.where(self.context.degrees == n, self.vec, 0.0))
 
     def __repr__(self):
         if not self.coeffs:
             return "TensorElement(0)"
         parts = []
-        for w in sorted(self.coeffs, key=lambda w: (self.context.degree(w), w)):
+        for w, c in self.coeffs.items():
             name = "1" if not w else "e" + "".join(str(i) for i in w)
-            parts.append(f"{self.coeffs[w]:+.6g}*{name}")
+            parts.append(f"{c:+.6g}*{name}")
         return "TensorElement(" + " ".join(parts) + ")"
 
 
@@ -183,12 +254,18 @@ def _check_same_context(x, y):
         raise ContextMismatchError(f"contexts differ: {x.context} vs {y.context}")
 
 
+def _unit_vec(ctx):
+    vec = np.zeros(ctx.dim)
+    vec[0] = 1.0
+    return vec
+
+
 def zero(ctx):
-    return TensorElement(ctx, {})
+    return TensorElement(ctx)
 
 
 def unit(ctx):
-    return TensorElement(ctx, {EMPTY_WORD: 1.0})
+    return TensorElement._of(ctx, _unit_vec(ctx))
 
 
 def generator(ctx, i):
@@ -200,32 +277,21 @@ def generator(ctx, i):
 def mul(x, y):
     """Concatenation product, truncating words of degree > m."""
     _check_same_context(x, y)
-    ctx = x.context
-    m = ctx.m
-    deg = ctx.degree
-    out = {}
-    for wx, cx in x.coeffs.items():
-        dx = deg(wx)
-        for wy, cy in y.coeffs.items():
-            if dx + deg(wy) <= m:
-                w = wx + wy
-                out[w] = out.get(w, 0.0) + cx * cy
-    return TensorElement(ctx, out)
+    return TensorElement._of(x.context, x.context.product(x.vec, y.vec))
 
 
 def exp(x):
     """Exponential series of a nilpotent element (zero constant term)."""
-    if x.coeff(EMPTY_WORD) != 0.0:
+    if x.vec[0] != 0.0:
         raise DomainError("exp requires zero coefficient on the empty word")
     ctx = x.context
-    result = unit(ctx)
-    term = unit(ctx)
+    result = term = _unit_vec(ctx)
     for i in range(1, ctx.m + 1):
-        term = mul(term, x) / i
-        if not term.coeffs:
+        term = ctx.product(term, x.vec) * (1.0 / i)
+        if not term.any():
             break
         result = result + term
-    return result
+    return TensorElement._of(ctx, result)
 
 
 def log(x):
@@ -235,27 +301,28 @@ def log(x):
     series in (x - c)/c, which is nilpotent.
     """
     ctx = x.context
-    c0 = x.coeff(EMPTY_WORD)
+    c0 = float(x.vec[0])
     if c0 <= 0.0:
         raise DomainError(f"log requires positive constant term, got {c0}")
-    u = (x - c0 * unit(ctx)) / c0
-    result = TensorElement(ctx, {EMPTY_WORD: math.log(c0)})
+    u = (x.vec - c0 * _unit_vec(ctx)) * (1.0 / c0)
+    result = math.log(c0) * _unit_vec(ctx)
     power = u
     for i in range(1, ctx.m + 1):
-        if not power.coeffs:
+        if not power.any():
             break
         sign = 1.0 if i % 2 == 1 else -1.0
         result = result + power * (sign / i)
-        power = mul(power, u)
-    return result
+        power = ctx.product(power, u)
+    return TensorElement._of(ctx, result)
 
 
 def dilate(s, x):
     """Grading automorphism: scale every degree-n coefficient by s**n."""
     if s <= 0.0:
         raise DomainError(f"dilation parameter must be positive, got {s}")
-    deg = x.context.degree
-    return TensorElement(x.context, {w: (s ** deg(w)) * c for w, c in x.coeffs.items()})
+    ctx = x.context
+    powers = np.array([s**n for n in range(ctx.m + 1)])
+    return TensorElement._of(ctx, powers[ctx.degrees] * x.vec)
 
 
 def bracket(x, y):
@@ -356,34 +423,25 @@ def lie_coordinates(basis, x):
 
 
 def to_dense(x):
-    """Coefficient vector over the context basis (graded-lex order)."""
-    vec = np.zeros(x.context.dim)
-    index = x.context.index
-    for w, c in x.coeffs.items():
-        vec[index[w]] = c
-    return vec
+    """Writable copy of the coefficient vector, with -0.0 entries read as 0.0."""
+    return x.vec + 0.0
 
 
 def from_dense(ctx, vec):
     if len(vec) != ctx.dim:
         raise DomainError(f"dense vector length {len(vec)} != basis size {ctx.dim}")
-    return TensorElement(ctx, {w: v for w, v in zip(ctx.basis, vec)})
+    return TensorElement._of(ctx, np.array(vec, dtype=float))
 
 
 def max_abs_diff(x, y):
     """Largest coefficient difference between two elements."""
     _check_same_context(x, y)
-    words = set(x.coeffs) | set(y.coeffs)
-    return max((abs(x.coeff(w) - y.coeff(w)) for w in words), default=0.0)
+    return float(np.max(np.abs(x.vec - y.vec), initial=0.0))
 
 
 def element_to_dict(x, threshold=1e-15):
     """JSON-friendly form: words in basis order, near-zero coefficients omitted."""
-    coeffs = [
-        {"word": list(w), "c": x.coeffs[w]}
-        for w in x.context.basis
-        if w in x.coeffs and abs(x.coeffs[w]) >= threshold
-    ]
+    coeffs = [{"word": list(w), "c": c} for w, c in x.coeffs.items() if abs(c) >= threshold]
     return {"d": x.context.d, "m": x.context.m, "coeffs": coeffs}
 
 

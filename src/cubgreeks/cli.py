@@ -257,7 +257,6 @@ def cmd_greek(args):
         m_prime=args.mprime,
         partition=tuple(partition),
         steps_per_segment=args.ode_steps,
-        threads=args.threads,
     )
     result = greeks.greek_iterated(request)
     coeffs, residual = sde.decompose_direction(system, y, v, partition[0], args.m)
@@ -417,7 +416,10 @@ def build_parser():
         p.add_argument("--out", default=_env_default("out", None), help="output file (default stdout)")
         p.add_argument("--format", default=_env_default("format", "csv"), choices=["csv", "json"])
         p.add_argument("--seed", type=int, default=int(_env_default("seed", 0)))
-        p.add_argument("--threads", type=int, default=int(_env_default("threads", 1)))
+        p.add_argument(
+            "--threads", type=int, default=int(_env_default("threads", 1)),
+            help="accepted for compatibility and ignored: evaluation is serial",
+        )
 
     p = sub.add_parser("verify", help="run the algebra/signature property suites")
     p.add_argument("--d", type=int, required=True)

@@ -91,12 +91,8 @@ def weighted_signature_sum(ctx, items):
 def verify_moments(formula, target):
     """Per-degree max-abs coefficient error of sum w_j sig(path_j) - target."""
     ctx = formula.ctx
-    diff = weighted_signature_sum(ctx, formula.items) - target
-    residuals = {n: 0.0 for n in range(ctx.m + 1)}
-    for w, c in diff.coeffs.items():
-        n = ctx.degree(w)
-        residuals[n] = max(residuals[n], abs(c))
-    return residuals
+    diff = np.abs((weighted_signature_sum(ctx, formula.items) - target).vec)
+    return {n: float(np.max(diff[ctx.degrees == n], initial=0.0)) for n in range(ctx.m + 1)}
 
 
 def max_residual(formula, target=None):
@@ -145,11 +141,24 @@ def expectation_solve(ctx, t, dictionary, target=None, tol=VERIFY_TOL):
     Solves min ||sum_j w_j sig(path_j) - target|| subject to w >= 0, prunes
     weights below the threshold and re-polishes on the active support.
     """
-    if not dictionary:
-        raise NoFormulaFoundError("empty dictionary", best_residual=None)
     if target is None:
         target = algebra.heat_element(ctx, t)
-    A = np.column_stack([algebra.to_dense(paths.signature(ctx, p)) for p in dictionary])
+    return _positive_solve(ctx, t, [(p,) for p in dictionary], target, tol)
+
+
+def _positive_solve(ctx, t, groups, target, tol):
+    """NNLS over groups of paths that share one weight, split evenly in the group.
+
+    A group's column is its mean signature.  Weights below PRUNE_TOL are
+    pruned, and an unconstrained re-solve on the support replaces them when
+    it stays positive.
+    """
+    if not groups:
+        raise NoFormulaFoundError("empty dictionary", best_residual=None)
+    A = np.column_stack([
+        sum(algebra.to_dense(paths.signature(ctx, p)) for p in group) * (1.0 / len(group))
+        for group in groups
+    ])
     b = algebra.to_dense(target)
     w, _ = scipy.optimize.nnls(A, b)
     support = np.flatnonzero(w > PRUNE_TOL)
@@ -166,7 +175,9 @@ def expectation_solve(ctx, t, dictionary, target=None, tol=VERIFY_TOL):
             f"positive solver stalled at residual {residual:.3e} (dictionary too poor?)",
             best_residual=residual,
         )
-    items = tuple((float(w[j]), dictionary[j]) for j in support)
+    items = tuple(
+        (float(w[j]) * (1.0 / len(groups[j])), p) for j in support for p in groups[j]
+    )
     return _checked(CubatureFormula(ctx, t, items), tol)
 
 
@@ -206,39 +217,9 @@ def _degree5_d1_dictionary():
 
 @lru_cache(maxsize=None)
 def _expectation_degree5_d1_unit():
-    ctx = context(1, 5)
-    pairs = _degree5_d1_dictionary()
-    target = algebra.heat_element(ctx, 1.0)
     # one NNLS column per symmetric pair: the averaged signature
-    cols = []
-    for p, q in pairs:
-        col = 0.5 * (
-            algebra.to_dense(paths.signature(ctx, p))
-            + algebra.to_dense(paths.signature(ctx, q))
-        )
-        cols.append(col)
-    A = np.column_stack(cols)
-    b = algebra.to_dense(target)
-    w, _ = scipy.optimize.nnls(A, b)
-    support = np.flatnonzero(w > PRUNE_TOL)
-    if support.size:
-        w_sub, *_ = np.linalg.lstsq(A[:, support], b, rcond=None)
-        if np.all(w_sub > 0.0):
-            w = np.zeros_like(w)
-            w[support] = w_sub
-    support = np.flatnonzero(w > PRUNE_TOL)
-    residual = float(np.max(np.abs(A[:, support] @ w[support] - b))) if support.size else float(np.max(np.abs(b)))
-    if residual > VERIFY_TOL:
-        raise NoFormulaFoundError(
-            f"degree-5 solve stalled at residual {residual:.3e}", best_residual=residual
-        )
-    items = []
-    for j in support:
-        p, q = pairs[j]
-        half = 0.5 * float(w[j])
-        items.append((half, p))
-        items.append((half, q))
-    return _checked(CubatureFormula(ctx, 1.0, tuple(items)))
+    ctx = context(1, 5)
+    return _positive_solve(ctx, 1.0, _degree5_d1_dictionary(), algebra.heat_element(ctx, 1.0), VERIFY_TOL)
 
 
 def expectation_degree5_d1(ctx, t):
@@ -268,27 +249,32 @@ def greek_target(ctx, w, t):
 
 
 def greeks_two_point(ctx, w, t):
-    """Two straight lines +-sqrt(t)*w with weights +-1/2 (valid through m=2).
+    """Two straight lines +-sqrt(t)*w/|w| with weights +-|w|/2 (valid through m=2).
 
     For degree-1 directions the antisymmetric pair reproduces the target
-    exactly: even powers cancel and sinh(sqrt(t) w) has no surviving term of
-    degree <= 2 beyond the linear one.
+    exactly: even powers cancel and sinh(sqrt(t) u) has no surviving term of
+    degree <= 2 beyond the linear one.  The target is linear in w, so the
+    paths stay at unit scale and |w| rides on the weights; that keeps the
+    cubature remainder O(|w| t^{(m+1)/2}) instead of O((|w| sqrt t)^{m+1}).
     """
     if ctx.m > 2:
         raise UnsupportedDegreeError(
             f"two-point construction is exact only for m <= 2, got m={ctx.m}; use greeks_solve"
         )
-    w_vec = np.zeros(ctx.d + 1)
-    for word, c in w.coeffs.items():
+    for word in w.coeffs:
         if len(word) != 1 or word[0] == 0:
             raise DomainError(f"two-point construction needs a degree-1 direction, found word {word}")
-        w_vec[word[0]] = c
     target = greek_target(ctx, w, t)
-    inc = np.concatenate([[0.0], math.sqrt(t) * w_vec[1:]])
-    items = (
-        (0.5, paths.line_path(t, inc)),
-        (-0.5, paths.line_path(t, -inc)),
-    )
+    w_vec = np.array([w.coeff((i,)) for i in range(1, ctx.d + 1)])
+    norm = float(np.linalg.norm(w_vec))
+    items = ()
+    if norm > 0.0:
+        inc = np.concatenate([[0.0], math.sqrt(t) * w_vec / norm])
+        # exact +-norm/2 weights keep the constant-payoff estimate at literal zero
+        items = (
+            (0.5 * norm, paths.line_path(t, inc)),
+            (-0.5 * norm, paths.line_path(t, -inc)),
+        )
     formula = GreeksFormula(ctx, t, algebra.dilate(math.sqrt(t), w), items)
     res = max_residual(formula, target)
     if res > VERIFY_TOL:

@@ -8,7 +8,6 @@ of the resulting evaluation tree.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 
@@ -19,10 +18,8 @@ from .algebra import context
 from .errors import (
     BudgetExceededError,
     DomainError,
-    NoFormulaFoundError,
     UnsupportedDegreeError,
 )
-from .paths import line_path
 
 DEFAULT_LEAF_CAP = 10**6
 
@@ -45,7 +42,6 @@ class GreekRequest:
     partition: tuple
     steps_per_segment: int = sde.DEFAULT_STEPS_PER_SEGMENT
     leaf_cap: int = DEFAULT_LEAF_CAP
-    threads: int = 1
 
     def __post_init__(self):
         steps = np.asarray(self.partition, dtype=float)
@@ -94,13 +90,10 @@ def build_greek_formula(system, y, v, t, m):
     """Decompose v into brackets at y and construct the matching formula.
 
     Degree-1 decompositions at m <= 2 use the two-point pair along the unit
-    direction w/|w|, with |w| carried by the weights: the moment target is
-    linear in w, and keeping the trajectories at unit scale keeps the
-    cubature remainder O(|w| t^{(m+1)/2}) instead of O((|w| sqrt t)^{m+1}),
-    which is what makes fixed-direction Greeks (|w| ~ t^{-k/2}) converge.
-    For |w| = 1 this is exactly the closed-form two-point construction.
-    Anything else goes through the sign-free solver over the default
-    dictionary (fixed paths, so weights are linear in v there too).
+    direction (``cubature.greeks_two_point``), which is what makes
+    fixed-direction Greeks (|w| ~ t^{-k/2}) converge.  Anything else goes
+    through the sign-free solver over the default dictionary (fixed paths,
+    so weights are linear in v there too).
     Returns (formula, decomposition coefficients).
     """
     coeffs, _ = sde.decompose_direction(system, y, v, t, m)
@@ -110,20 +103,7 @@ def build_greek_formula(system, y, v, t, m):
     if not coeffs:
         return cubature.GreeksFormula(ctx, t, w, ()), coeffs
     if m <= 2 and degrees <= {1}:
-        w_vec = np.array([w.coeff((i,)) for i in range(1, ctx.d + 1)])
-        norm = float(np.linalg.norm(w_vec))
-        inc = np.concatenate([[0.0], math.sqrt(t) * w_vec / norm])
-        # exact +-norm/2 weights keep the constant-payoff estimate at literal zero
-        items = (
-            (0.5 * norm, line_path(t, inc)),
-            (-0.5 * norm, line_path(t, -inc)),
-        )
-        formula = cubature.GreeksFormula(ctx, t, algebra.dilate(math.sqrt(t), w), items)
-        residual = cubature.max_residual(formula)
-        if residual > cubature.VERIFY_TOL:
-            raise NoFormulaFoundError(
-                f"two-point residual {residual:.3e}", best_residual=residual
-            )
+        formula = cubature.greeks_two_point(ctx, w, t)
     else:
         formula = cubature.greeks_solve(
             ctx, w, t, cubature.default_greeks_dictionary(ctx, t)
@@ -131,19 +111,11 @@ def build_greek_formula(system, y, v, t, m):
     return formula, coeffs
 
 
-def _map_ordered(func, items, threads):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(func, items))
-    return [func(item) for item in items]
-
-
 def greek_iterated(request: GreekRequest) -> GreekResult:
     """Evaluate the full tree: Greek step over s_0, expectation steps after.
 
     Weights multiply along branches and states chain through evolve; leaf
-    contributions are reduced with fsum in sorted leaf order, so results do
-    not depend on the thread count.
+    contributions are reduced with fsum in leaf order.
     """
     system = request.system
     y0 = np.asarray(request.y, dtype=float)
@@ -166,22 +138,13 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
     residuals.extend(cubature.max_residual(f) for f in inner)
 
     spp = request.steps_per_segment
-    nodes = _map_ordered(
-        lambda item: (item[0], sde.evolve(system, y0, item[1], spp)),
-        list(stage0.items),
-        request.threads,
-    )
+    nodes = [(w, sde.evolve(system, y0, p, spp)) for w, p in stage0.items]
     for formula in inner:
-        items = list(formula.items)
-
-        def expand(node):
-            weight, state = node
-            return [
-                (weight * lam, sde.evolve(system, state, p, spp)) for lam, p in items
-            ]
-
-        expanded = _map_ordered(expand, nodes, request.threads)
-        nodes = [leaf for branch in expanded for leaf in branch]
+        nodes = [
+            (weight * lam, sde.evolve(system, state, p, spp))
+            for weight, state in nodes
+            for lam, p in formula.items
+        ]
 
     estimate = math.fsum(w * float(request.payoff(state)) for w, state in nodes)
     return GreekResult(

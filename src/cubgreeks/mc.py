@@ -4,6 +4,10 @@ Everything here exists to verify the deterministic machinery from the
 outside: Euler-Maruyama expectations, the adapted m=1 Malliavin weight,
 common-random-number finite differences, the simulated truncated-signature
 expectation, the d=2 covariance diagnostics, and lognormal closed forms.
+The signature expectation runs on the algebra context's dense kernel, the
+same product and segment exponential as ``paths.signature``, applied to a
+word-major batch of paths; it checks the heat element against simulation,
+not the product itself.
 Estimators are reproducible: draws come from the counter-based stream in
 :mod:`cubgreeks.rng`, so a seed fixes every number regardless of scheduling.
 """
@@ -259,63 +263,32 @@ def simple_weight_delta_m1(system, f, y, v, t, cfg):
 # signature expectation
 
 
-def _exp_coeff_schedule(ctx):
-    """(word, prefix index, last letter, length) for every nonempty basis word.
-
-    The basis is closed under prefixes, so segment-exponential coefficients
-    build incrementally: E_J = E_{J[:-1]} * c_{last} / len(J).
-    """
-    out = []
-    for w in ctx.basis:
-        if w:
-            out.append((ctx.index[w], ctx.index[w[:-1]], w[-1], len(w)))
-    return out
-
-
-def _chen_schedule(ctx):
-    """All splittings K = I * J with J nonempty, as index triples."""
-    out = []
-    for K in ctx.basis:
-        for cut in range(len(K)):
-            out.append((ctx.index[K], ctx.index[K[:cut]], ctx.index[K[cut:]]))
-    return out
-
-
 def signature_expectation_stats(ctx, t, cfg, chunk=DEFAULT_CHUNK):
     """Mean truncated signature of simulated Brownian interpolations + stderr.
 
     Paths are piecewise-linear with n_steps equal segments and time component
-    s; the signature recursion multiplies segment exponentials via Chen's
-    relation, vectorized across paths.  Returns (mean element, {word: stderr}).
+    s.  A chunk of paths is one word-major (dim, n) array, and each step
+    applies Chen's relation with the context's batched segment exponential
+    and product.  Returns (mean element, {word: stderr}).
     """
     d = ctx.d
     dt = t / cfg.n_steps
     sdt = math.sqrt(dt)
-    exp_schedule = _exp_coeff_schedule(ctx)
-    chen = _chen_schedule(ctx)
-    dim = ctx.dim
-    total = np.zeros(dim)
-    total_sq = np.zeros(dim)
+    total = np.zeros(ctx.dim)
+    total_sq = np.zeros(ctx.dim)
     done = 0
     while done < cfg.n_paths:
         n = min(chunk, cfg.n_paths - done)
         normals = normal_increments(cfg.seed, done, n, cfg.n_steps, d, cfg.antithetic)
-        sig = np.zeros((n, dim))
-        sig[:, ctx.index[()]] = 1.0
-        coeffs = np.empty((n, dim))
+        inc = np.empty((d + 1, n))
+        inc[0] = dt
+        sig = np.zeros((ctx.dim, n))
+        sig[0] = 1.0
         for k in range(cfg.n_steps):
-            inc = np.empty((n, d + 1))
-            inc[:, 0] = dt
-            inc[:, 1:] = normals[:, k, :] * sdt
-            coeffs[:, ctx.index[()]] = 1.0
-            for idx, pidx, last, length in exp_schedule:
-                coeffs[:, idx] = coeffs[:, pidx] * inc[:, last] / length
-            new = sig.copy()  # the identity split K = K * empty
-            for kidx, iidx, jidx in chen:
-                new[:, kidx] += sig[:, iidx] * coeffs[:, jidx]
-            sig = new
-        total += sig.sum(axis=0)
-        total_sq += (sig * sig).sum(axis=0)
+            inc[1:] = normals[:, k, :].T * sdt
+            sig = ctx.product(sig, ctx.segment_exp(inc))
+        total += sig.sum(axis=1)
+        total_sq += (sig * sig).sum(axis=1)
         done += n
     n = cfg.n_paths
     mean = total / n

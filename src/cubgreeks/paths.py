@@ -100,26 +100,23 @@ def segment_signature(ctx, increment):
     """exp(sum_i dw^i e_i) for a single linear segment.
 
     At m=1 every word containing the time letter exceeds the truncation
-    degree, so the e_0 component is dropped there outright.
+    degree, so the e_0 component drops out.
     """
     increment = np.asarray(increment, dtype=float)
     if len(increment) != ctx.d + 1:
         raise InvalidPathError(f"increment has {len(increment)} components, need d+1={ctx.d + 1}")
-    start = 0 if ctx.m >= 2 else 1
-    step = algebra.TensorElement(
-        ctx, {(i,): increment[i] for i in range(start, ctx.d + 1)}
-    )
-    return algebra.exp(step)
+    return algebra.from_dense(ctx, ctx.segment_exp(increment))
 
 
 def signature(ctx, path):
     """Truncated signature: product of segment exponentials in knot order."""
     if path.dim != ctx.d + 1:
         raise InvalidPathError(f"path dimension {path.dim} != d+1 = {ctx.d + 1}")
-    sig = algebra.unit(ctx)
-    for delta in path.increments():
-        sig = algebra.mul(sig, segment_signature(ctx, delta))
-    return sig
+    exps = ctx.segment_exp(path.increments().T)
+    sig = exps[:, 0]
+    for k in range(1, path.n_segments):
+        sig = ctx.product(sig, exps[:, k])
+    return algebra.from_dense(ctx, sig)
 
 
 def scale_path(path, t):

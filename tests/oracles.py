@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own fast paths: iterated integrals
 come from composite trapezoid quadrature on a fine grid, derivatives from
-central differences, and reference prices from direct lognormal sampling.
+central differences, reference prices from direct lognormal sampling, and
+truncated products and signatures from double loops over sparse word maps.
 """
 
 import math
@@ -51,11 +52,42 @@ def fd_jacobian(func, y, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
-def fit_loglog_slope(xs, errs):
-    xs = np.log(np.asarray(xs, dtype=float))
-    errs = np.log(np.asarray(errs, dtype=float))
-    slope, _ = np.polyfit(xs, errs, 1)
-    return float(slope)
+def dict_mul(ctx, x, y):
+    """Truncated product on sparse {word: coefficient} maps, by the double loop.
+
+    Each output word accumulates in the iteration order of x, then y.
+    """
+    out = {}
+    for wx, cx in x.items():
+        dx = ctx.degree(wx)
+        for wy, cy in y.items():
+            if dx + ctx.degree(wy) <= ctx.m:
+                w = wx + wy
+                out[w] = out.get(w, 0.0) + cx * cy
+    return {w: c for w, c in out.items() if c != 0.0}
+
+
+def dict_signature(ctx, path):
+    """Signature as the dict product of segment exponentials.
+
+    A segment exponential is the series 1 + sum_n term_n with
+    term_n = (term_{n-1} * step) * (1/n); the e_0 letter is dropped at m=1,
+    where every word containing it exceeds the truncation degree.
+    """
+    start = 0 if ctx.m >= 2 else 1
+    sig = {(): 1.0}
+    for delta in path.increments():
+        step = {(i,): float(delta[i]) for i in range(start, ctx.d + 1) if delta[i] != 0.0}
+        seg = {(): 1.0}
+        term = {(): 1.0}
+        for n in range(1, ctx.m + 1):
+            term = {w: c * (1.0 / n) for w, c in dict_mul(ctx, term, step).items()}
+            if not term:
+                break
+            for w, c in term.items():
+                seg[w] = seg.get(w, 0.0) + c
+        sig = dict_mul(ctx, sig, seg)
+    return sig
 
 
 def gbm_exact_samples(r, sigma, y, t, n, seed):

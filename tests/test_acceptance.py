@@ -11,8 +11,7 @@ import numpy as np
 
 from cubgreeks import algebra, checks, cubature, greeks, mc, paths, sde
 from cubgreeks.algebra import context, dilate, generator, heat_element, lie_basis, max_abs_diff
-
-from oracles import fit_loglog_slope
+from cubgreeks.cli import fit_loglog_slope
 
 BS = sde.black_scholes(0.05, 0.3)
 R, SIGMA, Y0 = 0.05, 0.3, 1.0

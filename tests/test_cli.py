@@ -126,6 +126,17 @@ class TestGreekCommand:
         data = json.loads(out.read_text())
         assert data["leaves"] == 2 * 2**4
 
+    def test_threads_flag_is_a_no_op(self, bs_model, tmp_path):
+        argv = [
+            "greek", "--model", bs_model, "--y", "1.0", "--direction", "1",
+            "--t", "0.5", "--m", "2", "--mprime", "3", "--s0", "0.1",
+            "--partition", "3,2", "--payoff", "smoothed_call:1.15:0.05",
+        ]
+        serial, threaded = tmp_path / "serial.json", tmp_path / "threaded.json"
+        assert main(argv + ["--out", str(serial)]) == 0
+        assert main(argv + ["--threads", "4", "--out", str(threaded)]) == 0
+        assert threaded.read_bytes() == serial.read_bytes()
+
 
 class TestConvergeCommand:
     def test_expectation_study(self, bs_model, tmp_path):
@@ -200,6 +211,18 @@ class TestCubatureCommand:
         data = json.loads(out.read_text())
         assert data["flavor"] == "greeks"
         assert sorted(item["w"] for item in data["items"]) == [-0.5, 0.5]
+
+    def test_greeks_export_non_unit_direction(self, tmp_path):
+        # the paths stay at unit scale; |w| = 5 rides on the weights
+        out = tmp_path / "g.json"
+        assert main([
+            "cubature", "export", "--kind", "greeks2pt", "--d", "2", "--m", "2",
+            "--t", "0.25", "--direction", "3,4", "--out", str(out),
+        ]) == 0
+        data = json.loads(out.read_text())
+        assert [item["w"] for item in data["items"]] == [2.5, -2.5]
+        assert np.allclose(data["items"][0]["path"]["knots"][-1]["x"], [0.0, 0.3, 0.4])
+        assert main(["cubature", "import", "--in", str(out)]) == 0
 
 
 class TestDiagnosticsCommand:

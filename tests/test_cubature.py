@@ -170,6 +170,24 @@ class TestGreeksTwoPoint:
         f = greeks_two_point(ctx, w, 0.09)
         assert max_residual(f, greek_target(ctx, w, 0.09)) < 1e-12
 
+    def test_unit_paths_carry_norm_on_weights(self):
+        ctx = context(2, 2)
+        t = 0.09
+        w = 0.7 * generator(ctx, 1) + 1.2 * generator(ctx, 2)
+        norm = math.hypot(0.7, 1.2)
+        f = greeks_two_point(ctx, w, t)
+        assert np.allclose(f.weights, [0.5 * norm, -0.5 * norm], rtol=1e-15)
+        assert f.weights[0] == -f.weights[1]
+        plus, minus = f.paths
+        assert np.allclose(plus.points[-1], [0.0, 0.3 * 0.7 / norm, 0.3 * 1.2 / norm])
+        assert np.array_equal(minus.points, -plus.points)
+
+    def test_zero_direction_empty_formula(self):
+        ctx = context(2, 2)
+        f = greeks_two_point(ctx, zero(ctx), 0.5)
+        assert f.items == ()
+        assert max_residual(f) == 0.0
+
     def test_valid_at_m1(self):
         ctx = context(1, 1)
         f = greeks_two_point(ctx, generator(ctx, 1), 0.3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cubgreeks import greeks, sde
+from cubgreeks.cli import fit_loglog_slope
 from cubgreeks.errors import BudgetExceededError, DomainError, UnsupportedDegreeError
 from cubgreeks.greeks import (
     GreekRequest,
@@ -13,8 +14,6 @@ from cubgreeks.greeks import (
     greek_one_step,
 )
 from cubgreeks.mc import Payoff, bs_closed_form
-
-from oracles import fit_loglog_slope
 
 BS = sde.black_scholes(0.05, 0.3)
 SIGMA, R = 0.3, 0.05
@@ -169,14 +168,6 @@ class TestGreekIterated:
         with pytest.raises(BudgetExceededError) as err:
             greek_iterated(request)
         assert err.value.required == 32
-
-    def test_thread_count_does_not_change_bits(self):
-        steps = gamma_partition(0.5, 0.1, 3, 2.0)
-        kwargs = dict(system=BS, payoff=first, y=(1.0,), v=(0.1,), t=0.5,
-                      m=2, m_prime=3, partition=tuple(steps))
-        serial = greek_iterated(GreekRequest(**kwargs, threads=1))
-        threaded = greek_iterated(GreekRequest(**kwargs, threads=4))
-        assert serial.estimate == threaded.estimate
 
     def test_smoothed_call_delta_close(self):
         payoff = Payoff("smoothed_call", 1.15, 0.05)

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ class TestElementJson:
         x = TensorElement(ctx, {w: rng.uniform(-1, 1) for w in ctx.basis})
         y = element_from_dict(json.loads(json.dumps(element_to_dict(x))))
         assert max_abs_diff(x, y) < 1e-15
+
+    def test_pickle_roundtrip_after_coeffs_view(self):
+        ctx = context(2, 2)
+        x = TensorElement(ctx, {(1,): 0.25, (2, 1): -3.0})
+        assert dict(x.coeffs) == {(1,): 0.25, (2, 1): -3.0}
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and dict(y.coeffs) == dict(x.coeffs)
 
 
 class TestFormulaJson:
