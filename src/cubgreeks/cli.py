@@ -415,10 +415,10 @@ def build_parser():
     def common(p):
         p.add_argument("--out", default=_env_default("out", None), help="output file (default stdout)")
         p.add_argument("--format", default=_env_default("format", "csv"), choices=["csv", "json"])
-        p.add_argument("--seed", type=int, default=int(_env_default("seed", 0)))
+        p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
         p.add_argument(
-            "--threads", type=int, default=int(_env_default("threads", 1)),
-            help="accepted for compatibility and ignored: evaluation is serial",
+            "--threads", type=int, default=_env_default("threads", "1"),
+            help="accepted for compatibility and ignored: evaluation runs in one thread",
         )
 
     p = sub.add_parser("verify", help="run the algebra/signature property suites")
@@ -458,8 +458,8 @@ def build_parser():
 
     p = sub.add_parser("diagnostics", help="Monte Carlo cross-checks and identities")
     p.add_argument("--t", type=float, default=0.25)
-    p.add_argument("--paths", type=int, default=int(_env_default("paths", 20000)))
-    p.add_argument("--steps", type=int, default=int(_env_default("steps", 128)))
+    p.add_argument("--paths", type=int, default=_env_default("paths", "20000"))
+    p.add_argument("--steps", type=int, default=_env_default("steps", "128"))
     common(p)
     p.set_defaults(func=cmd_diagnostics)
 

@@ -12,7 +12,7 @@ sign-constrained) linear least-squares problem in the coefficient basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -33,11 +33,16 @@ PRUNE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CubatureFormula:
-    """Expectation-flavor formula: positive weights summing to one."""
+    """Expectation-flavor formula: positive weights summing to one.
+
+    ``residual`` is the max moment residual the constructor verified, or None
+    for a formula nobody checked (built directly, or imported unverified).
+    """
 
     ctx: algebra.AlgebraContext
     t: float
     items: tuple  # of (weight, PiecewisePath)
+    residual: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for w, _ in self.items:
@@ -61,13 +66,14 @@ class GreeksFormula:
     """Derivative-flavor formula: sign-free weights, zero weight sum.
 
     ``direction`` is the already-dilated Lie element, so the moment target is
-    direction * heat_element(t).
+    direction * heat_element(t).  ``residual`` is as for CubatureFormula.
     """
 
     ctx: algebra.AlgebraContext
     t: float
     direction: algebra.TensorElement
     items: tuple
+    residual: float | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def weights(self):
@@ -101,13 +107,15 @@ def max_residual(formula, target=None):
     return max(verify_moments(formula, target).values())
 
 
-def _checked(formula, tol=VERIFY_TOL):
-    res = max_residual(formula)
+def _checked(formula, tol=VERIFY_TOL, target=None):
+    """Verify the moments, record the residual on the formula and return it."""
+    res = max_residual(formula, target)
     if res > tol:
         raise NoFormulaFoundError(
             f"constructed formula fails verification: residual {res:.3e} > {tol:.1e}",
             best_residual=res,
         )
+    object.__setattr__(formula, "residual", res)
     return formula
 
 
@@ -275,11 +283,7 @@ def greeks_two_point(ctx, w, t):
             (0.5 * norm, paths.line_path(t, inc)),
             (-0.5 * norm, paths.line_path(t, -inc)),
         )
-    formula = GreeksFormula(ctx, t, algebra.dilate(math.sqrt(t), w), items)
-    res = max_residual(formula, target)
-    if res > VERIFY_TOL:
-        raise NoFormulaFoundError(f"two-point residual {res:.3e}", best_residual=res)
-    return formula
+    return _checked(GreeksFormula(ctx, t, algebra.dilate(math.sqrt(t), w), items), target=target)
 
 
 def greeks_solve(ctx, w, t, dictionary, tol=VERIFY_TOL):
@@ -295,7 +299,7 @@ def greeks_solve(ctx, w, t, dictionary, tol=VERIFY_TOL):
     b = algebra.to_dense(target)
     direction = algebra.dilate(math.sqrt(t), w)
     if not w.coeffs:
-        return GreeksFormula(ctx, t, direction, ())
+        return _checked(GreeksFormula(ctx, t, direction, ()), tol, target)
     A = np.column_stack([algebra.to_dense(paths.signature(ctx, p)) for p in dictionary])
     # rank-revealing column selection keeps the formula small
     _, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
@@ -325,7 +329,7 @@ def greeks_solve(ctx, w, t, dictionary, tol=VERIFY_TOL):
         raise NoFormulaFoundError(
             f"solver kept {len(items)} paths > 2 dim A = {2 * ctx.dim}", best_residual=residual
         )
-    return formula
+    return _checked(formula, tol, target)
 
 
 def default_greeks_dictionary(ctx, t):

@@ -3,7 +3,9 @@
 The one-step Greek applies a derivative-flavor formula directly; the iterated
 scheme differentiates only over the first (small) step and chains expectation
 formulas over the remaining partition, multiplying weights along the branches
-of the resulting evaluation tree.
+of the resulting evaluation tree.  The tree is evaluated one level at a time:
+a level is one (n, N) state array with its (n,) weights, evolved along each
+formula path in a single batched call.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import algebra, cubature, sde
+from . import algebra, cubature, mc, sde
 from .algebra import context
 from .errors import (
     BudgetExceededError,
@@ -79,29 +81,24 @@ def expectation_formula(d, m_prime, t):
 def expectation_one_step(system, f, y, t, m_prime, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
     """Sum lambda_j f(Y_t^y(omega_j)) over the built-in expectation formula."""
     formula = expectation_formula(system.d, m_prime, t)
-    values = [
-        w * float(f(sde.evolve(system, y, p, steps_per_segment)))
-        for w, p in formula.items
-    ]
-    return math.fsum(values)
+    estimate, _ = _evaluate_tree(system, f, y, [formula], steps_per_segment)
+    return estimate
 
 
 def build_greek_formula(system, y, v, t, m):
     """Decompose v into brackets at y and construct the matching formula.
 
-    Degree-1 decompositions at m <= 2 use the two-point pair along the unit
-    direction (``cubature.greeks_two_point``), which is what makes
-    fixed-direction Greeks (|w| ~ t^{-k/2}) converge.  Anything else goes
-    through the sign-free solver over the default dictionary (fixed paths,
-    so weights are linear in v there too).
+    Degree-1 decompositions at m <= 2, the zero direction included, use the
+    two-point pair along the unit direction (``cubature.greeks_two_point``),
+    which is what makes fixed-direction Greeks (|w| ~ t^{-k/2}) converge.
+    Anything else goes through the sign-free solver over the default
+    dictionary (fixed paths, so weights are linear in v there too).
     Returns (formula, decomposition coefficients).
     """
     coeffs, _ = sde.decompose_direction(system, y, v, t, m)
     ctx = context(system.d, m)
     w = sde.lie_direction(ctx, coeffs)
     degrees = {algebra.word_degree(word) for word in coeffs}
-    if not coeffs:
-        return cubature.GreeksFormula(ctx, t, w, ()), coeffs
     if m <= 2 and degrees <= {1}:
         formula = cubature.greeks_two_point(ctx, w, t)
     else:
@@ -111,11 +108,54 @@ def build_greek_formula(system, y, v, t, m):
     return formula, coeffs
 
 
+def _fields_take_batches(system, states):
+    """Whether every field evaluates the level's (n, N) states row by row."""
+    return all(
+        sde._batched_call(lambda y, i=i: system.field(i, y), states, states.shape[1:]) is not None
+        for i in range(system.d + 1)
+    )
+
+
+def _evolve_level(system, states, weights, formula, steps_per_segment):
+    """The next tree level: every state evolved along every formula path.
+
+    Returns (n*q, N) states in state-major, path-minor order (row i*q + j is
+    state i along path j) and their weights weights[i] * lambda_j.  Each path
+    is one batched ``evolve`` call, or one call per row when the fields only
+    take single states; both do the same float operations per row.
+    """
+    n, q = len(states), len(formula.items)
+    children = np.empty((n, q) + states.shape[1:])
+    if n and q:
+        batched = _fields_take_batches(system, states)
+        for j, path in enumerate(formula.paths):
+            if batched:
+                children[:, j] = sde.evolve(system, states, path, steps_per_segment)
+            else:
+                for i, row in enumerate(states):
+                    children[i, j] = sde.evolve(system, row, path, steps_per_segment)
+    children = children.reshape((n * q,) + states.shape[1:])
+    return children, (weights[:, None] * formula.weights[None, :]).ravel()
+
+
+def _evaluate_tree(system, payoff, y0, formulas, steps_per_segment):
+    """Sum of weight * payoff over the leaves of the tree the formulas span at y0.
+
+    Returns (estimate, leaf count); leaves are reduced with fsum in leaf order.
+    """
+    states = np.asarray(y0, dtype=float).reshape(1, -1)
+    weights = np.ones(1)
+    for formula in formulas:
+        states, weights = _evolve_level(system, states, weights, formula, steps_per_segment)
+    return math.fsum(weights * mc._apply_payoff(payoff, states)), len(weights)
+
+
 def greek_iterated(request: GreekRequest) -> GreekResult:
     """Evaluate the full tree: Greek step over s_0, expectation steps after.
 
-    Weights multiply along branches and states chain through evolve; leaf
-    contributions are reduced with fsum in leaf order.
+    Weights multiply along branches and states chain through evolve, one
+    batched level at a time; leaf contributions are reduced with fsum in leaf
+    order.  The formula residuals are the ones their constructors verified.
     """
     system = request.system
     y0 = np.asarray(request.y, dtype=float)
@@ -134,23 +174,14 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
             cap=request.leaf_cap,
         )
 
-    residuals = [cubature.max_residual(stage0)]
-    residuals.extend(cubature.max_residual(f) for f in inner)
-
-    spp = request.steps_per_segment
-    nodes = [(w, sde.evolve(system, y0, p, spp)) for w, p in stage0.items]
-    for formula in inner:
-        nodes = [
-            (weight * lam, sde.evolve(system, state, p, spp))
-            for weight, state in nodes
-            for lam, p in formula.items
-        ]
-
-    estimate = math.fsum(w * float(request.payoff(state)) for w, state in nodes)
+    formulas = [stage0, *inner]
+    estimate, evaluated = _evaluate_tree(
+        system, request.payoff, y0, formulas, request.steps_per_segment
+    )
     return GreekResult(
         estimate=estimate,
-        paths_evaluated=len(nodes),
-        formula_residuals=tuple(residuals),
+        paths_evaluated=evaluated,
+        formula_residuals=tuple(f.residual for f in formulas),
     )
 
 

@@ -15,7 +15,6 @@ Estimators are reproducible: draws come from the counter-based stream in
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +25,7 @@ from scipy.stats import norm
 from . import algebra
 from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError
 from .rng import normal_increments
-from .sde import FD_STEP, _matvec
+from .sde import FD_STEP, _batched_call, _matvec
 
 DEFAULT_CHUNK = 25_000
 
@@ -101,14 +100,8 @@ def parse_payoff(text):
 
 def _apply_payoff(f, states):
     """Evaluate f on (n, N) states, falling back to a per-row loop."""
-    try:
-        with warnings.catch_warnings():
-            # scalar-only payoffs often misread a batch as one state
-            warnings.simplefilter("error")
-            vals = np.asarray(f(states), dtype=float)
-    except (TypeError, ValueError, Warning):
-        vals = None
-    if vals is not None and vals.shape == (states.shape[0],):
+    vals = _batched_call(f, states, ()) if len(states) else None
+    if vals is not None:
         return vals
     return np.array([float(f(row)) for row in states])
 

@@ -4,13 +4,17 @@ bracket decompositions of Greek directions.
 Systems are given in Stratonovich form: fields V_0..V_d on R^N, so solving
 the SDE along a piecewise-linear path reduces to an ODE whose right-hand side
 on each segment is the constant-slope combination of the fields.  Fields and
-Jacobians accept batched states (leading axes broadcast); built-in models are
-written that way so the Monte Carlo oracle can vectorize over paths.
+Jacobians are expected to accept batched states (leading axes broadcast, e.g.
+(n, N) arrays indexed as ``y[..., i]``): ``evolve`` integrates a whole level
+of the cubature tree in one call and the Monte Carlo oracle vectorizes over
+paths.  Fields that only take a single (N,) state still work in the tree,
+which then evolves them one row at a time.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,27 @@ class VectorFieldSystem:
 
     def has_analytic_jacobians(self):
         return self.jacobians is not None
+
+
+def _batched_call(func, states, row_shape):
+    """func(states) when func evaluates (n, N) states row by row, else None.
+
+    The call counts as row-wise when func maps the batch, and its first row as
+    a one-row batch, to one value of shape ``row_shape`` per row without
+    raising or warning.  The one-row probe catches code written for a single
+    state that looks batched when n == N: there ``y[0]`` reads a whole row.
+    """
+    try:
+        with warnings.catch_warnings():
+            # single-state code often misreads a batch as one state
+            warnings.simplefilter("error")
+            for batch in (states[:1], states):
+                value = np.asarray(func(batch), dtype=float)
+                if value.shape != (len(batch),) + row_shape:
+                    return None
+    except (TypeError, ValueError, IndexError, Warning):
+        return None
+    return value
 
 
 def _fd_jacobian(func, y, h=FD_STEP):

@@ -2,13 +2,16 @@
 
 These deliberately avoid the package's own fast paths: iterated integrals
 come from composite trapezoid quadrature on a fine grid, derivatives from
-central differences, reference prices from direct lognormal sampling, and
-truncated products and signatures from double loops over sparse word maps.
+central differences, reference prices from direct lognormal sampling,
+truncated products and signatures from double loops over sparse word maps,
+and cubature trees from one scalar evolve per node.
 """
 
 import math
 
 import numpy as np
+
+from cubgreeks import sde
 
 
 def path_on_grid(path, points_per_segment=2000):
@@ -88,6 +91,23 @@ def dict_signature(ctx, path):
                 seg[w] = seg.get(w, 0.0) + c
         sig = dict_mul(ctx, sig, seg)
     return sig
+
+
+def scalar_tree(system, payoff, y, formulas, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
+    """Cubature tree by nested lists: one scalar evolve and one payoff call per node.
+
+    Node weights multiply along each branch; leaves come state-major,
+    path-minor and are reduced with fsum in that order.  Returns
+    (estimate, leaf count).
+    """
+    nodes = [(1.0, np.asarray(y, dtype=float))]
+    for formula in formulas:
+        nodes = [
+            (weight * lam, sde.evolve(system, state, p, steps_per_segment))
+            for weight, state in nodes
+            for lam, p in formula.items
+        ]
+    return math.fsum(w * float(payoff(state)) for w, state in nodes), len(nodes)
 
 
 def gbm_exact_samples(r, sigma, y, t, n, seed):

@@ -254,6 +254,19 @@ class TestEnvOverrides:
         args = parser.parse_args(["diagnostics", "--seed", "3"])
         assert args.seed == 3
 
+    @pytest.mark.parametrize("name,argv", [
+        ("CUBGREEKS_SEED", ["verify", "--d", "1", "--m", "2"]),
+        ("CUBGREEKS_PATHS", ["diagnostics"]),
+    ])
+    def test_malformed_integer_is_a_usage_error(self, monkeypatch, capsys, name, argv):
+        monkeypatch.setenv(name, "abc" if name == "CUBGREEKS_SEED" else "x")
+        assert main(argv) == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_flag_wins_over_malformed_environment(self, monkeypatch):
+        monkeypatch.setenv("CUBGREEKS_SEED", "abc")
+        assert main(["verify", "--d", "1", "--m", "2", "--seed", "4"]) == 0
+
 
 class TestJsonFormat:
     def test_verify_json_table(self, tmp_path):

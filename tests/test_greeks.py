@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cubgreeks import greeks, sde
+from cubgreeks import cubature, greeks, sde
 from cubgreeks.cli import fit_loglog_slope
 from cubgreeks.errors import BudgetExceededError, DomainError, UnsupportedDegreeError
 from cubgreeks.greeks import (
@@ -14,6 +14,8 @@ from cubgreeks.greeks import (
     greek_one_step,
 )
 from cubgreeks.mc import Payoff, bs_closed_form
+
+from oracles import scalar_tree
 
 BS = sde.black_scholes(0.05, 0.3)
 SIGMA, R = 0.3, 0.05
@@ -186,6 +188,143 @@ class TestGreekIterated:
                 system=BS, payoff=first, y=(1.0,), v=(0.1,), t=1.0,
                 m=2, m_prime=3, partition=(0.1, 0.2),
             )
+
+
+HEISENBERG = sde.heisenberg_toy()
+
+
+def _scalar_call(x):
+    # single states only: on a batch max() meets an array and raises
+    return max(float(x[0]) - 1.0, 0.0)
+
+
+def _scalar_mix(x):
+    return math.sin(float(x[0])) * float(x[1]) + float(x[1]) ** 2
+
+
+BATCH_PAYOFFS = {
+    1: {
+        "identity": Payoff("identity"),
+        "call": Payoff("call", 1.0),
+        "constant": lambda x: 3.14,
+        "scalar_only": _scalar_call,
+    },
+    2: {
+        "identity": Payoff("identity"),
+        "call": Payoff("call", 0.1),
+        "constant": lambda x: 3.14,
+        "scalar_only": _scalar_mix,
+        # reads a row of a batch: a (2, 2) leaf array looks batched to it
+        "row_reading": lambda x: x[0],
+    },
+}
+
+
+def _tree_case(d, m_prime, direction, k):
+    """A (system, y, v, partition) case with k inner steps of degree m'."""
+    if d == 1:
+        system, y, v = BS, (1.0,), (direction,)
+    else:
+        system, y, v = HEISENBERG, (0.4, -0.2), (0.3 * direction, -0.5 * direction)
+    steps = gamma_partition(0.6, 0.1, k, 2.0) if k else [0.6]
+    return system, y, v, tuple(steps)
+
+
+class TestLevelBatching:
+    """The batched level evaluation against one scalar evolve per tree node."""
+
+    @pytest.mark.parametrize("d,m_prime,k", [
+        (1, 1, 3), (1, 3, 3), (1, 5, 2), (2, 1, 2), (2, 3, 2), (2, 3, 0),
+    ])
+    @pytest.mark.parametrize("direction", [1.0, 0.0])
+    def test_bitwise_equal_to_scalar_tree(self, d, m_prime, k, direction):
+        system, y, v, steps = _tree_case(d, m_prime, direction, k)
+        for name, payoff in BATCH_PAYOFFS[d].items():
+            request = GreekRequest(
+                system=system, payoff=payoff, y=y, v=v, t=0.6, m=2,
+                m_prime=m_prime, partition=steps,
+            )
+            result = greek_iterated(request)
+            stage0, _ = greeks.build_greek_formula(system, np.array(y), v, steps[0], 2)
+            inner = [greeks.expectation_formula(d, m_prime, s) for s in steps[1:]]
+            estimate, leaves = scalar_tree(system, payoff, y, [stage0, *inner])
+            assert result.estimate.hex() == estimate.hex(), name
+            assert result.paths_evaluated == leaves, name
+            if direction == 0.0:
+                assert (result.estimate, leaves) == (0.0, 0)
+
+    @pytest.mark.parametrize("m_prime", [1, 3, 5])
+    def test_one_step_expectation_matches_scalar_tree(self, m_prime):
+        formula = greeks.expectation_formula(1, m_prime, 0.3)
+        for payoff in BATCH_PAYOFFS[1].values():
+            estimate, _ = scalar_tree(BS, payoff, [1.0], [formula])
+            assert expectation_one_step(BS, payoff, [1.0], 0.3, m_prime) == estimate
+
+    def test_scalar_only_fields_match_batched_fields(self):
+        # the same polynomial fields, written per state and batched
+        def scalar_fields():
+            return (
+                lambda y: np.array([-0.5 * y[0], 0.2 * y[0] * y[1]]),
+                lambda y: np.array([1.0 + 0.1 * y[1], 0.0]),
+                lambda y: np.array([0.0, y[0]]),
+            )
+
+        def batched_fields():
+            def v0(y):
+                return np.stack([-0.5 * y[..., 0], 0.2 * y[..., 0] * y[..., 1]], axis=-1)
+
+            def v1(y):
+                return np.stack([1.0 + 0.1 * y[..., 1], np.zeros_like(y[..., 0])], axis=-1)
+
+            def v2(y):
+                return np.stack([np.zeros_like(y[..., 0]), y[..., 0]], axis=-1)
+
+            return (v0, v1, v2)
+
+        estimates = []
+        for fields in (scalar_fields(), batched_fields()):
+            system = sde.VectorFieldSystem(dim=2, d=2, fields=fields)
+            request = GreekRequest(
+                system=system, payoff=_scalar_mix, y=(0.3, 0.2), v=(0.4, -0.1), t=0.6,
+                m=2, m_prime=3, partition=tuple(gamma_partition(0.6, 0.1, 3, 2.0)),
+            )
+            estimates.append(greek_iterated(request).estimate)
+        assert estimates[0].hex() == estimates[1].hex()
+
+    def test_one_evolve_call_per_level_and_path(self, monkeypatch):
+        calls = []
+        evolve = sde.evolve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(sde, "evolve", counted)
+        request = GreekRequest(
+            system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,),
+            t=1.0, m=2, m_prime=3, partition=tuple(gamma_partition(1.0, 0.1, 8, 3.0)),
+        )
+        result = greek_iterated(request)
+        assert result.paths_evaluated == 2**9
+        # two stage-0 paths, then two paths for each of the 8 inner levels;
+        # one call per node would be 2 + 4 + ... + 512 = 1022
+        assert len(calls) == 2 + 8 * 2
+
+    @pytest.mark.parametrize("system,y,v,m,m_prime", [
+        (BS, (1.0,), (1.0,), 2, 5),  # two-point stage 0, rescaled degree-5 steps
+        (HEISENBERG, (0.3, 0.2), (0.0, 1.0), 3, 3),  # solver-built stage 0
+    ])
+    def test_residuals_are_the_constructors_own(self, system, y, v, m, m_prime):
+        steps = gamma_partition(1.0, 0.1, 2, 2.0)
+        request = GreekRequest(
+            system=system, payoff=Payoff("identity"), y=y, v=v, t=1.0,
+            m=m, m_prime=m_prime, partition=tuple(steps),
+        )
+        residuals = greek_iterated(request).formula_residuals
+        stage0, _ = greeks.build_greek_formula(system, np.array(y), v, steps[0], m)
+        inner = [greeks.expectation_formula(system.d, m_prime, s) for s in steps[1:]]
+        fresh = [cubature.max_residual(f) for f in [stage0, *inner]]
+        assert [r.hex() for r in residuals] == [r.hex() for r in fresh]
 
 
 class TestGammaPartition:

@@ -111,6 +111,18 @@ class TestEulerExpectation:
         assert anti[1] < 0.5 * plain[1]
 
 
+    def test_single_state_payoffs_match_batched_ones(self):
+        # two paths of a two-dimensional system: n == N, where a payoff that
+        # reads y[0] as the first coordinate gets a whole row of the batch
+        system = sde.heisenberg_toy()
+        cfg = McConfig(n_paths=2, n_steps=8, seed=3)
+        batched = euler_expectation(system, lambda y: y[..., 0], [0.2, 0.1], 0.5, cfg)
+        assert euler_expectation(system, lambda y: y[0], [0.2, 0.1], 0.5, cfg) == batched
+        assert euler_expectation(system, lambda y: float(y[1]), [0.2, 0.1], 0.5, cfg) == (
+            euler_expectation(system, lambda y: y[..., 1], [0.2, 0.1], 0.5, cfg)
+        )
+
+
 class TestMalliavinWeight:
     def test_black_scholes_call_delta(self):
         cfg = McConfig(n_paths=20000, n_steps=64, seed=42)
