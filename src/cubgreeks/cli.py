@@ -227,19 +227,29 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-def _load_system(args):
+def _load_model(args):
+    """(system, {param: float}) from --model, read and parsed once."""
     if not args.model:
         raise ConfigError("--model is required for this command")
-    return sde.load_model(args.model)
+    config = sde.model_config(args.model)
+    return sde.load_model(config), config["params"]
 
 
-def cmd_greek(args):
-    system = _load_system(args)
+def _state_and_directions(args, system, t_values):
+    """--y checked against the model, and --direction at that state scaled by
+    --scale for each horizon in t_values (parsed only if there is one)."""
     y = _parse_vector(args.y, "--y")
     if len(y) != system.dim:
         raise ConfigError(f"--y has {len(y)} entries, model state dim is {system.dim}")
-    v = parse_direction(args.direction, system, y)
-    v = np.asarray(v, dtype=float) * parse_scale(args.scale, args.t)
+    if not t_values:
+        return y, []
+    v = np.asarray(parse_direction(args.direction, system, y), dtype=float)
+    return y, [v * parse_scale(args.scale, t) for t in t_values]
+
+
+def cmd_greek(args):
+    system, _ = _load_model(args)
+    y, (v,) = _state_and_directions(args, system, [args.t])
     payoff = mc.parse_payoff(args.payoff)
 
     if args.partition:
@@ -259,7 +269,7 @@ def cmd_greek(args):
         steps_per_segment=args.ode_steps,
     )
     result = greeks.greek_iterated(request)
-    coeffs, residual = sde.decompose_direction(system, y, v, partition[0], args.m)
+    coeffs = result.direction_words
     homogeneity = max((algebra.word_degree(w) for w in coeffs), default=0)
     data = result.to_dict()
     data["settings"] = {
@@ -273,30 +283,28 @@ def cmd_greek(args):
         "payoff": repr(payoff),
         "direction_words": {"".join(map(str, w)): c for w, c in sorted(coeffs.items())},
         "direction_degree_k": homogeneity,
-        "decomposition_residual": residual,
+        "decomposition_residual": result.decomposition_residual,
     }
     _emit_json(data, args.out)
     return 0
 
 
 def cmd_converge(args):
-    system = _load_system(args)
+    system, params = _load_model(args)
     if system.name != "black_scholes":
         raise ConfigError("converge studies need the black_scholes model (closed-form reference)")
-    params = _bs_params(args.model)
-    y = _parse_vector(args.y, "--y")
+    t_values = _parse_vector(args.t_list, "--t-list").tolist()
+    y, directions = _state_and_directions(args, system, t_values if args.study == "greek" else [])
     payoff = mc.parse_payoff(args.payoff)
-    t_values = [float(p) for p in args.t_list.split(",")]
     rows = []
     errors = []
-    for t in t_values:
+    for j, t in enumerate(t_values):
         price, delta = mc.bs_closed_form(params["r"], params["sigma"], y[0], t, payoff)
         if args.study == "expectation":
             est = greeks.expectation_one_step(system, payoff, y, t, args.mprime, args.ode_steps)
             ref = price
         else:
-            v = parse_direction(args.direction, system, y)
-            v = np.asarray(v, dtype=float) * parse_scale(args.scale, t)
+            v = directions[j]
             est = greeks.greek_one_step(system, payoff, y, v, t, args.m, args.ode_steps).estimate
             ref = delta * float(v[0])
         err = abs(est - ref)
@@ -306,14 +314,6 @@ def cmd_converge(args):
     rows.append(["slope", f"{slope:.4f}", "", ""])
     _emit_table(["t", "estimate", "reference", "abs_error"], rows, args.format, args.out)
     return 0
-
-
-def _bs_params(model_path):
-    config = model_path
-    if isinstance(config, str):
-        with open(config) as fh:
-            config = json.load(fh)
-    return {k: float(v) for k, v in config.get("params", {}).items()}
 
 
 def fit_loglog_slope(xs, errs):
@@ -385,7 +385,10 @@ def cmd_cubature(args):
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"formula file not found: {args.infile}") from exc
-    formula = cubature.formula_from_dict(data, verify=False)
+    try:
+        formula = cubature.formula_from_dict(data, verify=False)
+    except KeyError as exc:
+        raise ConfigError(f"formula file {args.infile} is missing key {exc}") from exc
     residuals = cubature.verify_moments(formula, formula.target())
     worst = max(residuals.values())
     _emit_json(

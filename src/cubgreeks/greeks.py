@@ -10,7 +10,7 @@ formula path in a single batched call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -58,6 +58,9 @@ class GreekResult:
     estimate: float
     paths_evaluated: int
     formula_residuals: tuple
+    # the stage-0 decomposition of v: {bracket word: coefficient}, residual
+    direction_words: dict = field(default_factory=dict)
+    decomposition_residual: float | None = None
 
     def to_dict(self):
         return {
@@ -93,9 +96,9 @@ def build_greek_formula(system, y, v, t, m):
     which is what makes fixed-direction Greeks (|w| ~ t^{-k/2}) converge.
     Anything else goes through the sign-free solver over the default
     dictionary (fixed paths, so weights are linear in v there too).
-    Returns (formula, decomposition coefficients).
+    Returns (formula, (coefficients, residual) of the decomposition).
     """
-    coeffs, _ = sde.decompose_direction(system, y, v, t, m)
+    coeffs, residual = sde.decompose_direction(system, y, v, t, m)
     ctx = context(system.d, m)
     w = sde.lie_direction(ctx, coeffs)
     degrees = {algebra.word_degree(word) for word in coeffs}
@@ -105,7 +108,7 @@ def build_greek_formula(system, y, v, t, m):
         formula = cubature.greeks_solve(
             ctx, w, t, cubature.default_greeks_dictionary(ctx, t)
         )
-    return formula, coeffs
+    return formula, (coeffs, residual)
 
 
 def _fields_take_batches(system, states):
@@ -161,7 +164,7 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
     y0 = np.asarray(request.y, dtype=float)
     steps = [float(s) for s in request.partition]
 
-    stage0, _ = build_greek_formula(system, y0, request.v, steps[0], request.m)
+    stage0, (coeffs, residual) = build_greek_formula(system, y0, request.v, steps[0], request.m)
     inner = [expectation_formula(system.d, request.m_prime, s) for s in steps[1:]]
 
     leaves = max(len(stage0.items), 1)
@@ -182,6 +185,8 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
         estimate=estimate,
         paths_evaluated=evaluated,
         formula_residuals=tuple(f.residual for f in formulas),
+        direction_words=coeffs,
+        decomposition_residual=residual,
     )
 
 

@@ -129,16 +129,27 @@ def _ito_drift(system, ys):
     return out
 
 
-def _euler_states(system, y0s, t, n_steps, normals):
+def _euler_step(system, ys, dB, dt):
+    """One Ito-Euler step of the (n, N) states with (n, d) increments dB."""
+    step = _ito_drift(system, ys) * dt
+    for i in range(1, system.d + 1):
+        step = step + system.field(i, ys) * dB[:, i - 1, None]
+    return ys + step
+
+
+def _normals(system, cfg):
+    """The (n_paths, n_steps, d) draws that every Euler-based estimator shares."""
+    return normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, system.d, cfg.antithetic)
+
+
+def _euler_states(system, y0, t, normals):
+    """Terminal Euler states of one path per row of normals, each from y0."""
+    n_paths, n_steps, _ = normals.shape
     dt = t / n_steps
     sdt = math.sqrt(dt)
-    ys = np.array(y0s, dtype=float)
+    ys = np.tile(np.asarray(y0, dtype=float), (n_paths, 1))
     for k in range(n_steps):
-        dB = normals[:, k, :] * sdt
-        step = _ito_drift(system, ys) * dt
-        for i in range(1, system.d + 1):
-            step = step + system.field(i, ys) * dB[:, i - 1, None]
-        ys = ys + step
+        ys = _euler_step(system, ys, normals[:, k, :] * sdt, dt)
         if not np.all(np.isfinite(ys)):
             raise BlowUpError(f"Euler state became non-finite at step {k}")
     return ys
@@ -146,11 +157,7 @@ def _euler_states(system, y0s, t, n_steps, normals):
 
 def euler_expectation(system, f, y, t, cfg):
     """Mean and standard error of f(Y_t) under Ito-corrected Euler-Maruyama."""
-    normals = normal_increments(
-        cfg.seed, 0, cfg.n_paths, cfg.n_steps, system.d, cfg.antithetic
-    )
-    y0s = np.tile(np.asarray(y, dtype=float), (cfg.n_paths, 1))
-    ys = _euler_states(system, y0s, t, cfg.n_steps, normals)
+    ys = _euler_states(system, y, t, _normals(system, cfg))
     return _mean_stderr(_apply_payoff(f, ys), cfg.antithetic)
 
 
@@ -158,15 +165,11 @@ def fd_greek(system, f, y, v, t, cfg, h=1e-3):
     """Central difference (E f(Y^{y+hv}) - E f(Y^{y-hv}))/(2h), shared noise."""
     if h <= 0.0:
         raise DomainError(f"finite-difference step must be positive, got {h}")
-    normals = normal_increments(
-        cfg.seed, 0, cfg.n_paths, cfg.n_steps, system.d, cfg.antithetic
-    )
+    normals = _normals(system, cfg)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
-    up = np.tile(y + h * v, (cfg.n_paths, 1))
-    dn = np.tile(y - h * v, (cfg.n_paths, 1))
-    f_up = _apply_payoff(f, _euler_states(system, up, t, cfg.n_steps, normals))
-    f_dn = _apply_payoff(f, _euler_states(system, dn, t, cfg.n_steps, normals))
+    f_up = _apply_payoff(f, _euler_states(system, y + h * v, t, normals))
+    f_dn = _apply_payoff(f, _euler_states(system, y - h * v, t, normals))
     return _mean_stderr((f_up - f_dn) / (2.0 * h), cfg.antithetic)
 
 
@@ -188,9 +191,7 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
     n_dim = system.dim
     if n_dim != system.d:
         raise EllipticityError(f"elliptic weight needs N = d, got N={n_dim}, d={system.d}")
-    normals = normal_increments(
-        cfg.seed, 0, cfg.n_paths, cfg.n_steps, system.d, cfg.antithetic
-    )
+    normals = _normals(system, cfg)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     dt = t / cfg.n_steps
@@ -219,10 +220,7 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
         step_J = drift_J @ J * dt
         for i in range(1, system.d + 1):
             step_J = step_J + (system.jacobian(i, ys) @ J) * dB[:, i - 1, None, None]
-        step_y = _ito_drift(system, ys) * dt
-        for i in range(1, system.d + 1):
-            step_y = step_y + system.field(i, ys) * dB[:, i - 1, None]
-        ys = ys + step_y
+        ys = _euler_step(system, ys, dB, dt)
         J = J + step_J
         if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(J))):
             raise BlowUpError(f"Malliavin simulation became non-finite at step {k}")
@@ -236,17 +234,13 @@ def simple_weight_delta_m1(system, f, y, v, t, cfg):
     Same driving noise as :func:`malliavin_delta_m1`, so the difference of
     the two estimators isolates the O(sqrt t) remainder.
     """
-    n_dim = system.dim
-    if n_dim != system.d:
-        raise EllipticityError(f"elliptic weight needs N = d, got N={n_dim}, d={system.d}")
-    normals = normal_increments(
-        cfg.seed, 0, cfg.n_paths, cfg.n_steps, system.d, cfg.antithetic
-    )
+    if system.dim != system.d:
+        raise EllipticityError(f"elliptic weight needs N = d, got N={system.dim}, d={system.d}")
+    normals = _normals(system, cfg)
     y = np.asarray(y, dtype=float)
     sigma0 = np.stack([system.field(i, y) for i in range(1, system.d + 1)], axis=-1)
     w = np.linalg.solve(sigma0, np.asarray(v, dtype=float))
-    y0s = np.tile(y, (cfg.n_paths, 1))
-    ys = _euler_states(system, y0s, t, cfg.n_steps, normals)
+    ys = _euler_states(system, y, t, normals)
     b_t = normals.sum(axis=1) * math.sqrt(t / cfg.n_steps)
     values = _apply_payoff(f, ys) * (b_t @ w) / t
     return _mean_stderr(values, cfg.antithetic)

@@ -250,17 +250,6 @@ def lie_direction(ctx, coefficients):
     return out
 
 
-def _segment_rhs(system, slope):
-    def rhs(y):
-        out = slope[0] * system.field(0, y)
-        for i in range(1, system.d + 1):
-            if slope[i] != 0.0:
-                out = out + slope[i] * system.field(i, y)
-        return out
-
-    return rhs
-
-
 def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
     """Solve dY = sum_i V_i(Y) dw^i along the path with fixed-step RK4.
 
@@ -275,7 +264,14 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
     for k in range(path.n_segments):
         dt_seg = path.times[k + 1] - path.times[k]
         slope = (path.points[k + 1] - path.points[k]) / dt_seg
-        rhs = _segment_rhs(system, slope)
+
+        def rhs(y):
+            out = slope[0] * system.field(0, y)
+            for i in range(1, system.d + 1):
+                if slope[i] != 0.0:
+                    out = out + slope[i] * system.field(i, y)
+            return out
+
         h = dt_seg / steps_per_segment
         for _ in range(steps_per_segment):
             k1 = rhs(y)
@@ -289,43 +285,25 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
 
 
 def first_variation(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
-    """Jacobian of the flow map along the path (variational ODE, J(0) = id)."""
-    if path.dim != system.d + 1:
-        raise DomainError(f"path dimension {path.dim} != d+1 = {system.d + 1}")
-    n = len(np.asarray(y0, dtype=float))
-    y = np.asarray(y0, dtype=float).copy()
-    J = np.eye(n)
+    """Jacobian J = dY/dy0 of the flow map along the path, J(0) = id.
 
-    for k in range(path.n_segments):
-        dt_seg = path.times[k + 1] - path.times[k]
-        slope = (path.points[k + 1] - path.points[k]) / dt_seg
-        rhs = _segment_rhs(system, slope)
+    ``evolve`` integrates z = (y, J), J row-major after y, on the tangent
+    system whose field i maps z to (V_i(y), dV_i(y) J).  An (N,) state gives
+    an (N, N) matrix; an (n, N) batch gives (n, N, N).
+    """
+    y0 = np.asarray(y0, dtype=float)
+    n = y0.shape[-1]
 
-        def jac_rhs(y_):
-            out = slope[0] * system.jacobian(0, y_)
-            for i in range(1, system.d + 1):
-                if slope[i] != 0.0:
-                    out = out + slope[i] * system.jacobian(i, y_)
-            return out
+    def field(i, z):
+        y, J = z[..., :n], z[..., n:].reshape(z.shape[:-1] + (n, n))
+        dJ = (system.jacobian(i, y) @ J).reshape(z.shape[:-1] + (n * n,))
+        return np.concatenate([system.field(i, y), dJ], axis=-1)
 
-        h = dt_seg / steps_per_segment
-        for _ in range(steps_per_segment):
-            k1y = rhs(y)
-            k1j = jac_rhs(y) @ J
-            y2 = y + 0.5 * h * k1y
-            k2y = rhs(y2)
-            k2j = jac_rhs(y2) @ (J + 0.5 * h * k1j)
-            y3 = y + 0.5 * h * k2y
-            k3y = rhs(y3)
-            k3j = jac_rhs(y3) @ (J + 0.5 * h * k2j)
-            y4 = y + h * k3y
-            k4y = rhs(y4)
-            k4j = jac_rhs(y4) @ (J + h * k3j)
-            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            J = J + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(J))):
-            raise BlowUpError(f"variation became non-finite on segment {k}", segment=k)
-    return J
+    fields = tuple(lambda z, i=i: field(i, z) for i in range(system.d + 1))
+    tangent = VectorFieldSystem(dim=n + n * n, d=system.d, fields=fields, name=f"tangent({system.name})")
+    eye = np.broadcast_to(np.eye(n).ravel(), y0.shape[:-1] + (n * n,))
+    z = evolve(tangent, np.concatenate([y0, eye], axis=-1), path, steps_per_segment)
+    return z[..., n:].reshape(y0.shape[:-1] + (n, n))
 
 
 def black_scholes(r, sigma):
@@ -382,14 +360,19 @@ def heisenberg_toy():
     )
 
 
+# model name -> (builder, names of the float parameters it takes)
 MODEL_BUILDERS = {
-    "black_scholes": lambda params: black_scholes(float(params["r"]), float(params["sigma"])),
-    "heisenberg_toy": lambda params: heisenberg_toy(),
+    "black_scholes": (black_scholes, ("r", "sigma")),
+    "heisenberg_toy": (heisenberg_toy, ()),
 }
 
 
-def load_model(config):
-    """Build a system from {"model": name, "params": {...}} or a JSON file path."""
+def model_config(config):
+    """Parse {"model": name, "params": {...}}, or a JSON file of it, to
+    {"model": name, "params": {param: float}} with the model's own params.
+
+    Other params are ignored; anything malformed raises ConfigError.
+    """
     if isinstance(config, str):
         try:
             with open(config) as fh:
@@ -398,10 +381,23 @@ def load_model(config):
             raise ConfigError(f"model file not found: {config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"model file is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict) or not isinstance(config.get("params", {}), dict):
+        raise ConfigError('model config must look like {"model": name, "params": {...}}')
     name = config.get("model")
-    if name not in MODEL_BUILDERS:
+    if not isinstance(name, str) or name not in MODEL_BUILDERS:
         raise ConfigError(f"unknown model {name!r}; known: {sorted(MODEL_BUILDERS)}")
-    try:
-        return MODEL_BUILDERS[name](config.get("params", {}))
-    except KeyError as exc:
-        raise ConfigError(f"model {name!r} missing parameter {exc}") from exc
+    params, raw = {}, config.get("params", {})
+    for key in MODEL_BUILDERS[name][1]:
+        if key not in raw:
+            raise ConfigError(f"model {name!r} missing parameter {key!r}")
+        try:
+            params[key] = float(raw[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"model {name!r} parameter {key!r} is not a number: {raw[key]!r}") from exc
+    return {"model": name, "params": params}
+
+
+def load_model(config):
+    """Build a system from {"model": name, "params": {...}} or a JSON file path."""
+    config = model_config(config)
+    return MODEL_BUILDERS[config["model"]][0](**config["params"])

@@ -4,7 +4,8 @@ These deliberately avoid the package's own fast paths: iterated integrals
 come from composite trapezoid quadrature on a fine grid, derivatives from
 central differences, reference prices from direct lognormal sampling,
 truncated products and signatures from double loops over sparse word maps,
-and cubature trees from one scalar evolve per node.
+cubature trees from one scalar evolve per node, and first variations from a
+joint RK4 loop of their own.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from cubgreeks import sde
+from cubgreeks.errors import BlowUpError, DomainError
 
 
 def path_on_grid(path, points_per_segment=2000):
@@ -108,6 +110,53 @@ def scalar_tree(system, payoff, y, formulas, steps_per_segment=sde.DEFAULT_STEPS
             for lam, p in formula.items
         ]
     return math.fsum(w * float(payoff(state)) for w, state in nodes), len(nodes)
+
+
+def first_variation_loop(system, y0, path, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
+    """Jacobian of the flow map of one (N,) state by a hand-written joint RK4
+    loop over (y, J), with the segment field's Jacobian applied to J."""
+    if path.dim != system.d + 1:
+        raise DomainError(f"path dimension {path.dim} != d+1 = {system.d + 1}")
+    n = len(np.asarray(y0, dtype=float))
+    y = np.asarray(y0, dtype=float).copy()
+    J = np.eye(n)
+
+    for k in range(path.n_segments):
+        dt_seg = path.times[k + 1] - path.times[k]
+        slope = (path.points[k + 1] - path.points[k]) / dt_seg
+
+        def rhs(y_):
+            out = slope[0] * system.field(0, y_)
+            for i in range(1, system.d + 1):
+                if slope[i] != 0.0:
+                    out = out + slope[i] * system.field(i, y_)
+            return out
+
+        def jac_rhs(y_):
+            out = slope[0] * system.jacobian(0, y_)
+            for i in range(1, system.d + 1):
+                if slope[i] != 0.0:
+                    out = out + slope[i] * system.jacobian(i, y_)
+            return out
+
+        h = dt_seg / steps_per_segment
+        for _ in range(steps_per_segment):
+            k1y = rhs(y)
+            k1j = jac_rhs(y) @ J
+            y2 = y + 0.5 * h * k1y
+            k2y = rhs(y2)
+            k2j = jac_rhs(y2) @ (J + 0.5 * h * k1j)
+            y3 = y + 0.5 * h * k2y
+            k3y = rhs(y3)
+            k3j = jac_rhs(y3) @ (J + 0.5 * h * k2j)
+            y4 = y + h * k3y
+            k4y = rhs(y4)
+            k4j = jac_rhs(y4) @ (J + h * k3j)
+            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            J = J + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(J))):
+            raise BlowUpError(f"variation became non-finite on segment {k}", segment=k)
+    return J
 
 
 def gbm_exact_samples(r, sigma, y, t, n, seed):

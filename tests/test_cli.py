@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from cubgreeks import cli, sde
+from cubgreeks import cli, greeks, mc, sde
+from cubgreeks.algebra import word_degree
 from cubgreeks.cli import main, parse_direction, parse_scale
 from cubgreeks.errors import ConfigError
 
@@ -126,6 +127,87 @@ class TestGreekCommand:
         data = json.loads(out.read_text())
         assert data["leaves"] == 2 * 2**4
 
+    @pytest.mark.parametrize(
+        "model, flags",
+        [
+            ("heisenberg", ["--y", "0.2,0.1", "--direction", "[V1,V2]", "--t", "0.1", "--m", "3"]),
+            ("bs", [
+                "--y", "1.0", "--direction", "1", "--t", "1.0", "--m", "2", "--mprime", "3",
+                "--s0", "0.1", "--partition", "4,3", "--payoff", "smoothed_call:1.15:0.05",
+            ]),
+        ],
+    )
+    def test_output_carries_the_one_decomposition(self, bs_model, heisenberg_model, tmp_path, model, flags):
+        # the bytes equal those of a separate decompose_direction at the first step
+        model_path = bs_model if model == "bs" else heisenberg_model
+        out = tmp_path / "r.json"
+        assert main(["greek", "--model", model_path, *flags, "--out", str(out)]) == 0
+        args = cli.build_parser().parse_args(["greek", "--model", model_path, *flags])
+        system = sde.load_model(model_path)
+        y = np.array([float(p) for p in args.y.split(",")])
+        v = np.asarray(parse_direction(args.direction, system, y), dtype=float)
+        if args.partition:
+            partition = greeks.gamma_partition(args.t, args.s0, *args.partition)
+        else:
+            partition = [args.t]
+        request = greeks.GreekRequest(
+            system=system, payoff=mc.parse_payoff(args.payoff), y=tuple(y), v=tuple(v),
+            t=args.t, m=args.m, m_prime=args.mprime, partition=tuple(partition),
+        )
+        result = greeks.greek_iterated(request)
+        assert sorted(result.to_dict()) == ["estimate", "leaves", "residuals"]
+        coeffs, residual = sde.decompose_direction(system, y, v, partition[0], args.m)
+        assert result.direction_words == coeffs
+        assert result.decomposition_residual == residual
+        expected = result.to_dict()
+        expected["settings"] = {
+            "model": system.name,
+            "y": list(y),
+            "v": list(v),
+            "t": args.t,
+            "m": args.m,
+            "mprime": args.mprime,
+            "partition": list(partition),
+            "payoff": repr(request.payoff),
+            "direction_words": {"".join(map(str, w)): c for w, c in sorted(coeffs.items())},
+            "direction_degree_k": max(word_degree(w) for w in coeffs),
+            "decomposition_residual": residual,
+        }
+        assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_decomposition_runs_once(self, bs_model, tmp_path, monkeypatch):
+        calls = []
+        original = sde.decompose_direction
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sde, "decompose_direction", counted)
+        assert main([
+            "greek", "--model", bs_model, "--y", "1.0", "--direction", "V1",
+            "--t", "0.1", "--out", str(tmp_path / "r.json"),
+        ]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"model":"black_scholes","params":{"r":"abc","sigma":0.3}}',
+            "[1,2]",
+            '{"model":"black_scholes","params":[1]}',
+        ],
+    )
+    def test_malformed_model_file_is_a_usage_error(self, tmp_path, capsys, text):
+        model = tmp_path / "bad.json"
+        model.write_text(text)
+        for argv in (
+            ["greek", "--model", str(model), "--y", "1.0", "--direction", "V1", "--t", "0.1"],
+            ["converge", "--model", str(model), "--study", "expectation"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_threads_flag_is_a_no_op(self, bs_model, tmp_path):
         argv = [
             "greek", "--model", bs_model, "--y", "1.0", "--direction", "1",
@@ -171,6 +253,33 @@ class TestConvergeCommand:
         ref = float(lines[1].split(",")[2])
         assert abs(ref - delta * math.sqrt(t0) * 0.3) < 1e-12
 
+    def test_extra_param_is_ignored(self, bs_model, tmp_path):
+        # greek and converge read the same one parse of the model file
+        extra = tmp_path / "extra.json"
+        extra.write_text('{"model":"black_scholes","params":{"r":0.05,"sigma":0.3,"name":"x"}}')
+        for flags in (
+            ["converge", "--study", "greek", "--t-list", "0.2,0.1"],
+            ["greek", "--y", "1.0", "--direction", "V1", "--t", "0.1"],
+        ):
+            plain, with_extra = tmp_path / "plain.out", tmp_path / "extra.out"
+            assert main([*flags, "--model", bs_model, "--out", str(plain)]) == 0
+            assert main([*flags, "--model", str(extra), "--out", str(with_extra)]) == 0
+            assert with_extra.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--study", "expectation", "--y", "1.0,2.0"],
+            ["--study", "greek", "--y", "1.0,2.0"],
+            ["--study", "expectation", "--t-list", "0.4,abc"],
+            ["--study", "greek", "--scale", "2t"],
+            ["--study", "greek", "--direction", "V7"],
+        ],
+    )
+    def test_bad_flags_are_usage_errors(self, bs_model, capsys, flags):
+        assert main(["converge", "--model", bs_model, *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_requires_black_scholes(self, heisenberg_model):
         code = main([
             "converge", "--model", heisenberg_model, "--study", "expectation",
@@ -201,6 +310,17 @@ class TestCubatureCommand:
         data["items"][0]["w"] *= 1.01
         out.write_text(json.dumps(data))
         assert main(["cubature", "import", "--in", str(out)]) == 1
+
+    @pytest.mark.parametrize("drop", ["flavor", "path"])
+    def test_import_missing_key_is_a_usage_error(self, tmp_path, capsys, drop):
+        out = tmp_path / "formula.json"
+        main(["cubature", "export", "--kind", "expectation3", "--d", "1", "--m", "3",
+              "--t", "1.0", "--out", str(out)])
+        data = json.loads(out.read_text())
+        del (data if drop == "flavor" else data["items"][1])[drop]
+        out.write_text(json.dumps(data))
+        assert main(["cubature", "import", "--in", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: formula file {out} is missing key '{drop}'")
 
     def test_greeks_export(self, tmp_path):
         out = tmp_path / "g.json"

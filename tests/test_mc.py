@@ -165,6 +165,85 @@ class TestMalliavinWeight:
             malliavin_delta_m1(system, IDENT, [0.0, 0.0], [0.0, 1.0], 0.1, McConfig(100, 8))
 
 
+def _elliptic_poly():
+    # polynomial 2-D elliptic system without Jacobians (finite-difference fallback)
+    def v0(y):
+        return 0.1 * y
+
+    def v1(y):
+        return np.stack([1.0 + 0.1 * y[..., 1] ** 2, 0.2 * y[..., 0]], axis=-1)
+
+    def v2(y):
+        return np.stack([0.1 * y[..., 0] * y[..., 1], 1.0 + 0.05 * y[..., 0] ** 2], axis=-1)
+
+    return sde.VectorFieldSystem(dim=2, d=2, fields=(v0, v1, v2), name="elliptic_poly")
+
+
+class TestEulerStepBitwise:
+    """The estimators share one Euler step; each keeps its former float operations.
+
+    The (mean, stderr) hex values were recorded from the version in which
+    ``malliavin_delta_m1`` and ``_euler_states`` each spelled out the step.
+    """
+
+    CALL = Payoff("call", 1.0)
+
+    @staticmethod
+    def _square_of_second(y):
+        return y[..., 1] ** 2
+
+    @staticmethod
+    def _basket(y):
+        return np.maximum(y[..., 0] + y[..., 1] - 0.5, 0.0)
+
+    def _runs(self, seed):
+        cfg = McConfig(n_paths=400, n_steps=16, seed=seed)
+        anti = McConfig(n_paths=400, n_steps=16, seed=seed, antithetic=True)
+        hz = sde.heisenberg_toy()
+        el = _elliptic_poly()
+        return {
+            "euler_bs": euler_expectation(BS, self.CALL, [1.0], 0.5, cfg),
+            "euler_hz": euler_expectation(hz, self._square_of_second, [0.3, 0.1], 0.5, anti),
+            "euler_el": euler_expectation(el, self._basket, [0.2, 0.3], 0.5, cfg),
+            "fd_bs": fd_greek(BS, self.CALL, [1.0], [1.0], 0.5, cfg),
+            "fd_hz": fd_greek(hz, self._square_of_second, [0.3, 0.1], [1.0, 0.0], 0.5, cfg),
+            "mal_bs": malliavin_delta_m1(BS, self.CALL, [1.0], [1.0], 0.5, cfg),
+            "mal_el": malliavin_delta_m1(el, self._basket, [0.2, 0.3], [1.0, -0.5], 0.5, cfg),
+            "simple_bs": simple_weight_delta_m1(BS, self.CALL, [1.0], [1.0], 0.5, anti),
+            "simple_el": simple_weight_delta_m1(el, self._basket, [0.2, 0.3], [1.0, -0.5], 0.5, cfg),
+        }
+
+    EXPECTED = {
+        3: {
+            "euler_bs": ("0x1.71b1ff28d0db8p-4", "0x1.c259d445ab9c3p-8"),
+            "euler_hz": ("0x1.40873028bf3d6p-3", "0x1.05424cb54d54fp-6"),
+            "euler_el": ("0x1.ab198411d395cp-2", "0x1.0cc493d84c857p-5"),
+            "fd_bs": ("0x1.3058ee81e84a3p-1", "0x1.ea90e65fd7d1ep-6"),
+            "fd_hz": ("0x1.1bfd93927ddfcp-2", "0x1.44ff77bbda4dep-5"),
+            "mal_bs": ("0x1.ff1f3ea78ce92p-2", "0x1.07e135e1fe404p-4"),
+            "mal_el": ("0x1.bbd8e28585460p-3", "0x1.e555c86644893p-5"),
+            "simple_bs": ("0x1.2e69283c796fap-1", "0x1.155a2f46df538p-4"),
+            "simple_el": ("0x1.b9cc00444dec4p-3", "0x1.e644d0f170f43p-5"),
+        },
+        11: {
+            "euler_bs": ("0x1.5841d37ef45fap-4", "0x1.be25420186caap-8"),
+            "euler_hz": ("0x1.0898cb03d4e59p-3", "0x1.e220bf72eedb5p-7"),
+            "euler_el": ("0x1.9237a0cdc6664p-2", "0x1.09df68fe092f8p-5"),
+            "fd_bs": ("0x1.1ed67295b7dfdp-1", "0x1.e8f2a81fda2f5p-6"),
+            "fd_hz": ("0x1.1f2b74f9bf181p-2", "0x1.3f4358441261ep-5"),
+            "mal_bs": ("0x1.ea5d83f58c08ep-2", "0x1.cb182b7660292p-5"),
+            "mal_el": ("0x1.786e48a6a7ac8p-2", "0x1.43ea90461737bp-4"),
+            "simple_bs": ("0x1.0942edc05ddf8p-1", "0x1.b72bcb74f9d27p-5"),
+            "simple_el": ("0x1.7401f44f0fcecp-2", "0x1.42769b3637866p-4"),
+        },
+    }
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_estimates_unchanged(self, seed):
+        got = {name: (m.hex(), s.hex()) for name, (m, s) in self._runs(seed).items()}
+        assert got == self.EXPECTED[seed]
+
+
 class TestFdGreek:
     def test_linear_system_zero_variance(self):
         # additive noise and linear drift: the difference quotient is deterministic

@@ -21,7 +21,7 @@ from cubgreeks.sde import (
     load_model,
 )
 
-from oracles import fd_jacobian
+from oracles import fd_jacobian, first_variation_loop
 
 
 def reversed_path(path):
@@ -252,6 +252,62 @@ class TestFirstVariation:
         J_fd = fd_jacobian(lambda z: evolve(system, z, p), y0, h=1e-6)
         assert np.abs(J - J_fd).max() < 1e-6 * max(1.0, np.abs(J).max())
 
+    @staticmethod
+    def _systems():
+        # the last one has Jacobians that do not commute with J
+        def v0(y):
+            return np.stack([0.3 * y[..., 1], -0.2 * y[..., 0]], axis=-1)
+
+        def v1(y):
+            return np.stack([1.0 + 0.1 * y[..., 1] ** 2, 0.2 * y[..., 0]], axis=-1)
+
+        def v2(y):
+            return np.stack([0.1 * y[..., 0] * y[..., 1], 1.0 + 0.05 * y[..., 0] ** 2], axis=-1)
+
+        return [
+            black_scholes(0.05, 0.3),
+            heisenberg_toy(),
+            cubic_toy(),
+            sde.VectorFieldSystem(dim=2, d=2, fields=(v0, v1, v2), name="poly2d"),
+        ]
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(29)
+        for system in self._systems():
+            for _ in range(12):
+                n_seg = int(rng.integers(1, 4))
+                p = from_increments(rng.uniform(0.2, 1.0), rng.uniform(-0.7, 0.7, size=(n_seg, system.d + 1)))
+                y0 = rng.uniform(-0.8, 0.8, size=system.dim)
+                J = first_variation(system, y0, p)
+                ref = first_variation_loop(system, y0, p)
+                assert J.shape == (system.dim, system.dim)
+                assert np.abs(J - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max()), system.name
+
+    def test_batched_rows_bitwise(self):
+        rng = np.random.default_rng(31)
+        for system in self._systems():
+            p = from_increments(0.6, rng.uniform(-0.7, 0.7, size=(3, system.d + 1)))
+            states = rng.uniform(-0.8, 0.8, size=(5, system.dim))
+            batch = first_variation(system, states, p)
+            assert batch.shape == (5, system.dim, system.dim)
+            rows = np.stack([first_variation(system, y, p) for y in states])
+            assert np.array_equal(batch, rows), system.name
+
+    def test_rejects_nonpositive_steps(self):
+        with pytest.raises(DomainError):
+            first_variation(black_scholes(0.05, 0.3), [1.0], line_path(0.5, [0.0, 0.3]), 0)
+
+    def test_blow_up_reports_segment(self):
+        def v0(y):
+            return y**2
+
+        system = sde.VectorFieldSystem(dim=1, d=1, fields=(v0, lambda y: 0.0 * y), name="riccati")
+        p = from_increments(2.0, [[1.0, 0.0], [40.0, 0.0]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(BlowUpError) as info:
+                first_variation(system, [1.0], p, 8)
+        assert info.value.segment == 1
+
 
 class TestModelLoading:
     def test_black_scholes_config(self, tmp_path):
@@ -276,3 +332,25 @@ class TestModelLoading:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_model("/nonexistent/model.json")
+
+    def test_params_are_parsed_once_as_floats(self):
+        config = sde.model_config(
+            {"model": "black_scholes", "params": {"r": "0.02", "sigma": 0.4, "name": "x"}}
+        )
+        assert config == {"model": "black_scholes", "params": {"r": 0.02, "sigma": 0.4}}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"model":"black_scholes","params":{"r":"abc","sigma":0.3}}',
+            '{"model":"black_scholes","params":{"r":null,"sigma":0.3}}',
+            "[1,2]",
+            '{"model":"black_scholes","params":[1]}',
+            '{"model":["black_scholes"]}',
+        ],
+    )
+    def test_malformed_file_is_a_config_error(self, tmp_path, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError):
+            load_model(str(cfg))
