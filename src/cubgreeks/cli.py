@@ -6,14 +6,15 @@ cross-checks), cubature export/import (formula files).  Every command is
 deterministic given its full flag set; exit codes are 0 (success),
 1 (numerical/tolerance failure), 2 (usage or configuration error).
 
-Any long flag can also be supplied through the environment with the
-``CUBGREEKS_`` prefix (dashes become underscores, e.g. ``CUBGREEKS_SEED``);
-explicit flags win.
+Seven long flags can also come from the environment as ``CUBGREEKS_<NAME>``:
+``--out``, ``--format``, ``--seed``, ``--threads``, ``--model``, ``--paths``
+and ``--steps`` (e.g. ``CUBGREEKS_SEED``); explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import io
 import json
@@ -36,121 +37,56 @@ def _env_default(name, fallback):
 
 
 # ---------------------------------------------------------------------------
-# symbolic direction grammar: V<i>, [expr,expr], sums with real coefficients
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<field>V\d+)|(?P<num>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)|(?P<sym>[\[\],()+\-*]))"
-)
-
-
-def _tokenize_direction(text):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match or match.end() == pos:
-            raise ConfigError(f"cannot tokenize direction at: {text[pos:]!r}")
-        if match.group("field"):
-            tokens.append(("field", int(match.group("field")[1:])))
-        elif match.group("num"):
-            tokens.append(("num", float(match.group("num"))))
-        else:
-            tokens.append(("sym", match.group("sym")))
-        pos = match.end()
-    return tokens
-
-
-class _DirectionParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self, expected=None):
-        kind, value = self.peek()
-        if kind is None:
-            raise ConfigError("direction expression ended unexpectedly")
-        if expected is not None and (kind, value) != ("sym", expected):
-            raise ConfigError(f"expected {expected!r}, found {value!r}")
-        self.pos += 1
-        return kind, value
-
-    def parse(self):
-        expr = self.expr()
-        if self.pos != len(self.tokens):
-            raise ConfigError(f"trailing input in direction: {self.tokens[self.pos:]}")
-        return expr
-
-    def expr(self):
-        terms = [(1.0, self.term())]
-        while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
-            _, op = self.take()
-            sign = 1.0 if op == "+" else -1.0
-            terms.append((sign, self.term()))
-        if len(terms) == 1 and terms[0][0] == 1.0:
-            return terms[0][1]
-        return sde.FieldExpr.combination(terms)
-
-    def term(self):
-        kind, value = self.peek()
-        coeff = 1.0
-        if kind == "num":
-            self.take()
-            coeff = value
-            if self.peek() == ("sym", "*"):
-                self.take()
-        atom = self.atom()
-        if coeff == 1.0:
-            return atom
-        return sde.FieldExpr.combination([(coeff, atom)])
-
-    def atom(self):
-        kind, value = self.peek()
-        if kind == "field":
-            self.take()
-            return sde.FieldExpr.base(value)
-        if (kind, value) == ("sym", "["):
-            self.take()
-            left = self.expr()
-            self.take(",")
-            right = self.expr()
-            self.take("]")
-            return sde.FieldExpr.commutator(left, right)
-        if (kind, value) == ("sym", "("):
-            self.take()
-            inner = self.expr()
-            self.take(")")
-            return inner
-        raise ConfigError(f"unexpected token {value!r} in direction expression")
+# direction flag: a vector, or an expression in V<i>, brackets [a,b], real
+# multiples c*a and sums a+b-c, read by Python's parser and never evaluated
 
 
 def parse_direction(text, system, y):
     """Resolve a direction flag: comma-separated vector or symbolic expression."""
     text = text.strip()
-    if re.fullmatch(r"[-+0-9.,eE\s]+", text) and "," in text or re.fullmatch(r"[-+]?[0-9.]+([eE][+-]?\d+)?", text):
-        vec = np.array([float(p) for p in text.split(",")], dtype=float)
+    if "V" not in text:
+        vec = _parse_vector(text, "direction")
         if len(vec) != system.dim:
             raise ConfigError(f"direction vector has {len(vec)} entries, state dim is {system.dim}")
         return vec
-    expr = _DirectionParser(_tokenize_direction(text)).parse()
-    for maybe_base in _iter_base_indices(expr):
-        if not 0 <= maybe_base <= system.d:
-            raise ConfigError(f"direction uses V{maybe_base}, model has V0..V{system.d}")
+    try:
+        expr = _field_expr(ast.parse(text, mode="eval").body, system.d)
+    except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
+        raise ConfigError(f"cannot parse direction: {exc}") from exc
     return expr.value(system, np.asarray(y, dtype=float))
 
 
-def _iter_base_indices(expr):
-    if expr.kind == "base":
-        yield expr.payload
-    elif expr.kind == "sum":
-        for _, sub in expr.payload:
-            yield from _iter_base_indices(sub)
-    else:
-        for sub in expr.payload:
-            yield from _iter_base_indices(sub)
+def _field_expr(node, d):
+    """The sde.FieldExpr of a parsed direction; any other syntax is a ConfigError."""
+    if isinstance(node, ast.Name) and node.id[:1] == "V" and node.id[1:].isdecimal():
+        if int(node.id[1:]) > d:
+            raise ConfigError(f"direction uses {node.id}, model has V0..V{d}")
+        return sde.FieldExpr.base(int(node.id[1:]))
+    if isinstance(node, ast.List) and len(node.elts) == 2:
+        return sde.FieldExpr.commutator(_field_expr(node.elts[0], d), _field_expr(node.elts[1], d))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        coeff, inner = _coefficient(node.left), _field_expr(node.right, d)
+        return inner if coeff == 1.0 else sde.FieldExpr.combination([(coeff, inner)])
+    terms = []  # a +/- chain is one combination; its tree nests to the left
+    while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        terms.append((1.0 if isinstance(node.op, ast.Add) else -1.0, _field_expr(node.right, d)))
+        node = node.left
+    if terms:
+        return sde.FieldExpr.combination([(1.0, _field_expr(node, d))] + terms[::-1])
+    raise ConfigError(
+        f"unexpected {ast.unparse(node)!r} in direction (use V<i>, [a,b], <number>*a, a+b, a-b)"
+    )
+
+
+def _coefficient(node):
+    """A finite real literal, optionally signed."""
+    sign = 1.0
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        sign, node = (-1.0 if isinstance(node.op, ast.USub) else 1.0), node.operand
+    value = node.value if isinstance(node, ast.Constant) else None
+    if type(value) in (int, float) and math.isfinite(sign * float(value)):
+        return sign * float(value)
+    raise ConfigError(f"direction coefficient must be a finite real number, got {ast.unparse(node)!r}")
 
 
 def parse_scale(text, t):
@@ -169,9 +105,12 @@ def parse_scale(text, t):
 
 def _parse_vector(text, name):
     try:
-        return np.array([float(p) for p in str(text).split(",")], dtype=float)
+        vec = np.array([float(p) for p in str(text).split(",")], dtype=float)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {name} vector from {text!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{name} vector {text!r} has a non-finite entry")
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +324,8 @@ def cmd_cubature(args):
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"formula file not found: {args.infile}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"formula file is not valid JSON: {exc}") from exc
     try:
         formula = cubature.formula_from_dict(data, verify=False)
     except KeyError as exc:

@@ -111,14 +111,6 @@ def build_greek_formula(system, y, v, t, m):
     return formula, (coeffs, residual)
 
 
-def _fields_take_batches(system, states):
-    """Whether every field evaluates the level's (n, N) states row by row."""
-    return all(
-        sde._batched_call(lambda y, i=i: system.field(i, y), states, states.shape[1:]) is not None
-        for i in range(system.d + 1)
-    )
-
-
 def _evolve_level(system, states, weights, formula, steps_per_segment):
     """The next tree level: every state evolved along every formula path.
 
@@ -130,7 +122,7 @@ def _evolve_level(system, states, weights, formula, steps_per_segment):
     n, q = len(states), len(formula.items)
     children = np.empty((n, q) + states.shape[1:])
     if n and q:
-        batched = _fields_take_batches(system, states)
+        batched = sde._fields_take_batches(system, states)
         for j, path in enumerate(formula.paths):
             if batched:
                 children[:, j] = sde.evolve(system, states, path, steps_per_segment)

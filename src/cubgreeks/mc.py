@@ -25,7 +25,7 @@ from scipy.stats import norm
 from . import algebra
 from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError
 from .rng import normal_increments
-from .sde import FD_STEP, _batched_call, _matvec
+from .sde import FD_STEP, _batched_call, _fields_take_batches, _matvec
 
 DEFAULT_CHUNK = 25_000
 
@@ -120,21 +120,31 @@ def _mean_stderr(values, antithetic):
 # Euler-Maruyama simulation
 
 
-def _ito_drift(system, ys):
-    """Stratonovich drift correction: V_0 + 1/2 sum_i dV_i . V_i."""
-    out = system.field(0, ys)
-    for i in range(1, system.d + 1):
-        vi = system.field(i, ys)
-        out = out + 0.5 * _matvec(system.jacobian(i, ys), vi)
-    return out
+def _fields_at(system, ys):
+    """[V_0..V_d](ys) and [DV_1..DV_d](ys), each evaluated once per step."""
+    fields = [system.field(i, ys) for i in range(system.d + 1)]
+    return fields, [system.jacobian(i, ys) for i in range(1, system.d + 1)]
 
 
-def _euler_step(system, ys, dB, dt):
-    """One Ito-Euler step of the (n, N) states with (n, d) increments dB."""
-    step = _ito_drift(system, ys) * dt
-    for i in range(1, system.d + 1):
-        step = step + system.field(i, ys) * dB[:, i - 1, None]
+def _euler_step(ys, dB, dt, fields, jacobians):
+    """One Ito-Euler step of the (n, N) states with (n, d) increments dB, from
+    the step's ``_fields_at``; the drift is V_0 + 1/2 sum_i dV_i . V_i."""
+    drift = fields[0]
+    for i in range(1, len(fields)):
+        drift = drift + 0.5 * _matvec(jacobians[i - 1], fields[i])
+    step = drift * dt
+    for i in range(1, len(fields)):
+        step = step + fields[i] * dB[:, i - 1, None]
     return ys + step
+
+
+def _check_batched(system, ys):
+    """The Euler loops evaluate every field and Jacobian on all paths at once."""
+    if not _fields_take_batches(system, ys, jacobians=True):
+        raise DomainError(
+            f"fields or Jacobians of {system.name!r} do not evaluate (n, N) state batches "
+            "row by row; the Monte Carlo oracles need them to (index states as y[..., i])"
+        )
 
 
 def _normals(system, cfg):
@@ -148,8 +158,9 @@ def _euler_states(system, y0, t, normals):
     dt = t / n_steps
     sdt = math.sqrt(dt)
     ys = np.tile(np.asarray(y0, dtype=float), (n_paths, 1))
+    _check_batched(system, ys)
     for k in range(n_steps):
-        ys = _euler_step(system, ys, normals[:, k, :] * sdt, dt)
+        ys = _euler_step(ys, normals[:, k, :] * sdt, dt, *_fields_at(system, ys))
         if not np.all(np.isfinite(ys)):
             raise BlowUpError(f"Euler state became non-finite at step {k}")
     return ys
@@ -199,9 +210,11 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
     ys = np.tile(y, (cfg.n_paths, 1))
     J = np.tile(np.eye(n_dim), (cfg.n_paths, 1, 1))
     acc = np.zeros(cfg.n_paths)
+    _check_batched(system, ys)
     for k in range(cfg.n_steps):
         dB = normals[:, k, :] * sdt
-        sigma = np.stack([system.field(i, ys) for i in range(1, system.d + 1)], axis=-1)
+        fields, jacobians = _fields_at(system, ys)
+        sigma = np.stack(fields[1:], axis=-1)
         Jv = _matvec(J, v)
         try:
             integrand = np.linalg.solve(sigma, Jv[:, :, None])[:, :, 0]
@@ -214,13 +227,12 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
         # difference of the Jacobian and vanishes for linear fields
         drift_J = system.jacobian(0, ys)
         for i in range(1, system.d + 1):
-            vi = system.field(i, ys)
-            ji = system.jacobian(i, ys)
-            drift_J = drift_J + 0.5 * (_hessian_action(system, i, ys, vi) + ji @ ji)
+            ji = jacobians[i - 1]
+            drift_J = drift_J + 0.5 * (_hessian_action(system, i, ys, fields[i]) + ji @ ji)
         step_J = drift_J @ J * dt
         for i in range(1, system.d + 1):
-            step_J = step_J + (system.jacobian(i, ys) @ J) * dB[:, i - 1, None, None]
-        ys = _euler_step(system, ys, dB, dt)
+            step_J = step_J + (jacobians[i - 1] @ J) * dB[:, i - 1, None, None]
+        ys = _euler_step(ys, dB, dt, fields, jacobians)
         J = J + step_J
         if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(J))):
             raise BlowUpError(f"Malliavin simulation became non-finite at step {k}")
@@ -238,9 +250,9 @@ def simple_weight_delta_m1(system, f, y, v, t, cfg):
         raise EllipticityError(f"elliptic weight needs N = d, got N={system.dim}, d={system.d}")
     normals = _normals(system, cfg)
     y = np.asarray(y, dtype=float)
+    ys = _euler_states(system, y, t, normals)
     sigma0 = np.stack([system.field(i, y) for i in range(1, system.d + 1)], axis=-1)
     w = np.linalg.solve(sigma0, np.asarray(v, dtype=float))
-    ys = _euler_states(system, y, t, normals)
     b_t = normals.sum(axis=1) * math.sqrt(t / cfg.n_steps)
     values = _apply_payoff(f, ys) * (b_t @ w) / t
     return _mean_stderr(values, cfg.antithetic)

@@ -8,7 +8,7 @@ Jacobians are expected to accept batched states (leading axes broadcast, e.g.
 (n, N) arrays indexed as ``y[..., i]``): ``evolve`` integrates a whole level
 of the cubature tree in one call and the Monte Carlo oracle vectorizes over
 paths.  Fields that only take a single (N,) state still work in the tree,
-which then evolves them one row at a time.
+which evolves them one row at a time; the Monte Carlo oracles refuse them.
 """
 
 from __future__ import annotations
@@ -81,6 +81,16 @@ def _batched_call(func, states, row_shape):
     except (TypeError, ValueError, IndexError, Warning):
         return None
     return value
+
+
+def _fields_take_batches(system, states, jacobians=False):
+    """Whether every field, and with ``jacobians`` every Jacobian, evaluates
+    the (n, N) states row by row (see ``_batched_call``)."""
+    row = states.shape[1:]
+    calls = [(lambda y, i=i: system.field(i, y), row) for i in range(system.d + 1)]
+    if jacobians:
+        calls += [(lambda y, i=i: system.jacobian(i, y), row + row[-1:]) for i in range(system.d + 1)]
+    return all(_batched_call(func, states, shape) is not None for func, shape in calls)
 
 
 def _fd_jacobian(func, y, h=FD_STEP):

@@ -68,6 +68,106 @@ class TestDirectionGrammar:
             parse_scale("2t", 0.25)
 
 
+def _long_sum(atoms, n=500):
+    """An n-term +/- chain with coefficients like 4.3e-0 and 5.6e-1 over the atoms."""
+    parts = []
+    for k in range(n):
+        term = f"{(k % 9) + 1}.{k % 7}e-{k % 3}*{atoms[k % len(atoms)]}"
+        parts.append(term if k == 0 else ("- " if k % 4 == 1 else "+ ") + term)
+    return " ".join(parts)
+
+
+LONG_SUMS = {
+    "heisenberg_toy": _long_sum(["V1", "[V1,V2]", "V2", "V0"]),
+    "black_scholes": _long_sum(["V1", "V0", "[V0,V1]"]),
+}
+
+
+class TestDirectionRecorded:
+    """parse_direction against float.hex values recorded from the hand-written
+    tokenizer and recursive-descent parser that Python's parser replaced."""
+
+    CASES = [
+        ("heisenberg_toy", (0.3, -0.7), "0.5,-1", ("0x1.0000000000000p-1", "-0x1.0000000000000p+0")),
+        ("heisenberg_toy", (0.3, -0.7), "0,1", ("0x0.0p+0", "0x1.0000000000000p+0")),
+        ("heisenberg_toy", (0.3, -0.7), "V1", ("0x1.0000000000000p+0", "0x0.0p+0")),
+        ("heisenberg_toy", (0.3, -0.7), "[V1,V2]", ("0x0.0p+0", "0x1.0000000000000p+0")),
+        ("heisenberg_toy", (0.3, -0.7), "2*V1 + 0.5*[V1,V2] - V2", ("0x1.0000000000000p+1", "0x1.999999999999ap-3")),
+        ("heisenberg_toy", (0.3, -0.7), "[V1,[V1,V2]]", ("0x0.0p+0", "0x0.0p+0")),
+        ("heisenberg_toy", (0.3, -0.7), "2*V1 + 0.5*[V1,[V1,V2]]", ("0x1.0000000000000p+1", "0x0.0p+0")),
+        ("heisenberg_toy", (0.3, -0.7), "1.5e-1*V2 - 2E+1*[V2,V1]", ("0x0.0p+0", "0x1.40b851eb851ecp+4")),
+        ("heisenberg_toy", (0.3, -0.7), "V0 + 3*(V1 - 0.25*V2)", ("0x1.8000000000000p+1", "-0x1.cccccccccccccp-3")),
+        ("heisenberg_toy", (0.3, -0.7), "[2*V1 - V2, [V1, (V2 + V0)]]", ("0x0.0p+0", "0x0.0p+0")),
+        ("heisenberg_toy", (0.3, -0.7), " V1 - V2 + V1 ", ("0x1.0000000000000p+1", "-0x1.3333333333333p-2")),
+        ("heisenberg_toy", (0.3, -0.7), "SUM", ("0x1.9ae2d0e560418p+7", "-0x1.116b1c432ca58p+7")),
+        ("heisenberg_toy", (1.25, 0.5), "0.5,-1", ("0x1.0000000000000p-1", "-0x1.0000000000000p+0")),
+        ("heisenberg_toy", (1.25, 0.5), "0,1", ("0x0.0p+0", "0x1.0000000000000p+0")),
+        ("heisenberg_toy", (1.25, 0.5), "V1", ("0x1.0000000000000p+0", "0x0.0p+0")),
+        ("heisenberg_toy", (1.25, 0.5), "[V1,V2]", ("0x0.0p+0", "0x1.0000000000000p+0")),
+        ("heisenberg_toy", (1.25, 0.5), "2*V1 + 0.5*[V1,V2] - V2", ("0x1.0000000000000p+1", "-0x1.8000000000000p-1")),
+        ("heisenberg_toy", (1.25, 0.5), "[V1,[V1,V2]]", ("0x0.0p+0", "0x0.0p+0")),
+        ("heisenberg_toy", (1.25, 0.5), "2*V1 + 0.5*[V1,[V1,V2]]", ("0x1.0000000000000p+1", "0x0.0p+0")),
+        ("heisenberg_toy", (1.25, 0.5), "1.5e-1*V2 - 2E+1*[V2,V1]", ("0x0.0p+0", "0x1.4300000000000p+4")),
+        ("heisenberg_toy", (1.25, 0.5), "V0 + 3*(V1 - 0.25*V2)", ("0x1.8000000000000p+1", "-0x1.e000000000000p-1")),
+        ("heisenberg_toy", (1.25, 0.5), "[2*V1 - V2, [V1, (V2 + V0)]]", ("0x0.0p+0", "0x0.0p+0")),
+        ("heisenberg_toy", (1.25, 0.5), " V1 - V2 + V1 ", ("0x1.0000000000000p+1", "-0x1.4000000000000p+0")),
+        ("heisenberg_toy", (1.25, 0.5), "SUM", ("0x1.9ae2d0e560418p+7", "0x1.cdb645a1cac06p+5")),
+        ("black_scholes", (1.1,), "1", ("0x1.0000000000000p+0",)),
+        ("black_scholes", (1.1,), "-0.5", ("-0x1.0000000000000p-1",)),
+        ("black_scholes", (1.1,), "V1", ("0x1.51eb851eb851fp-2",)),
+        ("black_scholes", (1.1,), "0.5*V0 - 1e-3*[V0,V1] + V1", ("0x1.54bc6a7ef9db3p-2",)),
+        ("black_scholes", (1.1,), "SUM", ("0x1.e78342edbb59dp+6",)),
+    ]
+
+    @pytest.mark.parametrize("model, y, text, expected", CASES)
+    def test_bitwise_equal_to_recorded(self, model, y, text, expected):
+        system = sde.heisenberg_toy() if model == "heisenberg_toy" else sde.black_scholes(0.05, 0.3)
+        text = LONG_SUMS[model] if text == "SUM" else text
+        v = parse_direction(text, system, list(y))
+        assert tuple(float(x).hex() for x in np.asarray(v)) == expected
+
+    def test_signed_literal_coefficients(self):
+        system = sde.heisenberg_toy()
+        v = parse_direction("-2*V1 + +0.5*V2 - -1*V0", system, [3.0, 0.0])
+        assert v.tolist() == [-2.0, 1.5]
+
+
+class TestMalformedInput:
+    """Malformed flags and files print one error line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "direction",
+        [
+            "1,2,", "e,e", "1..2", "V1*2", "[V1,V2", "V9", "V1 $ V2", "2V1", "(V1,V2)", "1e999*V1",
+            "[" * 201 + "V1" + ",V2]" * 201,
+            " + ".join(["V1"] * 5000),
+        ],
+        ids=lambda text: text if len(text) < 20 else f"{len(text)} chars",
+    )
+    def test_direction(self, heisenberg_model, capsys, direction):
+        argv = ["greek", "--model", heisenberg_model, "--y", "0,0", "--t", "0.1", "--m", "3"]
+        assert main(argv + ["--direction", direction]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+    def test_non_finite_state(self, bs_model, capsys, y):
+        argv = ["greek", "--model", bs_model, f"--y={y}", "--direction", "V1", "--t", "0.1"]
+        assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_horizon(self, bs_model, capsys):
+        argv = ["converge", "--model", bs_model, "--study", "expectation", "--t-list", "0.1,nan"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --t-list vector")
+
+    def test_formula_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"flavor": ')
+        assert main(["cubature", "import", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: formula file is not valid JSON")
+
+
 class TestVerifyCommand:
     def test_passes(self, capsys):
         assert main(["verify", "--d", "2", "--m", "2"]) == 0

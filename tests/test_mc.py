@@ -244,6 +244,101 @@ class TestEulerStepBitwise:
         assert got == self.EXPECTED[seed]
 
 
+def _bs_for_one_state(single_state_jacobians=False):
+    """Black-Scholes written for one (1,) state: the fields read y[0], and so
+    optionally do the Jacobians."""
+    drift, sigma = 0.05 - 0.5 * 0.3 * 0.3, 0.3
+    jacobians = BS.jacobians
+    if single_state_jacobians:
+        jacobians = (lambda y: np.array([[drift]]), lambda y: np.array([[sigma]]))
+    fields = (lambda y: drift * y[0], lambda y: sigma * y[0])
+    return sde.VectorFieldSystem(dim=1, d=1, fields=fields, jacobians=jacobians, name="one_state")
+
+
+class TestBatchedFieldsRequired:
+    """The Euler oracles evaluate each field once on all paths, so a field that
+    reads one state would broadcast row 0 to every path; they refuse it."""
+
+    CFG = McConfig(n_paths=64, n_steps=8, seed=3)
+    ESTIMATORS = {
+        "euler": lambda s, cfg: euler_expectation(s, IDENT, [1.0], 0.5, cfg),
+        "fd": lambda s, cfg: fd_greek(s, IDENT, [1.0], [1.0], 0.5, cfg),
+        "malliavin": lambda s, cfg: malliavin_delta_m1(s, IDENT, [1.0], [1.0], 0.5, cfg),
+        "simple": lambda s, cfg: simple_weight_delta_m1(s, IDENT, [1.0], [1.0], 0.5, cfg),
+    }
+
+    @pytest.mark.parametrize("single_state_jacobians", [False, True])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_single_state_fields_are_rejected(self, name, single_state_jacobians):
+        system = _bs_for_one_state(single_state_jacobians)
+        with pytest.raises(DomainError, match="row by row"):
+            self.ESTIMATORS[name](system, self.CFG)
+
+    def test_batched_jacobians_alone_are_not_enough(self):
+        fields_ok = sde.VectorFieldSystem(
+            dim=1, d=1, fields=BS.fields, jacobians=_bs_for_one_state(True).jacobians
+        )
+        with pytest.raises(DomainError, match="row by row"):
+            euler_expectation(fields_ok, IDENT, [1.0], 0.5, self.CFG)
+
+    def test_the_tree_evaluates_them_row_by_row(self):
+        from cubgreeks.greeks import expectation_one_step
+
+        one_state = expectation_one_step(_bs_for_one_state(), IDENT, [1.0], 0.5, 3)
+        assert one_state == expectation_one_step(BS, IDENT, [1.0], 0.5, 3)
+
+
+class TestOneEvaluationPerStep:
+    """Each Euler step evaluates every V_i and dV_i once (plus the two Jacobian
+    calls of the finite-difference Hessian in the Malliavin weight); the batch
+    probe before the loop is counted apart."""
+
+    @staticmethod
+    def _counting_bs(counts, phase):
+        def counted(kind, func):
+            def call(y):
+                counts[phase[0], kind] = counts.get((phase[0], kind), 0) + 1
+                return func(y)
+
+            return call
+
+        return sde.VectorFieldSystem(
+            dim=1,
+            d=1,
+            fields=tuple(counted("field", f) for f in BS.fields),
+            jacobians=tuple(counted("jacobian", j) for j in BS.jacobians),
+            name="counting",
+        )
+
+    @pytest.mark.parametrize(
+        "estimator, loop_calls",
+        [(malliavin_delta_m1, {"field": 20, "jacobian": 40}), (fd_greek, {"field": 40, "jacobian": 20})],
+    )
+    def test_call_counts(self, monkeypatch, estimator, loop_calls):
+        counts, phase = {}, ["loop"]
+        probe = mc._fields_take_batches
+
+        def counted_probe(*args, **kwargs):
+            phase[0] = "probe"
+            try:
+                return probe(*args, **kwargs)
+            finally:
+                phase[0] = "loop"
+
+        monkeypatch.setattr(mc, "_fields_take_batches", counted_probe)
+        cfg = McConfig(n_paths=100, n_steps=10, seed=3)
+        call = Payoff("call", 1.0)
+        got = estimator(self._counting_bs(counts, phase), call, [1.0], [1.0], 0.5, cfg)
+        assert got == estimator(BS, call, [1.0], [1.0], 0.5, cfg)
+        n_probes = 2 if estimator is fd_greek else 1
+        assert counts == {
+            ("loop", "field"): loop_calls["field"],
+            ("loop", "jacobian"): loop_calls["jacobian"],
+            ("probe", "field"): 4 * n_probes,
+            ("probe", "jacobian"): 4 * n_probes,
+        }
+
+
 class TestFdGreek:
     def test_linear_system_zero_variance(self):
         # additive noise and linear drift: the difference quotient is deterministic
