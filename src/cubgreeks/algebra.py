@@ -347,8 +347,8 @@ def heat_element(ctx, t):
 
     The exponent has degree 2, so at m=1 the element degenerates to 1.
     """
-    if t <= 0.0:
-        raise DomainError(f"time horizon must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"time horizon must be positive and finite, got {t}")
     if ctx.m < 2:
         return unit(ctx)
     exponent = {(0,): t}

@@ -99,7 +99,10 @@ def parse_scale(text, t):
     if match:
         p = float(match.group(1))
         q = float(match.group(2)) if match.group(2) else 1.0
-        return t ** (p / q)
+        try:
+            return t ** (p / q)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"scale {text!r} has no finite value at t={t}") from exc
     raise ConfigError(f"cannot parse scale {text!r} (use sqrt_t or t^<p>/<q>)")
 
 
@@ -233,6 +236,8 @@ def cmd_converge(args):
     if system.name != "black_scholes":
         raise ConfigError("converge studies need the black_scholes model (closed-form reference)")
     t_values = _parse_vector(args.t_list, "--t-list").tolist()
+    if min(t_values) <= 0.0 or len(set(t_values)) < 2:
+        raise ConfigError(f"--t-list needs at least two distinct positive horizons, got {args.t_list!r}")
     y, directions = _state_and_directions(args, system, t_values if args.study == "greek" else [])
     payoff = mc.parse_payoff(args.payoff)
     rows = []
@@ -376,10 +381,10 @@ def build_parser():
     p.add_argument("--y", required=True, help="initial state, comma separated")
     p.add_argument("--direction", required=True, help="vector '0,1' or symbolic 'V1', '[V1,V2]'")
     p.add_argument("--scale", default=None, help="sqrt_t or t^<p>/<q> factor on the direction")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_horizon, required=True)
     p.add_argument("--m", type=int, default=2, help="Greek cubature degree")
     p.add_argument("--mprime", type=int, default=3, help="expectation degree for inner steps")
-    p.add_argument("--s0", type=float, default=None, help="derivative step size for the iterated scheme")
+    p.add_argument("--s0", type=_horizon, default=None, help="derivative step size for the iterated scheme")
     p.add_argument("--partition", default=None, type=_partition_arg, help="k,gamma inner partition")
     p.add_argument("--payoff", default="identity", help="identity | call:K | smoothed_call:K:eps")
     p.add_argument("--ode-steps", type=int, default=sde.DEFAULT_STEPS_PER_SEGMENT)
@@ -401,7 +406,7 @@ def build_parser():
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("diagnostics", help="Monte Carlo cross-checks and identities")
-    p.add_argument("--t", type=float, default=0.25)
+    p.add_argument("--t", type=_horizon, default=0.25)
     p.add_argument("--paths", type=int, default=_env_default("paths", "20000"))
     p.add_argument("--steps", type=int, default=_env_default("steps", "128"))
     common(p)
@@ -412,7 +417,7 @@ def build_parser():
     p.add_argument("--kind", default="expectation3", help="expectation3 | expectation5 | greeks2pt")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_horizon, default=1.0)
     p.add_argument("--direction", default="1.0", help="e-coefficients for greeks2pt")
     p.add_argument("--in", dest="infile", default=None)
     common(p)
@@ -425,7 +430,15 @@ def _partition_arg(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("partition must be k,gamma")
-    return int(parts[0]), float(parts[1])
+    return int(parts[0]), _horizon(parts[1])
+
+
+def _horizon(text):
+    """A positive finite number: the type of every horizon, step and exponent flag."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
 
 
 def main(argv=None):

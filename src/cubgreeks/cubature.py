@@ -7,10 +7,16 @@ constructors cover the closed-form families; beyond those, formulas are found
 by moment matching over a dictionary of candidate paths: signatures are
 linear in the weights once the paths are fixed, so the solve is a (possibly
 sign-constrained) linear least-squares problem in the coefficient basis.
+
+Every built-in formula is built and verified once per context at horizon 1.
+``rescale_formula`` alone carries it to a horizon t: sig(scale_path(p, t)) =
+dilate(sqrt t, sig(p)), and both targets dilate the same way, so the degree-n
+residual r_n verified at horizon 1 becomes t^{n/2} r_n with no second check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -21,67 +27,63 @@ import scipy.optimize
 
 from . import algebra, paths
 from .algebra import context
-from .errors import (
-    DomainError,
-    NoFormulaFoundError,
-    UnsupportedDegreeError,
-)
+from .errors import DomainError, NoFormulaFoundError, UnsupportedDegreeError
 
 VERIFY_TOL = 1e-10
 PRUNE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CubatureFormula:
-    """Expectation-flavor formula: positive weights summing to one.
+class _Formula:
+    """Weights and paths at horizon t (the subclass declares ``items``).
 
-    ``residual`` is the max moment residual the constructor verified, or None
-    for a formula nobody checked (built directly, or imported unverified).
+    ``residuals[n]`` is the degree-n moment residual the constructor verified,
+    or None for a formula nobody checked (built directly, or imported
+    unverified); ``residual`` is their maximum.
     """
 
     ctx: algebra.AlgebraContext
     t: float
+    residuals: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def weights(self):
+        return np.array([w for w, _ in self.items])
+
+    @property
+    def paths(self):
+        return [p for _, p in self.items]
+
+    @property
+    def residual(self):
+        return None if self.residuals is None else max(self.residuals)
+
+
+@dataclass(frozen=True)
+class CubatureFormula(_Formula):
+    """Expectation-flavor formula: positive weights summing to one."""
+
     items: tuple  # of (weight, PiecewisePath)
-    residual: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for w, _ in self.items:
             if w <= 0.0:
                 raise DomainError(f"expectation weights must be positive, got {w}")
 
-    @property
-    def weights(self):
-        return np.array([w for w, _ in self.items])
-
-    @property
-    def paths(self):
-        return [p for _, p in self.items]
-
     def target(self):
         return algebra.heat_element(self.ctx, self.t)
 
 
 @dataclass(frozen=True)
-class GreeksFormula:
+class GreeksFormula(_Formula):
     """Derivative-flavor formula: sign-free weights, zero weight sum.
 
     ``direction`` is the already-dilated Lie element, so the moment target is
-    direction * heat_element(t).  ``residual`` is as for CubatureFormula.
+    direction * heat_element(t).
     """
 
-    ctx: algebra.AlgebraContext
-    t: float
     direction: algebra.TensorElement
     items: tuple
-    residual: float | None = field(default=None, init=False, compare=False, repr=False)
-
-    @property
-    def weights(self):
-        return np.array([w for w, _ in self.items])
-
-    @property
-    def paths(self):
-        return [p for _, p in self.items]
 
     def target(self):
         return algebra.mul(self.direction, algebra.heat_element(self.ctx, self.t))
@@ -107,16 +109,34 @@ def max_residual(formula, target=None):
     return max(verify_moments(formula, target).values())
 
 
-def _checked(formula, tol=VERIFY_TOL, target=None):
-    """Verify the moments, record the residual on the formula and return it."""
-    res = max_residual(formula, target)
+def _checked(formula, tol=VERIFY_TOL, residuals=None):
+    """Record the per-degree residuals on the formula and return it.
+
+    The moments are verified unless ``residuals`` is given; either way the
+    largest residual must not exceed tol.
+    """
+    if residuals is None:
+        residuals = tuple(verify_moments(formula, formula.target()).values())
+    res = max(residuals)
     if res > tol:
         raise NoFormulaFoundError(
             f"constructed formula fails verification: residual {res:.3e} > {tol:.1e}",
             best_residual=res,
         )
-    object.__setattr__(formula, "residual", res)
+    object.__setattr__(formula, "residuals", residuals)
     return formula
+
+
+@lru_cache(maxsize=None)
+def _expectation_degree3_unit(ctx):
+    d = ctx.d
+    eye = np.eye(d + 1)
+    items = tuple(
+        (1.0 / (2 * d), paths.line_path(1.0, eye[0] + sign * math.sqrt(d) * eye[i]))
+        for i in range(1, d + 1)
+        for sign in (1.0, -1.0)
+    )
+    return _checked(CubatureFormula(ctx, 1.0, items))
 
 
 def expectation_degree3(ctx, t):
@@ -129,18 +149,7 @@ def expectation_degree3(ctx, t):
     """
     if ctx.m > 3:
         raise UnsupportedDegreeError(f"built-in degree-3 formula needs m <= 3, got m={ctx.m}")
-    if t <= 0.0:
-        raise DomainError(f"horizon must be positive, got {t}")
-    d = ctx.d
-    items = []
-    magnitude = math.sqrt(d * t)
-    for i in range(1, d + 1):
-        for sign in (1.0, -1.0):
-            inc = np.zeros(d + 1)
-            inc[0] = t
-            inc[i] = sign * magnitude
-            items.append((1.0 / (2 * d), paths.line_path(t, inc)))
-    return _checked(CubatureFormula(ctx, t, tuple(items)))
+    return rescale_formula(_expectation_degree3_unit(ctx), t)
 
 
 def expectation_solve(ctx, t, dictionary, target=None, tol=VERIFY_TOL):
@@ -236,8 +245,7 @@ def expectation_degree5_d1(ctx, t):
         raise UnsupportedDegreeError(
             f"built-in degree-5 formula needs d=1, m=5, got d={ctx.d}, m={ctx.m}"
         )
-    base = _expectation_degree5_d1_unit()
-    return rescale_formula(base, t)
+    return rescale_formula(_expectation_degree5_d1_unit(), t)
 
 
 def greek_target(ctx, w, t):
@@ -247,8 +255,8 @@ def greek_target(ctx, w, t):
     e_0 coordinate equals the coefficient on the word (0), which no genuine
     bracket monomial can carry.
     """
-    if t <= 0.0:
-        raise DomainError(f"horizon must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"horizon must be positive and finite, got {t}")
     if w.coeff(()) != 0.0:
         raise DomainError("direction must have zero constant term")
     if abs(w.coeff((0,))) > 1e-14:
@@ -272,34 +280,33 @@ def greeks_two_point(ctx, w, t):
     for word in w.coeffs:
         if len(word) != 1 or word[0] == 0:
             raise DomainError(f"two-point construction needs a degree-1 direction, found word {word}")
-    target = greek_target(ctx, w, t)
     w_vec = np.array([w.coeff((i,)) for i in range(1, ctx.d + 1)])
     norm = float(np.linalg.norm(w_vec))
     items = ()
     if norm > 0.0:
-        inc = np.concatenate([[0.0], math.sqrt(t) * w_vec / norm])
+        inc = np.concatenate([[0.0], w_vec / norm])
         # exact +-norm/2 weights keep the constant-payoff estimate at literal zero
         items = (
-            (0.5 * norm, paths.line_path(t, inc)),
-            (-0.5 * norm, paths.line_path(t, -inc)),
+            (0.5 * norm, paths.line_path(1.0, inc)),
+            (-0.5 * norm, paths.line_path(1.0, -inc)),
         )
-    return _checked(GreeksFormula(ctx, t, algebra.dilate(math.sqrt(t), w), items), target=target)
+    return rescale_formula(_checked(GreeksFormula(ctx, 1.0, w, items)), t)
 
 
 def greeks_solve(ctx, w, t, dictionary, tol=VERIFY_TOL):
     """Sign-free moment matching: solve sum mu_j sig(path_j) = greek target.
 
-    Dense least squares on the stacked signature columns; a column-pivoted QR
-    selects an independent subset (at most dim A columns, hence r <= 2 dim A),
-    weights below 1e-12 are pruned and the system re-solved on the support.
+    The dictionary's paths end at t.  Dense least squares on the stacked
+    signature columns; a column-pivoted QR selects an independent subset (at
+    most dim A columns, hence r <= 2 dim A), weights below 1e-12 are pruned
+    and the system re-solved on the support.
     """
     if not dictionary:
         raise NoFormulaFoundError("empty dictionary", best_residual=None)
-    target = greek_target(ctx, w, t)
-    b = algebra.to_dense(target)
+    b = algebra.to_dense(greek_target(ctx, w, t))
     direction = algebra.dilate(math.sqrt(t), w)
     if not w.coeffs:
-        return _checked(GreeksFormula(ctx, t, direction, ()), tol, target)
+        return _checked(GreeksFormula(ctx, t, direction, ()), tol)
     A = np.column_stack([algebra.to_dense(paths.signature(ctx, p)) for p in dictionary])
     # rank-revealing column selection keeps the formula small
     _, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
@@ -324,85 +331,76 @@ def greeks_solve(ctx, w, t, dictionary, tol=VERIFY_TOL):
         )
     order = np.argsort(selected)
     items = tuple((float(mu_sel[k]), dictionary[selected[k]]) for k in order)
-    formula = GreeksFormula(ctx, t, direction, items)
     if len(items) > 2 * ctx.dim:
         raise NoFormulaFoundError(
             f"solver kept {len(items)} paths > 2 dim A = {2 * ctx.dim}", best_residual=residual
         )
-    return _checked(formula, tol, target)
+    return _checked(GreeksFormula(ctx, t, direction, items), tol)
 
 
 def default_greeks_dictionary(ctx, t):
     """Deterministic candidate paths for degree <= 3 Greek targets.
 
     Straight lines along coordinate axes and plane diagonals, two-segment
-    L-shapes in every ordered coordinate plane, and time-space combinations;
-    magnitudes are sqrt(t)-scaled so the dictionary rescales with the horizon.
+    L-shapes in every ordered coordinate plane, and time-space combinations.
+    Built once per context at horizon 1 and carried to t by ``scale_path``.
     """
+    return [paths.scale_path(p, t) for p in _unit_greeks_dictionary(ctx)]
+
+
+@lru_cache(maxsize=None)
+def _unit_greeks_dictionary(ctx):
     d = ctx.d
-    out = []
-    root_t = math.sqrt(t)
+    signs = (1.0, -1.0)
 
-    def space(vec):
-        return np.concatenate([[0.0], vec])
+    def axis(i, c):
+        inc = np.zeros(d + 1)
+        inc[i] = c
+        return inc
 
+    spaces = range(1, d + 1)
     # coordinate lines, two magnitudes
-    for i in range(d):
-        for s in (1.0, -1.0):
-            for c in (1.0, 0.5):
-                vec = np.zeros(d)
-                vec[i] = s * c * root_t
-                out.append(paths.line_path(t, space(vec)))
+    out = [
+        paths.line_path(1.0, axis(i, s * c)) for i, s, c in itertools.product(spaces, signs, (1.0, 0.5))
+    ]
+    planes = list(itertools.product(spaces, spaces, signs, signs))
     # plane diagonals
-    for i in range(d):
-        for j in range(i + 1, d):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    vec = np.zeros(d)
-                    vec[i] = si * root_t
-                    vec[j] = sj * root_t
-                    out.append(paths.line_path(t, space(vec)))
+    out += [paths.line_path(1.0, axis(i, si) + axis(j, sj)) for i, j, si, sj in planes if i < j]
     # ordered L-shapes in every coordinate plane
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    vi = np.zeros(d)
-                    vi[i] = si * root_t
-                    vj = np.zeros(d)
-                    vj[j] = sj * root_t
-                    out.append(paths.from_increments(t, [space(vi), space(vj)]))
+    out += [
+        paths.from_increments(1.0, [axis(i, si), axis(j, sj)]) for i, j, si, sj in planes if i != j
+    ]
     # time-advancing variants: pure time, time-then-space, space-then-time, joint
-    time_inc = np.zeros(d + 1)
-    time_inc[0] = t
-    out.append(paths.line_path(t, time_inc))
-    for i in range(d):
-        for s in (1.0, -1.0):
-            vec = np.zeros(d)
-            vec[i] = s * root_t
-            out.append(paths.from_increments(t, [time_inc, space(vec)]))
-            out.append(paths.from_increments(t, [space(vec), time_inc]))
-            out.append(paths.line_path(t, time_inc + space(vec)))
-    return out
+    time_inc = axis(0, 1.0)
+    out.append(paths.line_path(1.0, time_inc))
+    for i, s in itertools.product(spaces, signs):
+        out.append(paths.from_increments(1.0, [time_inc, axis(i, s)]))
+        out.append(paths.from_increments(1.0, [axis(i, s), time_inc]))
+        out.append(paths.line_path(1.0, time_inc + axis(i, s)))
+    return tuple(out)
 
 
 def rescale_formula(formula, t):
-    """Carry a horizon-1 formula to horizon t via the path scaling map."""
-    if t <= 0.0:
-        raise DomainError(f"target horizon must be positive, got {t}")
+    """Carry a horizon-1 formula to horizon t via the path scaling map.
+
+    Both sides of every degree-n moment identity scale by t^{n/2}, so the
+    residuals verified at horizon 1 are scaled instead of re-verified; an
+    unverified formula is checked once, at horizon 1.
+    """
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"target horizon must be positive and finite, got {t}")
     if abs(formula.t - 1.0) > 1e-12:
         raise DomainError(f"rescale_formula expects a horizon-1 formula, got t={formula.t}")
+    if formula.residuals is None:
+        _checked(formula)
     if t == 1.0:
         return formula
     items = tuple((w, paths.scale_path(p, t)) for w, p in formula.items)
     if isinstance(formula, GreeksFormula):
-        direction = algebra.dilate(math.sqrt(t), formula.direction)
-        out = GreeksFormula(formula.ctx, t, direction, items)
+        out = GreeksFormula(formula.ctx, t, algebra.dilate(math.sqrt(t), formula.direction), items)
     else:
         out = CubatureFormula(formula.ctx, t, items)
-    return _checked(out)
+    return _checked(out, residuals=tuple(r * t ** (n / 2) for n, r in enumerate(formula.residuals)))
 
 
 def formula_to_dict(formula):
@@ -434,6 +432,4 @@ def formula_from_dict(data, verify=True):
         formula = CubatureFormula(ctx, t, items)
     else:
         raise DomainError(f"unknown formula flavor {data['flavor']!r}")
-    if verify:
-        _checked(formula)
-    return formula
+    return _checked(formula) if verify else formula

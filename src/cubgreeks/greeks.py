@@ -17,11 +17,7 @@ import numpy as np
 
 from . import algebra, cubature, mc, sde
 from .algebra import context
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    UnsupportedDegreeError,
-)
+from .errors import BudgetExceededError, DomainError, UnsupportedDegreeError
 
 DEFAULT_LEAF_CAP = 10**6
 
@@ -95,7 +91,8 @@ def build_greek_formula(system, y, v, t, m):
     two-point pair along the unit direction (``cubature.greeks_two_point``),
     which is what makes fixed-direction Greeks (|w| ~ t^{-k/2}) converge.
     Anything else goes through the sign-free solver over the default
-    dictionary (fixed paths, so weights are linear in v there too).
+    dictionary at horizon 1 (fixed paths, so weights are linear in v there
+    too), carried to t by ``cubature.rescale_formula``.
     Returns (formula, (coefficients, residual) of the decomposition).
     """
     coeffs, residual = sde.decompose_direction(system, y, v, t, m)
@@ -105,9 +102,8 @@ def build_greek_formula(system, y, v, t, m):
     if m <= 2 and degrees <= {1}:
         formula = cubature.greeks_two_point(ctx, w, t)
     else:
-        formula = cubature.greeks_solve(
-            ctx, w, t, cubature.default_greeks_dictionary(ctx, t)
-        )
+        unit = cubature.greeks_solve(ctx, w, 1.0, cubature.default_greeks_dictionary(ctx, 1.0))
+        formula = cubature.rescale_formula(unit, t)
     return formula, (coeffs, residual)
 
 

@@ -20,7 +20,7 @@ from .errors import DomainError, InvalidPathError
 class PiecewisePath:
     """Ordered knots (s_k, x_k) with s_0 = 0 and s_last = t_end, joined linearly."""
 
-    __slots__ = ("t_end", "times", "points")
+    __slots__ = ("t_end", "times", "points", "_signatures")
 
     def __init__(self, t_end, knots):
         times = np.asarray([float(s) for s, _ in knots])
@@ -42,6 +42,7 @@ class PiecewisePath:
         self.t_end = float(t_end)
         self.times = times
         self.points = points
+        self._signatures = {}
 
     @property
     def dim(self):
@@ -109,14 +110,19 @@ def segment_signature(ctx, increment):
 
 
 def signature(ctx, path):
-    """Truncated signature: product of segment exponentials in knot order."""
+    """Truncated signature: product of segment exponentials in knot order.
+
+    The knots are read-only, so each path keeps its signature per context.
+    """
     if path.dim != ctx.d + 1:
         raise InvalidPathError(f"path dimension {path.dim} != d+1 = {ctx.d + 1}")
-    exps = ctx.segment_exp(path.increments().T)
-    sig = exps[:, 0]
-    for k in range(1, path.n_segments):
-        sig = ctx.product(sig, exps[:, k])
-    return algebra.from_dense(ctx, sig)
+    if ctx not in path._signatures:
+        exps = ctx.segment_exp(path.increments().T)
+        sig = exps[:, 0]
+        for k in range(1, path.n_segments):
+            sig = ctx.product(sig, exps[:, k])
+        path._signatures[ctx] = algebra.from_dense(ctx, sig)
+    return path._signatures[ctx]
 
 
 def scale_path(path, t):
@@ -124,12 +130,14 @@ def scale_path(path, t):
 
     Knot times scale by t, the time-like component by t and the spatial
     components by sqrt(t), so the signature transforms by the sqrt(t)
-    dilation.
+    dilation.  At t = 1 the path itself is returned.
     """
-    if t <= 0.0:
-        raise DomainError(f"target horizon must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"target horizon must be positive and finite, got {t}")
     if abs(path.t_end - 1.0) > 1e-12:
         raise DomainError(f"scale_path expects a horizon-1 path, got t_end={path.t_end}")
+    if t == 1.0:
+        return path
     pts = path.points.copy()
     pts[:, 0] *= t
     pts[:, 1:] *= math.sqrt(t)

@@ -58,9 +58,6 @@ class VectorFieldSystem:
             return np.asarray(self.jacobians[i](y), dtype=float)
         return _fd_jacobian(lambda z: self.field(i, z), y)
 
-    def has_analytic_jacobians(self):
-        return self.jacobians is not None
-
 
 def _batched_call(func, states, row_shape):
     """func(states) when func evaluates (n, N) states row by row, else None.
@@ -229,8 +226,8 @@ def decompose_direction(system, y, v, t, m):
     the residual exceeds 1e-8 * ||v|| (the direction is outside the span the
     bracket condition provides at y).  Returns ({word: w_I}, residual).
     """
-    if t <= 0.0:
-        raise DomainError(f"horizon must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"horizon must be positive and finite, got {t}")
     v = np.asarray(v, dtype=float)
     table = build_bracket_table(system, y, m)
     words = sorted(table.entries, key=lambda w: (algebra.word_degree(w), w))

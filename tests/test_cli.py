@@ -168,6 +168,63 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("error: formula file is not valid JSON")
 
 
+class TestHorizonFlags:
+    """Horizons, steps and exponents are positive finite numbers, or exit 2."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["greek", "--t", "nan"],
+            ["greek", "--t", "inf"],
+            ["greek", "--t", "0"],
+            ["greek", "--t", "1.0", "--partition", "3,nan", "--s0", "0.1"],
+            ["greek", "--t", "1.0", "--partition", "3,-2", "--s0", "0.1"],
+            ["greek", "--t", "1.0", "--partition", "3,2", "--s0", "-0.1"],
+            ["greek", "--t", "1.0", "--partition", "3,2", "--s0", "inf"],
+            ["greek", "--t", "0.5", "--scale", "t^1/0"],
+            ["greek", "--t", "2.0", "--scale", "t^5000/1"],
+            ["diagnostics", "--t", "-1"],
+            ["diagnostics", "--t", "nan"],
+            ["cubature", "export", "--kind", "greeks2pt", "--t", "inf"],
+            ["converge", "--study", "greek", "--t-list", "0.1,-0.2"],
+            ["converge", "--study", "greek", "--t-list", "0.1"],
+            ["converge", "--study", "expectation", "--t-list", "0.1,0.1"],
+        ],
+    )
+    def test_bad_horizon_is_a_usage_error(self, bs_model, capsys, flags):
+        if flags[0] == "greek":
+            flags = flags + ["--y", "1.0", "--direction", "1"]
+        if flags[0] in ("greek", "converge"):
+            flags = flags + ["--model", bs_model]
+        assert main(flags) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+
+
+class TestPartitionRecorded:
+    """Iterated deltas pinned to the float.hex values of the parent revision,
+    recorded before the inner formulas were carried from horizon 1."""
+
+    CASES = [
+        ("3", "0.1", "4,2.0", "0x1.e5561ae698e2fp-2", 32),
+        ("3", "0.1", "8,3.0", "0x1.dd9335694aae8p-2", 512),
+        ("3", "0.05", "6,1.5", "0x1.e3e633687b023p-2", 128),
+        ("5", "0.1", "2,1.0", "0x1.a7195c5444e9dp-2", 128),
+        ("5", "0.2", "3,2.0", "0x1.b9e083fbc0f71p-2", 1024),
+    ]
+
+    @pytest.mark.parametrize("mprime, s0, partition, estimate, leaves", CASES)
+    def test_estimate_is_bitwise_recorded(self, bs_model, tmp_path, mprime, s0, partition, estimate, leaves):
+        out = tmp_path / "g.json"
+        assert main([
+            "greek", "--model", bs_model, "--y", "1.0", "--direction", "1", "--t", "1.0",
+            "--m", "2", "--mprime", mprime, "--s0", s0, "--partition", partition,
+            "--payoff", "smoothed_call:1.15:0.05", "--out", str(out),
+        ]) == 0
+        data = json.loads(out.read_text())
+        assert (data["estimate"].hex(), data["leaves"]) == (estimate, leaves)
+
+
 class TestVerifyCommand:
     def test_passes(self, capsys):
         assert main(["verify", "--d", "2", "--m", "2"]) == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cubgreeks import algebra, paths
+from cubgreeks import algebra, paths, sde
 from cubgreeks.algebra import TensorElement, bracket, context, dilate, generator, heat_element, max_abs_diff, mul, zero
 from cubgreeks.cubature import (
     CubatureFormula,
@@ -280,6 +280,57 @@ class TestRescale:
         g = expectation_degree3(context(1, 3), 1.0)
         with pytest.raises(DomainError):
             rescale_formula(g, -1.0)
+
+
+class TestHorizonOne:
+    """Formulas are verified at horizon 1 and carried to t by rescale_formula."""
+
+    @pytest.mark.parametrize("t", [0.01, 0.3, 5.0])
+    def test_recorded_residual_matches_fresh_check(self, t):
+        ctx22, ctx23 = context(2, 2), context(2, 3)
+        w = bracket(generator(ctx23, 1), generator(ctx23, 2))
+        formulas = [
+            expectation_degree3(context(1, 3), t),
+            expectation_degree3(ctx23, t),
+            expectation_degree5_d1(context(1, 5), t),
+            greeks_two_point(ctx22, 0.7 * generator(ctx22, 1) - 1.2 * generator(ctx22, 2), t),
+            rescale_formula(greeks_solve(ctx23, w, 1.0, default_greeks_dictionary(ctx23, 1.0)), t),
+        ]
+        for f in formulas:
+            assert f.t == t and len(f.residuals) == f.ctx.m + 1
+            assert abs(f.residual - max_residual(f)) <= 1e-14
+
+    def test_built_once_per_context(self):
+        assert expectation_degree3(context(2, 3), 1.0) is expectation_degree3(context(2, 3), 1.0)
+        ctx = context(2, 3)
+        first, second = default_greeks_dictionary(ctx, 1.0), default_greeks_dictionary(ctx, 1.0)
+        assert all(p is q for p, q in zip(first, second))
+
+    def test_unverified_input_is_checked_once_at_horizon_one(self):
+        ctx = context(2, 3)
+        items = expectation_degree3(ctx, 1.0).items
+        f = CubatureFormula(ctx, 1.0, items)
+        assert f.residuals is None
+        g = rescale_formula(f, 0.25)
+        assert f.residuals == tuple(verify_moments(f, heat_element(ctx, 1.0)).values())
+        assert g.residuals == tuple(r * 0.25 ** (n / 2) for n, r in enumerate(f.residuals))
+        bad = CubatureFormula(ctx, 1.0, ((0.7, items[0][1]), (0.3, items[1][1])))
+        with pytest.raises(NoFormulaFoundError):
+            rescale_formula(bad, 0.25)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, t):
+        ctx = context(2, 3)
+        f = expectation_degree3(ctx, 1.0)
+        for call in (
+            lambda: rescale_formula(f, t),
+            lambda: paths.scale_path(f.paths[0], t),
+            lambda: greek_target(ctx, generator(ctx, 1), t),
+            lambda: heat_element(ctx, t),
+            lambda: sde.decompose_direction(sde.heisenberg_toy(), [0.1, 0.2], [0.0, 1.0], t, 3),
+        ):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestFormulaInvariants:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cubgreeks import cubature, greeks, sde
+from cubgreeks.algebra import AlgebraContext, context
 from cubgreeks.cli import fit_loglog_slope
 from cubgreeks.errors import BudgetExceededError, DomainError, UnsupportedDegreeError
 from cubgreeks.greeks import (
@@ -323,8 +324,58 @@ class TestLevelBatching:
         residuals = greek_iterated(request).formula_residuals
         stage0, _ = greeks.build_greek_formula(system, np.array(y), v, steps[0], m)
         inner = [greeks.expectation_formula(system.d, m_prime, s) for s in steps[1:]]
+        recorded = [f.residual for f in [stage0, *inner]]
+        assert [r.hex() for r in residuals] == [r.hex() for r in recorded]
+        # rescaled formulas record t^{n/2} r_n from horizon 1, not a fresh check
         fresh = [cubature.max_residual(f) for f in [stage0, *inner]]
-        assert [r.hex() for r in residuals] == [r.hex() for r in fresh]
+        assert np.allclose(residuals, fresh, rtol=0.0, atol=1e-14)
+
+
+class TestFormulasFromHorizonOne:
+    """Each formula is built at horizon 1 once, so repeated requests compute
+    no signatures beyond those of new stage-0 paths."""
+
+    @staticmethod
+    def count_segment_exp(monkeypatch):
+        calls = []
+        segment_exp = AlgebraContext.segment_exp
+
+        def counted(self, inc):
+            calls.append(1)
+            return segment_exp(self, inc)
+
+        monkeypatch.setattr(AlgebraContext, "segment_exp", counted)
+        return calls
+
+    def test_solver_stage_computes_no_signatures_once_warm(self, monkeypatch):
+        v = sde.bracket_vf(HEISENBERG, 1, 2, (0.3, -0.2))
+        greek_one_step(HEISENBERG, _scalar_mix, (0.3, -0.2), v, 0.1, 3)
+        calls = self.count_segment_exp(monkeypatch)
+        greek_one_step(HEISENBERG, _scalar_mix, (0.5, 0.4), sde.bracket_vf(HEISENBERG, 1, 2, (0.5, 0.4)), 0.2, 3)
+        assert len(calls) == 0
+
+    def test_iterated_delta_computes_only_stage0_signatures(self, monkeypatch):
+        def request(s0):
+            return GreekRequest(
+                system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,),
+                t=1.0, m=2, m_prime=3, partition=tuple(gamma_partition(1.0, s0, 8, 3.0)),
+            )
+
+        greek_iterated(request(0.1))
+        calls = self.count_segment_exp(monkeypatch)
+        greek_iterated(request(0.15))
+        assert len(calls) == 2  # one per stage-0 path
+
+    def test_stage0_support_does_not_depend_on_t(self):
+        y = np.array([0.3, -0.2])
+        ctx = context(2, 3)
+        supports = []
+        for t in (0.05, 0.1, 0.2):
+            formula, _ = greeks.build_greek_formula(HEISENBERG, y, sde.bracket_vf(HEISENBERG, 1, 2, y), t, 3)
+            dictionary = cubature.default_greeks_dictionary(ctx, t)
+            supports.append([i for i, p in enumerate(dictionary) if p in formula.paths])
+            assert len(supports[-1]) == len(formula.items)
+        assert supports[0] and supports[0] == supports[1] == supports[2]
 
 
 class TestGammaPartition:
