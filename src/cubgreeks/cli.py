@@ -152,10 +152,6 @@ def _emit_table(header, rows, fmt, out):
 
 
 def cmd_verify(args):
-    if args.m < 1:
-        raise ConfigError(f"truncation degree must be >= 1, got {args.m}")
-    if args.d < 1:
-        raise ConfigError(f"driver count must be >= 1, got {args.d}")
     results = checks.run_property_checks(args.d, args.m, seed=args.seed)
     rows = [
         (r.name, "PASS" if r.passed else "FAIL", f"{r.max_error:.3e}", f"{r.tolerance:.1e}")
@@ -304,21 +300,31 @@ def cmd_diagnostics(args):
     return 1 if (tol_fail or z_fail) else 0
 
 
+# export kind -> (truncation degrees its constructor covers, driver counts or None for any)
+EXPORT_KINDS = {
+    "expectation3": ((1, 2, 3), None),
+    "expectation5": ((5,), (1,)),
+    "greeks2pt": ((1, 2), None),
+}
+
+
 def cmd_cubature(args):
     if args.action == "export":
+        degrees, drivers = EXPORT_KINDS[args.kind]
+        if args.m not in degrees or (drivers and args.d not in drivers):
+            need = f"--m in {degrees}" + (f" and --d in {drivers}" if drivers else "")
+            raise ConfigError(f"--kind {args.kind} needs {need}, got --m {args.m} --d {args.d}")
         ctx = context(args.d, args.m)
         if args.kind == "expectation3":
             formula = cubature.expectation_degree3(ctx, args.t)
         elif args.kind == "expectation5":
             formula = cubature.expectation_degree5_d1(ctx, args.t)
-        elif args.kind == "greeks2pt":
+        else:
             w_vec = _parse_vector(args.direction, "--direction")
             if len(w_vec) != ctx.d:
                 raise ConfigError(f"--direction needs {ctx.d} e-coefficients")
             w = algebra.TensorElement(ctx, {(i + 1,): c for i, c in enumerate(w_vec)})
             formula = cubature.greeks_two_point(ctx, w, args.t)
-        else:
-            raise ConfigError(f"unknown formula kind {args.kind!r}")
         _emit_json(cubature.formula_to_dict(formula), args.out)
         return 0
     # import: load, verify, report residuals
@@ -371,8 +377,8 @@ def build_parser():
         )
 
     p = sub.add_parser("verify", help="run the algebra/signature property suites")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(1), required=True)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -382,12 +388,12 @@ def build_parser():
     p.add_argument("--direction", required=True, help="vector '0,1' or symbolic 'V1', '[V1,V2]'")
     p.add_argument("--scale", default=None, help="sqrt_t or t^<p>/<q> factor on the direction")
     p.add_argument("--t", type=_horizon, required=True)
-    p.add_argument("--m", type=int, default=2, help="Greek cubature degree")
-    p.add_argument("--mprime", type=int, default=3, help="expectation degree for inner steps")
+    p.add_argument("--m", type=_int_at_least(2), default=2, help="Greek cubature degree")
+    p.add_argument("--mprime", type=_int_at_least(1), default=3, help="expectation degree for inner steps")
     p.add_argument("--s0", type=_horizon, default=None, help="derivative step size for the iterated scheme")
     p.add_argument("--partition", default=None, type=_partition_arg, help="k,gamma inner partition")
     p.add_argument("--payoff", default="identity", help="identity | call:K | smoothed_call:K:eps")
-    p.add_argument("--ode-steps", type=int, default=sde.DEFAULT_STEPS_PER_SEGMENT)
+    p.add_argument("--ode-steps", type=_int_at_least(1), default=sde.DEFAULT_STEPS_PER_SEGMENT)
     common(p)
     p.set_defaults(func=cmd_greek)
 
@@ -398,25 +404,25 @@ def build_parser():
     p.add_argument("--direction", default="V1")
     p.add_argument("--scale", default="sqrt_t")
     p.add_argument("--t-list", default="0.4,0.2,0.1,0.05")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--mprime", type=int, default=3)
+    p.add_argument("--m", type=_int_at_least(2), default=2)
+    p.add_argument("--mprime", type=_int_at_least(1), default=3)
     p.add_argument("--payoff", default="identity")
-    p.add_argument("--ode-steps", type=int, default=sde.DEFAULT_STEPS_PER_SEGMENT)
+    p.add_argument("--ode-steps", type=_int_at_least(1), default=sde.DEFAULT_STEPS_PER_SEGMENT)
     common(p)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("diagnostics", help="Monte Carlo cross-checks and identities")
     p.add_argument("--t", type=_horizon, default=0.25)
-    p.add_argument("--paths", type=int, default=_env_default("paths", "20000"))
-    p.add_argument("--steps", type=int, default=_env_default("steps", "128"))
+    p.add_argument("--paths", type=_int_at_least(1), default=_env_default("paths", "20000"))
+    p.add_argument("--steps", type=_int_at_least(1), default=_env_default("steps", "128"))
     common(p)
     p.set_defaults(func=cmd_diagnostics)
 
     p = sub.add_parser("cubature", help="export/import cubature formula files")
     p.add_argument("action", choices=["export", "import"])
-    p.add_argument("--kind", default="expectation3", help="expectation3 | expectation5 | greeks2pt")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--kind", default="expectation3", choices=list(EXPORT_KINDS))
+    p.add_argument("--d", type=_int_at_least(1), default=1)
+    p.add_argument("--m", type=_int_at_least(1), default=3)
     p.add_argument("--t", type=_horizon, default=1.0)
     p.add_argument("--direction", default="1.0", help="e-coefficients for greeks2pt")
     p.add_argument("--in", dest="infile", default=None)
@@ -430,7 +436,23 @@ def _partition_arg(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("partition must be k,gamma")
-    return int(parts[0]), _horizon(parts[1])
+    k, gamma = _int_at_least(1)(parts[0]), _horizon(parts[1])
+    if gamma < 1.0:
+        raise argparse.ArgumentTypeError(f"partition exponent gamma must be >= 1, got {parts[1]!r}")
+    return k, gamma
+
+
+def _int_at_least(low):
+    """The argparse type of an integer flag with lower bound ``low``."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
 
 
 def _horizon(text):
@@ -450,6 +472,8 @@ def main(argv=None):
     try:
         if getattr(args, "partition", None) and args.s0 is None:
             raise ConfigError("--partition requires --s0")
+        if getattr(args, "s0", None) is not None and args.s0 >= args.t:
+            raise ConfigError(f"--s0 {args.s0} must be below --t {args.t}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,8 +4,9 @@ The one-step Greek applies a derivative-flavor formula directly; the iterated
 scheme differentiates only over the first (small) step and chains expectation
 formulas over the remaining partition, multiplying weights along the branches
 of the resulting evaluation tree.  The tree is evaluated one level at a time:
-a level is one (n, N) state array with its (n,) weights, evolved along each
-formula path in a single batched call.
+a level is one (n, N) state array with its (n,) weights, evolved along the
+formula's paths in one batched call per group of paths with the same knot
+times.
 """
 
 from __future__ import annotations
@@ -111,20 +112,32 @@ def _evolve_level(system, states, weights, formula, steps_per_segment):
     """The next tree level: every state evolved along every formula path.
 
     Returns (n*q, N) states in state-major, path-minor order (row i*q + j is
-    state i along path j) and their weights weights[i] * lambda_j.  Each path
-    is one batched ``evolve`` call, or one call per row when the fields only
-    take single states; both do the same float operations per row.
+    state i along path j) and their weights weights[i] * lambda_j.  Paths
+    with the same knot times form a group, and each group is one ``evolve``
+    call on the states repeated state-major, path-minor, with one path per
+    row (see ``sde.evolve`` for the zero-slope rule).  Fields that only take
+    single states are evolved one row and path at a time instead; both do
+    the same float operations per row.
     """
     n, q = len(states), len(formula.items)
     children = np.empty((n, q) + states.shape[1:])
-    if n and q:
-        batched = sde._fields_take_batches(system, states)
+    if n and q and sde._fields_take_batches(system, states):
+        groups = {}
         for j, path in enumerate(formula.paths):
-            if batched:
-                children[:, j] = sde.evolve(system, states, path, steps_per_segment)
-            else:
-                for i, row in enumerate(states):
-                    children[i, j] = sde.evolve(system, row, path, steps_per_segment)
+            groups.setdefault(path.times.tobytes(), []).append(j)
+        for js in groups.values():
+            points = np.stack([formula.paths[j].points for j in js])
+            rows = sde.evolve(
+                system,
+                np.repeat(states, len(js), axis=0),
+                (formula.paths[js[0]].times, np.tile(points, (n, 1, 1))),
+                steps_per_segment,
+            )
+            children[:, js] = rows.reshape((n, len(js)) + states.shape[1:])
+    elif n and q:
+        for i, row in enumerate(states):
+            for j, path in enumerate(formula.paths):
+                children[i, j] = sde.evolve(system, row, path, steps_per_segment)
     children = children.reshape((n * q,) + states.shape[1:])
     return children, (weights[:, None] * formula.weights[None, :]).ravel()
 

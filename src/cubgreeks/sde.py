@@ -5,10 +5,12 @@ Systems are given in Stratonovich form: fields V_0..V_d on R^N, so solving
 the SDE along a piecewise-linear path reduces to an ODE whose right-hand side
 on each segment is the constant-slope combination of the fields.  Fields and
 Jacobians are expected to accept batched states (leading axes broadcast, e.g.
-(n, N) arrays indexed as ``y[..., i]``): ``evolve`` integrates a whole level
-of the cubature tree in one call and the Monte Carlo oracle vectorizes over
-paths.  Fields that only take a single (N,) state still work in the tree,
-which evolves them one row at a time; the Monte Carlo oracles refuse them.
+(n, N) arrays indexed as ``y[..., i]``): ``evolve`` moves a batch along one
+path, or each row along its own path over shared knot times, so a level of
+the cubature tree is one call per group of formula paths with the same knot
+times, and the Monte Carlo oracle vectorizes over paths.  Fields that only
+take a single (N,) state still work in the tree, which evolves them one row
+and path at a time; the Monte Carlo oracles refuse them.
 """
 
 from __future__ import annotations
@@ -258,25 +260,42 @@ def lie_direction(ctx, coefficients):
 
 
 def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
-    """Solve dY = sum_i V_i(Y) dw^i along the path with fixed-step RK4.
+    """Solve dY = sum_i V_i(Y) dw^i along piecewise-linear paths with fixed-step RK4.
 
-    Each linear segment contributes the autonomous field sum_i slope_i V_i,
-    integrated with `steps_per_segment` classical fourth-order steps.
+    ``path`` is a ``PiecewisePath`` that every row of y0 follows, or a pair
+    ``(times, points)``: knot times shared by all rows and a (rows, K+1, d+1)
+    stack of knot points, row r of the (rows, N) state y0 following the path
+    through points[r].  Each linear segment contributes the autonomous field
+    sum_i slope_i V_i, integrated with `steps_per_segment` classical
+    fourth-order steps.  Zero-slope rule: the drift V_0 is always evaluated,
+    and V_i (i >= 1) is skipped when its slope is zero on every row of the
+    call.  A single path thus never evaluates a field it does not drive,
+    while inside a mixed stack a non-finite V_i times a zero slope gives NaN
+    and raises ``BlowUpError`` like any other non-finite state.
     """
     if steps_per_segment < 1:
         raise DomainError("steps_per_segment must be >= 1")
-    if path.dim != system.d + 1:
-        raise DomainError(f"path dimension {path.dim} != d+1 = {system.d + 1}")
+    times, points = path if isinstance(path, tuple) else (path.times, path.points)
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1] != system.d + 1:
+        raise DomainError(f"path dimension {points.shape[-1]} != d+1 = {system.d + 1}")
+    if points.shape[-2] != len(times):
+        raise DomainError(f"{points.shape[-2]} knot points for {len(times)} knot times")
     y = np.asarray(y0, dtype=float).copy()
-    for k in range(path.n_segments):
-        dt_seg = path.times[k + 1] - path.times[k]
-        slope = (path.points[k + 1] - path.points[k]) / dt_seg
+    if points.ndim == 3 and (y.ndim != 2 or len(points) != len(y)):
+        raise DomainError(f"{len(points)} stacked paths for states of shape {y.shape}")
+    for k in range(len(times) - 1):
+        dt_seg = times[k + 1] - times[k]
+        # coefficient i is (1,) for one path and (rows, 1) for a stack, so it
+        # broadcasts over the state components
+        slope = (points[..., k + 1, :] - points[..., k, :]) / dt_seg
+        coef = [slope[..., i, None] for i in range(system.d + 1)]
+        driven = [i for i in range(1, system.d + 1) if np.any(coef[i] != 0.0)]
 
         def rhs(y):
-            out = slope[0] * system.field(0, y)
-            for i in range(1, system.d + 1):
-                if slope[i] != 0.0:
-                    out = out + slope[i] * system.field(i, y)
+            out = coef[0] * system.field(0, y)
+            for i in driven:
+                out = out + coef[i] * system.field(i, y)
             return out
 
         h = dt_seg / steps_per_segment

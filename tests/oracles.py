@@ -4,8 +4,8 @@ These deliberately avoid the package's own fast paths: iterated integrals
 come from composite trapezoid quadrature on a fine grid, derivatives from
 central differences, reference prices from direct lognormal sampling,
 truncated products and signatures from double loops over sparse word maps,
-cubature trees from one scalar evolve per node, and first variations from a
-joint RK4 loop of their own.
+cubature trees from one single-path RK4 loop per node, and first variations
+from a joint RK4 loop of their own.
 """
 
 import math
@@ -95,8 +95,39 @@ def dict_signature(ctx, path):
     return sig
 
 
+def evolve_loop(system, y0, path, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
+    """RK4 along one path with the field sum built per segment: the drift
+    always, and V_i only where its slope is nonzero."""
+    if steps_per_segment < 1:
+        raise DomainError("steps_per_segment must be >= 1")
+    if path.dim != system.d + 1:
+        raise DomainError(f"path dimension {path.dim} != d+1 = {system.d + 1}")
+    y = np.asarray(y0, dtype=float).copy()
+    for k in range(path.n_segments):
+        dt_seg = path.times[k + 1] - path.times[k]
+        slope = (path.points[k + 1] - path.points[k]) / dt_seg
+
+        def rhs(y):
+            out = slope[0] * system.field(0, y)
+            for i in range(1, system.d + 1):
+                if slope[i] != 0.0:
+                    out = out + slope[i] * system.field(i, y)
+            return out
+
+        h = dt_seg / steps_per_segment
+        for _ in range(steps_per_segment):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise BlowUpError(f"state became non-finite on segment {k}", segment=k)
+    return y
+
+
 def scalar_tree(system, payoff, y, formulas, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
-    """Cubature tree by nested lists: one scalar evolve and one payoff call per node.
+    """Cubature tree by nested lists: one ``evolve_loop`` and one payoff call per node.
 
     Node weights multiply along each branch; leaves come state-major,
     path-minor and are reduced with fsum in that order.  Returns
@@ -105,7 +136,7 @@ def scalar_tree(system, payoff, y, formulas, steps_per_segment=sde.DEFAULT_STEPS
     nodes = [(1.0, np.asarray(y, dtype=float))]
     for formula in formulas:
         nodes = [
-            (weight * lam, sde.evolve(system, state, p, steps_per_segment))
+            (weight * lam, evolve_loop(system, state, p, steps_per_segment))
             for weight, state in nodes
             for lam, p in formula.items
         ]

@@ -201,6 +201,48 @@ class TestHorizonFlags:
         assert "error: " in err and "Traceback" not in err
 
 
+class TestRangeFlags:
+    """Counts, degrees and the partition are range-checked flags, or exit 2."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["greek", "--ode-steps", "0"],
+            ["greek", "--s0", "0.1", "--partition", "0,2"],
+            ["greek", "--s0", "0.1", "--partition", "3,0.5"],
+            ["greek", "--s0", "1.5", "--partition", "3,2"],
+            ["greek", "--m", "0"],
+            ["greek", "--m", "1"],
+            ["greek", "--mprime", "0", "--s0", "0.1", "--partition", "2,1"],
+            ["converge", "--study", "greek", "--ode-steps", "0"],
+            ["cubature", "export", "--m", "4"],
+            ["cubature", "export", "--kind", "expectation5", "--m", "3"],
+            ["cubature", "export", "--kind", "expectation5", "--d", "2", "--m", "5"],
+            ["cubature", "export", "--kind", "greeks2pt", "--m", "3"],
+            ["cubature", "export", "--d", "0"],
+            ["diagnostics", "--paths", "0"],
+            ["diagnostics", "--steps", "0"],
+            ["verify", "--d", "0", "--m", "2"],
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, bs_model, capsys, flags):
+        if flags[0] == "greek":
+            flags = flags + ["--t", "1", "--y", "1.0", "--direction", "1"]
+        if flags[0] in ("greek", "converge"):
+            flags = flags + ["--model", bs_model]
+        assert main(flags) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error: " in line]) == 1
+
+    def test_lowest_accepted_values_run(self, bs_model, capsys):
+        assert main(["cubature", "export", "--kind", "greeks2pt", "--m", "1"]) == 0
+        assert main([
+            "greek", "--model", bs_model, "--y", "1.0", "--direction", "1", "--t", "1",
+            "--m", "2", "--ode-steps", "1", "--s0", "0.5", "--partition", "1,1",
+        ]) == 0
+
+
 class TestPartitionRecorded:
     """Iterated deltas pinned to the float.hex values of the parent revision,
     recorded before the inner formulas were carried from horizon 1."""

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from cubgreeks import cubature, greeks, sde
+from cubgreeks import algebra, cubature, greeks, sde
 from cubgreeks.algebra import AlgebraContext, context
 from cubgreeks.cli import fit_loglog_slope
 from cubgreeks.errors import BudgetExceededError, DomainError, UnsupportedDegreeError
@@ -240,19 +241,38 @@ class TestLevelBatching:
     @pytest.mark.parametrize("direction", [1.0, 0.0])
     def test_bitwise_equal_to_scalar_tree(self, d, m_prime, k, direction):
         system, y, v, steps = _tree_case(d, m_prime, direction, k)
-        for name, payoff in BATCH_PAYOFFS[d].items():
+        # at d = 2, m = 3 the solver-built stage 0 has paths of one and two
+        # segments, so its level is evolved in two time groups
+        ms = (2, 3) if d == 2 else (2,)
+        for m, (name, payoff) in itertools.product(ms, BATCH_PAYOFFS[d].items()):
             request = GreekRequest(
-                system=system, payoff=payoff, y=y, v=v, t=0.6, m=2,
+                system=system, payoff=payoff, y=y, v=v, t=0.6, m=m,
                 m_prime=m_prime, partition=steps,
             )
             result = greek_iterated(request)
-            stage0, _ = greeks.build_greek_formula(system, np.array(y), v, steps[0], 2)
+            stage0, _ = greeks.build_greek_formula(system, np.array(y), v, steps[0], m)
             inner = [greeks.expectation_formula(d, m_prime, s) for s in steps[1:]]
             estimate, leaves = scalar_tree(system, payoff, y, [stage0, *inner])
-            assert result.estimate.hex() == estimate.hex(), name
-            assert result.paths_evaluated == leaves, name
+            assert result.estimate.hex() == estimate.hex(), (m, name)
+            assert result.paths_evaluated == leaves, (m, name)
             if direction == 0.0:
                 assert (result.estimate, leaves) == (0.0, 0)
+            elif m == 3:
+                assert len({p.times.tobytes() for p in stage0.paths}) == 2
+
+    def test_undriven_nan_field_is_never_evaluated(self):
+        # V2 is nan everywhere, and the two-point paths along e_1 never drive it
+        nan_field = lambda y: np.full_like(y, np.nan)
+        system = sde.VectorFieldSystem(dim=2, d=2, fields=HEISENBERG.fields[:2] + (nan_field,))
+        w = algebra.TensorElement(context(2, 2), {(1,): 0.7})
+        formula = cubature.greeks_two_point(context(2, 2), w, 0.3)
+        states = np.array([[0.4, -0.2], [0.1, 0.5]])
+        children, _ = greeks._evolve_level(system, states, np.ones(2), formula, 16)
+        assert np.all(np.isfinite(children))
+        for name, payoff in BATCH_PAYOFFS[2].items():
+            estimate, leaves = greeks._evaluate_tree(system, payoff, (0.4, -0.2), [formula], 16)
+            reference, ref_leaves = scalar_tree(system, payoff, (0.4, -0.2), [formula])
+            assert (estimate.hex(), leaves) == (reference.hex(), ref_leaves), name
 
     @pytest.mark.parametrize("m_prime", [1, 3, 5])
     def test_one_step_expectation_matches_scalar_tree(self, m_prime):
@@ -292,7 +312,8 @@ class TestLevelBatching:
             estimates.append(greek_iterated(request).estimate)
         assert estimates[0].hex() == estimates[1].hex()
 
-    def test_one_evolve_call_per_level_and_path(self, monkeypatch):
+    @staticmethod
+    def count_evolve(monkeypatch):
         calls = []
         evolve = sde.evolve
 
@@ -301,15 +322,31 @@ class TestLevelBatching:
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(sde, "evolve", counted)
+        return calls
+
+    def test_one_evolve_call_per_level_and_time_group(self, monkeypatch):
+        calls = self.count_evolve(monkeypatch)
         request = GreekRequest(
             system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,),
             t=1.0, m=2, m_prime=3, partition=tuple(gamma_partition(1.0, 0.1, 8, 3.0)),
         )
         result = greek_iterated(request)
         assert result.paths_evaluated == 2**9
-        # two stage-0 paths, then two paths for each of the 8 inner levels;
-        # one call per node would be 2 + 4 + ... + 512 = 1022
-        assert len(calls) == 2 + 8 * 2
+        # the two-point stage 0 and each of the 8 degree-3 levels have one
+        # time group; one call per path would be 2 + 8 * 2 = 18 and one per
+        # node 2 + 4 + ... + 512 = 1022
+        assert len(calls) == 1 + 8
+
+    def test_solver_stage0_is_two_evolve_calls(self, monkeypatch):
+        y = (0.3, -0.2)
+        v = sde.bracket_vf(HEISENBERG, 1, 2, y)
+        stage0, _ = greeks.build_greek_formula(HEISENBERG, np.array(y), v, 0.1, 3)
+        calls = self.count_evolve(monkeypatch)
+        result = greek_one_step(HEISENBERG, _scalar_mix, y, v, 0.1, 3)
+        # paths of one and of two segments: two time groups
+        assert sorted({len(p.times) for p in stage0.paths}) == [2, 3]
+        assert result.paths_evaluated == len(stage0.items) > 2
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("system,y,v,m,m_prime", [
         (BS, (1.0,), (1.0,), 2, 5),  # two-point stage 0, rescaled degree-5 steps

@@ -21,7 +21,7 @@ from cubgreeks.sde import (
     load_model,
 )
 
-from oracles import fd_jacobian, first_variation_loop
+from oracles import evolve_loop, fd_jacobian, first_variation_loop
 
 
 def reversed_path(path):
@@ -110,6 +110,56 @@ class TestEvolve:
         system = black_scholes(0.0, 0.2)
         with pytest.raises(DomainError):
             evolve(system, [1.0], line_path(1.0, [1.0, 0.0]), steps_per_segment=0)
+
+
+class TestStackedPaths:
+    """One path per row over shared knot times, against a single-path loop."""
+
+    @staticmethod
+    def stack(rng, rows, segments, dim):
+        times = np.linspace(0.0, 0.6, segments + 1)
+        points = np.cumsum(rng.uniform(-0.3, 0.3, size=(rows, segments + 1, dim)), axis=1)
+        points[:, 0] = 0.0
+        paths = [PiecewisePath(0.6, list(zip(times, row))) for row in points]
+        return times, points, paths
+
+    @pytest.mark.parametrize("system", [black_scholes(0.05, 0.3), heisenberg_toy(), cubic_toy()])
+    def test_bitwise_equal_to_one_path_per_row(self, system):
+        rng = np.random.default_rng(5)
+        times, points, paths = self.stack(rng, 6, 3, system.d + 1)
+        points[2, :, 1] = 0.0  # one row leaves V1 undriven
+        paths[2] = PiecewisePath(0.6, list(zip(times, points[2])))
+        states = rng.uniform(-1.0, 1.0, size=(6, system.dim))
+        out = evolve(system, states, (times, points))
+        for row, path, state in zip(out, paths, states):
+            assert [x.hex() for x in row] == [x.hex() for x in evolve_loop(system, state, path)]
+            assert [x.hex() for x in row] == [x.hex() for x in evolve(system, state, path)]
+
+    def test_field_skipped_only_when_no_row_drives_it(self):
+        # V2 is nan where x > 0; with V1 undriven x stays put, so only row 0 meets nan
+        def v2(y):
+            out = np.zeros_like(y)
+            out[..., 1] = np.where(y[..., 0] > 0.0, np.nan, y[..., 0])
+            return out
+
+        system = sde.VectorFieldSystem(dim=2, d=2, fields=heisenberg_toy().fields[:2] + (v2,))
+        times = np.array([0.0, 0.3, 0.6])
+        points = np.zeros((2, 3, 3))
+        points[:, :, 0] = times
+        states = np.array([[0.4, -0.2], [-0.5, 0.1]])
+        assert np.all(np.isfinite(evolve(system, states, (times, points))))
+        points[1, 1:, 2] = [0.2, -0.1]  # row 1 drives V2 where it is finite
+        assert np.all(np.isfinite(evolve(system, states[1], (times, points[1]))))
+        with pytest.raises(BlowUpError):
+            evolve(system, states, (times, points))  # row 0: nan * 0
+
+    def test_stack_must_match_states_and_times(self):
+        system = heisenberg_toy()
+        times, points, _ = self.stack(np.random.default_rng(7), 3, 2, 3)
+        with pytest.raises(DomainError):
+            evolve(system, np.zeros((2, 2)), (times, points))
+        with pytest.raises(DomainError):
+            evolve(system, np.zeros((3, 2)), (times[:-1], points))
 
 
 class TestBrackets:
