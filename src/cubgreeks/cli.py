@@ -56,23 +56,25 @@ def parse_direction(text, system, y):
     return expr.value(system, np.asarray(y, dtype=float))
 
 
-def _field_expr(node, d):
-    """The sde.FieldExpr of a parsed direction; any other syntax is a ConfigError."""
+def _field_expr(node, d, depth=0):
+    """The sde.FieldExpr of a parsed direction; other syntax, or brackets over 3 deep, is a ConfigError."""
     if isinstance(node, ast.Name) and node.id[:1] == "V" and node.id[1:].isdecimal():
         if int(node.id[1:]) > d:
             raise ConfigError(f"direction uses {node.id}, model has V0..V{d}")
         return sde.FieldExpr.base(int(node.id[1:]))
     if isinstance(node, ast.List) and len(node.elts) == 2:
-        return sde.FieldExpr.commutator(_field_expr(node.elts[0], d), _field_expr(node.elts[1], d))
+        if depth == 3:  # sde.FieldExpr differentiates nested brackets numerically
+            raise ConfigError("direction nests brackets deeper than 3, where finite differences fail")
+        return sde.FieldExpr.commutator(*(_field_expr(e, d, depth + 1) for e in node.elts))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        coeff, inner = _coefficient(node.left), _field_expr(node.right, d)
+        coeff, inner = _coefficient(node.left), _field_expr(node.right, d, depth)
         return inner if coeff == 1.0 else sde.FieldExpr.combination([(coeff, inner)])
     terms = []  # a +/- chain is one combination; its tree nests to the left
     while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        terms.append((1.0 if isinstance(node.op, ast.Add) else -1.0, _field_expr(node.right, d)))
+        terms.append((1.0 if isinstance(node.op, ast.Add) else -1.0, _field_expr(node.right, d, depth)))
         node = node.left
     if terms:
-        return sde.FieldExpr.combination([(1.0, _field_expr(node, d))] + terms[::-1])
+        return sde.FieldExpr.combination([(1.0, _field_expr(node, d, depth))] + terms[::-1])
     raise ConfigError(
         f"unexpected {ast.unparse(node)!r} in direction (use V<i>, [a,b], <number>*a, a+b, a-b)"
     )

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from . import algebra, cubature, mc, sde
+from . import algebra, cubature, sde
 from .algebra import context
 from .errors import BudgetExceededError, DomainError, UnsupportedDegreeError
 
@@ -115,29 +115,25 @@ def _evolve_level(system, states, weights, formula, steps_per_segment):
     state i along path j) and their weights weights[i] * lambda_j.  Paths
     with the same knot times form a group, and each group is one ``evolve``
     call on the states repeated state-major, path-minor, with one path per
-    row (see ``sde.evolve`` for the zero-slope rule).  Fields that only take
-    single states are evolved one row and path at a time instead; both do
-    the same float operations per row.
+    row.  A system written for single states comes as its ``sde.batched``
+    copy and runs row by row in the same calls, under the zero-slope rule for
+    stacks (see ``sde.evolve``): a field non-finite on a row its path does not
+    drive gives NaN there when another path of the group drives it.
     """
     n, q = len(states), len(formula.items)
     children = np.empty((n, q) + states.shape[1:])
-    if n and q and sde._fields_take_batches(system, states):
-        groups = {}
-        for j, path in enumerate(formula.paths):
-            groups.setdefault(path.times.tobytes(), []).append(j)
-        for js in groups.values():
-            points = np.stack([formula.paths[j].points for j in js])
-            rows = sde.evolve(
-                system,
-                np.repeat(states, len(js), axis=0),
-                (formula.paths[js[0]].times, np.tile(points, (n, 1, 1))),
-                steps_per_segment,
-            )
-            children[:, js] = rows.reshape((n, len(js)) + states.shape[1:])
-    elif n and q:
-        for i, row in enumerate(states):
-            for j, path in enumerate(formula.paths):
-                children[i, j] = sde.evolve(system, row, path, steps_per_segment)
+    groups = {}
+    for j, path in enumerate(formula.paths if n else ()):
+        groups.setdefault(path.times.tobytes(), []).append(j)
+    for js in groups.values():
+        points = np.stack([formula.paths[j].points for j in js])
+        rows = sde.evolve(
+            system,
+            np.repeat(states, len(js), axis=0),
+            (formula.paths[js[0]].times, np.tile(points, (n, 1, 1))),
+            steps_per_segment,
+        )
+        children[:, js] = rows.reshape((n, len(js)) + states.shape[1:])
     children = children.reshape((n * q,) + states.shape[1:])
     return children, (weights[:, None] * formula.weights[None, :]).ravel()
 
@@ -145,13 +141,14 @@ def _evolve_level(system, states, weights, formula, steps_per_segment):
 def _evaluate_tree(system, payoff, y0, formulas, steps_per_segment):
     """Sum of weight * payoff over the leaves of the tree the formulas span at y0.
 
+    System and payoff are probed once, at y0, for batches (``sde.batched``).
     Returns (estimate, leaf count); leaves are reduced with fsum in leaf order.
     """
-    states = np.asarray(y0, dtype=float).reshape(1, -1)
-    weights = np.ones(1)
+    system, payoff = sde.batched(system, y0), sde._batched(payoff, y0, ())
+    states, weights = np.asarray(y0, dtype=float).reshape(1, -1), np.ones(1)
     for formula in formulas:
         states, weights = _evolve_level(system, states, weights, formula, steps_per_segment)
-    return math.fsum(weights * mc._apply_payoff(payoff, states)), len(weights)
+    return math.fsum(weights * payoff(states)), len(weights)
 
 
 def greek_iterated(request: GreekRequest) -> GreekResult:

@@ -25,7 +25,7 @@ from scipy.stats import norm
 from . import algebra
 from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError
 from .rng import normal_increments
-from .sde import FD_STEP, _batched_call, _fields_take_batches, _matvec
+from .sde import FD_STEP, _batched, _matvec, batched
 
 DEFAULT_CHUNK = 25_000
 
@@ -98,14 +98,6 @@ def parse_payoff(text):
     raise UnsupportedPayoffError(f"cannot parse payoff {text!r}")
 
 
-def _apply_payoff(f, states):
-    """Evaluate f on (n, N) states, falling back to a per-row loop."""
-    vals = _batched_call(f, states, ()) if len(states) else None
-    if vals is not None:
-        return vals
-    return np.array([float(f(row)) for row in states])
-
-
 def _mean_stderr(values, antithetic):
     values = np.asarray(values, dtype=float)
     if antithetic:
@@ -138,13 +130,16 @@ def _euler_step(ys, dB, dt, fields, jacobians):
     return ys + step
 
 
-def _check_batched(system, ys):
-    """The Euler loops evaluate every field and Jacobian on all paths at once."""
-    if not _fields_take_batches(system, ys, jacobians=True):
+def _batched_payoff(system, f, y0):
+    """f as a map from (n, N) states to (n,) floats; raises unless the fields
+    and Jacobians take batches, as the Euler loops evaluate them on all paths."""
+    if batched(system, y0) is not system:
         raise DomainError(
             f"fields or Jacobians of {system.name!r} do not evaluate (n, N) state batches "
             "row by row; the Monte Carlo oracles need them to (index states as y[..., i])"
         )
+    payoff = _batched(f, y0, ())
+    return lambda ys: np.asarray(payoff(ys), dtype=float)
 
 
 def _normals(system, cfg):
@@ -158,7 +153,6 @@ def _euler_states(system, y0, t, normals):
     dt = t / n_steps
     sdt = math.sqrt(dt)
     ys = np.tile(np.asarray(y0, dtype=float), (n_paths, 1))
-    _check_batched(system, ys)
     for k in range(n_steps):
         ys = _euler_step(ys, normals[:, k, :] * sdt, dt, *_fields_at(system, ys))
         if not np.all(np.isfinite(ys)):
@@ -168,19 +162,21 @@ def _euler_states(system, y0, t, normals):
 
 def euler_expectation(system, f, y, t, cfg):
     """Mean and standard error of f(Y_t) under Ito-corrected Euler-Maruyama."""
+    f = _batched_payoff(system, f, y)
     ys = _euler_states(system, y, t, _normals(system, cfg))
-    return _mean_stderr(_apply_payoff(f, ys), cfg.antithetic)
+    return _mean_stderr(f(ys), cfg.antithetic)
 
 
 def fd_greek(system, f, y, v, t, cfg, h=1e-3):
     """Central difference (E f(Y^{y+hv}) - E f(Y^{y-hv}))/(2h), shared noise."""
     if h <= 0.0:
         raise DomainError(f"finite-difference step must be positive, got {h}")
+    f = _batched_payoff(system, f, y)
     normals = _normals(system, cfg)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
-    f_up = _apply_payoff(f, _euler_states(system, y + h * v, t, normals))
-    f_dn = _apply_payoff(f, _euler_states(system, y - h * v, t, normals))
+    f_up = f(_euler_states(system, y + h * v, t, normals))
+    f_dn = f(_euler_states(system, y - h * v, t, normals))
     return _mean_stderr((f_up - f_dn) / (2.0 * h), cfg.antithetic)
 
 
@@ -202,6 +198,7 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
     n_dim = system.dim
     if n_dim != system.d:
         raise EllipticityError(f"elliptic weight needs N = d, got N={n_dim}, d={system.d}")
+    f = _batched_payoff(system, f, y)
     normals = _normals(system, cfg)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -210,7 +207,6 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
     ys = np.tile(y, (cfg.n_paths, 1))
     J = np.tile(np.eye(n_dim), (cfg.n_paths, 1, 1))
     acc = np.zeros(cfg.n_paths)
-    _check_batched(system, ys)
     for k in range(cfg.n_steps):
         dB = normals[:, k, :] * sdt
         fields, jacobians = _fields_at(system, ys)
@@ -236,7 +232,7 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
         J = J + step_J
         if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(J))):
             raise BlowUpError(f"Malliavin simulation became non-finite at step {k}")
-    values = _apply_payoff(f, ys) * (acc / t)
+    values = f(ys) * (acc / t)
     return _mean_stderr(values, cfg.antithetic)
 
 
@@ -248,13 +244,14 @@ def simple_weight_delta_m1(system, f, y, v, t, cfg):
     """
     if system.dim != system.d:
         raise EllipticityError(f"elliptic weight needs N = d, got N={system.dim}, d={system.d}")
+    f = _batched_payoff(system, f, y)
     normals = _normals(system, cfg)
     y = np.asarray(y, dtype=float)
     ys = _euler_states(system, y, t, normals)
     sigma0 = np.stack([system.field(i, y) for i in range(1, system.d + 1)], axis=-1)
     w = np.linalg.solve(sigma0, np.asarray(v, dtype=float))
     b_t = normals.sum(axis=1) * math.sqrt(t / cfg.n_steps)
-    values = _apply_payoff(f, ys) * (b_t @ w) / t
+    values = f(ys) * (b_t @ w) / t
     return _mean_stderr(values, cfg.antithetic)
 
 

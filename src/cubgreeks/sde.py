@@ -8,16 +8,16 @@ Jacobians are expected to accept batched states (leading axes broadcast, e.g.
 (n, N) arrays indexed as ``y[..., i]``): ``evolve`` moves a batch along one
 path, or each row along its own path over shared knot times, so a level of
 the cubature tree is one call per group of formula paths with the same knot
-times, and the Monte Carlo oracle vectorizes over paths.  Fields that only
-take a single (N,) state still work in the tree, which evolves them one row
-and path at a time; the Monte Carlo oracles refuse them.
+times, and the Monte Carlo oracle vectorizes over paths.  ``batched`` decides
+once per call, on N + 1 copies of the start state, whether a system does: the
+tree runs single-state fields row by row, the Monte Carlo oracles refuse them.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,35 +61,36 @@ class VectorFieldSystem:
         return _fd_jacobian(lambda z: self.field(i, z), y)
 
 
-def _batched_call(func, states, row_shape):
-    """func(states) when func evaluates (n, N) states row by row, else None.
-
-    The call counts as row-wise when func maps the batch, and its first row as
-    a one-row batch, to one value of shape ``row_shape`` per row without
-    raising or warning.  The one-row probe catches code written for a single
-    state that looks batched when n == N: there ``y[0]`` reads a whole row.
-    """
+def _batched(func, y0, row_shape):
+    """func if one call on N + 1 copies of the (N,) state y0 returns the same
+    ``row_shape`` value on every row without raising or warning, else a loop
+    calling func on each row of (n, N) states.  N + 1 rows are never one
+    state, nor N rows that single-state code could read as one state."""
+    states = np.array([y0] * (len(y0) + 1), dtype=float)
     try:
         with warnings.catch_warnings():
-            # single-state code often misreads a batch as one state
-            warnings.simplefilter("error")
-            for batch in (states[:1], states):
-                value = np.asarray(func(batch), dtype=float)
-                if value.shape != (len(batch),) + row_shape:
-                    return None
+            warnings.simplefilter("error")  # single-state code often misreads a batch
+            value = np.asarray(func(states), dtype=float)
+        same_rows = value.tobytes() == value[:1].tobytes() * len(states)  # NaN rows too
+        if value.shape == states.shape[:1] + row_shape and same_rows:
+            return func
     except (TypeError, ValueError, IndexError, Warning):
-        return None
-    return value
+        pass
+    return lambda y: np.array([func(row) for row in y], dtype=float).reshape((len(y),) + row_shape)
 
 
-def _fields_take_batches(system, states, jacobians=False):
-    """Whether every field, and with ``jacobians`` every Jacobian, evaluates
-    the (n, N) states row by row (see ``_batched_call``)."""
-    row = states.shape[1:]
-    calls = [(lambda y, i=i: system.field(i, y), row) for i in range(system.d + 1)]
-    if jacobians:
-        calls += [(lambda y, i=i: system.jacobian(i, y), row + row[-1:]) for i in range(system.d + 1)]
-    return all(_batched_call(func, states, shape) is not None for func, shape in calls)
+def batched(system, y0):
+    """system if its fields and Jacobians all take batches of states at y0
+    (see ``_batched``), else a copy in which the others run row by row.
+    Finite-difference Jacobians follow their fields."""
+    n, k = len(y0), system.d + 1
+    probes = [lambda y, i=i: system.field(i, y) for i in range(k)]
+    if system.jacobians is not None:
+        probes += [lambda y, i=i: system.jacobian(i, y) for i in range(k)]
+    funcs = [_batched(p, y0, (n,) if j < k else (n, n)) for j, p in enumerate(probes)]
+    if funcs == probes:
+        return system
+    return replace(system, fields=tuple(funcs[:k]), jacobians=tuple(funcs[k:]) or None)
 
 
 def _fd_jacobian(func, y, h=FD_STEP):

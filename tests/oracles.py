@@ -143,6 +143,28 @@ def scalar_tree(system, payoff, y, formulas, steps_per_segment=sde.DEFAULT_STEPS
     return math.fsum(w * float(payoff(state)) for w, state in nodes), len(nodes)
 
 
+def heisenberg_one_state():
+    """``sde.heisenberg_toy`` written for one (2,) state: the fields index it
+    as y[0] and write out[0], out[1], and the Jacobians are (2, 2) arrays."""
+
+    def v1(y):
+        out = np.zeros_like(y)
+        out[0] = 1.0
+        return out
+
+    def v2(y):
+        out = np.zeros_like(y)
+        out[1] = y[0]
+        return out
+
+    def j2(y):
+        return np.array([[0.0, 0.0], [1.0, 0.0]])
+
+    fields = (np.zeros_like, v1, v2)
+    jacobians = (lambda y: np.zeros((2, 2)),) * 2 + (j2,)
+    return sde.VectorFieldSystem(dim=2, d=2, fields=fields, jacobians=jacobians, name="heisenberg_one_state")
+
+
 def first_variation_loop(system, y0, path, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
     """Jacobian of the flow map of one (N,) state by a hand-written joint RK4
     loop over (y, J), with the segment field's Jacobian applied to J."""

@@ -58,6 +58,15 @@ class TestDirectionGrammar:
             parse_direction("[V1,V2", system, [0.0, 0.0])
         with pytest.raises(ConfigError):
             parse_direction("V1 $ V2", system, [0.0, 0.0])
+        # nested finite differences lose accuracy fast with depth (1e-2 at
+        # four brackets), and 199 brackets, the most Python's parser takes,
+        # would never finish; 200 do not parse
+        deep = ["[[V1, [V1, [V1, V2]]], V1]", "V1 + [V1, [V1, 0.5*[V1, [V1, V2]]]]"]
+        for text in deep + ["[V1," * 199 + "V2" + "]" * 199]:
+            with pytest.raises(ConfigError, match="deeper than 3"):
+                parse_direction(text, system, [0.0, 0.0])
+        with pytest.raises(ConfigError):
+            parse_direction("[V1," * 200 + "V2" + "]" * 200, system, [0.0, 0.0])
 
     def test_scale_forms(self):
         assert parse_scale("sqrt_t", 0.25) == 0.5

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -17,7 +18,7 @@ from cubgreeks.greeks import (
 )
 from cubgreeks.mc import Payoff, bs_closed_form
 
-from oracles import scalar_tree
+from oracles import heisenberg_one_state, scalar_tree
 
 BS = sde.black_scholes(0.05, 0.3)
 SIGMA, R = 0.3, 0.05
@@ -255,6 +256,11 @@ class TestLevelBatching:
             estimate, leaves = scalar_tree(system, payoff, y, [stage0, *inner])
             assert result.estimate.hex() == estimate.hex(), (m, name)
             assert result.paths_evaluated == leaves, (m, name)
+            if d == 2:
+                # the same model written for one state: n == N at the root's
+                # children, and the probe must still send it row by row
+                one_state = greek_iterated(dataclasses.replace(request, system=heisenberg_one_state()))
+                assert one_state.estimate.hex() == estimate.hex(), (m, name)
             if direction == 0.0:
                 assert (result.estimate, leaves) == (0.0, 0)
             elif m == 3:

@@ -20,7 +20,7 @@ from cubgreeks.mc import (
     simple_weight_delta_m1,
 )
 
-from oracles import gbm_exact_samples
+from oracles import gbm_exact_samples, heisenberg_one_state
 
 BS = sde.black_scholes(0.05, 0.3)
 IDENT = Payoff("identity")
@@ -244,15 +244,19 @@ class TestEulerStepBitwise:
         assert got == self.EXPECTED[seed]
 
 
-def _bs_for_one_state(single_state_jacobians=False):
-    """Black-Scholes written for one (1,) state: the fields read y[0], and so
-    optionally do the Jacobians."""
+def _bs_for_one_state(single_state_jacobians=False, read=lambda y: y[0]):
+    """Black-Scholes written for one (1,) state: the fields read it as
+    ``read(y)``, y[0] by default, and so optionally do the Jacobians."""
     drift, sigma = 0.05 - 0.5 * 0.3 * 0.3, 0.3
     jacobians = BS.jacobians
     if single_state_jacobians:
         jacobians = (lambda y: np.array([[drift]]), lambda y: np.array([[sigma]]))
-    fields = (lambda y: drift * y[0], lambda y: sigma * y[0])
+    fields = (lambda y: drift * read(y), lambda y: sigma * read(y))
     return sde.VectorFieldSystem(dim=1, d=1, fields=fields, jacobians=jacobians, name="one_state")
+
+
+# y[:1] keeps the shape of a one-row batch, so only a probe on more rows sees it
+ONE_STATE_READS = (lambda y: y[0], lambda y: y[:1])
 
 
 class TestBatchedFieldsRequired:
@@ -261,18 +265,26 @@ class TestBatchedFieldsRequired:
 
     CFG = McConfig(n_paths=64, n_steps=8, seed=3)
     ESTIMATORS = {
-        "euler": lambda s, cfg: euler_expectation(s, IDENT, [1.0], 0.5, cfg),
-        "fd": lambda s, cfg: fd_greek(s, IDENT, [1.0], [1.0], 0.5, cfg),
-        "malliavin": lambda s, cfg: malliavin_delta_m1(s, IDENT, [1.0], [1.0], 0.5, cfg),
-        "simple": lambda s, cfg: simple_weight_delta_m1(s, IDENT, [1.0], [1.0], 0.5, cfg),
+        "euler": lambda s, cfg, y=(1.0,), v=(1.0,): euler_expectation(s, IDENT, y, 0.5, cfg),
+        "fd": lambda s, cfg, y=(1.0,), v=(1.0,): fd_greek(s, IDENT, y, v, 0.5, cfg),
+        "malliavin": lambda s, cfg, y=(1.0,), v=(1.0,): malliavin_delta_m1(s, IDENT, y, v, 0.5, cfg),
+        "simple": lambda s, cfg, y=(1.0,), v=(1.0,): simple_weight_delta_m1(s, IDENT, y, v, 0.5, cfg),
     }
 
     @pytest.mark.parametrize("single_state_jacobians", [False, True])
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_single_state_fields_are_rejected(self, name, single_state_jacobians):
-        system = _bs_for_one_state(single_state_jacobians)
+        for read in ONE_STATE_READS:
+            system = _bs_for_one_state(single_state_jacobians, read)
+            with pytest.raises(DomainError, match="row by row"):
+                self.ESTIMATORS[name](system, self.CFG)
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_single_state_planar_fields_are_rejected(self, name):
+        # N = d = 2: indexing y[0] and writing out[1] reads and writes rows of
+        # a batch without an error, but N + 1 equal rows come back unequal
         with pytest.raises(DomainError, match="row by row"):
-            self.ESTIMATORS[name](system, self.CFG)
+            self.ESTIMATORS[name](heisenberg_one_state(), self.CFG, y=(0.3, 0.1), v=(1.0, 0.0))
 
     def test_batched_jacobians_alone_are_not_enough(self):
         fields_ok = sde.VectorFieldSystem(
@@ -282,16 +294,27 @@ class TestBatchedFieldsRequired:
             euler_expectation(fields_ok, IDENT, [1.0], 0.5, self.CFG)
 
     def test_the_tree_evaluates_them_row_by_row(self):
-        from cubgreeks.greeks import expectation_one_step
+        from cubgreeks.greeks import GreekRequest, expectation_one_step, gamma_partition, greek_iterated
 
-        one_state = expectation_one_step(_bs_for_one_state(), IDENT, [1.0], 0.5, 3)
-        assert one_state == expectation_one_step(BS, IDENT, [1.0], 0.5, 3)
+        def iterated_delta(system):
+            # the root level is one state, which a y[:1] field maps correctly
+            request = GreekRequest(
+                system=system, payoff=Payoff("call", 1.0), y=(1.0,), v=(1.0,), t=1.0,
+                m=2, m_prime=3, partition=tuple(gamma_partition(1.0, 0.1, 4, 2)),
+            )
+            return greek_iterated(request).estimate.hex()
+
+        expected = expectation_one_step(BS, IDENT, [1.0], 0.5, 3).hex(), iterated_delta(BS)
+        for read in ONE_STATE_READS:
+            system = _bs_for_one_state(read=read)
+            one_state = expectation_one_step(system, IDENT, [1.0], 0.5, 3).hex(), iterated_delta(system)
+            assert one_state == expected
 
 
 class TestOneEvaluationPerStep:
     """Each Euler step evaluates every V_i and dV_i once (plus the two Jacobian
-    calls of the finite-difference Hessian in the Malliavin weight); the batch
-    probe before the loop is counted apart."""
+    calls of the finite-difference Hessian in the Malliavin weight); the one
+    batch decision before the loop is counted apart."""
 
     @staticmethod
     def _counting_bs(counts, phase):
@@ -315,27 +338,30 @@ class TestOneEvaluationPerStep:
         [(malliavin_delta_m1, {"field": 20, "jacobian": 40}), (fd_greek, {"field": 40, "jacobian": 20})],
     )
     def test_call_counts(self, monkeypatch, estimator, loop_calls):
-        counts, phase = {}, ["loop"]
-        probe = mc._fields_take_batches
+        counts, phase, probes = {}, ["loop"], []
+        probe = mc.batched
 
         def counted_probe(*args, **kwargs):
             phase[0] = "probe"
+            probes.append(1)
             try:
                 return probe(*args, **kwargs)
             finally:
                 phase[0] = "loop"
 
-        monkeypatch.setattr(mc, "_fields_take_batches", counted_probe)
+        monkeypatch.setattr(mc, "batched", counted_probe)
         cfg = McConfig(n_paths=100, n_steps=10, seed=3)
         call = Payoff("call", 1.0)
         got = estimator(self._counting_bs(counts, phase), call, [1.0], [1.0], 0.5, cfg)
+        # one decision per estimator call, fd_greek's two Euler runs included,
+        # probing each of the two fields and two Jacobians once
+        assert len(probes) == 1
         assert got == estimator(BS, call, [1.0], [1.0], 0.5, cfg)
-        n_probes = 2 if estimator is fd_greek else 1
         assert counts == {
             ("loop", "field"): loop_calls["field"],
             ("loop", "jacobian"): loop_calls["jacobian"],
-            ("probe", "field"): 4 * n_probes,
-            ("probe", "jacobian"): 4 * n_probes,
+            ("probe", "field"): 2,
+            ("probe", "jacobian"): 2,
         }
 
 

@@ -21,7 +21,7 @@ from cubgreeks.sde import (
     load_model,
 )
 
-from oracles import evolve_loop, fd_jacobian, first_variation_loop
+from oracles import evolve_loop, fd_jacobian, first_variation_loop, heisenberg_one_state
 
 
 def reversed_path(path):
@@ -160,6 +160,20 @@ class TestStackedPaths:
             evolve(system, np.zeros((2, 2)), (times, points))
         with pytest.raises(DomainError):
             evolve(system, np.zeros((3, 2)), (times[:-1], points))
+
+
+class TestBatchDecision:
+    def test_single_state_copy_evaluates_any_batch_by_rows(self):
+        hz, one_state, y0 = heisenberg_toy(), heisenberg_one_state(), np.array([0.3, -0.2])
+        copy = sde.batched(one_state, y0)
+        assert sde.batched(hz, y0) is hz
+        assert copy is not one_state and copy.name == one_state.name
+        # 1, N, N + 1 and more rows: each row gets the single-state value
+        for n in (1, 2, 3, 5):
+            ys = y0 + 0.1 * np.arange(2 * n).reshape(n, 2)
+            for i in range(3):
+                assert np.array_equal(copy.field(i, ys), hz.field(i, ys))
+                assert np.array_equal(copy.jacobian(i, ys), hz.jacobian(i, ys))
 
 
 class TestBrackets:
