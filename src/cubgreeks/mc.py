@@ -28,6 +28,7 @@ from .rng import normal_increments
 from .sde import FD_STEP, _batched, _matvec, batched
 
 DEFAULT_CHUNK = 25_000
+_SIG_BLOCK = 2048  # paths per Chen recursion block: the product's (splits x paths) terms stay in L2
 
 
 @dataclass(frozen=True)
@@ -263,10 +264,15 @@ def signature_expectation_stats(ctx, t, cfg, chunk=DEFAULT_CHUNK):
     """Mean truncated signature of simulated Brownian interpolations + stderr.
 
     Paths are piecewise-linear with n_steps equal segments and time component
-    s.  A chunk of paths is one word-major (dim, n) array, and each step
-    applies Chen's relation with the context's batched segment exponential
-    and product.  Returns (mean element, {word: stderr}).
+    s.  Paths are drawn ``chunk`` at a time; within a chunk, blocks of
+    ``_SIG_BLOCK`` paths are word-major (dim, n) arrays, and each step applies
+    Chen's relation with the context's batched segment exponential and
+    product.  Per-path arithmetic is the same in any blocking, so the block
+    size changes no bit; ``chunk`` changes only the summation order of the
+    totals.  Returns (mean element, {word: stderr}).
     """
+    if chunk < 1:
+        raise DomainError(f"chunk must be >= 1, got {chunk}")
     d = ctx.d
     dt = t / cfg.n_steps
     sdt = math.sqrt(dt)
@@ -276,13 +282,17 @@ def signature_expectation_stats(ctx, t, cfg, chunk=DEFAULT_CHUNK):
     while done < cfg.n_paths:
         n = min(chunk, cfg.n_paths - done)
         normals = normal_increments(cfg.seed, done, n, cfg.n_steps, d, cfg.antithetic)
-        inc = np.empty((d + 1, n))
-        inc[0] = dt
-        sig = np.zeros((ctx.dim, n))
-        sig[0] = 1.0
-        for k in range(cfg.n_steps):
-            inc[1:] = normals[:, k, :].T * sdt
-            sig = ctx.product(sig, ctx.segment_exp(inc))
+        sig = np.empty((ctx.dim, n))
+        for start in range(0, n, _SIG_BLOCK):
+            block = normals[start : start + _SIG_BLOCK]
+            inc = np.empty((d + 1, len(block)))
+            inc[0] = dt
+            block_sig = np.zeros((ctx.dim, len(block)))
+            block_sig[0] = 1.0
+            for k in range(cfg.n_steps):
+                inc[1:] = block[:, k, :].T * sdt
+                block_sig = ctx.product(block_sig, ctx.segment_exp(inc))
+            sig[:, start : start + len(block)] = block_sig
         total += sig.sum(axis=1)
         total_sq += (sig * sig).sum(axis=1)
         done += n

@@ -4,7 +4,9 @@ Every draw is a pure function of (seed, path index, step index, driver
 index): the splitmix64 output stream for the given seed, evaluated at the
 counter position derived from the indices.  Serial and parallel simulation
 therefore produce bit-identical streams.  Gaussians come from the inverse
-normal CDF, which is deterministic across platforms.
+normal CDF, which is deterministic across platforms.  ``normal_increments``
+makes its draws one block of whole paths at a time; the block size, like the
+window of paths asked for, changes no bit of any draw.
 """
 
 from __future__ import annotations
@@ -12,27 +14,43 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_BLOCK = 1 << 15  # draws per block: each of the three 256 KiB block buffers stays in L2
 
 
-def _splitmix64(state):
-    z = state.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+def _splitmix64(z, scratch):
+    """splitmix64's output mix of the uint64 states z, in place; scratch is a
+    uint64 buffer of z's shape."""
+    np.right_shift(z, 30, out=scratch)
+    z ^= scratch
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, 27, out=scratch)
+    z ^= scratch
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, 31, out=scratch)
+    z ^= scratch
     return z
+
+
+def _unit(bits, out):
+    """((bits >> 11) + 0.5) * 2**-53 into the float buffer out; shifts bits in place."""
+    np.right_shift(bits, 11, out=bits)
+    out[...] = bits
+    out += 0.5
+    out *= 2.0**-53
+    return out
 
 
 def counter_uniforms(seed, counters):
     """Uniforms in (0, 1) at the given 64-bit counter positions."""
-    counters = np.asarray(counters, dtype=np.uint64)
-    state = np.uint64(int(seed) % 2**64) + (counters + np.uint64(1)) * _GOLDEN
-    bits = _splitmix64(state)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    z = np.array(counters, dtype=np.uint64)
+    np.add(z, 1, out=z)
+    np.multiply(z, np.uint64(_GOLDEN), out=z)
+    np.add(z, np.uint64(int(seed) % 2**64), out=z)
+    _splitmix64(z, np.empty_like(z))
+    return _unit(z, np.empty(z.shape))[()]
 
 
 def normal_increments(seed, path_start, n_paths, n_steps, d, antithetic=False):
@@ -40,23 +58,32 @@ def normal_increments(seed, path_start, n_paths, n_steps, d, antithetic=False):
 
     Draw (p, k, i) sits at counter ((p * n_steps + k) * d + i).  With
     antithetic=True, odd path indices reuse the stream of the preceding even
-    index with flipped signs (n_paths must then be even).
+    index with flipped signs; pairs are keyed by the absolute path index, so
+    any window of paths, odd start or odd count included, is well defined.
+    The draws are made one block of whole paths (about ``_BLOCK`` draws) at a
+    time, straight into the result.
     """
-    if antithetic and n_paths % 2 != 0:
-        raise ValueError("antithetic sampling needs an even number of paths")
-    paths = np.arange(path_start, path_start + n_paths, dtype=np.uint64)
-    signs = None
-    if antithetic:
-        signs = np.where(paths % np.uint64(2) == 0, 1.0, -1.0)
-        paths = paths - paths % np.uint64(2)
-    steps = np.arange(n_steps, dtype=np.uint64)
-    drivers = np.arange(d, dtype=np.uint64)
-    counters = (
-        (paths[:, None, None] * np.uint64(n_steps) + steps[None, :, None])
-        * np.uint64(d)
-        + drivers[None, None, :]
-    )
-    z = ndtri(counter_uniforms(seed, counters))
-    if signs is not None:
-        z *= signs[:, None, None]
-    return z
+    out = np.empty((n_paths, n_steps, d))
+    per_path = n_steps * d
+    if out.size == 0:
+        return out
+    rows = max(1, _BLOCK // per_path)
+    # state of draw j on path p: seed + (p * per_path + j + 1) * golden mod 2**64
+    stride = np.uint64(per_path * _GOLDEN % 2**64)
+    offsets = np.arange(1, per_path + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    offsets += np.uint64(int(seed) % 2**64)
+    z = np.empty((rows, per_path), dtype=np.uint64)
+    scratch = np.empty_like(z)
+    uniforms = np.empty(z.shape)
+    flat = out.reshape(n_paths, per_path)
+    for start in range(0, n_paths, rows):
+        stop = min(start + rows, n_paths)
+        n = stop - start
+        paths = np.arange(path_start + start, path_start + stop, dtype=np.uint64)
+        source = paths - paths % np.uint64(2) if antithetic else paths
+        np.add(np.multiply(source[:, None], stride), offsets, out=z[:n])
+        _splitmix64(z[:n], scratch[:n])
+        ndtri(_unit(z[:n], uniforms[:n]), out=flat[start:stop])
+        if antithetic:
+            flat[start:stop][paths % np.uint64(2) == 1] *= -1.0
+    return out

@@ -65,10 +65,12 @@ def _batched(func, y0, row_shape):
     """func if one call on N + 1 copies of the (N,) state y0 returns the same
     ``row_shape`` value on every row without raising or warning, else a loop
     calling func on each row of (n, N) states.  N + 1 rows are never one
-    state, nor N rows that single-state code could read as one state."""
+    state, nor N rows that single-state code could read as one state.
+    Floating-point warnings do not count: a batched field may be singular at
+    y0 (sin(y)/y at 0) and still return one value per row."""
     states = np.array([y0] * (len(y0) + 1), dtype=float)
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("error")  # single-state code often misreads a batch
             value = np.asarray(func(states), dtype=float)
         same_rows = value.tobytes() == value[:1].tobytes() * len(states)  # NaN rows too

@@ -5,14 +5,17 @@ come from composite trapezoid quadrature on a fine grid, derivatives from
 central differences, reference prices from direct lognormal sampling,
 truncated products and signatures from double loops over sparse word maps,
 cubature trees from one single-path RK4 loop per node, and first variations
-from a joint RK4 loop of their own.
+from a joint RK4 loop of their own.  The counter-based normals and the
+signature-expectation recursion are frozen, unblocked copies that draw and
+multiply every path of a chunk in one array.
 """
 
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
-from cubgreeks import sde
+from cubgreeks import algebra, sde
 from cubgreeks.errors import BlowUpError, DomainError
 
 
@@ -217,3 +220,77 @@ def gbm_exact_samples(r, sigma, y, t, n, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
     return y * np.exp((r - 0.5 * sigma * sigma) * t + sigma * math.sqrt(t) * z)
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64_unblocked(state):
+    z = state.astype(np.uint64, copy=True)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def counter_uniforms_unblocked(seed, counters):
+    """Uniforms in (0, 1) at the given counter array, built in one piece."""
+    counters = np.asarray(counters, dtype=np.uint64)
+    state = np.uint64(int(seed) % 2**64) + (counters + np.uint64(1)) * _GOLDEN
+    bits = _splitmix64_unblocked(state)
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+
+
+def normal_increments_unblocked(seed, path_start, n_paths, n_steps, d, antithetic=False):
+    """(n_paths, n_steps, d) normals from a full-size counter array; antithetic
+    sampling needs an even path count here."""
+    if antithetic and n_paths % 2 != 0:
+        raise ValueError("antithetic sampling needs an even number of paths")
+    paths = np.arange(path_start, path_start + n_paths, dtype=np.uint64)
+    signs = None
+    if antithetic:
+        signs = np.where(paths % np.uint64(2) == 0, 1.0, -1.0)
+        paths = paths - paths % np.uint64(2)
+    steps = np.arange(n_steps, dtype=np.uint64)
+    drivers = np.arange(d, dtype=np.uint64)
+    counters = (
+        (paths[:, None, None] * np.uint64(n_steps) + steps[None, :, None])
+        * np.uint64(d)
+        + drivers[None, None, :]
+    )
+    z = ndtri(counter_uniforms_unblocked(seed, counters))
+    if signs is not None:
+        z *= signs[:, None, None]
+    return z
+
+
+def signature_expectation_unblocked(ctx, t, cfg, chunk=25_000):
+    """Mean signature and per-word stderr with every path of a chunk in one
+    (dim, n) Chen recursion."""
+    d = ctx.d
+    dt = t / cfg.n_steps
+    sdt = math.sqrt(dt)
+    total = np.zeros(ctx.dim)
+    total_sq = np.zeros(ctx.dim)
+    done = 0
+    while done < cfg.n_paths:
+        n = min(chunk, cfg.n_paths - done)
+        normals = normal_increments_unblocked(cfg.seed, done, n, cfg.n_steps, d, cfg.antithetic)
+        inc = np.empty((d + 1, n))
+        inc[0] = dt
+        sig = np.zeros((ctx.dim, n))
+        sig[0] = 1.0
+        for k in range(cfg.n_steps):
+            inc[1:] = normals[:, k, :].T * sdt
+            sig = ctx.product(sig, ctx.segment_exp(inc))
+        total += sig.sum(axis=1)
+        total_sq += (sig * sig).sum(axis=1)
+        done += n
+    n = cfg.n_paths
+    mean = total / n
+    var = np.maximum(total_sq / n - mean * mean, 0.0) * (n / max(n - 1, 1))
+    return algebra.from_dense(ctx, mean), dict(zip(ctx.basis, np.sqrt(var / n).tolist()))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from cubgreeks.mc import (
     simple_weight_delta_m1,
 )
 
-from oracles import gbm_exact_samples, heisenberg_one_state
+from oracles import (
+    counter_uniforms_unblocked,
+    gbm_exact_samples,
+    heisenberg_one_state,
+    normal_increments_unblocked,
+    signature_expectation_unblocked,
+)
 
 BS = sde.black_scholes(0.05, 0.3)
 IDENT = Payoff("identity")
@@ -53,6 +60,19 @@ class TestCounterRng:
         z = rng.normal_increments(11, 0, 6, 4, 1, antithetic=True)
         assert np.array_equal(z[1], -z[0])
         assert np.array_equal(z[3], -z[2])
+
+    def test_antithetic_window_may_start_and_end_odd(self):
+        full = rng.normal_increments(11, 0, 4, 5, 2, antithetic=True)
+        assert np.array_equal(rng.normal_increments(11, 1, 3, 5, 2, antithetic=True), full[1:4])
+
+    def test_peak_memory_is_the_output_and_block_buffers(self):
+        tracemalloc.start()
+        try:
+            z = rng.normal_increments(3, 0, 4000, 128, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= z.nbytes + 2 * 2**20
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -293,6 +313,18 @@ class TestBatchedFieldsRequired:
         with pytest.raises(DomainError, match="row by row"):
             euler_expectation(fields_ok, IDENT, [1.0], 0.5, self.CFG)
 
+    def test_field_singular_at_the_start_state_is_batched(self):
+        # sin(y)/y divides 0 by 0 inside np.where yet returns one value per row
+        def sinc_drift(v0):
+            return sde.VectorFieldSystem(dim=1, d=1, fields=(v0, lambda y: 0.3 * y), name="sinc")
+
+        sinc = sinc_drift(lambda y: np.where(y == 0.0, 1.0, np.sin(y) / y))
+        quiet = sinc_drift(lambda y: np.where(y == 0.0, 1.0, np.sin(y) / np.where(y == 0.0, 1.0, y)))
+        assert sde.batched(sinc, [0.0]) is sinc
+        with np.errstate(divide="ignore", invalid="ignore"):  # the field's own 0/0
+            estimate = euler_expectation(sinc, IDENT, [0.0], 0.5, self.CFG)
+        assert estimate == euler_expectation(quiet, IDENT, [0.0], 0.5, self.CFG)
+
     def test_the_tree_evaluates_them_row_by_row(self):
         from cubgreeks.greeks import GreekRequest, expectation_one_step, gamma_partition, greek_iterated
 
@@ -446,6 +478,62 @@ class TestSignatureExpectation:
         e1, s1 = signature_expectation_stats(ctx, 0.5, cfg, chunk=37)
         e2, s2 = signature_expectation_stats(ctx, 0.5, cfg, chunk=300)
         assert all(abs(e1.coeff(w) - e2.coeff(w)) < 1e-12 for w in ctx.basis)
+
+    def test_antithetic_odd_chunks(self):
+        # a chunk of 37 splits antithetic pairs; pairs are keyed by path index
+        ctx = context(1, 3)
+        cfg = McConfig(n_paths=300, n_steps=16, seed=21, antithetic=True)
+        e1, s1 = signature_expectation_stats(ctx, 0.5, cfg, chunk=37)
+        e2, s2 = signature_expectation_stats(ctx, 0.5, cfg, chunk=300)
+        assert np.max(np.abs(e1.vec - e2.vec)) < 1e-14
+        assert max(abs(s1[w] - s2[w]) for w in ctx.basis) < 1e-14
+
+    def test_chunk_must_be_positive(self):
+        with pytest.raises(DomainError):
+            signature_expectation_stats(context(1, 3), 0.5, McConfig(10, 4), chunk=0)
+
+
+class TestBitwiseAgainstUnblockedOracles:
+    """Blocked draws and the blocked Chen recursion give the bytes of frozen
+    copies that build every array in one piece."""
+
+    @pytest.mark.parametrize(
+        "seed, path_start, n_paths, n_steps, d",
+        [
+            (5, 0, 2, 40000, 1),  # one path longer than a block
+            (5, 0, 129, 256, 1),  # 129 paths do not fill whole blocks of 128
+            (5, 7, 10, 16, 2),
+            (5, 2**40, 10, 16, 3),
+            (-3, 0, 6, 7, 2),
+            (2**64 - 5, 0, 6, 7, 2),
+            (5, 0, 0, 16, 2),
+            (5, 0, 6, 16, 0),
+        ],
+    )
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_normal_increments(self, seed, path_start, n_paths, n_steps, d, antithetic):
+        z = rng.normal_increments(seed, path_start, n_paths, n_steps, d, antithetic)
+        # the frozen copy takes even counts only under antithetic sampling
+        even = n_paths + n_paths % 2 if antithetic else n_paths
+        ref = normal_increments_unblocked(seed, path_start, even, n_steps, d, antithetic)[:n_paths]
+        assert z.shape == ref.shape and z.dtype == ref.dtype
+        assert z.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, -3, 2**64 - 5])
+    def test_counter_uniforms(self, seed):
+        counters = np.array([[0, 1, 2**40], [2**63, 2**64 - 2, 12345]], dtype=np.uint64)
+        u = rng.counter_uniforms(seed, counters)
+        assert u.tobytes() == counter_uniforms_unblocked(seed, counters).tobytes()
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_signature_expectation(self, antithetic):
+        # two whole recursion blocks and a part block; antithetic counts stay even
+        ctx = context(2, 3)
+        cfg = McConfig(2 * mc._SIG_BLOCK + (6 if antithetic else 5), 8, seed=4, antithetic=antithetic)
+        element, stderr = signature_expectation_stats(ctx, 1.0, cfg)
+        ref_element, ref_stderr = signature_expectation_unblocked(ctx, 1.0, cfg)
+        assert element.vec.tobytes() == ref_element.vec.tobytes()
+        assert np.array(list(stderr.values())).tobytes() == np.array(list(ref_stderr.values())).tobytes()
 
 
 class TestCovarianceDiagnostics:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,16 @@ class TestBatchDecision:
             for i in range(3):
                 assert np.array_equal(copy.field(i, ys), hz.field(i, ys))
                 assert np.array_equal(copy.jacobian(i, ys), hz.jacobian(i, ys))
+
+    def test_deprecation_warnings_still_mark_single_state_code(self):
+        def single_state(y):
+            if np.ndim(y) > 1:
+                warnings.warn("pass one state", DeprecationWarning)
+            return 2.0 * y
+
+        looped = sde._batched(single_state, np.array([0.5]), (1,))
+        assert looped is not single_state
+        assert np.array_equal(looped(np.array([[1.0], [2.0]])), [[2.0], [4.0]])
 
 
 class TestBrackets:
