@@ -27,7 +27,7 @@ import numpy as np
 
 from . import algebra, checks, cubature, greeks, mc, paths, sde
 from .algebra import context
-from .errors import ConfigError, CubatureError
+from .errors import ConfigError, CubatureError, UnsupportedPayoffError
 
 ENV_PREFIX = "CUBGREEKS_"
 
@@ -106,6 +106,14 @@ def parse_scale(text, t):
         except (ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"scale {text!r} has no finite value at t={t}") from exc
     raise ConfigError(f"cannot parse scale {text!r} (use sqrt_t or t^<p>/<q>)")
+
+
+def _parse_payoff(text):
+    """The --payoff flag; a malformed one is a usage error."""
+    try:
+        return mc.parse_payoff(text)
+    except UnsupportedPayoffError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_vector(text, name):
@@ -190,7 +198,7 @@ def _state_and_directions(args, system, t_values):
 def cmd_greek(args):
     system, _ = _load_model(args)
     y, (v,) = _state_and_directions(args, system, [args.t])
-    payoff = mc.parse_payoff(args.payoff)
+    payoff = _parse_payoff(args.payoff)
 
     if args.partition:
         k, gamma = args.partition
@@ -237,7 +245,7 @@ def cmd_converge(args):
     if min(t_values) <= 0.0 or len(set(t_values)) < 2:
         raise ConfigError(f"--t-list needs at least two distinct positive horizons, got {args.t_list!r}")
     y, directions = _state_and_directions(args, system, t_values if args.study == "greek" else [])
-    payoff = mc.parse_payoff(args.payoff)
+    payoff = _parse_payoff(args.payoff)
     rows = []
     errors = []
     for j, t in enumerate(t_values):

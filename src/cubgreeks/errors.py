@@ -63,7 +63,7 @@ class EllipticityError(CubatureError):
 
 
 class UnsupportedPayoffError(CubatureError):
-    """No closed-form reference exists for the requested payoff."""
+    """A payoff is malformed, or has no closed-form reference."""
 
 
 class ConfigError(CubatureError):

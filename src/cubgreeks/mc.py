@@ -7,7 +7,9 @@ expectation, the d=2 covariance diagnostics, and lognormal closed forms.
 The signature expectation runs on the algebra context's dense kernel, the
 same product and segment exponential as ``paths.signature``, applied to a
 word-major batch of paths; it checks the heat element against simulation,
-not the product itself.
+not the product itself.  It draws and multiplies one block of paths at a
+time, and the covariance diagnostics turn their draw into Brownian paths in
+place, so neither keeps a second copy of a draw.
 Estimators are reproducible: draws come from the counter-based stream in
 :mod:`cubgreeks.rng`, so a seed fixes every number regardless of scheduling.
 """
@@ -25,9 +27,8 @@ from scipy.stats import norm
 from . import algebra
 from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError
 from .rng import normal_increments
-from .sde import FD_STEP, _batched, _matvec, batched
+from .sde import _batched, _fd_directional, _matvec, batched
 
-DEFAULT_CHUNK = 25_000
 _SIG_BLOCK = 2048  # paths per Chen recursion block: the product's (splits x paths) terms stay in L2
 
 
@@ -55,10 +56,12 @@ class Payoff:
     def __init__(self, kind, strike=None, smoothing=None):
         if kind not in ("identity", "call", "smoothed_call"):
             raise UnsupportedPayoffError(f"unknown payoff {kind!r}")
-        if kind != "identity" and strike is None:
-            raise UnsupportedPayoffError(f"payoff {kind!r} needs a strike")
-        if kind == "smoothed_call" and (smoothing is None or smoothing <= 0):
-            raise UnsupportedPayoffError("smoothed_call needs a positive smoothing width")
+        if kind != "identity" and not _finite(strike):
+            raise UnsupportedPayoffError(f"payoff {kind!r} needs a finite strike, got {strike!r}")
+        if kind == "smoothed_call" and not (_finite(smoothing) and smoothing > 0):
+            raise UnsupportedPayoffError(
+                f"smoothed_call needs a positive finite smoothing width, got {smoothing!r}"
+            )
         self.kind = kind
         self.strike = strike
         self.smoothing = smoothing
@@ -87,15 +90,25 @@ class Payoff:
         return f"smoothed_call:{self.strike}:{self.smoothing}"
 
 
+def _finite(x):
+    try:
+        return math.isfinite(x)
+    except TypeError:
+        return False
+
+
 def parse_payoff(text):
-    """\"identity\", \"call:K\", or \"smoothed_call:K:eps\"."""
+    """\"identity\", \"call:K\", or \"smoothed_call:K:eps\" with finite K and eps."""
     parts = str(text).split(":")
-    if parts[0] == "identity":
-        return Payoff("identity")
-    if parts[0] == "call" and len(parts) == 2:
-        return Payoff("call", float(parts[1]))
-    if parts[0] == "smoothed_call" and len(parts) == 3:
-        return Payoff("smoothed_call", float(parts[1]), float(parts[2]))
+    try:
+        if parts == ["identity"]:
+            return Payoff("identity")
+        if parts[0] == "call" and len(parts) == 2:
+            return Payoff("call", float(parts[1]))
+        if parts[0] == "smoothed_call" and len(parts) == 3:
+            return Payoff("smoothed_call", float(parts[1]), float(parts[2]))
+    except ValueError as exc:
+        raise UnsupportedPayoffError(f"cannot parse payoff {text!r}: {exc}") from exc
     raise UnsupportedPayoffError(f"cannot parse payoff {text!r}")
 
 
@@ -133,8 +146,12 @@ def _euler_step(ys, dB, dt, fields, jacobians):
 
 def _batched_payoff(system, f, y0):
     """f as a map from (n, N) states to (n,) floats; raises unless the fields
-    and Jacobians take batches, as the Euler loops evaluate them on all paths."""
-    if batched(system, y0) is not system:
+    and analytic Jacobians take batches, as the Euler loops evaluate them on
+    all paths (finite-difference Jacobians follow their fields)."""
+    n = len(y0)
+    analytic = range(system.d + 1) if system.jacobians is not None else ()
+    jacobians = [lambda y, i=i: system.jacobian(i, y) for i in analytic]
+    if batched(system, y0) is not system or any(_batched(j, y0, (n, n)) is not j for j in jacobians):
         raise DomainError(
             f"fields or Jacobians of {system.name!r} do not evaluate (n, N) state batches "
             "row by row; the Monte Carlo oracles need them to (index states as y[..., i])"
@@ -181,13 +198,6 @@ def fd_greek(system, f, y, v, t, cfg, h=1e-3):
     return _mean_stderr((f_up - f_dn) / (2.0 * h), cfg.antithetic)
 
 
-def _hessian_action(system, i, ys, u):
-    """(d(dV_i)(y) . u) via central differences of the Jacobian."""
-    return (
-        system.jacobian(i, ys + FD_STEP * u) - system.jacobian(i, ys - FD_STEP * u)
-    ) / (2.0 * FD_STEP)
-
-
 def malliavin_delta_m1(system, f, y, v, t, cfg):
     """Adapted elliptic weight: E(f(Y_t) (1/t) int (sigma^{-1}(Y_s) J_s v)' dB_s).
 
@@ -225,7 +235,8 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
         drift_J = system.jacobian(0, ys)
         for i in range(1, system.d + 1):
             ji = jacobians[i - 1]
-            drift_J = drift_J + 0.5 * (_hessian_action(system, i, ys, fields[i]) + ji @ ji)
+            hessian = _fd_directional(lambda z, i=i: system.jacobian(i, z), ys, fields[i])
+            drift_J = drift_J + 0.5 * (hessian + ji @ ji)
         step_J = drift_J @ J * dt
         for i in range(1, system.d + 1):
             step_J = step_J + (jacobians[i - 1] @ J) * dB[:, i - 1, None, None]
@@ -260,42 +271,35 @@ def simple_weight_delta_m1(system, f, y, v, t, cfg):
 # signature expectation
 
 
-def signature_expectation_stats(ctx, t, cfg, chunk=DEFAULT_CHUNK):
+def signature_expectation_stats(ctx, t, cfg):
     """Mean truncated signature of simulated Brownian interpolations + stderr.
 
     Paths are piecewise-linear with n_steps equal segments and time component
-    s.  Paths are drawn ``chunk`` at a time; within a chunk, blocks of
-    ``_SIG_BLOCK`` paths are word-major (dim, n) arrays, and each step applies
-    Chen's relation with the context's batched segment exponential and
-    product.  Per-path arithmetic is the same in any blocking, so the block
-    size changes no bit; ``chunk`` changes only the summation order of the
+    s.  They run in blocks of ``_SIG_BLOCK``: each block draws its own window
+    of the normal stream, which is bitwise that window of the full draw, holds
+    its paths as a word-major (dim, n) array, applies Chen's relation at each
+    step with the context's batched segment exponential and product, and adds
+    its column sums to the totals.  Per-path arithmetic is the same in any
+    blocking, so the block size changes only the summation order of the
     totals.  Returns (mean element, {word: stderr}).
     """
-    if chunk < 1:
-        raise DomainError(f"chunk must be >= 1, got {chunk}")
     d = ctx.d
     dt = t / cfg.n_steps
     sdt = math.sqrt(dt)
     total = np.zeros(ctx.dim)
     total_sq = np.zeros(ctx.dim)
-    done = 0
-    while done < cfg.n_paths:
-        n = min(chunk, cfg.n_paths - done)
-        normals = normal_increments(cfg.seed, done, n, cfg.n_steps, d, cfg.antithetic)
-        sig = np.empty((ctx.dim, n))
-        for start in range(0, n, _SIG_BLOCK):
-            block = normals[start : start + _SIG_BLOCK]
-            inc = np.empty((d + 1, len(block)))
-            inc[0] = dt
-            block_sig = np.zeros((ctx.dim, len(block)))
-            block_sig[0] = 1.0
-            for k in range(cfg.n_steps):
-                inc[1:] = block[:, k, :].T * sdt
-                block_sig = ctx.product(block_sig, ctx.segment_exp(inc))
-            sig[:, start : start + len(block)] = block_sig
+    for start in range(0, cfg.n_paths, _SIG_BLOCK):
+        n = min(_SIG_BLOCK, cfg.n_paths - start)
+        normals = normal_increments(cfg.seed, start, n, cfg.n_steps, d, cfg.antithetic)
+        inc = np.empty((d + 1, n))
+        inc[0] = dt
+        sig = np.zeros((ctx.dim, n))
+        sig[0] = 1.0
+        for k in range(cfg.n_steps):
+            inc[1:] = normals[:, k, :].T * sdt
+            sig = ctx.product(sig, ctx.segment_exp(inc))
         total += sig.sum(axis=1)
         total_sq += (sig * sig).sum(axis=1)
-        done += n
     n = cfg.n_paths
     mean = total / n
     var = np.maximum(total_sq / n - mean * mean, 0.0) * (n / max(n - 1, 1))
@@ -314,21 +318,16 @@ def signature_expectation_mc(ctx, t, cfg):
 # d=2, m=2 covariance diagnostics
 
 
-@dataclass(frozen=True)
-class CovarianceSample:
-    """Per-path reduced covariance over the basis (e1, e2, [e1,e2], e0)."""
-
-    matrix: np.ndarray
-    dt: float
-
-
 def _covariance_matrices(t, cfg, path_start=0):
-    """(n, 4, 4) covariance matrices from left-point quadratures of one ensemble."""
+    """(n, 4, 4) covariance matrices and their quadratures I_1, I_2, Q, from
+    left-point sums over one ensemble.  The draw buffer becomes the left
+    endpoints B_{s_k} in place: the scaled increments shifted one step later
+    behind a zero, then a running sum along each path."""
     dt = t / cfg.n_steps
-    normals = normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2, cfg.antithetic)
-    dB = normals * math.sqrt(dt)
-    b = np.concatenate([np.zeros((cfg.n_paths, 1, 2)), np.cumsum(dB, axis=1)], axis=1)
-    left = b[:, :-1, :]
+    left = normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2, cfg.antithetic)
+    left[:, 1:] = left[:, :-1] * math.sqrt(dt)
+    left[:, 0] = 0.0
+    np.cumsum(left, axis=1, out=left)
     i1 = left[:, :, 0].sum(axis=1) * dt
     i2 = left[:, :, 1].sum(axis=1) * dt
     q = (left[:, :, 0] ** 2 + left[:, :, 1] ** 2).sum(axis=1) * dt
@@ -341,12 +340,7 @@ def _covariance_matrices(t, cfg, path_start=0):
     c[:, 1, 2] = -i1
     c[:, 2, 1] = -i1
     c[:, 2, 2] = q
-    return c, i1, i2, q, dt
-
-
-def covariance_samples(t, cfg):
-    c, _, _, _, dt = _covariance_matrices(t, cfg)
-    return [CovarianceSample(c[j], dt) for j in range(len(c))]
+    return c, i1, i2, q
 
 
 @dataclass(frozen=True)
@@ -384,7 +378,7 @@ def covariance_diagnostics(t, cfg):
     means of C^t against the dilation-conjugated means of an independent C^1
     ensemble, within 4 standard errors.
     """
-    c_t, i1, i2, q, _ = _covariance_matrices(t, cfg)
+    c_t, i1, i2, q = _covariance_matrices(t, cfg)
     det_direct = np.linalg.det(c_t[:, :3, :3])
     det_formula = t * t * q - t * i1 * i1 - t * i2 * i2
     scale = np.maximum(np.abs(det_formula), 1e-300)

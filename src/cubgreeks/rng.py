@@ -43,16 +43,6 @@ def _unit(bits, out):
     return out
 
 
-def counter_uniforms(seed, counters):
-    """Uniforms in (0, 1) at the given 64-bit counter positions."""
-    z = np.array(counters, dtype=np.uint64)
-    np.add(z, 1, out=z)
-    np.multiply(z, np.uint64(_GOLDEN), out=z)
-    np.add(z, np.uint64(int(seed) % 2**64), out=z)
-    _splitmix64(z, np.empty_like(z))
-    return _unit(z, np.empty(z.shape))[()]
-
-
 def normal_increments(seed, path_start, n_paths, n_steps, d, antithetic=False):
     """Standard normal array of shape (n_paths, n_steps, d).
 

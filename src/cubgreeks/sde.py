@@ -9,8 +9,9 @@ Jacobians are expected to accept batched states (leading axes broadcast, e.g.
 path, or each row along its own path over shared knot times, so a level of
 the cubature tree is one call per group of formula paths with the same knot
 times, and the Monte Carlo oracle vectorizes over paths.  ``batched`` decides
-once per call, on N + 1 copies of the start state, whether a system does: the
-tree runs single-state fields row by row, the Monte Carlo oracles refuse them.
+once per call, on N + 1 copies of the start state, whether a system's fields
+do: the tree runs single-state fields row by row, the Monte Carlo oracles
+refuse them.
 """
 
 from __future__ import annotations
@@ -82,29 +83,25 @@ def _batched(func, y0, row_shape):
 
 
 def batched(system, y0):
-    """system if its fields and Jacobians all take batches of states at y0
-    (see ``_batched``), else a copy in which the others run row by row.
-    Finite-difference Jacobians follow their fields."""
-    n, k = len(y0), system.d + 1
-    probes = [lambda y, i=i: system.field(i, y) for i in range(k)]
-    if system.jacobians is not None:
-        probes += [lambda y, i=i: system.jacobian(i, y) for i in range(k)]
-    funcs = [_batched(p, y0, (n,) if j < k else (n, n)) for j, p in enumerate(probes)]
-    if funcs == probes:
-        return system
-    return replace(system, fields=tuple(funcs[:k]), jacobians=tuple(funcs[k:]) or None)
+    """system if its fields all take batches of states at y0 (see
+    ``_batched``), else a copy whose other fields run row by row.  Jacobians
+    are not probed: the copy serves ``evolve``, which calls fields alone, and
+    the Monte Carlo oracles probe the analytic Jacobians they evaluate."""
+    probes = [lambda y, i=i: system.field(i, y) for i in range(system.d + 1)]
+    funcs = [_batched(p, y0, (len(y0),)) for p in probes]
+    return system if funcs == probes else replace(system, fields=tuple(funcs))
 
 
-def _fd_jacobian(func, y, h=FD_STEP):
+def _fd_directional(func, y, u):
+    """Central difference (func(y + h u) - func(y - h u)) / (2h), h = FD_STEP:
+    the derivative of func at y along u, batched over y's leading axes."""
+    return (func(y + FD_STEP * u) - func(y - FD_STEP * u)) / (2.0 * FD_STEP)
+
+
+def _fd_jacobian(func, y):
     """Batched central-difference Jacobian: output shape y.shape + (N,)."""
     y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
-    cols = []
-    for k in range(n):
-        dy = np.zeros_like(y)
-        dy[..., k] = h
-        cols.append((func(y + dy) - func(y - dy)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    return np.stack([_fd_directional(func, y, e) for e in np.eye(y.shape[-1])], axis=-1)
 
 
 class FieldExpr:

@@ -7,7 +7,8 @@ truncated products and signatures from double loops over sparse word maps,
 cubature trees from one single-path RK4 loop per node, and first variations
 from a joint RK4 loop of their own.  The counter-based normals and the
 signature-expectation recursion are frozen, unblocked copies that draw and
-multiply every path of a chunk in one array.
+multiply every path of a chunk in one array, and the covariance quadratures a
+frozen copy that builds the Brownian paths beside the draw.
 """
 
 import math
@@ -15,7 +16,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from cubgreeks import algebra, sde
+from cubgreeks import algebra, rng, sde
 from cubgreeks.errors import BlowUpError, DomainError
 
 
@@ -294,3 +295,26 @@ def signature_expectation_unblocked(ctx, t, cfg, chunk=25_000):
     mean = total / n
     var = np.maximum(total_sq / n - mean * mean, 0.0) * (n / max(n - 1, 1))
     return algebra.from_dense(ctx, mean), dict(zip(ctx.basis, np.sqrt(var / n).tolist()))
+
+
+def covariance_matrices_copied(t, cfg, path_start=0):
+    """(c, I_1, I_2, Q) of ``mc._covariance_matrices`` with the increments, the
+    Brownian paths and their zero start each held as an array of their own."""
+    dt = t / cfg.n_steps
+    normals = rng.normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2, cfg.antithetic)
+    dB = normals * math.sqrt(dt)
+    b = np.concatenate([np.zeros((cfg.n_paths, 1, 2)), np.cumsum(dB, axis=1)], axis=1)
+    left = b[:, :-1, :]
+    i1 = left[:, :, 0].sum(axis=1) * dt
+    i2 = left[:, :, 1].sum(axis=1) * dt
+    q = (left[:, :, 0] ** 2 + left[:, :, 1] ** 2).sum(axis=1) * dt
+    n = cfg.n_paths
+    c = np.zeros((n, 4, 4))
+    c[:, 0, 0] = t
+    c[:, 1, 1] = t
+    c[:, 0, 2] = i2
+    c[:, 2, 0] = i2
+    c[:, 1, 2] = -i1
+    c[:, 2, 1] = -i1
+    c[:, 2, 2] = q
+    return c, i1, i2, q

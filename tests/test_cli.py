@@ -159,6 +159,18 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("payoff", ["call:abc", "call:nan", "smoothed_call:1:nan", "bogus"])
+    @pytest.mark.parametrize("command", ["greek", "converge"])
+    def test_payoff(self, bs_model, capsys, command, payoff):
+        if command == "greek":
+            argv = ["greek", "--y", "1.0", "--direction", "1", "--t", "0.5"]
+        else:
+            argv = ["converge", "--study", "expectation"]
+        assert main(argv + ["--model", bs_model, "--payoff", payoff]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
     def test_non_finite_state(self, bs_model, capsys, y):
         argv = ["greek", "--model", bs_model, f"--y={y}", "--direction", "V1", "--t", "0.1"]

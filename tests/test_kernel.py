@@ -68,7 +68,7 @@ def test_batched_signature_mc_matches_per_path(d, m):
     ctx = context(d, m)
     t = 0.7
     cfg = mc.McConfig(n_paths=7, n_steps=5, seed=11)
-    mean, _ = mc.signature_expectation_stats(ctx, t, cfg, chunk=3)
+    mean, _ = mc.signature_expectation_stats(ctx, t, cfg)
     normals = normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, d)
     dt = t / cfg.n_steps
     per_path = []

@@ -12,7 +12,6 @@ from cubgreeks.mc import (
     Payoff,
     bs_closed_form,
     covariance_diagnostics,
-    covariance_samples,
     euler_expectation,
     fd_greek,
     malliavin_delta_m1,
@@ -23,6 +22,7 @@ from cubgreeks.mc import (
 
 from oracles import (
     counter_uniforms_unblocked,
+    covariance_matrices_copied,
     gbm_exact_samples,
     heisenberg_one_state,
     normal_increments_unblocked,
@@ -33,16 +33,24 @@ BS = sde.black_scholes(0.05, 0.3)
 IDENT = Payoff("identity")
 
 
+def _uniforms(seed, counters):
+    """Uniforms at 64-bit counter positions through the in-place mixer and
+    unit map that ``rng.normal_increments`` applies to each block."""
+    z = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * np.uint64(rng._GOLDEN)
+    z += np.uint64(int(seed) % 2**64)
+    return rng._unit(rng._splitmix64(z, np.empty_like(z)), np.empty(z.shape))
+
+
 class TestCounterRng:
     def test_deterministic_and_in_unit_interval(self):
-        u1 = rng.counter_uniforms(7, np.arange(1000))
-        u2 = rng.counter_uniforms(7, np.arange(1000))
+        u1 = _uniforms(7, np.arange(1000))
+        u2 = _uniforms(7, np.arange(1000))
         assert np.array_equal(u1, u2)
         assert np.all((u1 > 0.0) & (u1 < 1.0))
 
     def test_seed_changes_stream(self):
-        u1 = rng.counter_uniforms(7, np.arange(1000))
-        u2 = rng.counter_uniforms(8, np.arange(1000))
+        u1 = _uniforms(7, np.arange(1000))
+        u2 = _uniforms(8, np.arange(1000))
         assert not np.array_equal(u1, u2)
 
     def test_moments_sane(self):
@@ -371,7 +379,7 @@ class TestOneEvaluationPerStep:
     )
     def test_call_counts(self, monkeypatch, estimator, loop_calls):
         counts, phase, probes = {}, ["loop"], []
-        probe = mc.batched
+        probe = mc._batched_payoff
 
         def counted_probe(*args, **kwargs):
             phase[0] = "probe"
@@ -381,7 +389,7 @@ class TestOneEvaluationPerStep:
             finally:
                 phase[0] = "loop"
 
-        monkeypatch.setattr(mc, "batched", counted_probe)
+        monkeypatch.setattr(mc, "_batched_payoff", counted_probe)
         cfg = McConfig(n_paths=100, n_steps=10, seed=3)
         call = Payoff("call", 1.0)
         got = estimator(self._counting_bs(counts, phase), call, [1.0], [1.0], 0.5, cfg)
@@ -472,25 +480,36 @@ class TestSignatureExpectation:
         z = rng.normal_increments(-3, 0, 4, 2, 1)
         assert z.shape == (4, 2, 1) and np.isfinite(z).all()
 
-    def test_chunking_invariant(self):
-        ctx = context(1, 3)
+    @staticmethod
+    def _stats_in_blocks(monkeypatch, block, cfg):
+        monkeypatch.setattr(mc, "_SIG_BLOCK", block)
+        return signature_expectation_stats(context(1, 3), 0.5, cfg)
+
+    def test_chunking_invariant(self, monkeypatch):
+        # the recursion block size moves only the summation order of the totals
         cfg = McConfig(n_paths=300, n_steps=16, seed=21)
-        e1, s1 = signature_expectation_stats(ctx, 0.5, cfg, chunk=37)
-        e2, s2 = signature_expectation_stats(ctx, 0.5, cfg, chunk=300)
-        assert all(abs(e1.coeff(w) - e2.coeff(w)) < 1e-12 for w in ctx.basis)
+        e1, s1 = self._stats_in_blocks(monkeypatch, 37, cfg)
+        e2, s2 = self._stats_in_blocks(monkeypatch, 300, cfg)
+        assert np.max(np.abs(e1.vec - e2.vec)) < 1e-12
 
-    def test_antithetic_odd_chunks(self):
-        # a chunk of 37 splits antithetic pairs; pairs are keyed by path index
-        ctx = context(1, 3)
+    def test_antithetic_odd_chunks(self, monkeypatch):
+        # a block of 37 splits antithetic pairs; pairs are keyed by path index
         cfg = McConfig(n_paths=300, n_steps=16, seed=21, antithetic=True)
-        e1, s1 = signature_expectation_stats(ctx, 0.5, cfg, chunk=37)
-        e2, s2 = signature_expectation_stats(ctx, 0.5, cfg, chunk=300)
+        e1, s1 = self._stats_in_blocks(monkeypatch, 37, cfg)
+        e2, s2 = self._stats_in_blocks(monkeypatch, 300, cfg)
         assert np.max(np.abs(e1.vec - e2.vec)) < 1e-14
-        assert max(abs(s1[w] - s2[w]) for w in ctx.basis) < 1e-14
+        assert max(abs(s1[w] - s2[w]) for w in s1) < 1e-14
 
-    def test_chunk_must_be_positive(self):
-        with pytest.raises(DomainError):
-            signature_expectation_stats(context(1, 3), 0.5, McConfig(10, 4), chunk=0)
+    def test_peak_memory_does_not_grow_with_paths(self):
+        ctx, peaks = context(2, 3), []
+        for n_paths in (2 * mc._SIG_BLOCK, 6 * mc._SIG_BLOCK):
+            tracemalloc.start()
+            try:
+                signature_expectation_stats(ctx, 1.0, McConfig(n_paths, 16, seed=2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**16
 
 
 class TestBitwiseAgainstUnblockedOracles:
@@ -522,7 +541,7 @@ class TestBitwiseAgainstUnblockedOracles:
     @pytest.mark.parametrize("seed", [0, -3, 2**64 - 5])
     def test_counter_uniforms(self, seed):
         counters = np.array([[0, 1, 2**40], [2**63, 2**64 - 2, 12345]], dtype=np.uint64)
-        u = rng.counter_uniforms(seed, counters)
+        u = _uniforms(seed, counters)
         assert u.tobytes() == counter_uniforms_unblocked(seed, counters).tobytes()
 
     @pytest.mark.parametrize("antithetic", [False, True])
@@ -531,9 +550,26 @@ class TestBitwiseAgainstUnblockedOracles:
         ctx = context(2, 3)
         cfg = McConfig(2 * mc._SIG_BLOCK + (6 if antithetic else 5), 8, seed=4, antithetic=antithetic)
         element, stderr = signature_expectation_stats(ctx, 1.0, cfg)
-        ref_element, ref_stderr = signature_expectation_unblocked(ctx, 1.0, cfg)
+        ref_element, ref_stderr = signature_expectation_unblocked(ctx, 1.0, cfg, chunk=mc._SIG_BLOCK)
         assert element.vec.tobytes() == ref_element.vec.tobytes()
         assert np.array(list(stderr.values())).tobytes() == np.array(list(ref_stderr.values())).tobytes()
+
+    @pytest.mark.parametrize(
+        "t, cfg, path_start",
+        [
+            (0.25, McConfig(20000, 128, seed=2), 0),  # the diagnostics ensemble
+            (1.0, McConfig(500, 128, seed=2), 500),  # its horizon-1 partner
+            (0.25, McConfig(64, 32, seed=5, antithetic=True), 0),
+            (0.25, McConfig(10, 16, seed=5, antithetic=True), 7),
+            (0.3, McConfig(50, 1, seed=1), 0),
+            (0.3, McConfig(50, 129, seed=1), 0),
+            (0.7, McConfig(10, 16, seed=-3), 2**40),
+        ],
+    )
+    def test_covariance_matrices(self, t, cfg, path_start):
+        got = mc._covariance_matrices(t, cfg, path_start)
+        ref = covariance_matrices_copied(t, cfg, path_start)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
 
 class TestCovarianceDiagnostics:
@@ -552,10 +588,20 @@ class TestCovarianceDiagnostics:
         assert report.positivity_fraction == 1.0
 
     def test_diagonal_entries_exact(self):
-        samples = covariance_samples(0.3, McConfig(n_paths=50, n_steps=64, seed=1))
-        for s in samples:
-            assert s.matrix[0, 0] == 0.3 and s.matrix[1, 1] == 0.3
-            assert np.all(s.matrix[3, :] == 0.0) and np.all(s.matrix[:, 3] == 0.0)
+        matrices = mc._covariance_matrices(0.3, McConfig(n_paths=50, n_steps=64, seed=1))[0]
+        for c in matrices:
+            assert c[0, 0] == 0.3 and c[1, 1] == 0.3
+            assert np.all(c[3, :] == 0.0) and np.all(c[:, 3] == 0.0)
+
+    def test_peak_memory_stays_near_one_draw(self):
+        cfg = McConfig(n_paths=4000, n_steps=128, seed=3)
+        tracemalloc.start()
+        try:
+            covariance_diagnostics(0.25, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * cfg.n_paths * cfg.n_steps * 2 * 8
 
     def test_scaling_against_conjugated_unit_ensemble(self):
         report = covariance_diagnostics(0.25, self.CFG)
@@ -604,6 +650,20 @@ class TestClosedForms:
         assert smoothed.smoothing == 0.05
         with pytest.raises(UnsupportedPayoffError):
             parse_payoff("digital:1.0")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["call:abc", "call:nan", "call:inf", "smoothed_call:1:nan", "smoothed_call:x:0.1", "bogus", "identity:1"],
+    )
+    def test_malformed_payoff_is_refused(self, text):
+        with pytest.raises(UnsupportedPayoffError):
+            parse_payoff(text)
+
+    def test_payoff_numbers_must_be_finite(self):
+        with pytest.raises(UnsupportedPayoffError):
+            Payoff("call", math.nan)
+        with pytest.raises(UnsupportedPayoffError):
+            Payoff("smoothed_call", 1.0, math.inf)
 
     def test_rejects_bad_domain(self):
         with pytest.raises(DomainError):

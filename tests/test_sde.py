@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,12 +170,28 @@ class TestBatchDecision:
         copy = sde.batched(one_state, y0)
         assert sde.batched(hz, y0) is hz
         assert copy is not one_state and copy.name == one_state.name
+        # only fields are wrapped: evolve, the copy's one user, calls no Jacobian
+        assert copy.jacobians is one_state.jacobians
         # 1, N, N + 1 and more rows: each row gets the single-state value
         for n in (1, 2, 3, 5):
             ys = y0 + 0.1 * np.arange(2 * n).reshape(n, 2)
             for i in range(3):
                 assert np.array_equal(copy.field(i, ys), hz.field(i, ys))
-                assert np.array_equal(copy.jacobian(i, ys), hz.jacobian(i, ys))
+
+    def test_the_tree_calls_no_jacobian(self):
+        from cubgreeks.greeks import GreekRequest, gamma_partition, greek_iterated
+        from cubgreeks.mc import Payoff
+
+        calls = []
+        bs = black_scholes(0.05, 0.3)
+        counted = tuple(lambda y, j=j: calls.append(1) or j(y) for j in bs.jacobians)
+        system = sde.VectorFieldSystem(dim=1, d=1, fields=bs.fields, jacobians=counted)
+        request = GreekRequest(
+            system=system, payoff=Payoff("call", 1.0), y=(1.0,), v=(1.0,), t=1.0,
+            m=2, m_prime=3, partition=tuple(gamma_partition(1.0, 0.1, 4, 2)),
+        )
+        assert greek_iterated(request).estimate == greek_iterated(replace(request, system=bs)).estimate
+        assert calls == []
 
     def test_deprecation_warnings_still_mark_single_state_code(self):
         def single_state(y):

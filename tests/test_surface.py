@@ -1,0 +1,53 @@
+"""The public surface: the names the package exports and the CLI's commands
+and long flags.  Changing either is a deliberate act that edits this file."""
+
+import argparse
+import inspect
+
+import cubgreeks
+from cubgreeks import cli
+
+EXPORTS = {
+    "AlgebraContext", "CubatureFormula", "GreekRequest", "GreekResult", "GreeksFormula",
+    "McConfig", "Payoff", "PiecewisePath", "TensorElement", "VectorFieldSystem",
+    "black_scholes", "bracket_evaluate", "bracket_vf", "bs_closed_form", "context",
+    "covariance_diagnostics", "decompose_direction", "euler_expectation", "evolve",
+    "expectation_degree3", "expectation_degree5_d1", "expectation_one_step", "fd_greek",
+    "first_variation", "gamma_partition", "greek_iterated", "greek_one_step", "greek_target",
+    "greeks_solve", "greeks_two_point", "heat_element", "heisenberg_toy", "lie_basis",
+    "lie_direction", "load_model", "malliavin_delta_m1", "rescale_formula", "scale_path",
+    "segment_signature", "signature", "signature_expectation_mc", "verify_moments",
+    "word_degree",
+}
+
+COMMON = {"--format", "--help", "--out", "--seed", "--threads"}
+COMMANDS = {
+    "verify": COMMON | {"--d", "--m"},
+    "greek": COMMON | {
+        "--direction", "--m", "--model", "--mprime", "--ode-steps", "--partition", "--payoff",
+        "--s0", "--scale", "--t", "--y",
+    },
+    "converge": COMMON | {
+        "--direction", "--m", "--model", "--mprime", "--ode-steps", "--payoff", "--scale",
+        "--study", "--t-list", "--y",
+    },
+    "diagnostics": COMMON | {"--paths", "--steps", "--t"},
+    "cubature": COMMON | {"--d", "--direction", "--in", "--kind", "--m", "--t"},
+}
+
+
+def test_package_exports():
+    # submodules become attributes as they are imported, so they do not count
+    names = {n for n, v in vars(cubgreeks).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert names == EXPORTS
+    assert cubgreeks.__version__ == "0.1.0"
+
+
+def test_cli_commands_and_long_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {o for a in command._actions for o in a.option_strings if o.startswith("--")}
+        for name, command in sub.choices.items()
+    }
+    assert flags == COMMANDS
