@@ -313,7 +313,7 @@ def cmd_diagnostics(args):
 # export kind -> (truncation degrees its constructor covers, driver counts or None for any)
 EXPORT_KINDS = {
     "expectation3": ((1, 2, 3), None),
-    "expectation5": ((5,), (1,)),
+    "expectation5": ((5,), (1, 2, 3)),
     "greeks2pt": ((1, 2), None),
 }
 
@@ -328,7 +328,7 @@ def cmd_cubature(args):
         if args.kind == "expectation3":
             formula = cubature.expectation_degree3(ctx, args.t)
         elif args.kind == "expectation5":
-            formula = cubature.expectation_degree5_d1(ctx, args.t)
+            formula = cubature.expectation_degree5(ctx, args.t)
         else:
             w_vec = _parse_vector(args.direction, "--direction")
             if len(w_vec) != ctx.d:
@@ -347,11 +347,14 @@ def cmd_cubature(args):
         raise ConfigError(f"formula file not found: {args.infile}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"formula file is not valid JSON: {exc}") from exc
+    # a well-formed file always yields residuals, so any failure up to them is the file's
     try:
         formula = cubature.formula_from_dict(data, verify=False)
+        residuals = cubature.verify_moments(formula, formula.target())
     except KeyError as exc:
         raise ConfigError(f"formula file {args.infile} is missing key {exc}") from exc
-    residuals = cubature.verify_moments(formula, formula.target())
+    except (TypeError, ValueError, OverflowError, CubatureError) as exc:
+        raise ConfigError(f"formula file {args.infile} is malformed: {exc}") from exc
     worst = max(residuals.values())
     _emit_json(
         {

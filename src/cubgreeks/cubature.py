@@ -7,6 +7,9 @@ constructors cover the closed-form families; beyond those, formulas are found
 by moment matching over a dictionary of candidate paths: signatures are
 linear in the weights once the paths are fixed, so the solve is a (possibly
 sign-constrained) linear least-squares problem in the coefficient basis.
+Every built-in path set is a union of orbits: the paths through a few
+increments and through their images under permutations and sign flips of the
+space axes (Lyons & Victoir), so the odd-space moments cancel by symmetry.
 
 Every built-in formula is built and verified once per context at horizon 1.
 ``rescale_formula`` alone carries it to a horizon t: sig(scale_path(p, t)) =
@@ -127,16 +130,31 @@ def _checked(formula, tol=VERIFY_TOL, residuals=None):
     return formula
 
 
+def _orbit(shape, d):
+    """Horizon-1 paths through the increments of ``shape`` and through every
+    image of them under permutations and sign flips of the d space axes.
+
+    Each increment lists its leading coordinates, time first, and is padded
+    with zeros to d+1; a shape that uses more than d space axes has no image.
+    Images are deduplicated in first-seen order, so the shape itself comes
+    first.
+    """
+    if max(len(inc) for inc in shape) > d + 1:
+        return []
+    incs = np.array([np.pad(np.asarray(inc, dtype=float), (0, d + 1 - len(inc))) for inc in shape])
+    images = {}
+    for perm in itertools.permutations(range(1, d + 1)):
+        for signs in itertools.product((1.0, -1.0), repeat=d):
+            image = incs.copy()
+            image[:, list(perm)] = incs[:, 1:] * signs + 0.0  # + 0.0 turns -0.0 into 0.0
+            images.setdefault(image.tobytes(), image)
+    return [paths.from_increments(1.0, image) for image in images.values()]
+
+
 @lru_cache(maxsize=None)
 def _expectation_degree3_unit(ctx):
-    d = ctx.d
-    eye = np.eye(d + 1)
-    items = tuple(
-        (1.0 / (2 * d), paths.line_path(1.0, eye[0] + sign * math.sqrt(d) * eye[i]))
-        for i in range(1, d + 1)
-        for sign in (1.0, -1.0)
-    )
-    return _checked(CubatureFormula(ctx, 1.0, items))
+    spikes = _orbit([(1.0, math.sqrt(ctx.d))], ctx.d)
+    return _checked(CubatureFormula(ctx, 1.0, tuple((1.0 / len(spikes), p) for p in spikes)))
 
 
 def expectation_degree3(ctx, t):
@@ -198,54 +216,42 @@ def _positive_solve(ctx, t, groups, target, tol):
     return _checked(CubatureFormula(ctx, t, items), tol)
 
 
-def _degree5_d1_dictionary():
-    """Symmetric candidate shapes for the d=1, m=5 solve at horizon 1.
-
-    Each entry is a spatially-symmetric pair (path, negated path) sharing one
-    weight; pairs kill all odd-space words exactly.  Shapes advance time
-    linearly and distribute the total space increment over up to three
-    segments; slopes are seeded from 3-point Gauss-Hermite nodes (0, +-sqrt3)
-    with zero-sum wiggles supplying the mixed time-space freedom.
-    """
-    shapes = []
-    totals = [0.0, math.sqrt(3.0), 2.0]
-    fractions = [0.25, 0.5, 0.75]
-    wiggles = [0.0, 0.5, 1.0, math.sqrt(3.0)]
-    for a in totals:
-        for alpha in fractions:
-            shapes.append((a * alpha, a * (1.0 - alpha)))
-        for c in wiggles:
-            shapes.append((a / 3.0 + c, a / 3.0 - 2 * c, a / 3.0 + c))
-            shapes.append((a / 3.0 - c, a / 3.0 + 2 * c, a / 3.0 - c))
-            shapes.append((a / 2.0 + c, -c, a / 2.0))
-    pairs = []
-    seen = set()
-    for shape in shapes:
-        key = tuple(round(v, 12) for v in shape)
-        if key in seen:
-            continue
-        seen.add(key)
-        k = len(shape)
-        incs = [np.array([1.0 / k, dv]) for dv in shape]
-        p = paths.from_increments(1.0, incs)
-        pairs.append((p, p.negated()))
-    return pairs
+_DEGREE5_SCALES = (0.5, 1.0, math.sqrt(3.0), 1.5, 2.0)
 
 
 @lru_cache(maxsize=None)
-def _expectation_degree5_d1_unit():
-    # one NNLS column per symmetric pair: the averaged signature
-    ctx = context(1, 5)
-    return _positive_solve(ctx, 1.0, _degree5_d1_dictionary(), algebra.heat_element(ctx, 1.0), VERIFY_TOL)
+def _expectation_degree5_unit(ctx):
+    # one NNLS column per orbit: its mean signature, which no odd-space word survives
+    d, T, scales = ctx.d, (1.0,), _DEGREE5_SCALES
+    shapes = [[T]] + [[T, (0.0, a)] for a in scales] + [[(0.0, a), T] for a in scales]
+    if d >= 2:
+        shapes += [[(0.0, a), T, (0.0, 0.0, b)] for a, b in itertools.product(scales, repeat=2)]
+    if d == 3:
+        # swapping the two axes maps (a, b) to (b, a), so a <= b covers every orbit
+        pairs = list(itertools.combinations_with_replacement(scales, 2))
+        shapes += [[(0.0, a, b), T] for a, b in pairs] + [[T, (0.0, a, b)] for a, b in pairs]
+    groups = [_orbit(shape, d) for shape in shapes]
+    return _positive_solve(ctx, 1.0, groups, algebra.heat_element(ctx, 1.0), VERIFY_TOL)
+
+
+def expectation_degree5(ctx, t):
+    """Degree-5 formula for d <= 3 drivers, solved once at t=1 and rescaled.
+
+    The candidates are orbits of short time-space shapes under the
+    hyperoctahedral group (Lyons & Victoir), each orbit sharing one weight.
+    """
+    if ctx.d > 3 or ctx.m != 5:
+        raise UnsupportedDegreeError(
+            f"built-in degree-5 formula needs d<=3, m=5, got d={ctx.d}, m={ctx.m}"
+        )
+    return rescale_formula(_expectation_degree5_unit(ctx), t)
 
 
 def expectation_degree5_d1(ctx, t):
-    """Degree-5 formula for a single driver, solved once at t=1 and rescaled."""
-    if ctx.d != 1 or ctx.m != 5:
-        raise UnsupportedDegreeError(
-            f"built-in degree-5 formula needs d=1, m=5, got d={ctx.d}, m={ctx.m}"
-        )
-    return rescale_formula(_expectation_degree5_d1_unit(), t)
+    """Degree-5 formula for a single driver (``expectation_degree5`` at d=1)."""
+    if ctx.d != 1:
+        raise UnsupportedDegreeError(f"expectation_degree5_d1 needs d=1, got d={ctx.d}")
+    return expectation_degree5(ctx, t)
 
 
 def greek_target(ctx, w, t):
@@ -341,43 +347,19 @@ def greeks_solve(ctx, w, t, dictionary, tol=VERIFY_TOL):
 def default_greeks_dictionary(ctx, t):
     """Deterministic candidate paths for degree <= 3 Greek targets.
 
-    Straight lines along coordinate axes and plane diagonals, two-segment
-    L-shapes in every ordered coordinate plane, and time-space combinations.
-    Built once per context at horizon 1 and carried to t by ``scale_path``.
+    The orbits of straight lines along an axis (two magnitudes) and a plane
+    diagonal, two-segment L-shapes in a coordinate plane, and time-space
+    combinations.  Built once per context at horizon 1 and carried to t by
+    ``scale_path``.
     """
     return [paths.scale_path(p, t) for p in _unit_greeks_dictionary(ctx)]
 
 
 @lru_cache(maxsize=None)
 def _unit_greeks_dictionary(ctx):
-    d = ctx.d
-    signs = (1.0, -1.0)
-
-    def axis(i, c):
-        inc = np.zeros(d + 1)
-        inc[i] = c
-        return inc
-
-    spaces = range(1, d + 1)
-    # coordinate lines, two magnitudes
-    out = [
-        paths.line_path(1.0, axis(i, s * c)) for i, s, c in itertools.product(spaces, signs, (1.0, 0.5))
-    ]
-    planes = list(itertools.product(spaces, spaces, signs, signs))
-    # plane diagonals
-    out += [paths.line_path(1.0, axis(i, si) + axis(j, sj)) for i, j, si, sj in planes if i < j]
-    # ordered L-shapes in every coordinate plane
-    out += [
-        paths.from_increments(1.0, [axis(i, si), axis(j, sj)]) for i, j, si, sj in planes if i != j
-    ]
-    # time-advancing variants: pure time, time-then-space, space-then-time, joint
-    time_inc = axis(0, 1.0)
-    out.append(paths.line_path(1.0, time_inc))
-    for i, s in itertools.product(spaces, signs):
-        out.append(paths.from_increments(1.0, [time_inc, axis(i, s)]))
-        out.append(paths.from_increments(1.0, [axis(i, s), time_inc]))
-        out.append(paths.line_path(1.0, time_inc + axis(i, s)))
-    return tuple(out)
+    T, e1, e2 = (1.0,), (0.0, 1.0), (0.0, 0.0, 1.0)
+    shapes = [[e1], [(0.0, 0.5)], [(0.0, 1.0, 1.0)], [e1, e2], [T], [T, e1], [e1, T], [(1.0, 1.0)]]
+    return tuple(p for shape in shapes for p in _orbit(shape, ctx.d))
 
 
 def rescale_formula(formula, t):

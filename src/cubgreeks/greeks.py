@@ -71,10 +71,10 @@ def expectation_formula(d, m_prime, t):
     """Built-in expectation formula for the requested degree, or raise."""
     if 1 <= m_prime <= 3:
         return cubature.expectation_degree3(context(d, 3), t)
-    if m_prime == 5 and d == 1:
-        return cubature.expectation_degree5_d1(context(1, 5), t)
+    if m_prime == 5 and d <= 3:
+        return cubature.expectation_degree5(context(d, 5), t)
     raise UnsupportedDegreeError(
-        f"no built-in expectation formula for m'={m_prime}, d={d} (built-ins: m'<=3 any d, m'=5 d=1)"
+        f"no built-in expectation formula for m'={m_prime}, d={d} (built-ins: m'<=3 any d, m'=5 d<=3)"
     )
 
 

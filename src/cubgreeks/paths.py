@@ -56,12 +56,6 @@ class PiecewisePath:
     def increments(self):
         return np.diff(self.points, axis=0)
 
-    def negated(self):
-        """Flip the spatial components, keeping the time-like component."""
-        pts = self.points.copy()
-        pts[:, 1:] *= -1.0
-        return PiecewisePath(self.t_end, list(zip(self.times, pts)))
-
     def __eq__(self, other):
         return (
             isinstance(other, PiecewisePath)

@@ -8,15 +8,18 @@ cubature trees from one single-path RK4 loop per node, and first variations
 from a joint RK4 loop of their own.  The counter-based normals and the
 signature-expectation recursion are frozen, unblocked copies that draw and
 multiply every path of a chunk in one array, and the covariance quadratures a
-frozen copy that builds the Brownian paths beside the draw.
+frozen copy that builds the Brownian paths beside the draw.  The built-in
+Greeks dictionary and degree-3 spikes are frozen copies of the family loops
+that built them before they became orbits.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy.special import ndtri
 
-from cubgreeks import algebra, rng, sde
+from cubgreeks import algebra, paths, rng, sde
 from cubgreeks.errors import BlowUpError, DomainError
 
 
@@ -97,6 +100,43 @@ def dict_signature(ctx, path):
                 seg[w] = seg.get(w, 0.0) + c
         sig = dict_mul(ctx, sig, seg)
     return sig
+
+
+def greeks_dictionary_loops(d):
+    """Horizon-1 Greeks dictionary, one loop per family of paths."""
+    signs = (1.0, -1.0)
+
+    def axis(i, c):
+        inc = np.zeros(d + 1)
+        inc[i] = c
+        return inc
+
+    spaces = range(1, d + 1)
+    out = [
+        paths.line_path(1.0, axis(i, s * c)) for i, s, c in itertools.product(spaces, signs, (1.0, 0.5))
+    ]
+    planes = list(itertools.product(spaces, spaces, signs, signs))
+    out += [paths.line_path(1.0, axis(i, si) + axis(j, sj)) for i, j, si, sj in planes if i < j]
+    out += [
+        paths.from_increments(1.0, [axis(i, si), axis(j, sj)]) for i, j, si, sj in planes if i != j
+    ]
+    time_inc = axis(0, 1.0)
+    out.append(paths.line_path(1.0, time_inc))
+    for i, s in itertools.product(spaces, signs):
+        out.append(paths.from_increments(1.0, [time_inc, axis(i, s)]))
+        out.append(paths.from_increments(1.0, [axis(i, s), time_inc]))
+        out.append(paths.line_path(1.0, time_inc + axis(i, s)))
+    return out
+
+
+def degree3_spikes(d):
+    """Horizon-1 degree-3 items: time 1 and +-sqrt(d) on one axis, weight 1/(2d)."""
+    eye = np.eye(d + 1)
+    return [
+        (1.0 / (2 * d), paths.line_path(1.0, eye[0] + sign * math.sqrt(d) * eye[i]))
+        for i in range(1, d + 1)
+        for sign in (1.0, -1.0)
+    ]
 
 
 def evolve_loop(system, y0, path, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):

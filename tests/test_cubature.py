@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from cubgreeks import algebra, paths, sde
 from cubgreeks.algebra import TensorElement, bracket, context, dilate, generator, heat_element, max_abs_diff, mul, zero
 from cubgreeks.cubature import (
+    VERIFY_TOL,
     CubatureFormula,
     default_greeks_dictionary,
     expectation_degree3,
+    expectation_degree5,
     expectation_degree5_d1,
     expectation_solve,
     greek_target,
@@ -19,6 +22,12 @@ from cubgreeks.cubature import (
     verify_moments,
 )
 from cubgreeks.errors import DomainError, NoFormulaFoundError, UnsupportedDegreeError
+
+from oracles import degree3_spikes, greeks_dictionary_loops
+
+
+def _path_key(path):
+    return path.times.tobytes(), path.points.tobytes()
 
 
 class TestVerifyMoments:
@@ -103,6 +112,34 @@ class TestExpectationDegree5:
         with pytest.raises(UnsupportedDegreeError):
             expectation_degree5_d1(context(1, 3), 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_up_to_three_drivers(self, d):
+        ctx = context(d, 5)
+        f = expectation_degree5(ctx, 1.0)
+        assert f.residual <= VERIFY_TOL and max_residual(f) <= VERIFY_TOL
+        assert np.all(f.weights > 0) and abs(f.weights.sum() - 1.0) < 1e-12
+        assert len(f.items) <= ctx.dim
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_weight_per_orbit(self, d):
+        # every image of a path under axis permutations and sign flips is in
+        # the formula, with the same weight
+        f = expectation_degree5(context(d, 5), 1.0)
+        weights = {p.points.tobytes(): w for w, p in f.items}
+        assert len(weights) == len(f.items)
+        for w, p in f.items:
+            for perm in itertools.permutations(range(1, d + 1)):
+                for signs in itertools.product((1.0, -1.0), repeat=d):
+                    image = p.points.copy()
+                    image[:, list(perm)] = p.points[:, 1:] * signs + 0.0
+                    assert weights[image.tobytes()] == w
+
+    def test_needs_at_most_three_drivers_and_m5(self):
+        with pytest.raises(UnsupportedDegreeError):
+            expectation_degree5(context(4, 5), 1.0)
+        with pytest.raises(UnsupportedDegreeError):
+            expectation_degree5(context(2, 3), 1.0)
+
     def test_solver_failure_reports_residual(self):
         ctx = context(1, 3)
         # a single-path dictionary cannot reproduce the heat element
@@ -110,6 +147,41 @@ class TestExpectationDegree5:
         with pytest.raises(NoFormulaFoundError) as err:
             expectation_solve(ctx, 1.0, dictionary)
         assert err.value.best_residual is None or err.value.best_residual > 1e-10
+
+
+class TestOrbitsMatchFamilyLoops:
+    """The orbit path sets against frozen copies of the loops they replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_greeks_dictionary_is_the_same_set(self, d):
+        new = [_path_key(p) for p in default_greeks_dictionary(context(d, 3), 1.0)]
+        old = [_path_key(p) for p in greeks_dictionary_loops(d)]
+        assert len(set(new)) == len(new)
+        assert sorted(new) == sorted(old)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_degree3_spikes_are_bitwise_equal(self, d):
+        f = expectation_degree3(context(d, 3), 1.0)
+        old = degree3_spikes(d)
+        assert [w.hex() for w in f.weights] == [w.hex() for w, _ in old]
+        assert [_path_key(p) for p in f.paths] == [_path_key(p) for _, p in old]
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 1.0])
+    def test_greek_weights_on_heisenberg_grid(self, t):
+        # same support; the weights grow like 1/t with the decomposed
+        # direction and move by a few ulps of their largest entry
+        system, ctx = sde.heisenberg_toy(), context(2, 3)
+        old_dictionary = greeks_dictionary_loops(2)
+        for y in itertools.product((-0.8, -0.1, 0.0, 0.4, 0.9), repeat=2):
+            coeffs, _ = sde.decompose_direction(system, y, sde.bracket_vf(system, 1, 2, y), t, 3)
+            w = sde.lie_direction(ctx, coeffs)
+            new = greeks_solve(ctx, w, 1.0, default_greeks_dictionary(ctx, 1.0))
+            old = greeks_solve(ctx, w, 1.0, old_dictionary)
+            new_mu = {_path_key(p): mu for mu, p in new.items}
+            old_mu = {_path_key(p): mu for mu, p in old.items}
+            assert new_mu.keys() == old_mu.keys()
+            scale = max(1.0, max(abs(mu) for mu in old_mu.values()))
+            assert max(abs(new_mu[k] - old_mu[k]) for k in new_mu) <= 1e-14 * scale
 
 
 class TestGreekTarget:

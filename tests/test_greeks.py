@@ -421,6 +421,42 @@ class TestFormulasFromHorizonOne:
         assert supports[0] and supports[0] == supports[1] == supports[2]
 
 
+def _hypo_payoff(x):
+    x = np.asarray(x, dtype=float)
+    return x[..., 1] * (1.0 + np.sin(x[..., 0]))
+
+
+class TestDegree5TwoDrivers:
+    """m'=5 on heisenberg_toy with f = x1 (1 + sin x0), where
+    E f(X_t^y) = y1 (1 + sin(y0) e^{-t/2})."""
+
+    Y = (0.3, 0.7)
+
+    def test_one_step_error_falls_like_t_cubed(self):
+        ts = [0.8, 0.4, 0.2, 0.1]
+        y0, y1 = self.Y
+
+        def slope(m_prime):
+            errors = [
+                abs(expectation_one_step(HEISENBERG, _hypo_payoff, self.Y, t, m_prime)
+                    - y1 * (1.0 + math.sin(y0) * math.exp(-0.5 * t)))
+                for t in ts
+            ]
+            return fit_loglog_slope(ts, errors)
+
+        # one step of a degree-m' formula errs by O(t^{(m'+1)/2})
+        assert abs(slope(5) - 3.0) < 0.25
+        assert abs(slope(3) - 2.0) < 0.25
+
+    def test_iterated_greek(self):
+        t = 0.1
+        result = greek_iterated(GreekRequest(
+            system=HEISENBERG, payoff=_hypo_payoff, y=self.Y, v=(0.0, 1.0), t=t, m=3, m_prime=5,
+            partition=tuple(gamma_partition(t, 0.025, 2, 1.0)),
+        ))
+        assert abs(result.estimate - (1.0 + math.sin(self.Y[0]) * math.exp(-0.5 * t))) < 1e-4
+
+
 class TestGammaPartition:
     def test_uniform_when_gamma_one(self):
         steps = gamma_partition(1.0, 0.2, 4, 1.0)

@@ -38,12 +38,6 @@ class TestPathValidation:
         with pytest.raises(InvalidPathError):
             PiecewisePath(1.0, [(0.0, [0.0]), (0.9, [1.0])])
 
-    def test_negated_flips_space_only(self):
-        p = from_increments(1.0, [[0.5, 1.0, -2.0]])
-        q = p.negated()
-        assert np.allclose(q.points[:, 0], p.points[:, 0])
-        assert np.allclose(q.points[:, 1:], -p.points[:, 1:])
-
 
 class TestSegmentSignature:
     def test_is_exponential_of_increment(self):
