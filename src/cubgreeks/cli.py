@@ -310,19 +310,20 @@ def cmd_diagnostics(args):
     return 1 if (tol_fail or z_fail) else 0
 
 
-# export kind -> (truncation degrees its constructor covers, driver counts or None for any)
+# export kind -> (truncation degrees its constructor covers, most drivers or None for any)
 EXPORT_KINDS = {
     "expectation3": ((1, 2, 3), None),
-    "expectation5": ((5,), (1, 2, 3)),
+    "expectation5": ((5,), cubature.DEGREE5_MAX_D),
     "greeks2pt": ((1, 2), None),
 }
 
 
 def cmd_cubature(args):
     if args.action == "export":
-        degrees, drivers = EXPORT_KINDS[args.kind]
-        if args.m not in degrees or (drivers and args.d not in drivers):
-            need = f"--m in {degrees}" + (f" and --d in {drivers}" if drivers else "")
+        # checked before the context is built: its basis grows like d^m
+        degrees, max_d = EXPORT_KINDS[args.kind]
+        if args.m not in degrees or (max_d and args.d > max_d):
+            need = f"--m in {degrees}" + (f" and --d <= {max_d}" if max_d else "")
             raise ConfigError(f"--kind {args.kind} needs {need}, got --m {args.m} --d {args.d}")
         ctx = context(args.d, args.m)
         if args.kind == "expectation3":
@@ -347,14 +348,13 @@ def cmd_cubature(args):
         raise ConfigError(f"formula file not found: {args.infile}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"formula file is not valid JSON: {exc}") from exc
-    # a well-formed file always yields residuals, so any failure up to them is the file's
     try:
         formula = cubature.formula_from_dict(data, verify=False)
-        residuals = cubature.verify_moments(formula, formula.target())
     except KeyError as exc:
         raise ConfigError(f"formula file {args.infile} is missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError, CubatureError) as exc:
         raise ConfigError(f"formula file {args.infile} is malformed: {exc}") from exc
+    residuals = cubature.verify_moments(formula, formula.target())
     worst = max(residuals.values())
     _emit_json(
         {

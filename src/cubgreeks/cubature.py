@@ -30,7 +30,13 @@ import scipy.optimize
 
 from . import algebra, paths
 from .algebra import context
-from .errors import DomainError, NoFormulaFoundError, UnsupportedDegreeError
+from .errors import (
+    ContextMismatchError,
+    DomainError,
+    InvalidPathError,
+    NoFormulaFoundError,
+    UnsupportedDegreeError,
+)
 
 VERIFY_TOL = 1e-10
 PRUNE_TOL = 1e-12
@@ -135,18 +141,20 @@ def _orbit(shape, d):
     image of them under permutations and sign flips of the d space axes.
 
     Each increment lists its leading coordinates, time first, and is padded
-    with zeros to d+1; a shape that uses more than d space axes has no image.
+    with zeros; a shape that uses k > d space axes has no image.  Only the k
+    axes the shape uses are sent anywhere (d!/(d-k)! 2^k maps, not d! 2^d).
     Images are deduplicated in first-seen order, so the shape itself comes
     first.
     """
-    if max(len(inc) for inc in shape) > d + 1:
+    k = max(len(inc) for inc in shape) - 1
+    if k > d:
         return []
-    incs = np.array([np.pad(np.asarray(inc, dtype=float), (0, d + 1 - len(inc))) for inc in shape])
+    incs = np.array([np.pad(np.asarray(inc, dtype=float), (0, k + 1 - len(inc))) for inc in shape])
     images = {}
-    for perm in itertools.permutations(range(1, d + 1)):
-        for signs in itertools.product((1.0, -1.0), repeat=d):
-            image = incs.copy()
-            image[:, list(perm)] = incs[:, 1:] * signs + 0.0  # + 0.0 turns -0.0 into 0.0
+    for axes in itertools.permutations(range(1, d + 1), k):
+        for signs in itertools.product((1.0, -1.0), repeat=k):
+            image = np.zeros((len(incs), d + 1))
+            image[:, [0, *axes]] = incs * (1.0, *signs) + 0.0  # + 0.0 turns -0.0 into 0.0
             images.setdefault(image.tobytes(), image)
     return [paths.from_increments(1.0, image) for image in images.values()]
 
@@ -217,6 +225,7 @@ def _positive_solve(ctx, t, groups, target, tol):
 
 
 _DEGREE5_SCALES = (0.5, 1.0, math.sqrt(3.0), 1.5, 2.0)
+DEGREE5_MAX_D = 3  # the orbit shapes below stop at three space axes
 
 
 @lru_cache(maxsize=None)
@@ -235,14 +244,14 @@ def _expectation_degree5_unit(ctx):
 
 
 def expectation_degree5(ctx, t):
-    """Degree-5 formula for d <= 3 drivers, solved once at t=1 and rescaled.
+    """Degree-5 formula for d <= DEGREE5_MAX_D drivers, solved once at t=1 and rescaled.
 
     The candidates are orbits of short time-space shapes under the
     hyperoctahedral group (Lyons & Victoir), each orbit sharing one weight.
     """
-    if ctx.d > 3 or ctx.m != 5:
+    if ctx.d > DEGREE5_MAX_D or ctx.m != 5:
         raise UnsupportedDegreeError(
-            f"built-in degree-5 formula needs d<=3, m=5, got d={ctx.d}, m={ctx.m}"
+            f"built-in degree-5 formula needs d<={DEGREE5_MAX_D}, m=5, got d={ctx.d}, m={ctx.m}"
         )
     return rescale_formula(_expectation_degree5_unit(ctx), t)
 
@@ -402,13 +411,21 @@ def formula_to_dict(formula):
 
 
 def formula_from_dict(data, verify=True):
+    """Rebuild a formula; its horizon, paths and direction must fit its t, d and m."""
     ctx = context(int(data["d"]), int(data["m"]))
     t = float(data["t"])
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"horizon must be positive and finite, got {t}")
     items = tuple(
         (float(item["w"]), paths.path_from_dict(item["path"])) for item in data["items"]
     )
+    for _, p in items:
+        if p.dim != ctx.d + 1:
+            raise InvalidPathError(f"path dimension {p.dim} != d+1 = {ctx.d + 1}")
     if data["flavor"] == "greeks":
         direction = algebra.element_from_dict(data["direction"])
+        if direction.context != ctx:
+            raise ContextMismatchError(f"direction lives in {direction.context}, formula in {ctx}")
         formula = GreeksFormula(ctx, t, direction, items)
     elif data["flavor"] == "expectation":
         formula = CubatureFormula(ctx, t, items)

@@ -71,10 +71,11 @@ def expectation_formula(d, m_prime, t):
     """Built-in expectation formula for the requested degree, or raise."""
     if 1 <= m_prime <= 3:
         return cubature.expectation_degree3(context(d, 3), t)
-    if m_prime == 5 and d <= 3:
+    # the driver limit is checked before context(d, 5), whose basis grows like d^5
+    if m_prime == 5 and d <= cubature.DEGREE5_MAX_D:
         return cubature.expectation_degree5(context(d, 5), t)
     raise UnsupportedDegreeError(
-        f"no built-in expectation formula for m'={m_prime}, d={d} (built-ins: m'<=3 any d, m'=5 d<=3)"
+        f"no built-in expectation formula for m'={m_prime}, d={d} (m'<=3, m'=5 at d<={cubature.DEGREE5_MAX_D})"
     )
 
 

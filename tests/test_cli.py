@@ -200,8 +200,12 @@ class TestMalformedInput:
             lambda data: {**data, "items": [{"w": 1.0, "path": {"t_end": 1.0, "knots": [
                 {"s": 0.0, "x": [0.0, 0.0, 0.0]}, {"s": 1.0, "x": [1.0, 1.0, 0.0]},
             ]}}]},
+            lambda data: {**data, "flavor": "greeks", "direction": {"d": 2, "m": 3, "coeffs": []}},
         ],
-        ids=["list", "d-not-int", "d-zero", "negative-t", "flavor", "one-knot", "wrong-dimension"],
+        ids=[
+            "list", "d-not-int", "d-zero", "negative-t", "flavor", "one-knot", "wrong-dimension",
+            "direction-context",
+        ],
     )
     def test_malformed_formula_file(self, tmp_path, capsys, edit):
         path = tmp_path / "f.json"
