@@ -5,8 +5,9 @@ degree is the letter count with every 0 counted twice, so e_0 behaves like a
 quadratic (time-like) symbol.  All products truncate words of degree > m.
 Elements are dense coefficient vectors over the graded-lexicographic basis.
 The context owns the one product kernel, a scatter over the precomputed
-splits K = I*J of every basis word, and the segment exponential; both accept
-a single vector (dim,) or a word-major batch (dim, n).
+splits K = I*J of every basis word, the segment exponential, and the Chen
+fold of segment exponentials that every path signature runs; each accepts a
+single vector (dim,) or a word-major batch (dim, n).
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .errors import ContextMismatchError, DomainError, InvalidWordError
 Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
+
+MAX_BASIS = 2**16  # words per context; (3, 8) has 18,602 and (4, 8) 128,557
 
 
 def word_degree(word, d=None):
@@ -54,6 +57,12 @@ class AlgebraContext:
             raise DomainError(f"truncation degree must be >= 1, got m={m}")
         self.d = int(d)
         self.m = int(m)
+        # words of degree k: c(k) = d c(k-1) + c(k-2), counted before any is built
+        counts = [1, self.d]
+        while len(counts) <= self.m and sum(counts) <= MAX_BASIS:
+            counts.append(self.d * counts[-1] + counts[-2])
+        if sum(counts[: self.m + 1]) > MAX_BASIS:
+            raise DomainError(f"context (d={d}, m={m}) has over {MAX_BASIS} basis words")
         words = [EMPTY_WORD]
         frontier = [EMPTY_WORD]
         degrees = {EMPTY_WORD: 0}
@@ -135,6 +144,16 @@ class AlgebraContext:
         for idx, prefix, last, recip in self._exp_levels:
             out[idx] = (out[prefix] * inc[last]) * recip
         return out
+
+    def chen(self, inc):
+        """Signature of a piecewise-linear path from step-major increments of
+        shape (d+1, K) or (d+1, K, n), K >= 1: the segment exponentials
+        multiplied in step order (Chen's relation), starting from the first."""
+        inc = np.asarray(inc, dtype=float)
+        sig = self.segment_exp(inc[:, 0])
+        for k in range(1, inc.shape[1]):
+            sig = self.product(sig, self.segment_exp(inc[:, k]))
+        return sig
 
     def __eq__(self, other):
         return isinstance(other, AlgebraContext) and (self.d, self.m) == (other.d, other.m)

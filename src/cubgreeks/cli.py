@@ -27,7 +27,7 @@ import numpy as np
 
 from . import algebra, checks, cubature, greeks, mc, paths, sde
 from .algebra import context
-from .errors import ConfigError, CubatureError, UnsupportedPayoffError
+from .errors import ConfigError, CubatureError, DomainError, UnsupportedPayoffError
 
 ENV_PREFIX = "CUBGREEKS_"
 
@@ -161,7 +161,16 @@ def _emit_table(header, rows, fmt, out):
 # commands
 
 
+def _context(d, m):
+    """context(d, m), with a basis too large to build reported as a usage error."""
+    try:
+        return context(d, m)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_verify(args):
+    _context(args.d, args.m)
     results = checks.run_property_checks(args.d, args.m, seed=args.seed)
     rows = [
         (r.name, "PASS" if r.passed else "FAIL", f"{r.max_error:.3e}", f"{r.tolerance:.1e}")
@@ -288,10 +297,7 @@ def cmd_diagnostics(args):
     heat = algebra.heat_element(ctx, 1.0)
     max_z = 0.0
     for w in ctx.basis:
-        diff = abs(element.coeff(w) - heat.coeff(w))
-        s = stderr[w]
-        z = diff / s if s > 0 else (0.0 if diff < 1e-12 else math.inf)
-        max_z = max(max_z, z)
+        max_z = max(max_z, _z_score(abs(element.coeff(w) - heat.coeff(w)), stderr[w]))
     rows.append(["signature_mc_max_z", max_z, 0.0, 0.0, max_z])
 
     system = sde.black_scholes(0.05, 0.3)
@@ -299,15 +305,23 @@ def cmd_diagnostics(args):
     mal, mal_se = mc.malliavin_delta_m1(system, payoff, [1.0], [1.0], args.t, cfg)
     fd, fd_se = mc.fd_greek(system, payoff, [1.0], [1.0], args.t, cfg)
     _, ref_delta = mc.bs_closed_form(0.05, 0.3, 1.0, args.t, payoff)
-    rows.append(["malliavin_delta", mal, mal_se, ref_delta, (mal - ref_delta) / mal_se])
-    rows.append(["fd_delta", fd, fd_se, ref_delta, (fd - ref_delta) / fd_se])
+    mal_z = _z_score(mal - ref_delta, mal_se)
+    rows.append(["malliavin_delta", mal, mal_se, ref_delta, mal_z])
+    rows.append(["fd_delta", fd, fd_se, ref_delta, _z_score(fd - ref_delta, fd_se)])
 
     formatted = [[q, f"{e:.10g}", f"{s:.4g}", f"{r:.10g}", f"{z:.4g}"] for q, e, s, r, z in rows]
     _emit_table(["quantity", "estimate", "stderr", "reference", "z_score"], formatted, args.format, args.out)
 
     tol_fail = report.max_det_rel_error > 1e-10 or report.e0_max_abs != 0.0
-    z_fail = max(report.scaling_max_z, max_z, abs((mal - ref_delta) / mal_se)) > 4.0
+    z_fail = max(report.scaling_max_z, max_z, abs(mal_z)) > 4.0
     return 1 if (tol_fail or z_fail) else 0
+
+
+def _z_score(diff, stderr):
+    """diff / stderr; at zero stderr, 0 for a difference below 1e-12, else +-inf."""
+    if stderr > 0:
+        return diff / stderr
+    return 0.0 if abs(diff) < 1e-12 else math.copysign(math.inf, diff)
 
 
 # export kind -> (truncation degrees its constructor covers, most drivers or None for any)
@@ -325,7 +339,7 @@ def cmd_cubature(args):
         if args.m not in degrees or (max_d and args.d > max_d):
             need = f"--m in {degrees}" + (f" and --d <= {max_d}" if max_d else "")
             raise ConfigError(f"--kind {args.kind} needs {need}, got --m {args.m} --d {args.d}")
-        ctx = context(args.d, args.m)
+        ctx = _context(args.d, args.m)
         if args.kind == "expectation3":
             formula = cubature.expectation_degree3(ctx, args.t)
         elif args.kind == "expectation5":
@@ -426,7 +440,7 @@ def build_parser():
 
     p = sub.add_parser("diagnostics", help="Monte Carlo cross-checks and identities")
     p.add_argument("--t", type=_horizon, default=0.25)
-    p.add_argument("--paths", type=_int_at_least(1), default=_env_default("paths", "20000"))
+    p.add_argument("--paths", type=_int_at_least(2), default=_env_default("paths", "20000"))
     p.add_argument("--steps", type=_int_at_least(1), default=_env_default("steps", "128"))
     common(p)
     p.set_defaults(func=cmd_diagnostics)

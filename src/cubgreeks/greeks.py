@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from . import algebra, cubature, sde
+from . import cubature, sde
 from .algebra import context
 from .errors import BudgetExceededError, DomainError, UnsupportedDegreeError
 
@@ -89,9 +89,10 @@ def expectation_one_step(system, f, y, t, m_prime, steps_per_segment=sde.DEFAULT
 def build_greek_formula(system, y, v, t, m):
     """Decompose v into brackets at y and construct the matching formula.
 
-    Degree-1 decompositions at m <= 2, the zero direction included, use the
-    two-point pair along the unit direction (``cubature.greeks_two_point``),
-    which is what makes fixed-direction Greeks (|w| ~ t^{-k/2}) converge.
+    At m <= 2 the decomposition has degree-1 words only (none for the zero
+    direction) and uses the two-point pair along the unit direction
+    (``cubature.greeks_two_point``), which is what makes fixed-direction
+    Greeks (|w| ~ t^{-k/2}) converge.
     Anything else goes through the sign-free solver over the default
     dictionary at horizon 1 (fixed paths, so weights are linear in v there
     too), carried to t by ``cubature.rescale_formula``.
@@ -100,8 +101,7 @@ def build_greek_formula(system, y, v, t, m):
     coeffs, residual = sde.decompose_direction(system, y, v, t, m)
     ctx = context(system.d, m)
     w = sde.lie_direction(ctx, coeffs)
-    degrees = {algebra.word_degree(word) for word in coeffs}
-    if m <= 2 and degrees <= {1}:
+    if m <= 2:
         formula = cubature.greeks_two_point(ctx, w, t)
     else:
         unit = cubature.greeks_solve(ctx, w, 1.0, cubature.default_greeks_dictionary(ctx, 1.0))

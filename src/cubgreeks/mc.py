@@ -4,12 +4,13 @@ Everything here exists to verify the deterministic machinery from the
 outside: Euler-Maruyama expectations, the adapted m=1 Malliavin weight,
 common-random-number finite differences, the simulated truncated-signature
 expectation, the d=2 covariance diagnostics, and lognormal closed forms.
-The signature expectation runs on the algebra context's dense kernel, the
-same product and segment exponential as ``paths.signature``, applied to a
-word-major batch of paths; it checks the heat element against simulation,
-not the product itself.  It draws and multiplies one block of paths at a
-time, and the covariance diagnostics turn their draw into Brownian paths in
-place, so neither keeps a second copy of a draw.
+The signature expectation runs the same Chen fold as ``paths.signature``
+(``AlgebraContext.chen``) on a word-major batch of paths; it checks the heat
+element against simulation, not the product itself.  It draws and folds one
+block of paths at a time, and the covariance diagnostics turn their draw into
+Brownian paths in place, so neither keeps a second copy of a draw.
+Every estimator averages independent paths, one per row of the draw, so its
+standard error is the sample standard deviation over sqrt(n_paths).
 Estimators are reproducible: draws come from the counter-based stream in
 :mod:`cubgreeks.rng`, so a seed fixes every number regardless of scheduling.
 """
@@ -21,15 +22,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr
 
 from . import algebra
 from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError
 from .rng import normal_increments
 from .sde import _batched, _fd_directional, _matvec, batched
 
-_SIG_BLOCK = 2048  # paths per Chen recursion block: the product's (splits x paths) terms stay in L2
+_SIG_BLOCK = 2048  # paths per Chen fold block: the product's (splits x paths) terms stay in L2
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,10 @@ class McConfig:
     n_paths: int
     n_steps: int
     seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self):
         if self.n_paths < 1 or self.n_steps < 1:
             raise DomainError("n_paths and n_steps must be >= 1")
-        if self.antithetic and self.n_paths % 2 != 0:
-            raise DomainError("antithetic sampling needs an even path count")
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +109,8 @@ def parse_payoff(text):
     raise UnsupportedPayoffError(f"cannot parse payoff {text!r}")
 
 
-def _mean_stderr(values, antithetic):
+def _mean_stderr(values):
     values = np.asarray(values, dtype=float)
-    if antithetic:
-        values = 0.5 * (values[0::2] + values[1::2])
     n = len(values)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -162,7 +157,7 @@ def _batched_payoff(system, f, y0):
 
 def _normals(system, cfg):
     """The (n_paths, n_steps, d) draws that every Euler-based estimator shares."""
-    return normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, system.d, cfg.antithetic)
+    return normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, system.d)
 
 
 def _euler_states(system, y0, t, normals):
@@ -182,7 +177,7 @@ def euler_expectation(system, f, y, t, cfg):
     """Mean and standard error of f(Y_t) under Ito-corrected Euler-Maruyama."""
     f = _batched_payoff(system, f, y)
     ys = _euler_states(system, y, t, _normals(system, cfg))
-    return _mean_stderr(f(ys), cfg.antithetic)
+    return _mean_stderr(f(ys))
 
 
 def fd_greek(system, f, y, v, t, cfg, h=1e-3):
@@ -195,7 +190,7 @@ def fd_greek(system, f, y, v, t, cfg, h=1e-3):
     v = np.asarray(v, dtype=float)
     f_up = f(_euler_states(system, y + h * v, t, normals))
     f_dn = f(_euler_states(system, y - h * v, t, normals))
-    return _mean_stderr((f_up - f_dn) / (2.0 * h), cfg.antithetic)
+    return _mean_stderr((f_up - f_dn) / (2.0 * h))
 
 
 def malliavin_delta_m1(system, f, y, v, t, cfg):
@@ -245,7 +240,7 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
         if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(J))):
             raise BlowUpError(f"Malliavin simulation became non-finite at step {k}")
     values = f(ys) * (acc / t)
-    return _mean_stderr(values, cfg.antithetic)
+    return _mean_stderr(values)
 
 
 def simple_weight_delta_m1(system, f, y, v, t, cfg):
@@ -264,7 +259,7 @@ def simple_weight_delta_m1(system, f, y, v, t, cfg):
     w = np.linalg.solve(sigma0, np.asarray(v, dtype=float))
     b_t = normals.sum(axis=1) * math.sqrt(t / cfg.n_steps)
     values = f(ys) * (b_t @ w) / t
-    return _mean_stderr(values, cfg.antithetic)
+    return _mean_stderr(values)
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +271,12 @@ def signature_expectation_stats(ctx, t, cfg):
 
     Paths are piecewise-linear with n_steps equal segments and time component
     s.  They run in blocks of ``_SIG_BLOCK``: each block draws its own window
-    of the normal stream, which is bitwise that window of the full draw, holds
-    its paths as a word-major (dim, n) array, applies Chen's relation at each
-    step with the context's batched segment exponential and product, and adds
-    its column sums to the totals.  Per-path arithmetic is the same in any
-    blocking, so the block size changes only the summation order of the
-    totals.  Returns (mean element, {word: stderr}).
+    of the normal stream, which is bitwise that window of the full draw, folds
+    its step-major (d+1, n_steps, n) increments with ``ctx.chen`` into a
+    word-major (dim, n) array, and adds its column sums to the totals.
+    Per-path arithmetic is the same in any blocking, so the block size changes
+    only the summation order of the totals.  Returns (mean element,
+    {word: stderr}).
     """
     d = ctx.d
     dt = t / cfg.n_steps
@@ -290,14 +285,11 @@ def signature_expectation_stats(ctx, t, cfg):
     total_sq = np.zeros(ctx.dim)
     for start in range(0, cfg.n_paths, _SIG_BLOCK):
         n = min(_SIG_BLOCK, cfg.n_paths - start)
-        normals = normal_increments(cfg.seed, start, n, cfg.n_steps, d, cfg.antithetic)
-        inc = np.empty((d + 1, n))
+        normals = normal_increments(cfg.seed, start, n, cfg.n_steps, d)
+        inc = np.empty((d + 1, cfg.n_steps, n))
         inc[0] = dt
-        sig = np.zeros((ctx.dim, n))
-        sig[0] = 1.0
-        for k in range(cfg.n_steps):
-            inc[1:] = normals[:, k, :].T * sdt
-            sig = ctx.product(sig, ctx.segment_exp(inc))
+        np.multiply(normals.T, sdt, out=inc[1:])
+        sig = ctx.chen(inc)
         total += sig.sum(axis=1)
         total_sq += (sig * sig).sum(axis=1)
     n = cfg.n_paths
@@ -324,7 +316,7 @@ def _covariance_matrices(t, cfg, path_start=0):
     endpoints B_{s_k} in place: the scaled increments shifted one step later
     behind a zero, then a running sum along each path."""
     dt = t / cfg.n_steps
-    left = normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2, cfg.antithetic)
+    left = normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2)
     left[:, 1:] = left[:, :-1] * math.sqrt(dt)
     left[:, 0] = 0.0
     np.cumsum(left, axis=1, out=left)
@@ -345,28 +337,10 @@ def _covariance_matrices(t, cfg, path_start=0):
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    t: float
-    n_paths: int
-    n_steps: int
     max_det_rel_error: float
     e0_max_abs: float
     positivity_fraction: float
     scaling_max_z: float
-    mean_t: np.ndarray
-    mean_scaled_1: np.ndarray
-
-    def to_dict(self):
-        return {
-            "t": self.t,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "max_det_rel_error": self.max_det_rel_error,
-            "e0_max_abs": self.e0_max_abs,
-            "positivity_fraction": self.positivity_fraction,
-            "scaling_max_z": self.scaling_max_z,
-            "mean_t": self.mean_t.tolist(),
-            "mean_scaled_1": self.mean_scaled_1.tolist(),
-        }
 
 
 def covariance_diagnostics(t, cfg):
@@ -389,25 +363,18 @@ def covariance_diagnostics(t, cfg):
     c_1, *_ = _covariance_matrices(1.0, cfg, path_start=cfg.n_paths)
     dil = np.diag([math.sqrt(t), math.sqrt(t), t, t])
     conj = np.einsum("ij,njk,kl->nil", dil, c_1, dil)
-    mean_t = c_t.mean(axis=0)
-    mean_conj = conj.mean(axis=0)
     n = cfg.n_paths
     se_t = c_t.std(axis=0, ddof=1) / math.sqrt(n)
     se_conj = conj.std(axis=0, ddof=1) / math.sqrt(n)
     denom = np.sqrt(se_t**2 + se_conj**2)
-    diff = np.abs(mean_t - mean_conj)
+    diff = np.abs(c_t.mean(axis=0) - conj.mean(axis=0))
     with np.errstate(invalid="ignore", divide="ignore"):
         z = np.where(denom > 0.0, diff / denom, np.where(diff > 1e-12, np.inf, 0.0))
     return CovarianceReport(
-        t=t,
-        n_paths=cfg.n_paths,
-        n_steps=cfg.n_steps,
         max_det_rel_error=max_det_rel,
         e0_max_abs=e0_max,
         positivity_fraction=positivity,
         scaling_max_z=float(np.max(z)),
-        mean_t=mean_t,
-        mean_scaled_1=mean_conj,
     )
 
 
@@ -440,8 +407,8 @@ def bs_closed_form(r, sigma, y, t, payoff):
         sq = sigma * math.sqrt(t)
         d1 = (math.log(y / k) + (r + 0.5 * sigma * sigma) * t) / sq
         d2 = d1 - sq
-        price = y * growth * norm.cdf(d1) - k * norm.cdf(d2)
-        delta = growth * norm.cdf(d1)
+        price = y * growth * ndtr(d1) - k * ndtr(d2)
+        delta = growth * ndtr(d1)
         return float(price), float(delta)
     if payoff.kind == "smoothed_call":
         # resolve the sigmoid: node spacing must beat the smoothing width in z

@@ -3,8 +3,9 @@
 A path maps [0, t_end] into R^{d+1}; component 0 is the time-like coordinate.
 On a linear segment every iterated integral collapses, so the segment
 signature is the exponential of the increment and the full signature is the
-ordered product of segment exponentials (Chen's relation).  Signatures of
-piecewise-linear paths are therefore exact up to truncation.
+ordered product of segment exponentials (Chen's relation), folded by
+``AlgebraContext.chen``, which the signature Monte Carlo runs too.
+Signatures of piecewise-linear paths are therefore exact up to truncation.
 """
 
 from __future__ import annotations
@@ -104,18 +105,14 @@ def segment_signature(ctx, increment):
 
 
 def signature(ctx, path):
-    """Truncated signature: product of segment exponentials in knot order.
+    """Truncated signature: the context's Chen fold over the segments in knot order.
 
     The knots are read-only, so each path keeps its signature per context.
     """
     if path.dim != ctx.d + 1:
         raise InvalidPathError(f"path dimension {path.dim} != d+1 = {ctx.d + 1}")
     if ctx not in path._signatures:
-        exps = ctx.segment_exp(path.increments().T)
-        sig = exps[:, 0]
-        for k in range(1, path.n_segments):
-            sig = ctx.product(sig, exps[:, k])
-        path._signatures[ctx] = algebra.from_dense(ctx, sig)
+        path._signatures[ctx] = algebra.from_dense(ctx, ctx.chen(path.increments().T))
     return path._signatures[ctx]
 
 

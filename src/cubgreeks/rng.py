@@ -6,7 +6,8 @@ counter position derived from the indices.  Serial and parallel simulation
 therefore produce bit-identical streams.  Gaussians come from the inverse
 normal CDF, which is deterministic across platforms.  ``normal_increments``
 makes its draws one block of whole paths at a time; the block size, like the
-window of paths asked for, changes no bit of any draw.
+window of paths asked for, changes no bit of any draw.  There is one sampling
+mode: every path has a stream of its own, independent of every other path's.
 """
 
 from __future__ import annotations
@@ -43,15 +44,13 @@ def _unit(bits, out):
     return out
 
 
-def normal_increments(seed, path_start, n_paths, n_steps, d, antithetic=False):
+def normal_increments(seed, path_start, n_paths, n_steps, d):
     """Standard normal array of shape (n_paths, n_steps, d).
 
-    Draw (p, k, i) sits at counter ((p * n_steps + k) * d + i).  With
-    antithetic=True, odd path indices reuse the stream of the preceding even
-    index with flipped signs; pairs are keyed by the absolute path index, so
-    any window of paths, odd start or odd count included, is well defined.
-    The draws are made one block of whole paths (about ``_BLOCK`` draws) at a
-    time, straight into the result.
+    Draw (p, k, i) sits at counter ((p * n_steps + k) * d + i), so every path
+    has its own stream and any window of paths is that window of the full
+    draw.  The draws are made one block of whole paths (about ``_BLOCK``
+    draws) at a time, straight into the result.
     """
     out = np.empty((n_paths, n_steps, d))
     per_path = n_steps * d
@@ -70,10 +69,7 @@ def normal_increments(seed, path_start, n_paths, n_steps, d, antithetic=False):
         stop = min(start + rows, n_paths)
         n = stop - start
         paths = np.arange(path_start + start, path_start + stop, dtype=np.uint64)
-        source = paths - paths % np.uint64(2) if antithetic else paths
-        np.add(np.multiply(source[:, None], stride), offsets, out=z[:n])
+        np.add(np.multiply(paths[:, None], stride), offsets, out=z[:n])
         _splitmix64(z[:n], scratch[:n])
         ndtri(_unit(z[:n], uniforms[:n]), out=flat[start:stop])
-        if antithetic:
-            flat[start:stop][paths % np.uint64(2) == 1] *= -1.0
     return out

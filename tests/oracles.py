@@ -286,16 +286,9 @@ def counter_uniforms_unblocked(seed, counters):
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
-def normal_increments_unblocked(seed, path_start, n_paths, n_steps, d, antithetic=False):
-    """(n_paths, n_steps, d) normals from a full-size counter array; antithetic
-    sampling needs an even path count here."""
-    if antithetic and n_paths % 2 != 0:
-        raise ValueError("antithetic sampling needs an even number of paths")
+def normal_increments_unblocked(seed, path_start, n_paths, n_steps, d):
+    """(n_paths, n_steps, d) normals from a full-size counter array."""
     paths = np.arange(path_start, path_start + n_paths, dtype=np.uint64)
-    signs = None
-    if antithetic:
-        signs = np.where(paths % np.uint64(2) == 0, 1.0, -1.0)
-        paths = paths - paths % np.uint64(2)
     steps = np.arange(n_steps, dtype=np.uint64)
     drivers = np.arange(d, dtype=np.uint64)
     counters = (
@@ -303,10 +296,7 @@ def normal_increments_unblocked(seed, path_start, n_paths, n_steps, d, antitheti
         * np.uint64(d)
         + drivers[None, None, :]
     )
-    z = ndtri(counter_uniforms_unblocked(seed, counters))
-    if signs is not None:
-        z *= signs[:, None, None]
-    return z
+    return ndtri(counter_uniforms_unblocked(seed, counters))
 
 
 def signature_expectation_unblocked(ctx, t, cfg, chunk=25_000):
@@ -320,7 +310,7 @@ def signature_expectation_unblocked(ctx, t, cfg, chunk=25_000):
     done = 0
     while done < cfg.n_paths:
         n = min(chunk, cfg.n_paths - done)
-        normals = normal_increments_unblocked(cfg.seed, done, n, cfg.n_steps, d, cfg.antithetic)
+        normals = normal_increments_unblocked(cfg.seed, done, n, cfg.n_steps, d)
         inc = np.empty((d + 1, n))
         inc[0] = dt
         sig = np.zeros((ctx.dim, n))
@@ -341,7 +331,7 @@ def covariance_matrices_copied(t, cfg, path_start=0):
     """(c, I_1, I_2, Q) of ``mc._covariance_matrices`` with the increments, the
     Brownian paths and their zero start each held as an array of their own."""
     dt = t / cfg.n_steps
-    normals = rng.normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2, cfg.antithetic)
+    normals = rng.normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2)
     dB = normals * math.sqrt(dt)
     b = np.concatenate([np.zeros((cfg.n_paths, 1, 2)), np.cumsum(dB, axis=1)], axis=1)
     left = b[:, :-1, :]

@@ -68,6 +68,7 @@ class TestContext:
         # the m=d=2 example's span is 8-dimensional, not 6: e_i^2 words exist
         assert context(2, 2).dim == 8
         assert context(1, 5).dim == 20
+        assert algebra.AlgebraContext(3, 8).dim == 18602 <= algebra.MAX_BASIS
 
     def test_basis_contains_empty_and_prefixes(self):
         ctx = context(2, 3)
@@ -86,6 +87,12 @@ class TestContext:
             context(0, 2)
         with pytest.raises(DomainError):
             context(1, 0)
+
+    @pytest.mark.parametrize("d,m", [(4, 8), (6, 12), (40, 3), (1, 10**6)])
+    def test_oversized_basis_is_refused_before_it_is_built(self, d, m):
+        # counted, never built: (4, 8) alone would have 128,557 words
+        with pytest.raises(DomainError, match="basis words"):
+            algebra.AlgebraContext(d, m)
 
 
 class TestMul:

@@ -201,10 +201,11 @@ class TestMalformedInput:
                 {"s": 0.0, "x": [0.0, 0.0, 0.0]}, {"s": 1.0, "x": [1.0, 1.0, 0.0]},
             ]}}]},
             lambda data: {**data, "flavor": "greeks", "direction": {"d": 2, "m": 3, "coeffs": []}},
+            lambda data: {**data, "d": 6, "m": 12},
         ],
         ids=[
             "list", "d-not-int", "d-zero", "negative-t", "flavor", "one-knot", "wrong-dimension",
-            "direction-context",
+            "direction-context", "context-too-large",
         ],
     )
     def test_malformed_formula_file(self, tmp_path, capsys, edit):
@@ -271,6 +272,9 @@ class TestRangeFlags:
             ["diagnostics", "--paths", "0"],
             ["diagnostics", "--steps", "0"],
             ["verify", "--d", "0", "--m", "2"],
+            ["diagnostics", "--paths", "1"],
+            ["verify", "--d", "4", "--m", "8"],
+            ["cubature", "export", "--kind", "expectation3", "--d", "300"],
         ],
     )
     def test_out_of_range_is_a_usage_error(self, bs_model, capsys, flags):
@@ -608,6 +612,18 @@ class TestDiagnosticsCommand:
         quantities = [line.split(",")[0] for line in lines[1:]]
         assert "covariance_det_identity_rel" in quantities
         assert "malliavin_delta" in quantities
+
+    @pytest.mark.parametrize("seed", [3, 6, 7, 11])
+    def test_zero_stderr_rows_fail_with_a_table(self, tmp_path, capsys, seed):
+        # two paths, four steps: both calls end out of the money, so the
+        # Malliavin and finite-difference standard errors are exactly 0
+        out = tmp_path / "d.csv"
+        argv = ["diagnostics", "--paths", "2", "--steps", "4", "--seed", str(seed), "--out", str(out)]
+        assert main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()[1:]}
+        assert rows["malliavin_delta"][2] == "0" and rows["malliavin_delta"][4] == "-inf"
+        assert rows["fd_delta"][4] == "-inf"
 
 
 class TestEnvOverrides:

@@ -3,7 +3,9 @@
 The dense product and signature are checked bitwise against the sparse
 double-loop oracles in ``oracles.py``: on basis-ordered inputs both sum the
 splits of each word in ascending cut order, so the arithmetic is the same.
-The batched Monte Carlo recursion is checked against per-path signatures.
+The batched Chen fold is checked bitwise, path by path, against the
+single-path fold and the oracle, and the Monte Carlo mean against per-path
+signatures.
 """
 
 import math
@@ -61,6 +63,25 @@ def test_signature_matches_dict_oracle_bitwise(d, m, data):
     )
     path = paths.from_increments(1.0, increments)
     assert dict(paths.signature(ctx, path).coeffs) == dict_signature(ctx, path)
+
+
+@pytest.mark.parametrize("d,m", CONTEXTS)
+@SETTINGS
+@given(data=st.data())
+def test_batched_chen_fold_matches_per_path_bitwise(d, m, data):
+    ctx = context(d, m)
+    n_segments = data.draw(st.integers(1, 4))
+    increments = st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=d + 1, max_size=d + 1),
+        min_size=n_segments,
+        max_size=n_segments,
+    )
+    batch = [paths.from_increments(1.0, data.draw(increments)) for _ in range(data.draw(st.integers(1, 5)))]
+    # step-major (d+1, K, n): column p holds path p's own increments
+    folded = ctx.chen(np.stack([p.increments().T for p in batch], axis=-1))
+    for column, path in zip(folded.T, batch):
+        assert column.tobytes() == ctx.chen(path.increments().T).tobytes()
+        assert basis_ordered(ctx, column) == dict_signature(ctx, path)
 
 
 @pytest.mark.parametrize("d,m", [(1, 5), (2, 3), (3, 4)])

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import cubgreeks
 from cubgreeks import mc, rng, sde
 from cubgreeks.algebra import context, heat_element
 from cubgreeks.errors import DomainError, EllipticityError, UnsupportedPayoffError
@@ -64,15 +68,6 @@ class TestCounterRng:
         part = rng.normal_increments(11, 5, 5, 8, 2)
         assert np.array_equal(full[5:], part)
 
-    def test_antithetic_pairs(self):
-        z = rng.normal_increments(11, 0, 6, 4, 1, antithetic=True)
-        assert np.array_equal(z[1], -z[0])
-        assert np.array_equal(z[3], -z[2])
-
-    def test_antithetic_window_may_start_and_end_odd(self):
-        full = rng.normal_increments(11, 0, 4, 5, 2, antithetic=True)
-        assert np.array_equal(rng.normal_increments(11, 1, 3, 5, 2, antithetic=True), full[1:4])
-
     def test_peak_memory_is_the_output_and_block_buffers(self):
         tracemalloc.start()
         try:
@@ -85,8 +80,6 @@ class TestCounterRng:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             McConfig(n_paths=0, n_steps=4)
-        with pytest.raises(DomainError):
-            McConfig(n_paths=3, n_steps=4, antithetic=True)
 
 
 class TestEulerExpectation:
@@ -119,24 +112,6 @@ class TestEulerExpectation:
         mean, se = euler_expectation(system, IDENT, [1.0], 1.0, cfg)
         assert se < 1e-15  # all paths identical; only mean-rounding dust remains
         assert abs(mean - math.exp(0.05)) < 1e-3
-
-    def test_antithetic_variance_reduction(self):
-        # nearly-odd payoff: antithetic pairing cancels the linear term
-        def v0(y):
-            return 0.0 * y
-
-        def v1(y):
-            return 0.3 * y
-
-        system = sde.VectorFieldSystem(
-            dim=1, d=1, fields=(v0, v1),
-            jacobians=(lambda y: np.zeros(y.shape + (1,)), lambda y: np.full(y.shape + (1,), 0.3)),
-        )
-        plain = euler_expectation(system, IDENT, [1.0], 1.0, McConfig(20000, 32, seed=11))
-        anti = euler_expectation(
-            system, IDENT, [1.0], 1.0, McConfig(20000, 32, seed=11, antithetic=True)
-        )
-        assert anti[1] < 0.5 * plain[1]
 
 
     def test_single_state_payoffs_match_batched_ones(self):
@@ -212,6 +187,8 @@ class TestEulerStepBitwise:
 
     The (mean, stderr) hex values were recorded from the version in which
     ``malliavin_delta_m1`` and ``_euler_states`` each spelled out the step.
+    ``euler_hz`` and ``simple_bs`` had run on mirrored path pairs; they were
+    re-recorded on the plain configuration before that mode was removed.
     """
 
     CALL = Payoff("call", 1.0)
@@ -226,42 +203,41 @@ class TestEulerStepBitwise:
 
     def _runs(self, seed):
         cfg = McConfig(n_paths=400, n_steps=16, seed=seed)
-        anti = McConfig(n_paths=400, n_steps=16, seed=seed, antithetic=True)
         hz = sde.heisenberg_toy()
         el = _elliptic_poly()
         return {
             "euler_bs": euler_expectation(BS, self.CALL, [1.0], 0.5, cfg),
-            "euler_hz": euler_expectation(hz, self._square_of_second, [0.3, 0.1], 0.5, anti),
+            "euler_hz": euler_expectation(hz, self._square_of_second, [0.3, 0.1], 0.5, cfg),
             "euler_el": euler_expectation(el, self._basket, [0.2, 0.3], 0.5, cfg),
             "fd_bs": fd_greek(BS, self.CALL, [1.0], [1.0], 0.5, cfg),
             "fd_hz": fd_greek(hz, self._square_of_second, [0.3, 0.1], [1.0, 0.0], 0.5, cfg),
             "mal_bs": malliavin_delta_m1(BS, self.CALL, [1.0], [1.0], 0.5, cfg),
             "mal_el": malliavin_delta_m1(el, self._basket, [0.2, 0.3], [1.0, -0.5], 0.5, cfg),
-            "simple_bs": simple_weight_delta_m1(BS, self.CALL, [1.0], [1.0], 0.5, anti),
+            "simple_bs": simple_weight_delta_m1(BS, self.CALL, [1.0], [1.0], 0.5, cfg),
             "simple_el": simple_weight_delta_m1(el, self._basket, [0.2, 0.3], [1.0, -0.5], 0.5, cfg),
         }
 
     EXPECTED = {
         3: {
             "euler_bs": ("0x1.71b1ff28d0db8p-4", "0x1.c259d445ab9c3p-8"),
-            "euler_hz": ("0x1.40873028bf3d6p-3", "0x1.05424cb54d54fp-6"),
+            "euler_hz": ("0x1.34857a2d7968cp-3", "0x1.ae1b6ccde259ap-7"),
             "euler_el": ("0x1.ab198411d395cp-2", "0x1.0cc493d84c857p-5"),
             "fd_bs": ("0x1.3058ee81e84a3p-1", "0x1.ea90e65fd7d1ep-6"),
             "fd_hz": ("0x1.1bfd93927ddfcp-2", "0x1.44ff77bbda4dep-5"),
             "mal_bs": ("0x1.ff1f3ea78ce92p-2", "0x1.07e135e1fe404p-4"),
             "mal_el": ("0x1.bbd8e28585460p-3", "0x1.e555c86644893p-5"),
-            "simple_bs": ("0x1.2e69283c796fap-1", "0x1.155a2f46df538p-4"),
+            "simple_bs": ("0x1.ff1f3ea78ce92p-2", "0x1.07e135e1fe405p-4"),
             "simple_el": ("0x1.b9cc00444dec4p-3", "0x1.e644d0f170f43p-5"),
         },
         11: {
             "euler_bs": ("0x1.5841d37ef45fap-4", "0x1.be25420186caap-8"),
-            "euler_hz": ("0x1.0898cb03d4e59p-3", "0x1.e220bf72eedb5p-7"),
+            "euler_hz": ("0x1.3c4e68947274dp-3", "0x1.0f12a4ace4583p-6"),
             "euler_el": ("0x1.9237a0cdc6664p-2", "0x1.09df68fe092f8p-5"),
             "fd_bs": ("0x1.1ed67295b7dfdp-1", "0x1.e8f2a81fda2f5p-6"),
             "fd_hz": ("0x1.1f2b74f9bf181p-2", "0x1.3f4358441261ep-5"),
             "mal_bs": ("0x1.ea5d83f58c08ep-2", "0x1.cb182b7660292p-5"),
             "mal_el": ("0x1.786e48a6a7ac8p-2", "0x1.43ea90461737bp-4"),
-            "simple_bs": ("0x1.0942edc05ddf8p-1", "0x1.b72bcb74f9d27p-5"),
+            "simple_bs": ("0x1.ea5d83f58c08ep-2", "0x1.cb182b7660292p-5"),
             "simple_el": ("0x1.7401f44f0fcecp-2", "0x1.42769b3637866p-4"),
         },
     }
@@ -486,19 +462,11 @@ class TestSignatureExpectation:
         return signature_expectation_stats(context(1, 3), 0.5, cfg)
 
     def test_chunking_invariant(self, monkeypatch):
-        # the recursion block size moves only the summation order of the totals
+        # the fold block size moves only the summation order of the totals
         cfg = McConfig(n_paths=300, n_steps=16, seed=21)
         e1, s1 = self._stats_in_blocks(monkeypatch, 37, cfg)
         e2, s2 = self._stats_in_blocks(monkeypatch, 300, cfg)
         assert np.max(np.abs(e1.vec - e2.vec)) < 1e-12
-
-    def test_antithetic_odd_chunks(self, monkeypatch):
-        # a block of 37 splits antithetic pairs; pairs are keyed by path index
-        cfg = McConfig(n_paths=300, n_steps=16, seed=21, antithetic=True)
-        e1, s1 = self._stats_in_blocks(monkeypatch, 37, cfg)
-        e2, s2 = self._stats_in_blocks(monkeypatch, 300, cfg)
-        assert np.max(np.abs(e1.vec - e2.vec)) < 1e-14
-        assert max(abs(s1[w] - s2[w]) for w in s1) < 1e-14
 
     def test_peak_memory_does_not_grow_with_paths(self):
         ctx, peaks = context(2, 3), []
@@ -513,7 +481,7 @@ class TestSignatureExpectation:
 
 
 class TestBitwiseAgainstUnblockedOracles:
-    """Blocked draws and the blocked Chen recursion give the bytes of frozen
+    """Blocked draws and the blocked Chen fold give the bytes of frozen
     copies that build every array in one piece."""
 
     @pytest.mark.parametrize(
@@ -529,12 +497,9 @@ class TestBitwiseAgainstUnblockedOracles:
             (5, 0, 6, 16, 0),
         ],
     )
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_normal_increments(self, seed, path_start, n_paths, n_steps, d, antithetic):
-        z = rng.normal_increments(seed, path_start, n_paths, n_steps, d, antithetic)
-        # the frozen copy takes even counts only under antithetic sampling
-        even = n_paths + n_paths % 2 if antithetic else n_paths
-        ref = normal_increments_unblocked(seed, path_start, even, n_steps, d, antithetic)[:n_paths]
+    def test_normal_increments(self, seed, path_start, n_paths, n_steps, d):
+        z = rng.normal_increments(seed, path_start, n_paths, n_steps, d)
+        ref = normal_increments_unblocked(seed, path_start, n_paths, n_steps, d)
         assert z.shape == ref.shape and z.dtype == ref.dtype
         assert z.tobytes() == ref.tobytes()
 
@@ -544,11 +509,10 @@ class TestBitwiseAgainstUnblockedOracles:
         u = _uniforms(seed, counters)
         assert u.tobytes() == counter_uniforms_unblocked(seed, counters).tobytes()
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_signature_expectation(self, antithetic):
-        # two whole recursion blocks and a part block; antithetic counts stay even
+    def test_signature_expectation(self):
+        # two whole fold blocks and a part block
         ctx = context(2, 3)
-        cfg = McConfig(2 * mc._SIG_BLOCK + (6 if antithetic else 5), 8, seed=4, antithetic=antithetic)
+        cfg = McConfig(2 * mc._SIG_BLOCK + 5, 8, seed=4)
         element, stderr = signature_expectation_stats(ctx, 1.0, cfg)
         ref_element, ref_stderr = signature_expectation_unblocked(ctx, 1.0, cfg, chunk=mc._SIG_BLOCK)
         assert element.vec.tobytes() == ref_element.vec.tobytes()
@@ -559,8 +523,6 @@ class TestBitwiseAgainstUnblockedOracles:
         [
             (0.25, McConfig(20000, 128, seed=2), 0),  # the diagnostics ensemble
             (1.0, McConfig(500, 128, seed=2), 500),  # its horizon-1 partner
-            (0.25, McConfig(64, 32, seed=5, antithetic=True), 0),
-            (0.25, McConfig(10, 16, seed=5, antithetic=True), 7),
             (0.3, McConfig(50, 1, seed=1), 0),
             (0.3, McConfig(50, 129, seed=1), 0),
             (0.7, McConfig(10, 16, seed=-3), 2**40),
@@ -668,3 +630,12 @@ class TestClosedForms:
     def test_rejects_bad_domain(self):
         with pytest.raises(DomainError):
             bs_closed_form(0.05, 0.3, -1.0, 0.5, IDENT)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the closed forms need only scipy.special, which loads far less than scipy.stats
+    src = os.path.dirname(os.path.dirname(cubgreeks.__file__))
+    code = "import sys, cubgreeks, cubgreeks.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
