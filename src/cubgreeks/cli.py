@@ -40,6 +40,8 @@ def _env_default(name, fallback):
 # direction flag: a vector, or an expression in V<i>, brackets [a,b], real
 # multiples c*a and sums a+b-c, read by Python's parser and never evaluated
 
+_BRACKET_DEPTH = 3  # sde.FieldExpr's nested finite differences fail deeper; --m nests m - 2 deep
+
 
 def parse_direction(text, system, y):
     """Resolve a direction flag: comma-separated vector or symbolic expression."""
@@ -57,14 +59,14 @@ def parse_direction(text, system, y):
 
 
 def _field_expr(node, d, depth=0):
-    """The sde.FieldExpr of a parsed direction; other syntax, or brackets over 3 deep, is a ConfigError."""
+    """The sde.FieldExpr of a parsed direction; other syntax, or brackets too deep, is a ConfigError."""
     if isinstance(node, ast.Name) and node.id[:1] == "V" and node.id[1:].isdecimal():
         if int(node.id[1:]) > d:
             raise ConfigError(f"direction uses {node.id}, model has V0..V{d}")
         return sde.FieldExpr.base(int(node.id[1:]))
     if isinstance(node, ast.List) and len(node.elts) == 2:
-        if depth == 3:  # sde.FieldExpr differentiates nested brackets numerically
-            raise ConfigError("direction nests brackets deeper than 3, where finite differences fail")
+        if depth == _BRACKET_DEPTH:
+            raise ConfigError(f"direction nests brackets deeper than {_BRACKET_DEPTH}")
         return sde.FieldExpr.commutator(*(_field_expr(e, d, depth + 1) for e in node.elts))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
         coeff, inner = _coefficient(node.left), _field_expr(node.right, d, depth)
@@ -404,8 +406,8 @@ def build_parser():
         )
 
     p = sub.add_parser("verify", help="run the algebra/signature property suites")
-    p.add_argument("--d", type=_int_at_least(1), required=True)
-    p.add_argument("--m", type=_int_at_least(1), required=True)
+    p.add_argument("--d", type=_int_in(1), required=True)
+    p.add_argument("--m", type=_int_in(1), required=True)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -415,12 +417,12 @@ def build_parser():
     p.add_argument("--direction", required=True, help="vector '0,1' or symbolic 'V1', '[V1,V2]'")
     p.add_argument("--scale", default=None, help="sqrt_t or t^<p>/<q> factor on the direction")
     p.add_argument("--t", type=_horizon, required=True)
-    p.add_argument("--m", type=_int_at_least(2), default=2, help="Greek cubature degree")
-    p.add_argument("--mprime", type=_int_at_least(1), default=3, help="expectation degree for inner steps")
+    p.add_argument("--m", type=_int_in(2, _BRACKET_DEPTH + 2), default=2, help="Greek cubature degree")
+    p.add_argument("--mprime", type=_int_in(1), default=3, help="expectation degree for inner steps")
     p.add_argument("--s0", type=_horizon, default=None, help="derivative step size for the iterated scheme")
     p.add_argument("--partition", default=None, type=_partition_arg, help="k,gamma inner partition")
     p.add_argument("--payoff", default="identity", help="identity | call:K | smoothed_call:K:eps")
-    p.add_argument("--ode-steps", type=_int_at_least(1), default=sde.DEFAULT_STEPS_PER_SEGMENT)
+    p.add_argument("--ode-steps", type=_int_in(1), default=sde.DEFAULT_STEPS_PER_SEGMENT)
     common(p)
     p.set_defaults(func=cmd_greek)
 
@@ -431,25 +433,25 @@ def build_parser():
     p.add_argument("--direction", default="V1")
     p.add_argument("--scale", default="sqrt_t")
     p.add_argument("--t-list", default="0.4,0.2,0.1,0.05")
-    p.add_argument("--m", type=_int_at_least(2), default=2)
-    p.add_argument("--mprime", type=_int_at_least(1), default=3)
+    p.add_argument("--m", type=_int_in(2, _BRACKET_DEPTH + 2), default=2)
+    p.add_argument("--mprime", type=_int_in(1), default=3)
     p.add_argument("--payoff", default="identity")
-    p.add_argument("--ode-steps", type=_int_at_least(1), default=sde.DEFAULT_STEPS_PER_SEGMENT)
+    p.add_argument("--ode-steps", type=_int_in(1), default=sde.DEFAULT_STEPS_PER_SEGMENT)
     common(p)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("diagnostics", help="Monte Carlo cross-checks and identities")
     p.add_argument("--t", type=_horizon, default=0.25)
-    p.add_argument("--paths", type=_int_at_least(2), default=_env_default("paths", "20000"))
-    p.add_argument("--steps", type=_int_at_least(1), default=_env_default("steps", "128"))
+    p.add_argument("--paths", type=_int_in(2), default=_env_default("paths", "20000"))
+    p.add_argument("--steps", type=_int_in(1), default=_env_default("steps", "128"))
     common(p)
     p.set_defaults(func=cmd_diagnostics)
 
     p = sub.add_parser("cubature", help="export/import cubature formula files")
     p.add_argument("action", choices=["export", "import"])
     p.add_argument("--kind", default="expectation3", choices=list(EXPORT_KINDS))
-    p.add_argument("--d", type=_int_at_least(1), default=1)
-    p.add_argument("--m", type=_int_at_least(1), default=3)
+    p.add_argument("--d", type=_int_in(1), default=1)
+    p.add_argument("--m", type=_int_in(1), default=3)
     p.add_argument("--t", type=_horizon, default=1.0)
     p.add_argument("--direction", default="1.0", help="e-coefficients for greeks2pt")
     p.add_argument("--in", dest="infile", default=None)
@@ -463,19 +465,19 @@ def _partition_arg(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("partition must be k,gamma")
-    k, gamma = _int_at_least(1)(parts[0]), _horizon(parts[1])
+    k, gamma = _int_in(1)(parts[0]), _horizon(parts[1])
     if gamma < 1.0:
         raise argparse.ArgumentTypeError(f"partition exponent gamma must be >= 1, got {parts[1]!r}")
     return k, gamma
 
 
-def _int_at_least(low):
-    """The argparse type of an integer flag with lower bound ``low``."""
+def _int_in(low, high=math.inf):
+    """The argparse type of an integer flag in [low, high]."""
 
     def parse(text):
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [{low}, {high}]")
         return value
 
     parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"

@@ -98,24 +98,23 @@ class GreeksFormula(_Formula):
         return algebra.mul(self.direction, algebra.heat_element(self.ctx, self.t))
 
 
-def weighted_signature_sum(ctx, items):
-    total = algebra.zero(ctx)
-    for w, path in items:
-        total = total + w * paths.signature(ctx, path)
-    return total
-
-
 def verify_moments(formula, target):
     """Per-degree max-abs coefficient error of sum w_j sig(path_j) - target."""
-    ctx = formula.ctx
-    diff = np.abs((weighted_signature_sum(ctx, formula.items) - target).vec)
-    return {n: float(np.max(diff[ctx.degrees == n], initial=0.0)) for n in range(ctx.m + 1)}
+    S = paths.signatures(formula.ctx, formula.paths)
+    return dict(enumerate(_residuals(formula.ctx, S, formula.weights, target.vec)))
+
+
+def _residuals(ctx, S, weights, target):
+    """Per-degree max-abs error of sum_j weights[j] S[:, j] - target, summed in column order."""
+    total = np.zeros(ctx.dim)
+    for w, column in zip(weights, S.T):
+        total = total + w * column
+    diff = np.abs(total - target)
+    return tuple(float(np.max(diff[ctx.degrees == n], initial=0.0)) for n in range(ctx.m + 1))
 
 
 def max_residual(formula, target=None):
-    if target is None:
-        target = formula.target()
-    return max(verify_moments(formula, target).values())
+    return max(verify_moments(formula, formula.target() if target is None else target).values())
 
 
 def _checked(formula, tol=VERIFY_TOL, residuals=None):
@@ -192,36 +191,34 @@ def expectation_solve(ctx, t, dictionary, target=None, tol=VERIFY_TOL):
 def _positive_solve(ctx, t, groups, target, tol):
     """NNLS over groups of paths that share one weight, split evenly in the group.
 
-    A group's column is its mean signature.  Weights below PRUNE_TOL are
-    pruned, and an unconstrained re-solve on the support replaces them when
-    it stays positive.
+    A group's column is its mean signature, summed in path order.  The
+    formula's residuals come from the same signature columns.
     """
     if not groups:
         raise NoFormulaFoundError("empty dictionary", best_residual=None)
-    A = np.column_stack([
-        sum(algebra.to_dense(paths.signature(ctx, p)) for p in group) * (1.0 / len(group))
-        for group in groups
-    ])
+    flat = [p for group in groups for p in group]
+    S = paths.signatures(ctx, flat)
+    spans = [range(e - len(g), e) for e, g in zip(itertools.accumulate(map(len, groups)), groups)]
+    A = np.column_stack([sum(S[:, span].T) * (1.0 / len(span)) for span in spans])
     b = algebra.to_dense(target)
+    w = _nnls_polish(A, b)
+    kept = [(g, j) for g in np.flatnonzero(w > PRUNE_TOL) for j in spans[g]]
+    formula = CubatureFormula(ctx, t, tuple((float(w[g]) * (1.0 / len(spans[g])), flat[j]) for g, j in kept))
+    return _checked(formula, tol, _residuals(ctx, S[:, [j for _, j in kept]], formula.weights, b))
+
+
+def _nnls_polish(A, b):
+    """Nonnegative least squares for A w = b.  Weights below PRUNE_TOL are
+    pruned, and an unconstrained re-solve on the support replaces them when
+    it stays positive."""
     w, _ = scipy.optimize.nnls(A, b)
     support = np.flatnonzero(w > PRUNE_TOL)
     if support.size:
-        # unconstrained polish on the active columns; keep only if it stays positive
         w_sub, *_ = np.linalg.lstsq(A[:, support], b, rcond=None)
         if np.all(w_sub > 0.0):
             w = np.zeros_like(w)
             w[support] = w_sub
-    support = np.flatnonzero(w > PRUNE_TOL)
-    residual = float(np.max(np.abs(A[:, support] @ w[support] - b))) if support.size else float(np.max(np.abs(b)))
-    if residual > tol:
-        raise NoFormulaFoundError(
-            f"positive solver stalled at residual {residual:.3e} (dictionary too poor?)",
-            best_residual=residual,
-        )
-    items = tuple(
-        (float(w[j]) * (1.0 / len(groups[j])), p) for j in support for p in groups[j]
-    )
-    return _checked(CubatureFormula(ctx, t, items), tol)
+    return w
 
 
 _DEGREE5_SCALES = (0.5, 1.0, math.sqrt(3.0), 1.5, 2.0)
@@ -311,46 +308,42 @@ def greeks_two_point(ctx, w, t):
 def greeks_solve(ctx, w, t, dictionary, tol=VERIFY_TOL):
     """Sign-free moment matching: solve sum mu_j sig(path_j) = greek target.
 
-    The dictionary's paths end at t.  Dense least squares on the stacked
-    signature columns; a column-pivoted QR selects an independent subset (at
-    most dim A columns, hence r <= 2 dim A), weights below 1e-12 are pruned
-    and the system re-solved on the support.
+    The dictionary's paths end at t.  A column-pivoted QR of the signature
+    columns selects an independent subset (at most dim A columns); dense
+    least squares solves on it, weights below PRUNE_TOL are pruned and the
+    system re-solved on the support.  The QR does not depend on the target,
+    so the horizon-1 default dictionary keeps its columns and QR per context.
     """
     if not dictionary:
         raise NoFormulaFoundError("empty dictionary", best_residual=None)
     b = algebra.to_dense(greek_target(ctx, w, t))
     direction = algebra.dilate(math.sqrt(t), w)
-    if not w.coeffs:
-        return _checked(GreeksFormula(ctx, t, direction, ()), tol)
-    A = np.column_stack([algebra.to_dense(paths.signature(ctx, p)) for p in dictionary])
-    # rank-revealing column selection keeps the formula small
-    _, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > 1e-12 * diag[0])) if diag.size and diag[0] > 0 else 0
-    selected = piv[:rank]
-    mu_sel, *_ = np.linalg.lstsq(A[:, selected], b, rcond=None)
-    keep = np.abs(mu_sel) >= PRUNE_TOL
-    selected = selected[keep]
+    # default_greeks_dictionary(ctx, 1.0) lists the cached horizon-1 paths themselves
+    unit = _unit_greeks_dictionary(ctx) if t == 1.0 else ()
+    if len(dictionary) == len(unit) and all(p is q for p, q in zip(dictionary, unit)):
+        S, selected = _unit_greeks_columns(ctx)
+    else:
+        S = paths.signatures(ctx, dictionary)
+        selected = _independent_columns(S)
+    mu_sel, *_ = np.linalg.lstsq(S[:, selected], b, rcond=None)
+    selected = selected[np.abs(mu_sel) >= PRUNE_TOL]
+    mu_sel = np.zeros(0)
     if selected.size:
-        mu_sel, *_ = np.linalg.lstsq(A[:, selected], b, rcond=None)
+        mu_sel, *_ = np.linalg.lstsq(S[:, selected], b, rcond=None)
         # the empty-word row forces sum(mu) = 0 up to rounding; project it out
         mu_sel = mu_sel - mu_sel.sum() / mu_sel.size
-        residual = float(np.max(np.abs(A[:, selected] @ mu_sel - b)))
-    else:
-        mu_sel = np.zeros(0)
-        residual = float(np.max(np.abs(b)))
-    if residual > tol:
-        raise NoFormulaFoundError(
-            f"greeks solver stalled at residual {residual:.3e} (dictionary too poor?)",
-            best_residual=residual,
-        )
     order = np.argsort(selected)
     items = tuple((float(mu_sel[k]), dictionary[selected[k]]) for k in order)
-    if len(items) > 2 * ctx.dim:
-        raise NoFormulaFoundError(
-            f"solver kept {len(items)} paths > 2 dim A = {2 * ctx.dim}", best_residual=residual
-        )
-    return _checked(GreeksFormula(ctx, t, direction, items), tol)
+    formula = GreeksFormula(ctx, t, direction, items)
+    return _checked(formula, tol, _residuals(ctx, S[:, selected[order]], formula.weights, b))
+
+
+def _independent_columns(S):
+    """Columns of S that a rank-revealing (column-pivoted) QR keeps, in pivot order."""
+    _, R, piv = scipy.linalg.qr(S, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > 1e-12 * diag[0])) if diag.size and diag[0] > 0 else 0
+    return piv[:rank]
 
 
 def default_greeks_dictionary(ctx, t):
@@ -369,6 +362,16 @@ def _unit_greeks_dictionary(ctx):
     T, e1, e2 = (1.0,), (0.0, 1.0), (0.0, 0.0, 1.0)
     shapes = [[e1], [(0.0, 0.5)], [(0.0, 1.0, 1.0)], [e1, e2], [T], [T, e1], [e1, T], [(1.0, 1.0)]]
     return tuple(p for shape in shapes for p in _orbit(shape, ctx.d))
+
+
+@lru_cache(maxsize=None)
+def _unit_greeks_columns(ctx):
+    """Signature columns of the horizon-1 default dictionary and their QR choice, read-only."""
+    S = paths.signatures(ctx, _unit_greeks_dictionary(ctx))
+    selected = _independent_columns(S)
+    for array in (S, selected):
+        array.setflags(write=False)
+    return S, selected
 
 
 def rescale_formula(formula, t):

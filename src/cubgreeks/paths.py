@@ -21,7 +21,7 @@ from .errors import DomainError, InvalidPathError
 class PiecewisePath:
     """Ordered knots (s_k, x_k) with s_0 = 0 and s_last = t_end, joined linearly."""
 
-    __slots__ = ("t_end", "times", "points", "_signatures")
+    __slots__ = ("t_end", "times", "points")
 
     def __init__(self, t_end, knots):
         times = np.asarray([float(s) for s, _ in knots])
@@ -43,7 +43,6 @@ class PiecewisePath:
         self.t_end = float(t_end)
         self.times = times
         self.points = points
-        self._signatures = {}
 
     @property
     def dim(self):
@@ -105,15 +104,27 @@ def segment_signature(ctx, increment):
 
 
 def signature(ctx, path):
-    """Truncated signature: the context's Chen fold over the segments in knot order.
-
-    The knots are read-only, so each path keeps its signature per context.
-    """
+    """Truncated signature: the context's Chen fold over the segments in knot order."""
     if path.dim != ctx.d + 1:
         raise InvalidPathError(f"path dimension {path.dim} != d+1 = {ctx.d + 1}")
-    if ctx not in path._signatures:
-        path._signatures[ctx] = algebra.from_dense(ctx, ctx.chen(path.increments().T))
-    return path._signatures[ctx]
+    return algebra.from_dense(ctx, ctx.chen(path.increments().T))
+
+
+def signatures(ctx, path_list):
+    """Signatures of a list of paths as a (dim, n) array, one column per path in list order.
+
+    Paths with the same segment count share one batched Chen fold, which is
+    bitwise equal to each path's own fold.
+    """
+    by_count = {}
+    for j, path in enumerate(path_list):
+        if path.dim != ctx.d + 1:
+            raise InvalidPathError(f"path {j} has dimension {path.dim} != d+1 = {ctx.d + 1}")
+        by_count.setdefault(path.n_segments, []).append(j)
+    out = np.empty((ctx.dim, len(path_list)))
+    for js in by_count.values():
+        out[:, js] = ctx.chen(np.stack([path_list[j].increments().T for j in js], axis=-1))
+    return out
 
 
 def scale_path(path, t):

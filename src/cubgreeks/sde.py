@@ -193,16 +193,8 @@ def bracket_evaluate(system, word, y):
     return expr.value(system, y)
 
 
-@dataclass(frozen=True)
-class BracketTable:
-    """Iterated-bracket evaluations at a base point, keyed by word."""
-
-    y: np.ndarray
-    entries: dict  # word -> R^N vector
-
-
 def build_bracket_table(system, y, m):
-    """Evaluate the canonical independent bracket words of degree <= m-1 at y.
+    """{word: bracket vector} for the canonical independent words of degree <= m-1 at y.
 
     Words come from the Lie basis of the free algebra truncated at m-1 with
     the bare time word (0) removed: the decomposition never uses the drift
@@ -213,42 +205,33 @@ def build_bracket_table(system, y, m):
         raise DomainError(f"bracket table needs m >= 2, got m={m}")
     y = np.asarray(y, dtype=float)
     lie = algebra.lie_basis(context(system.d, m - 1))
-    entries = {}
-    for word in lie.words:
-        if word == (0,):
-            continue
-        entries[word] = bracket_evaluate(system, word, y)
-    return BracketTable(y, entries)
+    return {word: bracket_evaluate(system, word, y) for word in lie.words if word != (0,)}
 
 
 def decompose_direction(system, y, v, t, m):
     """Solve v = sum_I t^{deg(I)/2} w_I [V_{i1},[...,V_{ik}]...](y) for w.
 
-    Minimal-norm least squares over the canonical bracket words; raises when
-    the residual exceeds 1e-8 * ||v|| (the direction is outside the span the
-    bracket condition provides at y).  Returns ({word: w_I}, residual).
+    Minimal-norm least squares over the canonical bracket words, dropping a
+    word whose term |w_I| t^{deg/2} |[V_I](y)| is at most 1e-13 ||v||; raises
+    when the residual of the returned coefficients exceeds 1e-8 ||v|| (v is
+    outside the bracket span at y).  Returns ({word: w_I}, residual).
     """
     if not 0.0 < t < np.inf:
         raise DomainError(f"horizon must be positive and finite, got {t}")
     v = np.asarray(v, dtype=float)
     table = build_bracket_table(system, y, m)
-    words = sorted(table.entries, key=lambda w: (algebra.word_degree(w), w))
-    if not words:
-        raise DirectionNotAttainableError("no bracket words available", residual=float(np.linalg.norm(v)))
-    cols = np.column_stack(
-        [t ** (algebra.word_degree(w) / 2.0) * table.entries[w] for w in words]
-    )
+    words = sorted(table, key=lambda w: (algebra.word_degree(w), w))
+    cols = np.column_stack([t ** (algebra.word_degree(w) / 2.0) * table[w] for w in words])
     coeffs, *_ = np.linalg.lstsq(cols, v, rcond=None)
-    residual = float(np.linalg.norm(cols @ coeffs - v))
     scale = max(float(np.linalg.norm(v)), 1e-30)
+    coeffs[np.abs(coeffs) * np.linalg.norm(cols, axis=0) <= 1e-13 * scale] = 0.0
+    residual = float(np.linalg.norm(cols @ coeffs - v))
     if residual > 1e-8 * scale:
         raise DirectionNotAttainableError(
-            f"direction residual {residual:.3e} exceeds 1e-8 * ||v||; "
-            "bracket span does not reach v at y",
+            f"direction residual {residual:.3e} exceeds 1e-8 * ||v||; bracket span does not reach v at y",
             residual=residual,
         )
-    out = {w: float(c) for w, c in zip(words, coeffs) if abs(c) > 1e-13 * max(1.0, scale)}
-    return out, residual
+    return {w: float(c) for w, c in zip(words, coeffs) if c != 0.0}, residual
 
 
 def lie_direction(ctx, coefficients):

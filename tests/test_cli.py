@@ -262,6 +262,10 @@ class TestRangeFlags:
             ["greek", "--s0", "1.5", "--partition", "3,2"],
             ["greek", "--m", "0"],
             ["greek", "--m", "1"],
+            ["greek", "--m", "6"],
+            ["greek", "--m", "12"],
+            ["greek", "--m", "30"],
+            ["converge", "--study", "greek", "--m", "6"],
             ["greek", "--mprime", "0", "--s0", "0.1", "--partition", "2,1"],
             ["converge", "--study", "greek", "--ode-steps", "0"],
             ["cubature", "export", "--m", "4"],

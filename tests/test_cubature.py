@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cubgreeks import algebra, paths, sde
+from cubgreeks import algebra, cubature, paths, sde
 from cubgreeks.algebra import TensorElement, bracket, context, dilate, generator, heat_element, max_abs_diff, mul, zero
 from cubgreeks.cubature import (
     VERIFY_TOL,
@@ -367,6 +367,8 @@ class TestHorizonOne:
             expectation_degree3(context(1, 3), t),
             expectation_degree3(ctx23, t),
             expectation_degree5_d1(context(1, 5), t),
+            expectation_degree5(context(2, 5), t),
+            expectation_degree5(context(3, 5), t),
             greeks_two_point(ctx22, 0.7 * generator(ctx22, 1) - 1.2 * generator(ctx22, 2), t),
             rescale_formula(greeks_solve(ctx23, w, 1.0, default_greeks_dictionary(ctx23, 1.0)), t),
         ]
@@ -405,6 +407,49 @@ class TestHorizonOne:
         ):
             with pytest.raises(DomainError):
                 call()
+
+
+class TestMomentsComputedOnce:
+    """Each built formula computes its signature columns in one
+    ``paths.signatures`` call, and checks its moments from those columns."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted, signatures = [], paths.signatures
+
+        def count(ctx, path_list):
+            counted.append(len(path_list))
+            return signatures(ctx, path_list)
+
+        monkeypatch.setattr(paths, "signatures", count)
+        return counted
+
+    def test_one_call_per_built_formula(self, calls):
+        ctx13, ctx22, ctx23 = context(1, 3), context(2, 2), context(2, 3)
+        w = bracket(generator(ctx23, 1), generator(ctx23, 2))
+        lines = [paths.line_path(1.0, [1.0, a]) for a in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+        builds = [
+            lambda: cubature._expectation_degree3_unit.__wrapped__(ctx23),
+            lambda: cubature._expectation_degree5_unit.__wrapped__(context(2, 5)),
+            lambda: greeks_two_point(ctx22, 0.7 * generator(ctx22, 1) - 1.2 * generator(ctx22, 2), 0.3),
+            lambda: expectation_solve(ctx13, 1.0, lines),
+            lambda: greeks_solve(ctx23, w, 0.5, default_greeks_dictionary(ctx23, 0.5)),
+            lambda: cubature._unit_greeks_columns.__wrapped__(ctx23),
+        ]
+        for build in builds:
+            calls.clear()
+            build()
+            assert len(calls) == 1
+
+    def test_warm_formulas_compute_no_signatures(self, calls):
+        ctx23 = context(2, 3)
+        w = bracket(generator(ctx23, 1), generator(ctx23, 2))
+        greeks_solve(ctx23, w, 1.0, default_greeks_dictionary(ctx23, 1.0))
+        expectation_degree3(ctx23, 1.0)
+        calls.clear()
+        greeks_solve(ctx23, -0.4 * w + generator(ctx23, 1), 1.0, default_greeks_dictionary(ctx23, 1.0))
+        expectation_degree3(ctx23, 0.3)
+        assert calls == []
 
 
 class TestFormulaInvariants:

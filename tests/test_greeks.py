@@ -407,7 +407,7 @@ class TestFormulasFromHorizonOne:
         greek_iterated(request(0.1))
         calls = self.count_segment_exp(monkeypatch)
         greek_iterated(request(0.15))
-        assert len(calls) == 2  # one per stage-0 path
+        assert len(calls) == 1  # both stage-0 paths in one fold
 
     def test_stage0_support_does_not_depend_on_t(self):
         y = np.array([0.3, -0.2])

@@ -3,9 +3,9 @@
 The dense product and signature are checked bitwise against the sparse
 double-loop oracles in ``oracles.py``: on basis-ordered inputs both sum the
 splits of each word in ascending cut order, so the arithmetic is the same.
-The batched Chen fold is checked bitwise, path by path, against the
-single-path fold and the oracle, and the Monte Carlo mean against per-path
-signatures.
+The batched Chen fold and ``paths.signatures`` are checked bitwise, path by
+path, against the single-path fold and the oracle, and the Monte Carlo mean
+against per-path signatures.
 """
 
 import math
@@ -82,6 +82,20 @@ def test_batched_chen_fold_matches_per_path_bitwise(d, m, data):
     for column, path in zip(folded.T, batch):
         assert column.tobytes() == ctx.chen(path.increments().T).tobytes()
         assert basis_ordered(ctx, column) == dict_signature(ctx, path)
+
+
+@pytest.mark.parametrize("d,m", CONTEXTS)
+@SETTINGS
+@given(data=st.data())
+def test_signatures_of_mixed_segment_counts_match_per_path_bitwise(d, m, data):
+    ctx = context(d, m)
+    increment = st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=d + 1, max_size=d + 1)
+    path = st.integers(1, 4).flatmap(lambda k: st.lists(increment, min_size=k, max_size=k))
+    batch = [paths.from_increments(1.0, incs) for incs in data.draw(st.lists(path, min_size=1, max_size=6))]
+    columns = paths.signatures(ctx, batch)
+    assert columns.shape == (ctx.dim, len(batch))
+    for column, p in zip(columns.T, batch):
+        assert column.tobytes() == paths.signature(ctx, p).vec.tobytes()
 
 
 @pytest.mark.parametrize("d,m", [(1, 5), (2, 3), (3, 4)])

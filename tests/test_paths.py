@@ -16,6 +16,7 @@ from cubgreeks.paths import (
     scale_path,
     segment_signature,
     signature,
+    signatures,
 )
 
 from oracles import iterated_integral_quadrature
@@ -103,6 +104,14 @@ class TestSignature:
         p = line_path(1.0, [1.0, 0.8])
         refined = PiecewisePath(1.0, [(0.0, [0, 0]), (0.31, [0.31, 0.8 * 0.31]), (1.0, [1.0, 0.8])])
         assert max_abs_diff(signature(ctx, p), signature(ctx, refined)) < 1e-13
+
+
+    def test_wrong_dimension_is_refused(self):
+        ctx = context(2, 3)
+        good, bad = line_path(1.0, [1.0, 0.5, 0.5]), line_path(1.0, [1.0, 0.5])
+        for call in (lambda: signature(ctx, bad), lambda: signatures(ctx, [good, bad])):
+            with pytest.raises(InvalidPathError):
+                call()
 
 
 class TestScalePath:

@@ -8,6 +8,7 @@ import pytest
 from cubgreeks import sde
 from cubgreeks.algebra import bracket, context, generator, word_degree
 from cubgreeks.errors import BlowUpError, ConfigError, DirectionNotAttainableError, DomainError
+from cubgreeks.greeks import greek_one_step
 from cubgreeks.paths import PiecewisePath, from_increments, line_path
 from cubgreeks.sde import (
     FieldExpr,
@@ -287,10 +288,24 @@ class TestDecomposition:
         c2, _ = decompose_direction(system, [0.0, 0.0], [0.0, 1.0], 2.0, 3)
         assert abs(c2[(1, 2)] - c1[(1, 2)] / 2.0) < 1e-12
 
+    def test_large_field_keeps_its_small_coefficient(self):
+        # V1 = 1e15 y reaches v = 1 with w = 1/(1e15 sqrt t); a 1e-13 cut on |w| alone would drop it
+        system = sde.VectorFieldSystem(
+            dim=1, d=1, fields=(lambda y: 0.0 * y, lambda y: 1e15 * y),
+            jacobians=(lambda y: np.zeros(y.shape + (1,)), lambda y: np.full(y.shape + (1,), 1e15)),
+        )
+        coeffs, residual = decompose_direction(system, [1.0], [1.0], 0.5, 2)
+        assert set(coeffs) == {(1,)}
+        assert abs(coeffs[(1,)] - 1e-15 * math.sqrt(2.0)) < 1e-28
+        assert residual < 1e-15
+        # with the word kept, the Greek runs its formula (whose flow overflows) rather than returning 0.0
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
+            greek_one_step(system, lambda x: x[..., 0], [1.0], [1.0], 0.5, 2)
+
     def test_table_excludes_time_word(self):
         table = build_bracket_table(heisenberg_toy(), [0.0, 0.0], 3)
-        assert (0,) not in table.entries
-        assert all(word_degree(w) <= 2 for w in table.entries)
+        assert (0,) not in table
+        assert all(word_degree(w) <= 2 for w in table)
 
 
 class TestLieDirection:
@@ -309,14 +324,14 @@ class TestLieDirection:
         t = 0.3
         rng = np.random.default_rng(11)
         table = build_bracket_table(system, y, 3)
-        coeffs = {w: rng.uniform(-1, 1) for w in table.entries}
+        coeffs = {w: rng.uniform(-1, 1) for w in table}
         v = sum(
-            t ** (word_degree(w) / 2.0) * c * table.entries[w] for w, c in coeffs.items()
+            t ** (word_degree(w) / 2.0) * c * table[w] for w, c in coeffs.items()
         )
         recovered, residual = decompose_direction(system, y, v, t, 3)
         assert residual < 1e-10
         rebuilt = sum(
-            t ** (word_degree(w) / 2.0) * c * table.entries[w]
+            t ** (word_degree(w) / 2.0) * c * table[w]
             for w, c in recovered.items()
         )
         assert np.abs(rebuilt - v).max() < 1e-10
