@@ -9,6 +9,13 @@ The signature expectation runs the same Chen fold as ``paths.signature``
 element against simulation, not the product itself.  It draws and folds one
 block of paths at a time, and the covariance diagnostics turn their draw into
 Brownian paths in place, so neither keeps a second copy of a draw.
+The signature, covariance, Malliavin and finite-difference oracles each draw
+their own normals and hand them to a private helper that reads a given draw.
+The ``diagnostics`` command calls those helpers to share noise on purpose:
+the signature check reads the (paths 0..n, d = 2) draw before the horizon-t
+covariance ensemble converts it in place, and the Malliavin and
+finite-difference deltas run on one d = 1 draw, as common random numbers.
+Each window is then drawn once, and sharing changes no number.
 Every estimator averages independent paths, one per row of the draw, so its
 standard error is the sample standard deviation over sqrt(n_paths).
 Estimators are reproducible: draws come from the counter-based stream in
@@ -29,7 +36,7 @@ from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayof
 from .rng import normal_increments
 from .sde import _batched, _fd_directional, _matvec, batched
 
-_SIG_BLOCK = 2048  # paths per Chen fold block: the product's (splits x paths) terms stay in L2
+_SIG_BLOCK = 2048  # paths per block of the Chen fold (product terms stay in L2) and the covariance shift
 
 
 @dataclass(frozen=True)
@@ -182,10 +189,14 @@ def euler_expectation(system, f, y, t, cfg):
 
 def fd_greek(system, f, y, v, t, cfg, h=1e-3):
     """Central difference (E f(Y^{y+hv}) - E f(Y^{y-hv}))/(2h), shared noise."""
+    return _fd_greek(system, f, y, v, t, _normals(system, cfg), h)
+
+
+def _fd_greek(system, f, y, v, t, normals, h=1e-3):
+    """``fd_greek`` on the given (n_paths, n_steps, d) draw."""
     if h <= 0.0:
         raise DomainError(f"finite-difference step must be positive, got {h}")
     f = _batched_payoff(system, f, y)
-    normals = _normals(system, cfg)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     f_up = f(_euler_states(system, y + h * v, t, normals))
@@ -201,29 +212,28 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
     Euler; the weight integrand is evaluated at the left endpoint so the
     stochastic integral is a genuine Ito integral.
     """
+    return _malliavin_delta_m1(system, f, y, v, t, _normals(system, cfg))
+
+
+def _malliavin_delta_m1(system, f, y, v, t, normals):
+    """``malliavin_delta_m1`` on the given (n_paths, n_steps, d) draw."""
     n_dim = system.dim
     if n_dim != system.d:
         raise EllipticityError(f"elliptic weight needs N = d, got N={n_dim}, d={system.d}")
     f = _batched_payoff(system, f, y)
-    normals = _normals(system, cfg)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
-    dt = t / cfg.n_steps
+    n_paths, n_steps, _ = normals.shape
+    dt = t / n_steps
     sdt = math.sqrt(dt)
-    ys = np.tile(y, (cfg.n_paths, 1))
-    J = np.tile(np.eye(n_dim), (cfg.n_paths, 1, 1))
-    acc = np.zeros(cfg.n_paths)
-    for k in range(cfg.n_steps):
+    ys = np.tile(y, (n_paths, 1))
+    J = np.tile(np.eye(n_dim), (n_paths, 1, 1))
+    acc = np.zeros(n_paths)
+    for k in range(n_steps):
         dB = normals[:, k, :] * sdt
         fields, jacobians = _fields_at(system, ys)
         sigma = np.stack(fields[1:], axis=-1)
-        Jv = _matvec(J, v)
-        try:
-            integrand = np.linalg.solve(sigma, Jv[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise EllipticityError(f"singular diffusion matrix at step {k}") from exc
-        if not np.all(np.isfinite(integrand)):
-            raise EllipticityError(f"diffusion matrix nearly singular at step {k}")
+        integrand = _weight_integrand(sigma, _matvec(J, v), k)
         acc += np.einsum("ni,ni->n", integrand, dB)
         # Ito form of the joint (Y, J) system; the d2V term is a finite
         # difference of the Jacobian and vanishes for linear fields
@@ -241,6 +251,28 @@ def malliavin_delta_m1(system, f, y, v, t, cfg):
             raise BlowUpError(f"Malliavin simulation became non-finite at step {k}")
     values = f(ys) * (acc / t)
     return _mean_stderr(values)
+
+
+def _weight_integrand(sigma, Jv, k):
+    """sigma^{-1} Jv for each path's (N, N) diffusion matrix at step k.
+
+    Raises ``EllipticityError`` where sigma is singular or the result is not
+    finite.  For N = 1 the solve is a division, which is bitwise
+    ``np.linalg.solve`` on a 1x1 system without its per-system overhead.
+    """
+    if sigma.shape[-1] == 1:
+        if not np.all(sigma):
+            raise EllipticityError(f"singular diffusion matrix at step {k}")
+        with np.errstate(over="ignore", invalid="ignore"):  # caught as not finite below
+            integrand = Jv / sigma[:, :, 0]
+    else:
+        try:
+            integrand = np.linalg.solve(sigma, Jv[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise EllipticityError(f"singular diffusion matrix at step {k}") from exc
+    if not np.all(np.isfinite(integrand)):
+        raise EllipticityError(f"diffusion matrix nearly singular at step {k}")
+    return integrand
 
 
 def simple_weight_delta_m1(system, f, y, v, t, cfg):
@@ -278,6 +310,13 @@ def signature_expectation_stats(ctx, t, cfg):
     only the summation order of the totals.  Returns (mean element,
     {word: stderr}).
     """
+    return _signature_expectation_stats(ctx, t, cfg)
+
+
+def _signature_expectation_stats(ctx, t, cfg, normals=None):
+    """``signature_expectation_stats`` on ``_SIG_BLOCK``-row slices of a given
+    (n_paths, n_steps, d) draw, which it only reads; with none, each block is
+    drawn as it is reached."""
     d = ctx.d
     dt = t / cfg.n_steps
     sdt = math.sqrt(dt)
@@ -285,10 +324,13 @@ def signature_expectation_stats(ctx, t, cfg):
     total_sq = np.zeros(ctx.dim)
     for start in range(0, cfg.n_paths, _SIG_BLOCK):
         n = min(_SIG_BLOCK, cfg.n_paths - start)
-        normals = normal_increments(cfg.seed, start, n, cfg.n_steps, d)
+        if normals is None:
+            block = normal_increments(cfg.seed, start, n, cfg.n_steps, d)
+        else:
+            block = normals[start : start + n]
         inc = np.empty((d + 1, cfg.n_steps, n))
         inc[0] = dt
-        np.multiply(normals.T, sdt, out=inc[1:])
+        np.multiply(block.T, sdt, out=inc[1:])
         sig = ctx.chen(inc)
         total += sig.sum(axis=1)
         total_sq += (sig * sig).sum(axis=1)
@@ -310,20 +352,22 @@ def signature_expectation_mc(ctx, t, cfg):
 # d=2, m=2 covariance diagnostics
 
 
-def _covariance_matrices(t, cfg, path_start=0):
+def _covariance_matrices(t, left):
     """(n, 4, 4) covariance matrices and their quadratures I_1, I_2, Q, from
-    left-point sums over one ensemble.  The draw buffer becomes the left
-    endpoints B_{s_k} in place: the scaled increments shifted one step later
-    behind a zero, then a running sum along each path."""
-    dt = t / cfg.n_steps
-    left = normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2)
-    left[:, 1:] = left[:, :-1] * math.sqrt(dt)
+    left-point sums over the ensemble of a (n, n_steps, 2) normal draw.  The
+    draw becomes the left endpoints B_{s_k} in place: the scaled increments
+    shifted one step later behind a zero, then a running sum along each path.
+    The shift runs one block of paths at a time, so its copy is one block."""
+    n, n_steps, _ = left.shape
+    dt = t / n_steps
+    for start in range(0, n, _SIG_BLOCK):
+        rows = left[start : start + _SIG_BLOCK]
+        rows[:, 1:] = rows[:, :-1] * math.sqrt(dt)
     left[:, 0] = 0.0
     np.cumsum(left, axis=1, out=left)
     i1 = left[:, :, 0].sum(axis=1) * dt
     i2 = left[:, :, 1].sum(axis=1) * dt
     q = (left[:, :, 0] ** 2 + left[:, :, 1] ** 2).sum(axis=1) * dt
-    n = cfg.n_paths
     c = np.zeros((n, 4, 4))
     c[:, 0, 0] = t
     c[:, 1, 1] = t
@@ -352,7 +396,17 @@ def covariance_diagnostics(t, cfg):
     means of C^t against the dilation-conjugated means of an independent C^1
     ensemble, within 4 standard errors.
     """
-    c_t, i1, i2, q = _covariance_matrices(t, cfg)
+    # the draw is gone once converted, before the horizon-1 ensemble draws as much again
+    return _covariance_report(
+        t, cfg, _covariance_matrices(t, normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, 2))
+    )
+
+
+def _covariance_report(t, cfg, ensemble_t):
+    """``covariance_diagnostics`` from the ``_covariance_matrices`` of the
+    horizon-t ensemble (paths 0..n_paths); draws the horizon-1 ensemble of
+    paths n_paths..2 n_paths itself."""
+    c_t, i1, i2, q = ensemble_t
     det_direct = np.linalg.det(c_t[:, :3, :3])
     det_formula = t * t * q - t * i1 * i1 - t * i2 * i2
     scale = np.maximum(np.abs(det_formula), 1e-300)
@@ -360,10 +414,10 @@ def covariance_diagnostics(t, cfg):
     e0_max = float(np.max(np.abs(c_t[:, 3, :])) + np.max(np.abs(c_t[:, :, 3])))
     positivity = float(np.mean(det_formula > 0.0))
 
-    c_1, *_ = _covariance_matrices(1.0, cfg, path_start=cfg.n_paths)
+    n = cfg.n_paths
+    c_1, *_ = _covariance_matrices(1.0, normal_increments(cfg.seed, n, n, cfg.n_steps, 2))
     dil = np.diag([math.sqrt(t), math.sqrt(t), t, t])
     conj = np.einsum("ij,njk,kl->nil", dil, c_1, dil)
-    n = cfg.n_paths
     se_t = c_t.std(axis=0, ddof=1) / math.sqrt(n)
     se_conj = conj.std(axis=0, ddof=1) / math.sqrt(n)
     denom = np.sqrt(se_t**2 + se_conj**2)

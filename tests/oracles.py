@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from cubgreeks import algebra, paths, rng, sde
+from cubgreeks import algebra, paths, sde
 from cubgreeks.errors import BlowUpError, DomainError
 
 
@@ -327,18 +327,18 @@ def signature_expectation_unblocked(ctx, t, cfg, chunk=25_000):
     return algebra.from_dense(ctx, mean), dict(zip(ctx.basis, np.sqrt(var / n).tolist()))
 
 
-def covariance_matrices_copied(t, cfg, path_start=0):
-    """(c, I_1, I_2, Q) of ``mc._covariance_matrices`` with the increments, the
-    Brownian paths and their zero start each held as an array of their own."""
-    dt = t / cfg.n_steps
-    normals = rng.normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2)
+def covariance_matrices_copied(t, normals):
+    """(c, I_1, I_2, Q) of ``mc._covariance_matrices`` on a (n, n_steps, 2)
+    draw, which it leaves as it is: the increments, the Brownian paths and
+    their zero start are each held as an array of their own."""
+    n, n_steps, _ = normals.shape
+    dt = t / n_steps
     dB = normals * math.sqrt(dt)
-    b = np.concatenate([np.zeros((cfg.n_paths, 1, 2)), np.cumsum(dB, axis=1)], axis=1)
+    b = np.concatenate([np.zeros((n, 1, 2)), np.cumsum(dB, axis=1)], axis=1)
     left = b[:, :-1, :]
     i1 = left[:, :, 0].sum(axis=1) * dt
     i2 = left[:, :, 1].sum(axis=1) * dt
     q = (left[:, :, 0] ** 2 + left[:, :, 1] ** 2).sum(axis=1) * dt
-    n = cfg.n_paths
     c = np.zeros((n, 4, 4))
     c[:, 0, 0] = t
     c[:, 1, 1] = t

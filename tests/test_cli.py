@@ -1,12 +1,13 @@
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from cubgreeks import cli, greeks, mc, sde
-from cubgreeks.algebra import word_degree
+from cubgreeks import cli, cubature, greeks, mc, sde
+from cubgreeks.algebra import context, heat_element, word_degree
 from cubgreeks.cli import main, parse_direction, parse_scale
 from cubgreeks.errors import ConfigError
 
@@ -266,6 +267,8 @@ class TestRangeFlags:
             ["greek", "--m", "12"],
             ["greek", "--m", "30"],
             ["converge", "--study", "greek", "--m", "6"],
+            ["greek", "--m", "5"],
+            ["converge", "--study", "greek", "--m", "5"],
             ["greek", "--mprime", "0", "--s0", "0.1", "--partition", "2,1"],
             ["converge", "--study", "greek", "--ode-steps", "0"],
             ["cubature", "export", "--m", "4"],
@@ -290,6 +293,42 @@ class TestRangeFlags:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error: " in line]) == 1
+
+    @pytest.mark.parametrize(
+        "model, y, direction, m, reach",
+        [
+            ("bs", "1.0", "1", "5", 4),
+            ("heisenberg", "0.3,-0.2", "[V1,V2]", "4", 3),
+            ("heisenberg", "0.3,-0.2", "[V1,V2]", "5", 3),
+        ],
+    )
+    def test_m_past_the_dictionary_reach_is_refused_before_any_solve(
+        self, bs_model, heisenberg_model, capsys, monkeypatch, model, y, direction, m, reach
+    ):
+        # each of these ran a full solve and then failed verification with exit 1
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved past the reach check")
+
+        monkeypatch.setattr(sde, "decompose_direction", no_solve)
+        monkeypatch.setattr(cubature, "greeks_solve", no_solve)
+        path = bs_model if model == "bs" else heisenberg_model
+        argv = ["greek", "--model", path, "--y", y, "--direction", direction, "--t", "0.2", "--m", m]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"beyond the reach of the default Greeks dictionary with d={2 if model != 'bs' else 1}" in err
+        assert f"--m <= {reach}" in err
+
+    def test_highest_reachable_m_runs(self, bs_model, heisenberg_model, tmp_path):
+        out = tmp_path / "g.json"
+        argv = ["greek", "--model", bs_model, "--y", "1.0", "--direction", "1", "--t", "0.5", "--m", "4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert (data["estimate"].hex(), data["leaves"]) == ("0x1.066bb689970aap+0", 6)
+        assert main([
+            "greek", "--model", heisenberg_model, "--y", "0.3,-0.2", "--direction", "[V1,V2]",
+            "--t", "0.2", "--m", "3", "--out", str(out),
+        ]) == 0
+        assert main(["converge", "--model", bs_model, "--study", "greek", "--m", "4", "--out", str(out)]) == 0
 
     def test_lowest_accepted_values_run(self, bs_model, capsys):
         assert main(["cubature", "export", "--kind", "greeks2pt", "--m", "1"]) == 0
@@ -628,6 +667,76 @@ class TestDiagnosticsCommand:
         rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()[1:]}
         assert rows["malliavin_delta"][2] == "0" and rows["malliavin_delta"][4] == "-inf"
         assert rows["fd_delta"][4] == "-inf"
+
+
+def _diagnostics_csv_one_by_one(t, cfg):
+    """The diagnostics table from the four public oracles, each drawing its
+    own windows, in the rows and formats of ``cmd_diagnostics``."""
+    report = mc.covariance_diagnostics(t, cfg)
+    rows = [
+        ["covariance_det_identity_rel", report.max_det_rel_error, 0.0, 0.0, 0.0],
+        ["covariance_e0_block_abs", report.e0_max_abs, 0.0, 0.0, 0.0],
+        ["covariance_positivity_fraction", report.positivity_fraction, 0.0, 1.0, 0.0],
+        ["covariance_scaling_max_z", report.scaling_max_z, 0.0, 0.0, report.scaling_max_z],
+    ]
+    ctx = context(2, 3)
+    element, stderr = mc.signature_expectation_stats(ctx, 1.0, cfg)
+    heat = heat_element(ctx, 1.0)
+    max_z = 0.0
+    for w in ctx.basis:
+        max_z = max(max_z, cli._z_score(abs(element.coeff(w) - heat.coeff(w)), stderr[w]))
+    rows.append(["signature_mc_max_z", max_z, 0.0, 0.0, max_z])
+    system = sde.black_scholes(0.05, 0.3)
+    payoff = mc.Payoff("call", 1.0)
+    _, ref = mc.bs_closed_form(0.05, 0.3, 1.0, t, payoff)
+    for name, oracle in [("malliavin_delta", mc.malliavin_delta_m1), ("fd_delta", mc.fd_greek)]:
+        est, se = oracle(system, payoff, [1.0], [1.0], t, cfg)
+        rows.append([name, est, se, ref, cli._z_score(est - ref, se)])
+    lines = ["quantity,estimate,stderr,reference,z_score"]
+    lines += [f"{q},{e:.10g},{s:.4g},{r:.10g},{z:.4g}" for q, e, s, r, z in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestDiagnosticsSharedDraws:
+    """``diagnostics`` draws each noise window once: the signature check and
+    the horizon-t covariance ensemble share one d = 2 draw, and the Malliavin
+    and finite-difference deltas one d = 1 draw.  Its table is the bytes of
+    the public oracles run one by one."""
+
+    @pytest.mark.parametrize(
+        "seed, paths, steps, code",
+        [(0, 4000, 64, 0), (5, 4000, 64, 0), (41, 4000, 64, 0), (3, 2, 4, 1), (7, 2, 4, 1)],
+    )
+    def test_table_is_the_oracles_one_by_one(self, tmp_path, seed, paths, steps, code):
+        out = tmp_path / "d.csv"
+        argv = ["diagnostics", "--paths", str(paths), "--steps", str(steps), "--seed", str(seed)]
+        assert main(argv + ["--out", str(out)]) == code
+        cfg = mc.McConfig(n_paths=paths, n_steps=steps, seed=seed)
+        assert out.read_bytes() == _diagnostics_csv_one_by_one(0.25, cfg).encode()
+
+    def test_each_window_is_drawn_once(self, tmp_path, monkeypatch):
+        draw = mc.normal_increments
+        windows, arrays = [], []
+
+        def counted(seed, path_start, n_paths, n_steps, d):
+            if (path_start, d) == (n_paths, 2):
+                # no reference to the horizon-t draw is left when the
+                # horizon-1 ensemble draws as much again
+                assert [ref() for ref in arrays] == [None] * len(arrays)
+            out = draw(seed, path_start, n_paths, n_steps, d)
+            windows.append((path_start, n_paths, n_steps, d))
+            arrays.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(mc, "normal_increments", counted)
+        argv = ["diagnostics", "--paths", "4000", "--steps", "64", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+        assert windows == [(0, 4000, 64, 2), (4000, 4000, 64, 2), (0, 4000, 64, 1)]
+        assert sum(math.prod(w[1:]) for w in windows) == 1_280_000
+        # the oracles one by one draw the d = 2 window 0..n and the d = 1 window twice each
+        windows.clear()
+        _diagnostics_csv_one_by_one(0.25, mc.McConfig(n_paths=4000, n_steps=64, seed=5))
+        assert sum(math.prod(w[1:]) for w in windows) == 2_048_000
 
 
 class TestEnvOverrides:

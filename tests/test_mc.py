@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,43 @@ class TestMalliavinWeight:
         system = sde.heisenberg_toy()
         with pytest.raises(EllipticityError):
             malliavin_delta_m1(system, IDENT, [0.0, 0.0], [0.0, 1.0], 0.1, McConfig(100, 8))
+
+    @pytest.mark.parametrize("sigma_scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+    @pytest.mark.parametrize("jv_scale", [1e-150, 1.0, 1e150])
+    def test_one_driver_division_is_bitwise_solve(self, sigma_scale, jv_scale):
+        # N = d = 1 divides where N >= 2 calls np.linalg.solve
+        gen = np.random.default_rng(7)
+        sigma = gen.standard_normal((20000, 1, 1)) * sigma_scale
+        jv = gen.standard_normal((20000, 1)) * jv_scale
+        got = mc._weight_integrand(sigma, jv, 0)
+        assert got.tobytes() == np.linalg.solve(sigma, jv[:, :, None])[:, :, 0].tobytes()
+
+    def test_one_driver_zero_diffusion_is_refused_without_a_warning(self):
+        # V1(y) = y vanishes at y0 = 0, so the first 1x1 system is singular
+        def v0(y):
+            return 0.0 * y
+
+        def v1(y):
+            return 1.0 * y
+
+        line = sde.VectorFieldSystem(dim=1, d=1, fields=(v0, v1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EllipticityError, match="singular diffusion matrix at step 0"):
+                malliavin_delta_m1(line, IDENT, [0.0], [1.0], 0.1, McConfig(10, 4))
+
+    def test_one_driver_overflowing_weight_is_refused_without_a_warning(self):
+        def v0(y):
+            return 0.0 * y
+
+        def v1(y):
+            return 1e-300 * y
+
+        line = sde.VectorFieldSystem(dim=1, d=1, fields=(v0, v1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EllipticityError, match="nearly singular at step 0"):
+                malliavin_delta_m1(line, IDENT, [1e-10], [1.0], 0.1, McConfig(10, 4))
 
 
 def _elliptic_poly():
@@ -529,9 +567,42 @@ class TestBitwiseAgainstUnblockedOracles:
         ],
     )
     def test_covariance_matrices(self, t, cfg, path_start):
-        got = mc._covariance_matrices(t, cfg, path_start)
-        ref = covariance_matrices_copied(t, cfg, path_start)
+        normals = rng.normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2)
+        ref = covariance_matrices_copied(t, normals)
+        got = mc._covariance_matrices(t, normals)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+
+class TestOraclesOnAGivenDraw:
+    """Each public oracle is its draw followed by the helper that
+    ``diagnostics`` calls on a shared draw: the same bits either way."""
+
+    CFG = McConfig(n_paths=2 * mc._SIG_BLOCK + 5, n_steps=16, seed=9)
+
+    def _draw(self, d, path_start=0):
+        cfg = self.CFG
+        return rng.normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, d)
+
+    def test_signature_expectation(self):
+        ctx = context(2, 3)
+        normals = self._draw(2)
+        kept = normals.copy()
+        element, stderr = mc._signature_expectation_stats(ctx, 1.0, self.CFG, normals)
+        ref_element, ref_stderr = signature_expectation_stats(ctx, 1.0, self.CFG)
+        assert np.array_equal(normals, kept)  # read only
+        assert element.vec.tobytes() == ref_element.vec.tobytes()
+        assert stderr == ref_stderr
+
+    def test_covariance_report(self):
+        report = mc._covariance_report(0.25, self.CFG, mc._covariance_matrices(0.25, self._draw(2)))
+        assert report == covariance_diagnostics(0.25, self.CFG)
+
+    @pytest.mark.parametrize("name", ["malliavin_delta_m1", "fd_greek"])
+    def test_euler_deltas(self, name):
+        call = Payoff("call", 1.0)
+        normals = self._draw(1)
+        got = getattr(mc, "_" + name)(BS, call, [1.0], [1.0], 0.5, normals)
+        assert got == getattr(mc, name)(BS, call, [1.0], [1.0], 0.5, self.CFG)
 
 
 class TestCovarianceDiagnostics:
@@ -550,7 +621,7 @@ class TestCovarianceDiagnostics:
         assert report.positivity_fraction == 1.0
 
     def test_diagonal_entries_exact(self):
-        matrices = mc._covariance_matrices(0.3, McConfig(n_paths=50, n_steps=64, seed=1))[0]
+        matrices = mc._covariance_matrices(0.3, rng.normal_increments(1, 0, 50, 64, 2))[0]
         for c in matrices:
             assert c[0, 0] == 0.3 and c[1, 1] == 0.3
             assert np.all(c[3, :] == 0.0) and np.all(c[:, 3] == 0.0)
