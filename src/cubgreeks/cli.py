@@ -206,22 +206,32 @@ def _state_and_directions(args, system, t_values):
     return y, [v * parse_scale(args.scale, t) for t in t_values]
 
 
-def _check_greek_reach(m, d):
-    """Refuse a --m that the default Greeks dictionary cannot reach with d
-    drivers.  With one driver it reaches degree-4 targets, and with d >= 2
-    the degree-3 targets but not those of degree 4 (random Lie directions:
-    degree 3 solved for d = 1..6, degree 4 failed for d = 2..4 and degree 5
-    for d = 1..4).  Past the reach the solve runs and then fails verification."""
-    reach = 4 if d == 1 else 3
-    if m > reach:
-        raise ConfigError(
-            f"--m {m} is beyond the reach of the default Greeks dictionary with d={d}: --m <= {reach}"
-        )
+# highest --m at which the default Greeks dictionary reaches a direction with
+# a bracket word of degree k.  Every orbit in it is closed under flipping all
+# space axes, so it reaches a target exactly when it reaches the target's odd-
+# and even-degree parts.  Computed from its signature columns for d = 1..5: no
+# nonzero combination of degree-1 and degree-3 words is reached at m = 5, and
+# none with a degree-2 word at m >= 4.  Degree-4 words (m = 5 only) are reached
+# for some targets and not others, so those are left to the solve.
+_GREEK_REACH = {1: 4, 2: 3, 3: 4}
+
+
+def _check_greek_reach(system, y, v, t, m):
+    """Refuse an --m past the dictionary's reach for the bracket words of v
+    at y and horizon t; past it the solve runs and then fails verification."""
+    if m <= min(_GREEK_REACH.values()):
+        return
+    coeffs, _ = sde.decompose_direction(system, y, v, t, m)
+    for k in sorted({algebra.word_degree(w) for w in coeffs}):
+        if m > _GREEK_REACH.get(k, m):
+            raise ConfigError(
+                f"--m {m} is beyond the reach of the default Greeks dictionary for this direction: "
+                f"its degree-{k} bracket words are reached only with --m <= {_GREEK_REACH[k]}"
+            )
 
 
 def cmd_greek(args):
     system, _ = _load_model(args)
-    _check_greek_reach(args.m, system.d)
     y, (v,) = _state_and_directions(args, system, [args.t])
     payoff = _parse_payoff(args.payoff)
 
@@ -241,6 +251,7 @@ def cmd_greek(args):
         partition=tuple(partition),
         steps_per_segment=args.ode_steps,
     )
+    _check_greek_reach(system, y, v, partition[0], args.m)
     result = greeks.greek_iterated(request)
     coeffs = result.direction_words
     homogeneity = max((algebra.word_degree(w) for w in coeffs), default=0)
@@ -266,13 +277,13 @@ def cmd_converge(args):
     system, params = _load_model(args)
     if system.name != "black_scholes":
         raise ConfigError("converge studies need the black_scholes model (closed-form reference)")
-    if args.study == "greek":
-        _check_greek_reach(args.m, system.d)
     t_values = _parse_vector(args.t_list, "--t-list").tolist()
     if min(t_values) <= 0.0 or len(set(t_values)) < 2:
         raise ConfigError(f"--t-list needs at least two distinct positive horizons, got {args.t_list!r}")
     y, directions = _state_and_directions(args, system, t_values if args.study == "greek" else [])
     payoff = _parse_payoff(args.payoff)
+    for t, v in zip(t_values, directions):
+        _check_greek_reach(system, y, v, t, args.m)
     rows = []
     errors = []
     for j, t in enumerate(t_values):
@@ -302,33 +313,23 @@ def fit_loglog_slope(xs, errs):
 
 def cmd_diagnostics(args):
     cfg = mc.McConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
+    system = sde.black_scholes(0.05, 0.3)
+    payoff = mc.Payoff("call", 1.0)
+    (element, stderr), report, (mal, mal_se), (fd, fd_se) = mc._diagnostics_estimates(
+        args.t, cfg, system, payoff, [1.0], [1.0]
+    )
     rows = []
-
-    # one (seed, paths 0..n, d = 2) draw: the signature check reads it, then
-    # the horizon-t covariance ensemble turns it into Brownian paths in place
-    ctx = context(2, 3)
-    normals = mc.normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, 2)
-    element, stderr = mc._signature_expectation_stats(ctx, 1.0, cfg, normals)
-    ensemble_t = mc._covariance_matrices(args.t, normals)
-    del normals  # freed before the horizon-1 ensemble draws as much again
-    report = mc._covariance_report(args.t, cfg, ensemble_t)
     rows.append(["covariance_det_identity_rel", report.max_det_rel_error, 0.0, 0.0, 0.0])
     rows.append(["covariance_e0_block_abs", report.e0_max_abs, 0.0, 0.0, 0.0])
     rows.append(["covariance_positivity_fraction", report.positivity_fraction, 0.0, 1.0, 0.0])
     rows.append(["covariance_scaling_max_z", report.scaling_max_z, 0.0, 0.0, report.scaling_max_z])
 
-    heat = algebra.heat_element(ctx, 1.0)
+    heat = algebra.heat_element(element.context, 1.0)
     max_z = 0.0
-    for w in ctx.basis:
+    for w in element.context.basis:
         max_z = max(max_z, _z_score(abs(element.coeff(w) - heat.coeff(w)), stderr[w]))
     rows.append(["signature_mc_max_z", max_z, 0.0, 0.0, max_z])
 
-    # the Malliavin and finite-difference deltas run on common random numbers
-    system = sde.black_scholes(0.05, 0.3)
-    payoff = mc.Payoff("call", 1.0)
-    normals = mc.normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, system.d)
-    mal, mal_se = mc._malliavin_delta_m1(system, payoff, [1.0], [1.0], args.t, normals)
-    fd, fd_se = mc._fd_greek(system, payoff, [1.0], [1.0], args.t, normals)
     _, ref_delta = mc.bs_closed_form(0.05, 0.3, 1.0, args.t, payoff)
     mal_z = _z_score(mal - ref_delta, mal_se)
     rows.append(["malliavin_delta", mal, mal_se, ref_delta, mal_z])

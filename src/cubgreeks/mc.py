@@ -11,7 +11,8 @@ block of paths at a time, and the covariance diagnostics turn their draw into
 Brownian paths in place, so neither keeps a second copy of a draw.
 The signature, covariance, Malliavin and finite-difference oracles each draw
 their own normals and hand them to a private helper that reads a given draw.
-The ``diagnostics`` command calls those helpers to share noise on purpose:
+The ``diagnostics`` command runs them through ``_diagnostics_estimates``,
+which shares noise on purpose:
 the signature check reads the (paths 0..n, d = 2) draw before the horizon-t
 covariance ensemble converts it in place, and the Malliavin and
 finite-difference deltas run on one d = 1 draw, as common random numbers.
@@ -430,6 +431,31 @@ def _covariance_report(t, cfg, ensemble_t):
         positivity_fraction=positivity,
         scaling_max_z=float(np.max(z)),
     )
+
+
+# ---------------------------------------------------------------------------
+# the diagnostics oracles on shared draws
+
+
+def _diagnostics_estimates(t, cfg, system, f, y, v):
+    """The ``diagnostics`` oracles with each noise window drawn once.
+
+    The (paths 0..n, d = 2) draw is read by the horizon-1, m = 3 signature
+    check and then converted in place by the horizon-t covariance ensemble;
+    it is freed before the horizon-1 ensemble draws paths n..2n.  The
+    Malliavin and finite-difference deltas of f at y along v run on one
+    (paths 0..n, d) draw.  Every number is the one its public oracle gives.
+    Returns ((element, {word: stderr}), CovarianceReport, (Malliavin mean,
+    stderr), (finite-difference mean, stderr)).
+    """
+    normals = normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, 2)
+    signature = _signature_expectation_stats(algebra.context(2, 3), 1.0, cfg, normals)
+    ensemble_t = _covariance_matrices(t, normals)
+    del normals  # freed before the horizon-1 ensemble draws as much again
+    report = _covariance_report(t, cfg, ensemble_t)
+    normals = _normals(system, cfg)
+    malliavin = _malliavin_delta_m1(system, f, y, v, t, normals)
+    return signature, report, malliavin, _fd_greek(system, f, y, v, t, normals)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cubgreeks import cli, cubature, greeks, mc, sde
-from cubgreeks.algebra import context, heat_element, word_degree
+from cubgreeks.algebra import context, heat_element, lie_basis, word_degree
 from cubgreeks.cli import main, parse_direction, parse_scale
-from cubgreeks.errors import ConfigError
+from cubgreeks.errors import ConfigError, NoFormulaFoundError
 
 
 @pytest.fixture
@@ -295,28 +295,44 @@ class TestRangeFlags:
         assert len([line for line in err.splitlines() if "error: " in line]) == 1
 
     @pytest.mark.parametrize(
-        "model, y, direction, m, reach",
+        "model, y, direction, m, degree, reach",
         [
-            ("bs", "1.0", "1", "5", 4),
-            ("heisenberg", "0.3,-0.2", "[V1,V2]", "4", 3),
-            ("heisenberg", "0.3,-0.2", "[V1,V2]", "5", 3),
+            ("bs", "1.0", "1", "5", 1, 4),
+            ("heisenberg", "0.3,-0.2", "[V1,V2]", "4", 2, 3),
+            ("heisenberg", "0.3,-0.2", "[V1,V2]", "5", 1, 4),
+            ("heisenberg", "0.3,-0.2", "1,0", "5", 1, 4),
+            ("heisenberg", "0,-0.2", "0,1", "5", 2, 3),
         ],
     )
     def test_m_past_the_dictionary_reach_is_refused_before_any_solve(
-        self, bs_model, heisenberg_model, capsys, monkeypatch, model, y, direction, m, reach
+        self, bs_model, heisenberg_model, capsys, monkeypatch, model, y, direction, m, degree, reach
     ):
-        # each of these ran a full solve and then failed verification with exit 1
+        # the first three ran a full solve and then failed verification with exit 1
         def no_solve(*args, **kwargs):
             raise AssertionError("solved past the reach check")
 
-        monkeypatch.setattr(sde, "decompose_direction", no_solve)
         monkeypatch.setattr(cubature, "greeks_solve", no_solve)
         path = bs_model if model == "bs" else heisenberg_model
         argv = ["greek", "--model", path, "--y", y, "--direction", direction, "--t", "0.2", "--m", m]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"beyond the reach of the default Greeks dictionary with d={2 if model != 'bs' else 1}" in err
-        assert f"--m <= {reach}" in err
+        assert f"--m {m} is beyond the reach of the default Greeks dictionary for this direction" in err
+        assert f"its degree-{degree} bracket words are reached only with --m <= {reach}" in err
+
+    @pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (2, 5)])  # at (1, 4) no word is refused
+    def test_refused_words_fail_the_solve(self, d, m):
+        # a direction with a word past its degree's reach fails verification
+        # whatever its other words, so the check refuses only failing solves
+        ctx = context(d, m)
+        words = [w for w in lie_basis(context(d, m - 1)).words if w != (0,)]
+        refused = [w for w in words if m > cli._GREEK_REACH.get(word_degree(w), m)]
+        assert refused
+        rng = np.random.default_rng(d * 10 + m)
+        dictionary = cubature.default_greeks_dictionary(ctx, 1.0)
+        for word in refused:
+            for coeffs in ({word: 1.0}, {w: rng.normal() for w in words} | {word: 1.0}):
+                with pytest.raises(NoFormulaFoundError):
+                    cubature.greeks_solve(ctx, sde.lie_direction(ctx, coeffs), 1.0, dictionary)
 
     def test_highest_reachable_m_runs(self, bs_model, heisenberg_model, tmp_path):
         out = tmp_path / "g.json"
@@ -328,6 +344,14 @@ class TestRangeFlags:
             "greek", "--model", heisenberg_model, "--y", "0.3,-0.2", "--direction", "[V1,V2]",
             "--t", "0.2", "--m", "3", "--out", str(out),
         ]) == 0
+        # V1 decomposes into degree-1 words only, which the dictionary reaches at m = 4 for any d
+        for direction in ("1,0", "V1"):
+            assert main([
+                "greek", "--model", heisenberg_model, "--y", "0.3,-0.2", "--direction", direction,
+                "--t", "0.2", "--m", "4", "--out", str(out),
+            ]) == 0
+            data = json.loads(out.read_text())
+            assert (data["estimate"].hex(), data["leaves"]) == ("0x1.ffffffffffffap-1", 10)
         assert main(["converge", "--model", bs_model, "--study", "greek", "--m", "4", "--out", str(out)]) == 0
 
     def test_lowest_accepted_values_run(self, bs_model, capsys):
