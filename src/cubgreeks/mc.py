@@ -12,11 +12,11 @@ Brownian paths in place, so neither keeps a second copy of a draw.
 The signature, covariance, Malliavin and finite-difference oracles each draw
 their own normals and hand them to a private helper that reads a given draw.
 The ``diagnostics`` command runs them through ``_diagnostics_estimates``,
-which shares noise on purpose:
-the signature check reads the (paths 0..n, d = 2) draw before the horizon-t
-covariance ensemble converts it in place, and the Malliavin and
-finite-difference deltas run on one d = 1 draw, as common random numbers.
-Each window is then drawn once, and sharing changes no number.
+which shares noise on purpose: the signature check reads the (paths 0..n,
+d = 2) draw before the horizon-t covariance ensemble converts it in place,
+and the Malliavin and finite-difference deltas run on one d = 1 draw, as
+common random numbers.  Each window is then drawn once, and sharing changes
+no number.
 Every estimator averages independent paths, one per row of the draw, so its
 standard error is the sample standard deviation over sqrt(n_paths).
 Estimators are reproducible: draws come from the counter-based stream in
