@@ -6,17 +6,14 @@ common-random-number finite differences, the simulated truncated-signature
 expectation, the d=2 covariance diagnostics, and lognormal closed forms.
 The signature expectation runs the same Chen fold as ``paths.signature``
 (``AlgebraContext.chen``) on a word-major batch of paths; it checks the heat
-element against simulation, not the product itself.  It draws and folds one
-block of paths at a time, and the covariance diagnostics turn their draw into
-Brownian paths in place, so neither keeps a second copy of a draw.
-The signature, covariance, Malliavin and finite-difference oracles each draw
-their own normals and hand them to a private helper that reads a given draw.
-The ``diagnostics`` command runs them through ``_diagnostics_estimates``,
-which shares noise on purpose: the signature check reads the (paths 0..n,
-d = 2) draw before the horizon-t covariance ensemble converts it in place,
-and the Malliavin and finite-difference deltas run on one d = 1 draw, as
-common random numbers.  Each window is then drawn once, and sharing changes
-no number.
+element against simulation, not the product itself.
+The finite-difference, Malliavin, signature and covariance oracles take an
+optional (n_paths, n_steps, d) draw of paths 0..n_paths, which they only
+read, so a caller can run two of them on one draw on purpose (``diagnostics``
+does); without one they draw it themselves, and either way every number is
+the same.  The signature and covariance oracles read it, or draw it, one
+block of paths at a time, and draw the covariance check's horizon-1 ensemble
+in blocks as well, so neither holds a second copy of a draw.
 Every estimator averages independent paths, one per row of the draw, so its
 standard error is the sample standard deviation over sqrt(n_paths).
 Estimators are reproducible: draws come from the counter-based stream in
@@ -37,7 +34,7 @@ from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayof
 from .rng import normal_increments
 from .sde import _batched, _fd_directional, _matvec, batched
 
-_SIG_BLOCK = 2048  # paths per block of the Chen fold (product terms stay in L2) and the covariance shift
+_SIG_BLOCK = 2048  # paths per block of the Chen fold (product terms stay in L2) and the covariance sums
 
 
 @dataclass(frozen=True)
@@ -163,9 +160,48 @@ def _batched_payoff(system, f, y0):
     return lambda ys: np.asarray(payoff(ys), dtype=float)
 
 
-def _normals(system, cfg):
-    """The (n_paths, n_steps, d) draws that every Euler-based estimator shares."""
-    return normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, system.d)
+def _check_horizon(t):
+    if not (_finite(t) and t > 0.0):
+        raise DomainError(f"horizon must be positive and finite, got {t!r}")
+
+
+def _state_args(system, t, y, v=None):
+    """y and v (y if not given) as float vectors; raises DomainError unless t
+    is positive and finite and each has the system's dim entries."""
+    _check_horizon(t)
+    y = np.asarray(y, dtype=float)
+    v = y if v is None else np.asarray(v, dtype=float)
+    for name, u in (("y", y), ("v", v)):
+        if u.shape != (system.dim,):
+            raise DomainError(f"{name} has shape {u.shape}, the state dim of {system.name!r} is {system.dim}")
+    return y, v
+
+
+def _normals(cfg, d, normals=None):
+    """The (n_paths, n_steps, d) draw of paths 0..n_paths: the given one,
+    which is only read, or drawn here.  A given draw of another shape raises
+    DomainError."""
+    if normals is None:
+        return normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, d)
+    normals = np.asarray(normals, dtype=float)
+    if normals.shape != (cfg.n_paths, cfg.n_steps, d):
+        raise DomainError(f"given draw has shape {normals.shape}, need {(cfg.n_paths, cfg.n_steps, d)}")
+    return normals
+
+
+def _blocks(cfg, d, normals=None, path_start=0):
+    """The (n_paths, n_steps, d) draw of paths path_start.. in blocks of
+    ``_SIG_BLOCK`` rows: row slices of the given draw (see ``_normals``), or
+    each window drawn as it is reached, which is bitwise that window of the
+    full draw."""
+    if normals is not None:
+        normals = _normals(cfg, d, normals)
+    for start in range(0, cfg.n_paths, _SIG_BLOCK):
+        n = min(_SIG_BLOCK, cfg.n_paths - start)
+        if normals is None:
+            yield normal_increments(cfg.seed, path_start + start, n, cfg.n_steps, d)
+        else:
+            yield normals[start : start + n]
 
 
 def _euler_states(system, y0, t, normals):
@@ -183,47 +219,40 @@ def _euler_states(system, y0, t, normals):
 
 def euler_expectation(system, f, y, t, cfg):
     """Mean and standard error of f(Y_t) under Ito-corrected Euler-Maruyama."""
+    y, _ = _state_args(system, t, y)
     f = _batched_payoff(system, f, y)
-    ys = _euler_states(system, y, t, _normals(system, cfg))
+    ys = _euler_states(system, y, t, _normals(cfg, system.d))
     return _mean_stderr(f(ys))
 
 
-def fd_greek(system, f, y, v, t, cfg, h=1e-3):
-    """Central difference (E f(Y^{y+hv}) - E f(Y^{y-hv}))/(2h), shared noise."""
-    return _fd_greek(system, f, y, v, t, _normals(system, cfg), h)
-
-
-def _fd_greek(system, f, y, v, t, normals, h=1e-3):
-    """``fd_greek`` on the given (n_paths, n_steps, d) draw."""
+def fd_greek(system, f, y, v, t, cfg, h=1e-3, normals=None):
+    """Central difference (E f(Y^{y+hv}) - E f(Y^{y-hv}))/(2h), shared noise:
+    both runs read one (n_paths, n_steps, d) draw, the given one or its own."""
     if h <= 0.0:
         raise DomainError(f"finite-difference step must be positive, got {h}")
+    y, v = _state_args(system, t, y, v)
     f = _batched_payoff(system, f, y)
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
+    normals = _normals(cfg, system.d, normals)
     f_up = f(_euler_states(system, y + h * v, t, normals))
     f_dn = f(_euler_states(system, y - h * v, t, normals))
     return _mean_stderr((f_up - f_dn) / (2.0 * h))
 
 
-def malliavin_delta_m1(system, f, y, v, t, cfg):
+def malliavin_delta_m1(system, f, y, v, t, cfg, normals=None):
     """Adapted elliptic weight: E(f(Y_t) (1/t) int (sigma^{-1}(Y_s) J_s v)' dB_s).
 
     Requires N = d with sigma(y) = (V_1(y), ..., V_d(y)) invertible along the
     simulated paths.  State and first variation evolve with Ito-corrected
-    Euler; the weight integrand is evaluated at the left endpoint so the
-    stochastic integral is a genuine Ito integral.
+    Euler on the given (n_paths, n_steps, d) draw or its own; the weight
+    integrand is evaluated at the left endpoint so the stochastic integral is
+    a genuine Ito integral.
     """
-    return _malliavin_delta_m1(system, f, y, v, t, _normals(system, cfg))
-
-
-def _malliavin_delta_m1(system, f, y, v, t, normals):
-    """``malliavin_delta_m1`` on the given (n_paths, n_steps, d) draw."""
     n_dim = system.dim
     if n_dim != system.d:
         raise EllipticityError(f"elliptic weight needs N = d, got N={n_dim}, d={system.d}")
+    y, v = _state_args(system, t, y, v)
     f = _batched_payoff(system, f, y)
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
+    normals = _normals(cfg, system.d, normals)
     n_paths, n_steps, _ = normals.shape
     dt = t / n_steps
     sdt = math.sqrt(dt)
@@ -284,12 +313,12 @@ def simple_weight_delta_m1(system, f, y, v, t, cfg):
     """
     if system.dim != system.d:
         raise EllipticityError(f"elliptic weight needs N = d, got N={system.dim}, d={system.d}")
+    y, v = _state_args(system, t, y, v)
     f = _batched_payoff(system, f, y)
-    normals = _normals(system, cfg)
-    y = np.asarray(y, dtype=float)
-    ys = _euler_states(system, y, t, normals)
     sigma0 = np.stack([system.field(i, y) for i in range(1, system.d + 1)], axis=-1)
-    w = np.linalg.solve(sigma0, np.asarray(v, dtype=float))
+    w = _weight_integrand(sigma0[None], v[None], 0)[0]
+    normals = _normals(cfg, system.d)
+    ys = _euler_states(system, y, t, normals)
     b_t = normals.sum(axis=1) * math.sqrt(t / cfg.n_steps)
     values = f(ys) * (b_t @ w) / t
     return _mean_stderr(values)
@@ -299,37 +328,26 @@ def simple_weight_delta_m1(system, f, y, v, t, cfg):
 # signature expectation
 
 
-def signature_expectation_stats(ctx, t, cfg):
+def signature_expectation_stats(ctx, t, cfg, normals=None):
     """Mean truncated signature of simulated Brownian interpolations + stderr.
 
     Paths are piecewise-linear with n_steps equal segments and time component
-    s.  They run in blocks of ``_SIG_BLOCK``: each block draws its own window
-    of the normal stream, which is bitwise that window of the full draw, folds
-    its step-major (d+1, n_steps, n) increments with ``ctx.chen`` into a
-    word-major (dim, n) array, and adds its column sums to the totals.
+    s.  They run in blocks of ``_SIG_BLOCK`` (``_blocks`` of the given
+    (n_paths, n_steps, d) draw, or of the stream): each block folds its
+    step-major (d+1, n_steps, n) increments with ``ctx.chen`` into a
+    word-major (dim, n) array and adds its column sums to the totals.
     Per-path arithmetic is the same in any blocking, so the block size changes
     only the summation order of the totals.  Returns (mean element,
     {word: stderr}).
     """
-    return _signature_expectation_stats(ctx, t, cfg)
-
-
-def _signature_expectation_stats(ctx, t, cfg, normals=None):
-    """``signature_expectation_stats`` on ``_SIG_BLOCK``-row slices of a given
-    (n_paths, n_steps, d) draw, which it only reads; with none, each block is
-    drawn as it is reached."""
+    _check_horizon(t)
     d = ctx.d
     dt = t / cfg.n_steps
     sdt = math.sqrt(dt)
     total = np.zeros(ctx.dim)
     total_sq = np.zeros(ctx.dim)
-    for start in range(0, cfg.n_paths, _SIG_BLOCK):
-        n = min(_SIG_BLOCK, cfg.n_paths - start)
-        if normals is None:
-            block = normal_increments(cfg.seed, start, n, cfg.n_steps, d)
-        else:
-            block = normals[start : start + n]
-        inc = np.empty((d + 1, cfg.n_steps, n))
+    for block in _blocks(cfg, d, normals):
+        inc = np.empty((d + 1, cfg.n_steps, len(block)))
         inc[0] = dt
         np.multiply(block.T, sdt, out=inc[1:])
         sig = ctx.chen(inc)
@@ -353,23 +371,23 @@ def signature_expectation_mc(ctx, t, cfg):
 # d=2, m=2 covariance diagnostics
 
 
-def _covariance_matrices(t, left):
+def _covariance_matrices(t, blocks):
     """(n, 4, 4) covariance matrices and their quadratures I_1, I_2, Q, from
-    left-point sums over the ensemble of a (n, n_steps, 2) normal draw.  The
-    draw becomes the left endpoints B_{s_k} in place: the scaled increments
-    shifted one step later behind a zero, then a running sum along each path.
-    The shift runs one block of paths at a time, so its copy is one block."""
-    n, n_steps, _ = left.shape
-    dt = t / n_steps
-    for start in range(0, n, _SIG_BLOCK):
-        rows = left[start : start + _SIG_BLOCK]
-        rows[:, 1:] = rows[:, :-1] * math.sqrt(dt)
-    left[:, 0] = 0.0
-    np.cumsum(left, axis=1, out=left)
-    i1 = left[:, :, 0].sum(axis=1) * dt
-    i2 = left[:, :, 1].sum(axis=1) * dt
-    q = (left[:, :, 0] ** 2 + left[:, :, 1] ** 2).sum(axis=1) * dt
-    c = np.zeros((n, 4, 4))
+    left-point sums over the paths of the (n, n_steps, 2) normal blocks, which
+    it only reads.  Each block's left endpoints B_{s_k} go into a copy of the
+    block's size: the scaled increments shifted one step later behind a zero,
+    then a running sum along each path."""
+    sums = []
+    for block in blocks:
+        dt = t / block.shape[1]
+        left = np.empty(block.shape)
+        left[:, 0] = 0.0
+        np.multiply(block[:, :-1], math.sqrt(dt), out=left[:, 1:])
+        np.cumsum(left, axis=1, out=left)
+        q = (left[:, :, 0] ** 2 + left[:, :, 1] ** 2).sum(axis=1) * dt
+        sums.append((left[:, :, 0].sum(axis=1) * dt, left[:, :, 1].sum(axis=1) * dt, q))
+    i1, i2, q = (np.concatenate(parts) for parts in zip(*sums))
+    c = np.zeros((len(q), 4, 4))
     c[:, 0, 0] = t
     c[:, 1, 1] = t
     c[:, 0, 2] = i2
@@ -388,26 +406,18 @@ class CovarianceReport:
     scaling_max_z: float
 
 
-def covariance_diagnostics(t, cfg):
+def covariance_diagnostics(t, cfg, normals=None):
     """Check the determinant identity, the zero e_0 block, and the scaling law.
 
     The determinant identity det(C^t | first 3) = t^2 Q - t I_1^2 - t I_2^2
     is algebraic in the assembled quadratures, so it must hold to roundoff
     per path at any discretization.  The scaling check compares entrywise
-    means of C^t against the dilation-conjugated means of an independent C^1
-    ensemble, within 4 standard errors.
+    means of C^t, from the given (n_paths, n_steps, 2) draw of paths 0..n or
+    its own, against the dilation-conjugated means of an independent C^1
+    ensemble (paths n..2n, drawn in blocks), within 4 standard errors.
     """
-    # the draw is gone once converted, before the horizon-1 ensemble draws as much again
-    return _covariance_report(
-        t, cfg, _covariance_matrices(t, normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, 2))
-    )
-
-
-def _covariance_report(t, cfg, ensemble_t):
-    """``covariance_diagnostics`` from the ``_covariance_matrices`` of the
-    horizon-t ensemble (paths 0..n_paths); draws the horizon-1 ensemble of
-    paths n_paths..2 n_paths itself."""
-    c_t, i1, i2, q = ensemble_t
+    _check_horizon(t)
+    c_t, i1, i2, q = _covariance_matrices(t, _blocks(cfg, 2, normals))
     det_direct = np.linalg.det(c_t[:, :3, :3])
     det_formula = t * t * q - t * i1 * i1 - t * i2 * i2
     scale = np.maximum(np.abs(det_formula), 1e-300)
@@ -416,7 +426,7 @@ def _covariance_report(t, cfg, ensemble_t):
     positivity = float(np.mean(det_formula > 0.0))
 
     n = cfg.n_paths
-    c_1, *_ = _covariance_matrices(1.0, normal_increments(cfg.seed, n, n, cfg.n_steps, 2))
+    c_1, *_ = _covariance_matrices(1.0, _blocks(cfg, 2, path_start=n))
     dil = np.diag([math.sqrt(t), math.sqrt(t), t, t])
     conj = np.einsum("ij,njk,kl->nil", dil, c_1, dil)
     se_t = c_t.std(axis=0, ddof=1) / math.sqrt(n)
@@ -431,31 +441,6 @@ def _covariance_report(t, cfg, ensemble_t):
         positivity_fraction=positivity,
         scaling_max_z=float(np.max(z)),
     )
-
-
-# ---------------------------------------------------------------------------
-# the diagnostics oracles on shared draws
-
-
-def _diagnostics_estimates(t, cfg, system, f, y, v):
-    """The ``diagnostics`` oracles with each noise window drawn once.
-
-    The (paths 0..n, d = 2) draw is read by the horizon-1, m = 3 signature
-    check and then converted in place by the horizon-t covariance ensemble;
-    it is freed before the horizon-1 ensemble draws paths n..2n.  The
-    Malliavin and finite-difference deltas of f at y along v run on one
-    (paths 0..n, d) draw.  Every number is the one its public oracle gives.
-    Returns ((element, {word: stderr}), CovarianceReport, (Malliavin mean,
-    stderr), (finite-difference mean, stderr)).
-    """
-    normals = normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, 2)
-    signature = _signature_expectation_stats(algebra.context(2, 3), 1.0, cfg, normals)
-    ensemble_t = _covariance_matrices(t, normals)
-    del normals  # freed before the horizon-1 ensemble draws as much again
-    report = _covariance_report(t, cfg, ensemble_t)
-    normals = _normals(system, cfg)
-    malliavin = _malliavin_delta_m1(system, f, y, v, t, normals)
-    return signature, report, malliavin, _fd_greek(system, f, y, v, t, normals)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +462,8 @@ def bs_closed_form(r, sigma, y, t, payoff):
     integrated against the lognormal density with 400-point Gauss-Legendre
     quadrature on 12 standard deviations.
     """
-    if y <= 0.0 or t <= 0.0 or sigma <= 0.0:
-        raise DomainError("need y > 0, t > 0, sigma > 0")
+    if not all(_finite(x) for x in (r, sigma, y, t)) or y <= 0.0 or t <= 0.0 or sigma <= 0.0:
+        raise DomainError(f"need finite r and y, t, sigma > 0, got r={r}, sigma={sigma}, y={y}, t={t}")
     growth = math.exp(r * t)
     if payoff.kind == "identity":
         return y * growth, growth

@@ -1,12 +1,11 @@
 import json
 import math
 import os
-import weakref
 
 import numpy as np
 import pytest
 
-from cubgreeks import cli, cubature, greeks, mc, sde
+from cubgreeks import cli, cubature, greeks, mc, rng, sde
 from cubgreeks.algebra import context, heat_element, lie_basis, word_degree
 from cubgreeks.cli import main, parse_direction, parse_scale
 from cubgreeks.errors import ConfigError, NoFormulaFoundError
@@ -739,28 +738,37 @@ class TestDiagnosticsSharedDraws:
         assert out.read_bytes() == _diagnostics_csv_one_by_one(0.25, cfg).encode()
 
     def test_each_window_is_drawn_once(self, tmp_path, monkeypatch):
-        draw = mc.normal_increments
-        windows, arrays = [], []
+        draw = rng.normal_increments
+        windows = []
 
         def counted(seed, path_start, n_paths, n_steps, d):
-            if (path_start, d) == (n_paths, 2):
-                # no reference to the horizon-t draw is left when the
-                # horizon-1 ensemble draws as much again
-                assert [ref() for ref in arrays] == [None] * len(arrays)
-            out = draw(seed, path_start, n_paths, n_steps, d)
             windows.append((path_start, n_paths, n_steps, d))
-            arrays.append(weakref.ref(out))
-            return out
+            return draw(seed, path_start, n_paths, n_steps, d)
 
         monkeypatch.setattr(mc, "normal_increments", counted)
+        monkeypatch.setattr(rng, "normal_increments", counted)
         argv = ["diagnostics", "--paths", "4000", "--steps", "64", "--seed", "5"]
         assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
-        assert windows == [(0, 4000, 64, 2), (4000, 4000, 64, 2), (0, 4000, 64, 1)]
+        # one full-size d = 2 draw: the horizon-1 covariance ensemble (paths
+        # n..2n) is drawn in blocks of mc._SIG_BLOCK paths
+        assert windows == [(0, 4000, 64, 2), (4000, 2048, 64, 2), (6048, 1952, 64, 2), (0, 4000, 64, 1)]
         assert sum(math.prod(w[1:]) for w in windows) == 1_280_000
         # the oracles one by one draw the d = 2 window 0..n and the d = 1 window twice each
         windows.clear()
         _diagnostics_csv_one_by_one(0.25, mc.McConfig(n_paths=4000, n_steps=64, seed=5))
         assert sum(math.prod(w[1:]) for w in windows) == 2_048_000
+
+    def test_each_oracle_is_called_once_by_its_public_name(self, tmp_path, monkeypatch):
+        # a tracer that wraps the public names of mc sees every oracle
+        calls = []
+        for name in ["signature_expectation_stats", "covariance_diagnostics", "malliavin_delta_m1", "fd_greek"]:
+            oracle = getattr(mc, name)
+            monkeypatch.setattr(
+                mc, name, lambda *a, name=name, oracle=oracle, **k: calls.append(name) or oracle(*a, **k)
+            )
+        argv = ["diagnostics", "--paths", "500", "--steps", "16", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+        assert calls == ["signature_expectation_stats", "covariance_diagnostics", "malliavin_delta_m1", "fd_greek"]
 
 
 class TestEnvOverrides:

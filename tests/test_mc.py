@@ -168,6 +168,11 @@ class TestMalliavinWeight:
         with pytest.raises(EllipticityError):
             malliavin_delta_m1(system, IDENT, [0.0, 0.0], [0.0, 1.0], 0.1, McConfig(100, 8))
 
+    @pytest.mark.parametrize("system, y, v", [(BS, [0.0], [1.0]), (sde.heisenberg_toy(), [0.0, 0.0], [0.0, 1.0])])
+    def test_simple_weight_singular_diffusion_is_typed(self, system, y, v):
+        with pytest.raises(EllipticityError, match="singular diffusion matrix"):
+            simple_weight_delta_m1(system, IDENT, y, v, 0.1, McConfig(10, 4))
+
     @pytest.mark.parametrize("sigma_scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
     @pytest.mark.parametrize("jv_scale", [1e-150, 1.0, 1e150])
     def test_one_driver_division_is_bitwise_solve(self, sigma_scale, jv_scale):
@@ -453,6 +458,45 @@ class TestFdGreek:
             fd_greek(BS, IDENT, [1.0], [1.0], 0.5, McConfig(10, 4), h=0.0)
 
 
+class TestOracleArguments:
+    """A horizon that is not positive and finite, or a state or direction
+    without one entry per state axis, is a DomainError, not a NaN, a
+    broadcast or a math error."""
+
+    CFG = McConfig(n_paths=16, n_steps=4, seed=1)
+    EULER = {
+        "euler": lambda t, y, v, cfg: euler_expectation(BS, IDENT, y, t, cfg),
+        "fd": lambda t, y, v, cfg: fd_greek(BS, IDENT, y, v, t, cfg),
+        "malliavin": lambda t, y, v, cfg: malliavin_delta_m1(BS, IDENT, y, v, t, cfg),
+        "simple": lambda t, y, v, cfg: simple_weight_delta_m1(BS, IDENT, y, v, t, cfg),
+    }
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf, None])
+    def test_horizon_must_be_positive_and_finite(self, t):
+        oracles = [lambda run=run: run(t, [1.0], [1.0], self.CFG) for run in self.EULER.values()]
+        oracles.append(lambda: signature_expectation_stats(context(2, 2), t, self.CFG))
+        oracles.append(lambda: covariance_diagnostics(t, self.CFG))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for oracle in oracles:
+                with pytest.raises(DomainError, match="horizon must be positive and finite"):
+                    oracle()
+
+    @pytest.mark.parametrize("name", sorted(EULER))
+    def test_state_needs_one_entry_per_axis(self, name):
+        for y in ([1.0, 2.0], [[1.0]], 1.0):
+            with pytest.raises(DomainError, match="y has shape"):
+                self.EULER[name](0.5, y, [1.0], self.CFG)
+
+    @pytest.mark.parametrize("name", ["fd", "malliavin", "simple"])
+    def test_direction_needs_one_entry_per_axis(self, name):
+        for v in ([1.0, 2.0], [[1.0]], 1.0, []):
+            with pytest.raises(DomainError, match="v has shape"):
+                self.EULER[name](0.5, [1.0], v, self.CFG)
+        with pytest.raises(DomainError, match="v has shape"):
+            fd_greek(sde.heisenberg_toy(), IDENT, [0.3, 0.1], [1.0], 0.5, self.CFG)
+
+
 class TestSignatureExpectation:
     def test_small_run_matches_heat_element(self):
         ctx = context(2, 3)
@@ -564,18 +608,20 @@ class TestBitwiseAgainstUnblockedOracles:
             (0.3, McConfig(50, 1, seed=1), 0),
             (0.3, McConfig(50, 129, seed=1), 0),
             (0.7, McConfig(10, 16, seed=-3), 2**40),
+            (0.25, McConfig(2 * mc._SIG_BLOCK + 1, 8, seed=6), 0),  # a one-path last block
         ],
     )
     def test_covariance_matrices(self, t, cfg, path_start):
+        # in blocks of a given draw, or of blocks drawn one by one
         normals = rng.normal_increments(cfg.seed, path_start, cfg.n_paths, cfg.n_steps, 2)
-        ref = covariance_matrices_copied(t, normals)
-        got = mc._covariance_matrices(t, normals)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+        ref = [a.tobytes() for a in covariance_matrices_copied(t, normals)]
+        for blocks in (mc._blocks(cfg, 2, normals), mc._blocks(cfg, 2, path_start=path_start)):
+            assert [a.tobytes() for a in mc._covariance_matrices(t, blocks)] == ref
 
 
 class TestOraclesOnAGivenDraw:
-    """Each public oracle is its draw followed by the helper that
-    ``diagnostics`` calls on a shared draw: the same bits either way."""
+    """Each oracle that takes a draw gives the same bits on the draw it would
+    make itself, and only reads it."""
 
     CFG = McConfig(n_paths=2 * mc._SIG_BLOCK + 5, n_steps=16, seed=9)
 
@@ -587,22 +633,48 @@ class TestOraclesOnAGivenDraw:
         ctx = context(2, 3)
         normals = self._draw(2)
         kept = normals.copy()
-        element, stderr = mc._signature_expectation_stats(ctx, 1.0, self.CFG, normals)
+        element, stderr = signature_expectation_stats(ctx, 1.0, self.CFG, normals)
         ref_element, ref_stderr = signature_expectation_stats(ctx, 1.0, self.CFG)
         assert np.array_equal(normals, kept)  # read only
         assert element.vec.tobytes() == ref_element.vec.tobytes()
         assert stderr == ref_stderr
 
     def test_covariance_report(self):
-        report = mc._covariance_report(0.25, self.CFG, mc._covariance_matrices(0.25, self._draw(2)))
-        assert report == covariance_diagnostics(0.25, self.CFG)
+        assert covariance_diagnostics(0.25, self.CFG, self._draw(2)) == covariance_diagnostics(0.25, self.CFG)
+
+    def test_covariance_reads_the_draw_only(self):
+        normals = self._draw(2)
+        kept = normals.copy()
+        covariance_diagnostics(0.25, self.CFG, normals)
+        assert normals.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("name", ["malliavin_delta_m1", "fd_greek"])
     def test_euler_deltas(self, name):
         call = Payoff("call", 1.0)
         normals = self._draw(1)
-        got = getattr(mc, "_" + name)(BS, call, [1.0], [1.0], 0.5, normals)
+        kept = normals.copy()
+        got = getattr(mc, name)(BS, call, [1.0], [1.0], 0.5, self.CFG, normals=normals)
+        assert np.array_equal(normals, kept)
         assert got == getattr(mc, name)(BS, call, [1.0], [1.0], 0.5, self.CFG)
+
+    @pytest.mark.parametrize(
+        "d, shape", [(1, (64, 8, 1)), (1, (32, 16, 1)), (1, (32, 8, 2)), (1, (32, 8)), (2, (32, 8, 1)), (2, (31, 8, 2))]
+    )
+    def test_draw_of_another_shape_is_refused(self, d, shape):
+        cfg, normals = McConfig(32, 8, seed=1), np.zeros(shape)
+        oracles = {
+            1: [
+                lambda: fd_greek(BS, IDENT, [1.0], [1.0], 0.5, cfg, normals=normals),
+                lambda: malliavin_delta_m1(BS, IDENT, [1.0], [1.0], 0.5, cfg, normals),
+            ],
+            2: [
+                lambda: signature_expectation_stats(context(2, 2), 1.0, cfg, normals),
+                lambda: covariance_diagnostics(0.25, cfg, normals),
+            ],
+        }
+        for oracle in oracles[d]:
+            with pytest.raises(DomainError, match="given draw has shape"):
+                oracle()
 
 
 class TestCovarianceDiagnostics:
@@ -621,7 +693,7 @@ class TestCovarianceDiagnostics:
         assert report.positivity_fraction == 1.0
 
     def test_diagonal_entries_exact(self):
-        matrices = mc._covariance_matrices(0.3, rng.normal_increments(1, 0, 50, 64, 2))[0]
+        matrices = mc._covariance_matrices(0.3, [rng.normal_increments(1, 0, 50, 64, 2)])[0]
         for c in matrices:
             assert c[0, 0] == 0.3 and c[1, 1] == 0.3
             assert np.all(c[3, :] == 0.0) and np.all(c[:, 3] == 0.0)
@@ -699,8 +771,16 @@ class TestClosedForms:
             Payoff("smoothed_call", 1.0, math.inf)
 
     def test_rejects_bad_domain(self):
-        with pytest.raises(DomainError):
-            bs_closed_form(0.05, 0.3, -1.0, 0.5, IDENT)
+        for r, sigma, y, t in [
+            (0.05, 0.3, -1.0, 0.5),
+            (0.05, 0.3, 1.0, 0.0),
+            (0.05, math.nan, 1.0, 0.5),
+            (0.05, 0.3, math.inf, 0.5),
+            (0.05, 0.3, 1.0, math.nan),
+            (math.nan, 0.3, 1.0, 0.5),
+        ]:
+            with pytest.raises(DomainError):
+                bs_closed_form(r, sigma, y, t, Payoff("call", 1.0))
 
 
 def test_import_leaves_scipy_stats_unloaded():
