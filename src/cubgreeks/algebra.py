@@ -458,9 +458,9 @@ def max_abs_diff(x, y):
     return float(np.max(np.abs(x.vec - y.vec), initial=0.0))
 
 
-def element_to_dict(x, threshold=1e-15):
-    """JSON-friendly form: words in basis order, near-zero coefficients omitted."""
-    coeffs = [{"word": list(w), "c": c} for w, c in x.coeffs.items() if abs(c) >= threshold]
+def element_to_dict(x):
+    """JSON-friendly form: words in basis order, coefficients below 1e-15 omitted."""
+    coeffs = [{"word": list(w), "c": c} for w, c in x.coeffs.items() if abs(c) >= 1e-15]
     return {"d": x.context.d, "m": x.context.m, "coeffs": coeffs}
 
 

@@ -53,8 +53,9 @@ def _random_path(rng, d, n_segments=3, horizon=1.0):
     return paths.from_increments(horizon, incs)
 
 
-def run_property_checks(d, m, seed=0, n_samples=20):
+def run_property_checks(d, m, seed=0):
     """Run the registry for (d, m); returns a list of CheckResult."""
+    n_samples = 20  # random draws per sampled check
     ctx = context(d, m)
     rng = np.random.default_rng(seed)
     results = []

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import algebra, checks, cubature, greeks, mc, paths, rng, sde
 from .algebra import context
-from .errors import ConfigError, CubatureError, DomainError, UnsupportedPayoffError
+from .errors import ConfigError, CubatureError, DomainError, UnsupportedDegreeError, UnsupportedPayoffError
 
 ENV_PREFIX = "CUBGREEKS_"
 
@@ -206,30 +206,6 @@ def _state_and_directions(args, system, t_values):
     return y, [v * parse_scale(args.scale, t) for t in t_values]
 
 
-# highest --m at which the default Greeks dictionary reaches a direction with
-# a bracket word of degree k.  Every orbit in it is closed under flipping all
-# space axes, so it reaches a target exactly when it reaches the target's odd-
-# and even-degree parts.  Computed from its signature columns for d = 1..5: no
-# nonzero combination of degree-1 and degree-3 words is reached at m = 5, and
-# none with a degree-2 word at m >= 4.  Degree-4 words (m = 5 only) are reached
-# for some targets and not others, so those are left to the solve.
-_GREEK_REACH = {1: 4, 2: 3, 3: 4}
-
-
-def _check_greek_reach(system, y, v, t, m):
-    """Refuse an --m past the dictionary's reach for the bracket words of v
-    at y and horizon t; past it the solve runs and then fails verification."""
-    if m <= min(_GREEK_REACH.values()):
-        return
-    coeffs, _ = sde.decompose_direction(system, y, v, t, m)
-    for k in sorted({algebra.word_degree(w) for w in coeffs}):
-        if m > _GREEK_REACH.get(k, m):
-            raise ConfigError(
-                f"--m {m} is beyond the reach of the default Greeks dictionary for this direction: "
-                f"its degree-{k} bracket words are reached only with --m <= {_GREEK_REACH[k]}"
-            )
-
-
 def cmd_greek(args):
     system, _ = _load_model(args)
     y, (v,) = _state_and_directions(args, system, [args.t])
@@ -251,7 +227,6 @@ def cmd_greek(args):
         partition=tuple(partition),
         steps_per_segment=args.ode_steps,
     )
-    _check_greek_reach(system, y, v, partition[0], args.m)
     result = greeks.greek_iterated(request)
     coeffs = result.direction_words
     homogeneity = max((algebra.word_degree(w) for w in coeffs), default=0)
@@ -282,8 +257,6 @@ def cmd_converge(args):
         raise ConfigError(f"--t-list needs at least two distinct positive horizons, got {args.t_list!r}")
     y, directions = _state_and_directions(args, system, t_values if args.study == "greek" else [])
     payoff = _parse_payoff(args.payoff)
-    for t, v in zip(t_values, directions):
-        _check_greek_reach(system, y, v, t, args.m)
     rows = []
     errors = []
     for j, t in enumerate(t_values):
@@ -534,7 +507,7 @@ def main(argv=None):
         if getattr(args, "s0", None) is not None and args.s0 >= args.t:
             raise ConfigError(f"--s0 {args.s0} must be below --t {args.t}")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedDegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CubatureError as exc:

@@ -117,18 +117,18 @@ def max_residual(formula, target=None):
     return max(verify_moments(formula, formula.target() if target is None else target).values())
 
 
-def _checked(formula, tol=VERIFY_TOL, residuals=None):
+def _checked(formula, residuals=None):
     """Record the per-degree residuals on the formula and return it.
 
     The moments are verified unless ``residuals`` is given; either way the
-    largest residual must not exceed tol.
+    largest residual must not exceed VERIFY_TOL.
     """
     if residuals is None:
         residuals = tuple(verify_moments(formula, formula.target()).values())
     res = max(residuals)
-    if res > tol:
+    if res > VERIFY_TOL:
         raise NoFormulaFoundError(
-            f"constructed formula fails verification: residual {res:.3e} > {tol:.1e}",
+            f"constructed formula fails verification: residual {res:.3e} > {VERIFY_TOL:.1e}",
             best_residual=res,
         )
     object.__setattr__(formula, "residuals", residuals)
@@ -177,18 +177,16 @@ def expectation_degree3(ctx, t):
     return rescale_formula(_expectation_degree3_unit(ctx), t)
 
 
-def expectation_solve(ctx, t, dictionary, target=None, tol=VERIFY_TOL):
+def expectation_solve(ctx, t, dictionary):
     """Positive-weight moment matching over a path dictionary (NNLS).
 
-    Solves min ||sum_j w_j sig(path_j) - target|| subject to w >= 0, prunes
-    weights below the threshold and re-polishes on the active support.
+    Solves min ||sum_j w_j sig(path_j) - heat_element(t)|| subject to w >= 0,
+    prunes weights below the threshold and re-polishes on the active support.
     """
-    if target is None:
-        target = algebra.heat_element(ctx, t)
-    return _positive_solve(ctx, t, [(p,) for p in dictionary], target, tol)
+    return _positive_solve(ctx, t, [(p,) for p in dictionary], algebra.heat_element(ctx, t))
 
 
-def _positive_solve(ctx, t, groups, target, tol):
+def _positive_solve(ctx, t, groups, target):
     """NNLS over groups of paths that share one weight, split evenly in the group.
 
     A group's column is its mean signature, summed in path order.  The
@@ -204,7 +202,7 @@ def _positive_solve(ctx, t, groups, target, tol):
     w = _nnls_polish(A, b)
     kept = [(g, j) for g in np.flatnonzero(w > PRUNE_TOL) for j in spans[g]]
     formula = CubatureFormula(ctx, t, tuple((float(w[g]) * (1.0 / len(spans[g])), flat[j]) for g, j in kept))
-    return _checked(formula, tol, _residuals(ctx, S[:, [j for _, j in kept]], formula.weights, b))
+    return _checked(formula, _residuals(ctx, S[:, [j for _, j in kept]], formula.weights, b))
 
 
 def _nnls_polish(A, b):
@@ -237,7 +235,7 @@ def _expectation_degree5_unit(ctx):
         pairs = list(itertools.combinations_with_replacement(scales, 2))
         shapes += [[(0.0, a, b), T] for a, b in pairs] + [[T, (0.0, a, b)] for a, b in pairs]
     groups = [_orbit(shape, d) for shape in shapes]
-    return _positive_solve(ctx, 1.0, groups, algebra.heat_element(ctx, 1.0), VERIFY_TOL)
+    return _positive_solve(ctx, 1.0, groups, algebra.heat_element(ctx, 1.0))
 
 
 def expectation_degree5(ctx, t):
@@ -305,7 +303,7 @@ def greeks_two_point(ctx, w, t):
     return rescale_formula(_checked(GreeksFormula(ctx, 1.0, w, items)), t)
 
 
-def greeks_solve(ctx, w, t, dictionary, tol=VERIFY_TOL):
+def greeks_solve(ctx, w, t, dictionary):
     """Sign-free moment matching: solve sum mu_j sig(path_j) = greek target.
 
     The dictionary's paths end at t.  A column-pivoted QR of the signature
@@ -318,9 +316,7 @@ def greeks_solve(ctx, w, t, dictionary, tol=VERIFY_TOL):
         raise NoFormulaFoundError("empty dictionary", best_residual=None)
     b = algebra.to_dense(greek_target(ctx, w, t))
     direction = algebra.dilate(math.sqrt(t), w)
-    # default_greeks_dictionary(ctx, 1.0) lists the cached horizon-1 paths themselves
-    unit = _unit_greeks_dictionary(ctx) if t == 1.0 else ()
-    if len(dictionary) == len(unit) and all(p is q for p, q in zip(dictionary, unit)):
+    if dictionary is _unit_greeks_dictionary(ctx):  # default_greeks_dictionary(ctx, 1.0)
         S, selected = _unit_greeks_columns(ctx)
     else:
         S = paths.signatures(ctx, dictionary)
@@ -335,7 +331,7 @@ def greeks_solve(ctx, w, t, dictionary, tol=VERIFY_TOL):
     order = np.argsort(selected)
     items = tuple((float(mu_sel[k]), dictionary[selected[k]]) for k in order)
     formula = GreeksFormula(ctx, t, direction, items)
-    return _checked(formula, tol, _residuals(ctx, S[:, selected[order]], formula.weights, b))
+    return _checked(formula, _residuals(ctx, S[:, selected[order]], formula.weights, b))
 
 
 def _independent_columns(S):
@@ -352,9 +348,20 @@ def default_greeks_dictionary(ctx, t):
     The orbits of straight lines along an axis (two magnitudes) and a plane
     diagonal, two-segment L-shapes in a coordinate plane, and time-space
     combinations.  Built once per context at horizon 1 and carried to t by
-    ``scale_path``.
+    ``scale_path``; at t = 1 the cached tuple itself is returned.
     """
-    return [paths.scale_path(p, t) for p in _unit_greeks_dictionary(ctx)]
+    unit = _unit_greeks_dictionary(ctx)
+    return unit if t == 1.0 else tuple(paths.scale_path(p, t) for p in unit)
+
+
+# highest m at which the default Greeks dictionary reaches a direction with a
+# bracket word of degree k.  Every orbit in it is closed under flipping all
+# space axes, so it reaches a target exactly when it reaches the target's odd-
+# and even-degree parts.  Computed from its signature columns for d = 1..5: no
+# nonzero combination of degree-1 and degree-3 words is reached at m = 5, and
+# none with a degree-2 word at m >= 4.  Degree-4 words (m = 5 only) are reached
+# for some targets and not others, so those are left to the solve.
+_GREEK_REACH = {1: 4, 2: 3, 3: 4}
 
 
 @lru_cache(maxsize=None)

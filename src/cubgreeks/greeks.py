@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import cubature, sde
-from .algebra import context
+from .algebra import context, word_degree
 from .errors import BudgetExceededError, DomainError, UnsupportedDegreeError
 
 DEFAULT_LEAF_CAP = 10**6
@@ -95,7 +95,9 @@ def build_greek_formula(system, y, v, t, m):
     Greeks (|w| ~ t^{-k/2}) converge.
     Anything else goes through the sign-free solver over the default
     dictionary at horizon 1 (fixed paths, so weights are linear in v there
-    too), carried to t by ``cubature.rescale_formula``.
+    too), carried to t by ``cubature.rescale_formula``.  A bracket word of v
+    past that dictionary's reach at degree m raises UnsupportedDegreeError
+    before the solve, which could only fail verification.
     Returns (formula, (coefficients, residual) of the decomposition).
     """
     coeffs, residual = sde.decompose_direction(system, y, v, t, m)
@@ -104,6 +106,13 @@ def build_greek_formula(system, y, v, t, m):
     if m <= 2:
         formula = cubature.greeks_two_point(ctx, w, t)
     else:
+        for k in sorted({word_degree(word) for word in coeffs}):
+            reach = cubature._GREEK_REACH.get(k, m)
+            if m > reach:
+                raise UnsupportedDegreeError(
+                    f"m={m} is beyond the reach of the default Greeks dictionary for this direction: "
+                    f"its degree-{k} bracket words are reached only with m <= {reach}"
+                )
         unit = cubature.greeks_solve(ctx, w, 1.0, cubature.default_greeks_dictionary(ctx, 1.0))
         formula = cubature.rescale_formula(unit, t)
     return formula, (coeffs, residual)
@@ -158,25 +167,28 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
     Weights multiply along branches and states chain through evolve, one
     batched level at a time; leaf contributions are reduced with fsum in leaf
     order.  The formula residuals are the ones their constructors verified.
+    The inner degree is checked before stage 0 is solved, and the leaf count
+    before any inner formula is rescaled.
     """
     system = request.system
     y0 = np.asarray(request.y, dtype=float)
     steps = [float(s) for s in request.partition]
+    k = len(steps) - 1
+    # every inner formula is this one rescaled, so each has q paths
+    unit = expectation_formula(system.d, request.m_prime, 1.0) if k else None
 
     stage0, (coeffs, residual) = build_greek_formula(system, y0, request.v, steps[0], request.m)
-    inner = [expectation_formula(system.d, request.m_prime, s) for s in steps[1:]]
 
-    leaves = max(len(stage0.items), 1)
-    for formula in inner:
-        leaves *= len(formula.items)
+    n0, q = max(len(stage0.items), 1), len(unit.items) if k else 1
+    leaves = n0 * q**k
     if leaves > request.leaf_cap:
         raise BudgetExceededError(
-            f"evaluation tree needs {leaves} leaves > cap {request.leaf_cap}",
+            f"evaluation tree needs {n0} x {q}^{k} leaves > cap {request.leaf_cap}",
             required=leaves,
             cap=request.leaf_cap,
         )
 
-    formulas = [stage0, *inner]
+    formulas = [stage0, *(cubature.rescale_formula(unit, s) for s in steps[1:])]
     estimate, evaluated = _evaluate_tree(
         system, request.payoff, y0, formulas, request.steps_per_segment
     )

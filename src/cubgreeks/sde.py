@@ -403,6 +403,8 @@ def model_config(config):
             params[key] = float(raw[key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"model {name!r} parameter {key!r} is not a number: {raw[key]!r}") from exc
+        if not np.isfinite(params[key]):
+            raise ConfigError(f"model {name!r} parameter {key!r} is not finite: {raw[key]!r}")
     return {"model": name, "params": params}
 
 

@@ -281,6 +281,8 @@ class TestRangeFlags:
             ["diagnostics", "--paths", "1"],
             ["verify", "--d", "4", "--m", "8"],
             ["cubature", "export", "--kind", "expectation3", "--d", "300"],
+            ["greek", "--mprime", "4", "--s0", "0.1", "--partition", "2,1"],
+            ["converge", "--study", "expectation", "--mprime", "4"],
         ],
     )
     def test_out_of_range_is_a_usage_error(self, bs_model, capsys, flags):
@@ -306,7 +308,7 @@ class TestRangeFlags:
     def test_m_past_the_dictionary_reach_is_refused_before_any_solve(
         self, bs_model, heisenberg_model, capsys, monkeypatch, model, y, direction, m, degree, reach
     ):
-        # the first three ran a full solve and then failed verification with exit 1
+        # past the reach a solve could only fail verification, a numerical failure (exit 1)
         def no_solve(*args, **kwargs):
             raise AssertionError("solved past the reach check")
 
@@ -315,8 +317,8 @@ class TestRangeFlags:
         argv = ["greek", "--model", path, "--y", y, "--direction", direction, "--t", "0.2", "--m", m]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"--m {m} is beyond the reach of the default Greeks dictionary for this direction" in err
-        assert f"its degree-{degree} bracket words are reached only with --m <= {reach}" in err
+        assert f"m={m} is beyond the reach of the default Greeks dictionary for this direction" in err
+        assert f"its degree-{degree} bracket words are reached only with m <= {reach}" in err
 
     @pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (2, 5)])  # at (1, 4) no word is refused
     def test_refused_words_fail_the_solve(self, d, m):
@@ -324,7 +326,7 @@ class TestRangeFlags:
         # whatever its other words, so the check refuses only failing solves
         ctx = context(d, m)
         words = [w for w in lie_basis(context(d, m - 1)).words if w != (0,)]
-        refused = [w for w in words if m > cli._GREEK_REACH.get(word_degree(w), m)]
+        refused = [w for w in words if m > cubature._GREEK_REACH.get(word_degree(w), m)]
         assert refused
         rng = np.random.default_rng(d * 10 + m)
         dictionary = cubature.default_greeks_dictionary(ctx, 1.0)
@@ -503,11 +505,13 @@ class TestGreekCommand:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(sde, "decompose_direction", counted)
-        assert main([
-            "greek", "--model", bs_model, "--y", "1.0", "--direction", "V1",
-            "--t", "0.1", "--out", str(tmp_path / "r.json"),
-        ]) == 0
-        assert len(calls) == 1
+        for m in ("2", "4"):
+            calls.clear()
+            assert main([
+                "greek", "--model", bs_model, "--y", "1.0", "--direction", "V1",
+                "--t", "0.1", "--m", m, "--out", str(tmp_path / "r.json"),
+            ]) == 0
+            assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -515,6 +519,8 @@ class TestGreekCommand:
             '{"model":"black_scholes","params":{"r":"abc","sigma":0.3}}',
             "[1,2]",
             '{"model":"black_scholes","params":[1]}',
+            '{"model":"black_scholes","params":{"r":NaN,"sigma":0.3}}',
+            '{"model":"black_scholes","params":{"r":0.05,"sigma":Infinity}}',
         ],
     )
     def test_malformed_model_file_is_a_usage_error(self, tmp_path, capsys, text):

@@ -380,7 +380,7 @@ class TestHorizonOne:
         assert expectation_degree3(context(2, 3), 1.0) is expectation_degree3(context(2, 3), 1.0)
         ctx = context(2, 3)
         first, second = default_greeks_dictionary(ctx, 1.0), default_greeks_dictionary(ctx, 1.0)
-        assert all(p is q for p, q in zip(first, second))
+        assert first is second  # the cached tuple, which greeks_solve recognises by identity
 
     def test_unverified_input_is_checked_once_at_horizon_one(self):
         ctx = context(2, 3)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cubgreeks import algebra, cubature, greeks, sde
+from cubgreeks import algebra, cli, cubature, greeks, sde
 from cubgreeks.algebra import AlgebraContext, context
 from cubgreeks.cli import fit_loglog_slope
 from cubgreeks.errors import BudgetExceededError, DomainError, UnsupportedDegreeError
@@ -164,7 +164,7 @@ class TestGreekIterated:
         assert len(result.formula_residuals) == 4
         assert max(result.formula_residuals) < 1e-10
 
-    def test_budget_cap(self):
+    def test_budget_cap(self, tmp_path, capsys):
         steps = gamma_partition(0.5, 0.1, 4, 2.0)
         request = GreekRequest(
             system=BS, payoff=first, y=(1.0,), v=(0.1,), t=0.5,
@@ -173,6 +173,20 @@ class TestGreekIterated:
         with pytest.raises(BudgetExceededError) as err:
             greek_iterated(request)
         assert err.value.required == 32
+        # 2 * 2^20000 has 6,021 digits, past Python's int-to-str limit
+        request = dataclasses.replace(request, partition=tuple(gamma_partition(0.5, 0.1, 20000, 1.0)))
+        with pytest.raises(BudgetExceededError) as err:
+            greek_iterated(request)
+        assert err.value.required == 2 * 2**20000
+        assert "needs 2 x 2^20000 leaves > cap 10" in str(err.value)
+        model = tmp_path / "bs.json"
+        model.write_text('{"model":"black_scholes","params":{"r":0.05,"sigma":0.3}}')
+        assert cli.main([
+            "greek", "--model", str(model), "--y", "1.0", "--direction", "0.1", "--t", "0.5",
+            "--s0", "0.1", "--partition", "20000,1",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: evaluation tree needs 2 x 2^20000 leaves") and err.count("\n") == 1
 
     def test_smoothed_call_delta_close(self):
         payoff = Payoff("smoothed_call", 1.15, 0.05)
@@ -497,6 +511,14 @@ class TestErrorPropagation:
 
         with pytest.raises(DirectionNotAttainableError):
             greek_one_step(system, first, [0.0, 0.0], [0.0, 1.0], 0.2, 2)
+
+    def test_degree_past_the_dictionary_reach_is_refused_before_the_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved past the reach check")
+
+        monkeypatch.setattr(cubature, "greeks_solve", no_solve)
+        with pytest.raises(UnsupportedDegreeError, match="degree-1 bracket words are reached only with m <= 4"):
+            greek_one_step(BS, first, [1.0], [0.1], 0.2, 5)
 
     def test_unsupported_inner_degree_propagates(self):
         request = GreekRequest(
