@@ -4,10 +4,13 @@ Generators are e_0, ..., e_d.  A word is a tuple of letters in {0..d}; its
 degree is the letter count with every 0 counted twice, so e_0 behaves like a
 quadratic (time-like) symbol.  All products truncate words of degree > m.
 Elements are dense coefficient vectors over the graded-lexicographic basis.
-The context owns the one product kernel, a scatter over the precomputed
-splits K = I*J of every basis word, the segment exponential, and the Chen
-fold of segment exponentials that every path signature runs; each accepts a
-single vector (dim,) or a word-major batch (dim, n).
+The context owns the dense kernels: the one product, a scatter over the
+precomputed splits K = I*J of every basis word; the bracket; the exp and log
+series; dilation, graded projection and conjugation; the segment exponential;
+and the Chen fold of segment exponentials that every path signature runs.
+Each accepts a single vector (dim,) or a word-major batch (dim, n), and each
+column of a batch is bitwise the result of its own single-vector call.  The
+module-level functions check their inputs and wrap these kernels.
 """
 
 from __future__ import annotations
@@ -132,6 +135,56 @@ class AlgebraContext:
             return np.bincount(self._split_k, terms, minlength=self.dim)
         return self._scatter @ terms
 
+    def bracket(self, x, y):
+        """Commutator xy - yx."""
+        return self.product(x, y) - self.product(y, x)
+
+    def exp(self, x):
+        """Series sum_i x^i / i! of nilpotent x, stopped once every column's term is
+        zero; a column whose series ended adds zero terms, which change no bit."""
+        result = term = _unit(x.shape)
+        for i in range(1, self.m + 1):
+            term = self.product(term, x) * (1.0 / i)
+            if not term.any():
+                break
+            result = result + term
+        return result
+
+    def log(self, x):
+        """log(c) 1 + sum_i (-1)^(i+1) u^i / i with u = (x - c 1) / c for a positive
+        constant term c (math.log per column), stopped once every power of u is
+        zero.  The sum starts from +0.0, so a finished column's zero terms change no bit."""
+        c0 = x[0]
+        u = (x - c0 * _unit(x.shape)) * (1.0 / c0)
+        result = np.zeros_like(u)
+        result[0] = _math_log(c0)
+        power = u
+        for i in range(1, self.m + 1):
+            if not power.any():
+                break
+            result = result + power * ((1.0 if i % 2 == 1 else -1.0) / i)
+            power = self.product(power, u)
+        return result
+
+    def dilate(self, s, x):
+        """Scale each degree-k coefficient by the float power s**k: ``s`` is one
+        scale, or an (n,) array of one scale per column of a batch."""
+        if getattr(s, "ndim", 0):
+            powers = np.array([[t**k for t in s.tolist()] for k in range(self.m + 1)])
+        else:
+            powers = np.array([float(s) ** k for k in range(self.m + 1)])
+        factor = powers[self.degrees]
+        return (factor[:, None] if x.ndim > factor.ndim else factor) * x
+
+    def graded_part(self, x, n):
+        # x.T puts the words last, so the (dim,) mask broadcasts over both shapes
+        return np.where(self.degrees == n, x.T, 0.0).T
+
+    def adjoint(self, g, w):
+        """g w g^{-1}, with g scaled to constant term 1 and inverted as exp(-log g)."""
+        gn = g * (1.0 / g[0])
+        return self.product(self.product(gn, w), self.exp(-self.log(gn)))
+
     def segment_exp(self, inc):
         """exp(sum_i inc[i] e_i) for increments of shape (d+1,) or (d+1, n).
 
@@ -163,6 +216,9 @@ class AlgebraContext:
 
     def __repr__(self):
         return f"AlgebraContext(d={self.d}, m={self.m})"
+
+
+_math_log = np.frompyfunc(math.log, 1, 1)  # np.log can differ from math.log in the last bit
 
 
 def _frozen(array):
@@ -256,7 +312,7 @@ class TensorElement:
 
     def graded_part(self, n):
         """Projection onto the span of degree-n words."""
-        return TensorElement._of(self.context, np.where(self.context.degrees == n, self.vec, 0.0))
+        return TensorElement._of(self.context, self.context.graded_part(self.vec, n))
 
     def __repr__(self):
         if not self.coeffs:
@@ -273,10 +329,11 @@ def _check_same_context(x, y):
         raise ContextMismatchError(f"contexts differ: {x.context} vs {y.context}")
 
 
-def _unit_vec(ctx):
-    vec = np.zeros(ctx.dim)
-    vec[0] = 1.0
-    return vec
+def _unit(shape):
+    """The unit element in every column of a (dim,) or (dim, n) array."""
+    out = np.zeros(shape)
+    out[0] = 1.0
+    return out
 
 
 def zero(ctx):
@@ -284,7 +341,7 @@ def zero(ctx):
 
 
 def unit(ctx):
-    return TensorElement._of(ctx, _unit_vec(ctx))
+    return TensorElement._of(ctx, _unit(ctx.dim))
 
 
 def generator(ctx, i):
@@ -303,14 +360,7 @@ def exp(x):
     """Exponential series of a nilpotent element (zero constant term)."""
     if x.vec[0] != 0.0:
         raise DomainError("exp requires zero coefficient on the empty word")
-    ctx = x.context
-    result = term = _unit_vec(ctx)
-    for i in range(1, ctx.m + 1):
-        term = ctx.product(term, x.vec) * (1.0 / i)
-        if not term.any():
-            break
-        result = result + term
-    return TensorElement._of(ctx, result)
+    return TensorElement._of(x.context, x.context.exp(x.vec))
 
 
 def log(x):
@@ -319,34 +369,22 @@ def log(x):
     For constant term c the value is log(c)*1 plus the finite alternating
     series in (x - c)/c, which is nilpotent.
     """
-    ctx = x.context
-    c0 = float(x.vec[0])
-    if c0 <= 0.0:
-        raise DomainError(f"log requires positive constant term, got {c0}")
-    u = (x.vec - c0 * _unit_vec(ctx)) * (1.0 / c0)
-    result = math.log(c0) * _unit_vec(ctx)
-    power = u
-    for i in range(1, ctx.m + 1):
-        if not power.any():
-            break
-        sign = 1.0 if i % 2 == 1 else -1.0
-        result = result + power * (sign / i)
-        power = ctx.product(power, u)
-    return TensorElement._of(ctx, result)
+    if x.vec[0] <= 0.0:
+        raise DomainError(f"log requires positive constant term, got {float(x.vec[0])}")
+    return TensorElement._of(x.context, x.context.log(x.vec))
 
 
 def dilate(s, x):
     """Grading automorphism: scale every degree-n coefficient by s**n."""
     if s <= 0.0:
         raise DomainError(f"dilation parameter must be positive, got {s}")
-    ctx = x.context
-    powers = np.array([s**n for n in range(ctx.m + 1)])
-    return TensorElement._of(ctx, powers[ctx.degrees] * x.vec)
+    return TensorElement._of(x.context, x.context.dilate(s, x.vec))
 
 
 def bracket(x, y):
     """Commutator xy - yx."""
-    return mul(x, y) - mul(y, x)
+    _check_same_context(x, y)
+    return TensorElement._of(x.context, x.context.bracket(x.vec, y.vec))
 
 
 def adjoint(g, w):
@@ -356,9 +394,8 @@ def adjoint(g, w):
         raise DomainError("adjoint requires an invertible element (nonzero constant term)")
     if w.coeff(EMPTY_WORD) != 0.0:
         raise DomainError("adjoint direction must have zero constant term")
-    gn = g / c0
-    g_inv = exp(-log(gn))
-    return mul(mul(gn, w), g_inv)
+    _check_same_context(g, w)
+    return TensorElement._of(g.context, g.context.adjoint(g.vec, w.vec))
 
 
 def heat_element(ctx, t):

@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,10 +31,6 @@ from .algebra import context
 from .errors import ConfigError, CubatureError, DomainError, UnsupportedDegreeError, UnsupportedPayoffError
 
 ENV_PREFIX = "CUBGREEKS_"
-
-
-def _env_default(name, fallback):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +389,24 @@ def cmd_cubature(args):
 # parser
 
 
+# the environment-backed flags and their fallbacks, by argparse dest
+_ENV_FLAGS = {"out": None, "format": "csv", "seed": "0", "threads": "1", "model": None, "paths": "20000",
+              "steps": "128"}
+
+
 def build_parser():
+    """The parser, built once per process.  Each call re-reads the ``CUBGREEKS_*``
+    defaults; argparse converts a string default only when its flag is absent,
+    so a malformed value still exits 2 and an explicit flag still wins."""
+    parser, commands = _parser_and_commands()
+    for command in commands:
+        names = [a.dest for a in command._actions if a.dest in _ENV_FLAGS]
+        command.set_defaults(**{n: os.environ.get(ENV_PREFIX + n.upper(), _ENV_FLAGS[n]) for n in names})
+    return parser
+
+
+@lru_cache(maxsize=None)
+def _parser_and_commands():
     parser = argparse.ArgumentParser(
         prog="cubgreeks",
         description="Cubature-on-Wiener-space expectations and Greeks for Stratonovich SDEs",
@@ -400,12 +414,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--out", default=_env_default("out", None), help="output file (default stdout)")
-        p.add_argument("--format", default=_env_default("format", "csv"), choices=["csv", "json"])
-        p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
+        p.add_argument("--out", help="output file (default stdout)")
+        p.add_argument("--format", choices=["csv", "json"])
+        p.add_argument("--seed", type=int)
         p.add_argument(
-            "--threads", type=int, default=_env_default("threads", "1"),
-            help="accepted for compatibility and ignored: evaluation runs in one thread",
+            "--threads", type=int, help="accepted for compatibility and ignored: evaluation runs in one thread"
         )
 
     p = sub.add_parser("verify", help="run the algebra/signature property suites")
@@ -415,7 +428,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("greek", help="one-step or iterated Greek estimate")
-    p.add_argument("--model", default=_env_default("model", None), help="model config JSON path")
+    p.add_argument("--model", help="model config JSON path")
     p.add_argument("--y", required=True, help="initial state, comma separated")
     p.add_argument("--direction", required=True, help="vector '0,1' or symbolic 'V1', '[V1,V2]'")
     p.add_argument("--scale", default=None, help="sqrt_t or t^<p>/<q> factor on the direction")
@@ -430,7 +443,7 @@ def build_parser():
     p.set_defaults(func=cmd_greek)
 
     p = sub.add_parser("converge", help="order-of-convergence study against closed forms")
-    p.add_argument("--model", default=_env_default("model", None))
+    p.add_argument("--model")
     p.add_argument("--study", choices=["expectation", "greek"], required=True)
     p.add_argument("--y", default="1.0")
     p.add_argument("--direction", default="V1")
@@ -445,8 +458,8 @@ def build_parser():
 
     p = sub.add_parser("diagnostics", help="Monte Carlo cross-checks and identities")
     p.add_argument("--t", type=_horizon, default=0.25)
-    p.add_argument("--paths", type=_int_in(2), default=_env_default("paths", "20000"))
-    p.add_argument("--steps", type=_int_in(1), default=_env_default("steps", "128"))
+    p.add_argument("--paths", type=_int_in(2))
+    p.add_argument("--steps", type=_int_in(1))
     common(p)
     p.set_defaults(func=cmd_diagnostics)
 
@@ -461,7 +474,7 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_cubature)
 
-    return parser
+    return parser, tuple(sub.choices.values())
 
 
 def _partition_arg(text):

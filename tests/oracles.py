@@ -10,7 +10,9 @@ signature-expectation recursion are frozen, unblocked copies that draw and
 multiply every path of a chunk in one array, and the covariance quadratures a
 frozen copy that builds the Brownian paths beside the draw.  The built-in
 Greeks dictionary and degree-3 spikes are frozen copies of the family loops
-that built them before they became orbits.
+that built them before they became orbits, and the property registry is a
+frozen copy that draws with one scalar generator call per double and checks
+one sample at a time through the element-level algebra functions.
 """
 
 import itertools
@@ -348,3 +350,145 @@ def covariance_matrices_copied(t, normals):
     c[:, 2, 1] = -i1
     c[:, 2, 2] = q
     return c, i1, i2, q
+
+
+def random_element_scalar(ctx, rng, sparsity=0.6, scale=1.0):
+    """Coefficients (dim,) drawn with one scalar generator call per double:
+    rng.random() per basis word, then rng.uniform(-1, 1) if it fell below sparsity."""
+    coeffs = {}
+    for w in ctx.basis:
+        if rng.random() < sparsity:
+            coeffs[w] = scale * rng.uniform(-1.0, 1.0)
+    return algebra.TensorElement(ctx, coeffs).vec
+
+
+def _random_lie_scalar(ctx, rng, scale=1.0):
+    out = algebra.zero(ctx)
+    for elt in algebra.lie_basis(ctx).elements:
+        out = out + scale * rng.uniform(-1.0, 1.0) * elt
+    return out
+
+
+def _random_path_scalar(rng, d, n_segments=3, horizon=1.0):
+    return paths.from_increments(horizon, rng.uniform(-0.8, 0.8, size=(n_segments, d + 1)))
+
+
+def property_checks_per_sample(d, m, seed=0):
+    """The property registry one sample at a time, through the element-level
+    algebra API: [(name, max_error, tolerance)] in registry order.  A frozen
+    copy of ``checks.run_property_checks`` before it evaluated batches."""
+    n_samples = 20
+    ctx = algebra.context(d, m)
+    rng = np.random.default_rng(seed)
+    element = lambda scale=1.0: algebra.from_dense(ctx, random_element_scalar(ctx, rng, scale=scale))  # noqa: E731
+    group = lambda scale=0.7: algebra.exp(_random_lie_scalar(ctx, rng, scale))  # noqa: E731
+    A = algebra
+    results = []
+
+    err = 0.0
+    for _ in range(n_samples):
+        x, y, z = element(), element(), element()
+        err = max(err, A.max_abs_diff(A.mul(A.mul(x, y), z), A.mul(x, A.mul(y, z))))
+    results.append(("mul-associativity", err, 1e-12))
+
+    err = 0.0
+    for _ in range(n_samples):
+        x, y = element(), element()
+        for p in range(m + 1):
+            for q in range(m + 1 - p):
+                prod = A.mul(x.graded_part(p), y.graded_part(q))
+                for w in prod.coeffs:
+                    if ctx.degree(w) != p + q:
+                        err = max(err, abs(prod.coeffs[w]))
+    results.append(("mul-grading", err, 1e-12))
+
+    err = 0.0
+    for _ in range(n_samples):
+        x = element(scale=0.8)
+        a = x - x.coeff(()) * A.unit(ctx)
+        err = max(err, A.max_abs_diff(A.log(A.exp(a)), a))
+        g = group()
+        err = max(err, A.max_abs_diff(A.exp(A.log(g)), g))
+    results.append(("exp-log-roundtrip", err, 1e-12))
+
+    err = 0.0
+    for _ in range(n_samples):
+        a = _random_lie_scalar(ctx, rng, scale=0.8)
+        err = max(err, A.max_abs_diff(A.mul(A.exp(a), A.exp(-a)), A.unit(ctx)))
+    results.append(("exp-inverse", err, 1e-12))
+
+    err = 0.0
+    for _ in range(n_samples):
+        x, y = element(), element()
+        s = rng.uniform(0.3, 2.0)
+        err = max(err, A.max_abs_diff(A.dilate(s, A.mul(x, y)), A.mul(A.dilate(s, x), A.dilate(s, y))))
+        a, b = rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5)
+        err = max(err, A.max_abs_diff(A.dilate(a, A.dilate(b, x)), A.dilate(a * b, x)))
+    results.append(("dilate-homomorphism", err, 1e-12))
+
+    err = 0.0
+    for _ in range(n_samples):
+        x, y, z = element(), element(), element()
+        err = max(err, A.max_abs_diff(A.bracket(x, y), -A.bracket(y, x)))
+        jac = A.bracket(x, A.bracket(y, z)) + A.bracket(y, A.bracket(z, x)) + A.bracket(z, A.bracket(x, y))
+        err = max(err, A.max_abs_diff(jac, A.zero(ctx)))
+    results.append(("bracket-jacobi", err, 1e-12))
+
+    lie = A.lie_basis(ctx)
+    err = span_err = 0.0
+    for _ in range(n_samples):
+        w = _random_lie_scalar(ctx, rng)
+        err = max(err, A.max_abs_diff(A.adjoint(A.unit(ctx), w), w))
+        g = group(scale=0.5)
+        u, v = _random_lie_scalar(ctx, rng, 0.5), _random_lie_scalar(ctx, rng, 0.5)
+        lhs = A.adjoint(g, A.bracket(u, v))
+        rhs = A.bracket(A.adjoint(g, u), A.adjoint(g, v))
+        err = max(err, A.max_abs_diff(lhs, rhs))
+        ad = A.adjoint(g, u)
+        err = max(err, abs(ad.coeff(())))
+        span_err = max(span_err, A.lie_coordinates(lie, ad)[1])
+    results.append(("adjoint-bracket-morphism", err, 1e-12))
+    results.append(("adjoint-lie-span", span_err, 1e-10))
+
+    err = 0.0
+    for t in (0.25, 1.0, 3.0):
+        h = A.heat_element(ctx, t)
+        err = max(err, abs(h.coeff(()) - 1.0))
+        err = max(err, A.max_abs_diff(h, A.dilate(math.sqrt(t), A.heat_element(ctx, 1.0))))
+    results.append(("heat-dilate-identity", err, 1e-12))
+
+    if (d, m) == (2, 2) and lie.dim != 4:
+        results.append(("lie-dimension", float(abs(lie.dim - 4)), 0.5))
+    else:
+        results.append(("lie-dimension", float(abs(np.linalg.matrix_rank(lie.matrix, tol=1e-10) - lie.dim)), 0.5))
+    err = 0.0
+    for _ in range(n_samples):
+        sig = paths.signature(ctx, _random_path_scalar(rng, d))
+        err = max(err, A.lie_coordinates(lie, A.log(sig))[1])
+    results.append(("signature-group-likeness", err, 1e-10))
+
+    err = 0.0
+    for _ in range(n_samples):
+        p1 = _random_path_scalar(rng, d, n_segments=2, horizon=0.6)
+        p2 = _random_path_scalar(rng, d, n_segments=2, horizon=0.4)
+        joint = paths.signature(ctx, paths.concat(p1, p2))
+        err = max(err, A.max_abs_diff(joint, A.mul(paths.signature(ctx, p1), paths.signature(ctx, p2))))
+    results.append(("chen-multiplicativity", err, 1e-13))
+
+    err = 0.0
+    for _ in range(n_samples):
+        p = _random_path_scalar(rng, d, n_segments=2)
+        mid = (0.5 * (p.times[0] + p.times[1]), 0.5 * (p.points[0] + p.points[1]))
+        refined = paths.PiecewisePath(p.t_end, [(p.times[0], p.points[0]), mid] + list(zip(p.times[1:], p.points[1:])))
+        err = max(err, A.max_abs_diff(paths.signature(ctx, p), paths.signature(ctx, refined)))
+    results.append(("reparametrization-invariance", err, 1e-13))
+
+    err = 0.0
+    for _ in range(n_samples):
+        p = _random_path_scalar(rng, d)
+        sig1 = paths.signature(ctx, p)
+        for t in (0.01, 1.0, 4.0):
+            lhs = paths.signature(ctx, paths.scale_path(p, t))
+            err = max(err, A.max_abs_diff(lhs, A.dilate(math.sqrt(t), sig1)))
+    results.append(("scale-dilate-intertwine", err, 1e-13))
+    return [(name, float(err), tol) for name, err, tol in results]

@@ -306,6 +306,15 @@ class TestAdjoint:
         with pytest.raises(DomainError):
             algebra.adjoint(generator(ctx, 1), generator(ctx, 1))
 
+    def test_scalar_multiple_conjugates_alike(self):
+        # 49 * (1/49) rounds below 1, so g/c keeps a constant term just off 1
+        ctx = context(2, 4)
+        rng = np.random.default_rng(41)
+        g = exp(random_lie(ctx, rng, 0.5))
+        w = random_lie(ctx, rng)
+        for c in (49.0, 3.0, 0.25):
+            assert max_abs_diff(algebra.adjoint(c * g, w), algebra.adjoint(g, w)) < 1e-14
+
 
 class TestHeatElement:
     def test_d1_m3_closed_form(self):

@@ -5,7 +5,9 @@ double-loop oracles in ``oracles.py``: on basis-ordered inputs both sum the
 splits of each word in ascending cut order, so the arithmetic is the same.
 The batched Chen fold and ``paths.signatures`` are checked bitwise, path by
 path, against the single-path fold and the oracle, and the Monte Carlo mean
-against per-path signatures.
+against per-path signatures.  The exp and log series, dilation, conjugation,
+bracket and graded projection are checked bitwise, column by column, against
+their single-vector calls, on batches whose series end at different terms.
 """
 
 import math
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cubgreeks import mc, paths
+from cubgreeks import algebra, mc, paths
 from cubgreeks.algebra import TensorElement, context, mul
 from cubgreeks.rng import normal_increments
 
@@ -112,3 +114,71 @@ def test_batched_signature_mc_matches_per_path(d, m):
         per_path.append(paths.signature(ctx, paths.from_increments(t, increments)).vec)
     expected = np.mean(per_path, axis=0)
     assert np.max(np.abs(mean.vec - expected)) <= 1e-14
+
+
+def _series_columns(ctx, seed):
+    """(dim, 4) nilpotent columns whose exp series end at different terms:
+    zero (no term), pure top degree (x^2 = 0), dense, and dense scaled down."""
+    rng = np.random.default_rng(seed)
+    top = np.where(ctx.degrees == ctx.m, rng.uniform(-1.0, 1.0, ctx.dim), 0.0)
+    dense = rng.uniform(-1.0, 1.0, ctx.dim)
+    dense[0] = 0.0
+    return np.stack([np.zeros(ctx.dim), top, dense, 0.3 * dense], axis=-1)
+
+
+def _assert_columns_bitwise(batch, single):
+    for j, column in enumerate(batch.T):
+        expected = single(j)
+        assert np.array_equal(column, expected)
+        assert column.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d,m", CONTEXTS)
+def test_batched_exp_matches_single_columns_bitwise(d, m, seed):
+    ctx = context(d, m)
+    x = _series_columns(ctx, seed)
+    batch = ctx.exp(x)
+    _assert_columns_bitwise(batch, lambda j: ctx.exp(x[:, j].copy()))
+    unit = algebra.unit(ctx).vec
+    assert batch[:, 0].tobytes() == unit.tobytes()
+    assert batch[:, 1].tobytes() == (unit + x[:, 1]).tobytes()
+    assert algebra.exp(algebra.from_dense(ctx, x[:, 2])).vec.tobytes() == batch[:, 2].tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d,m", CONTEXTS)
+def test_batched_log_matches_single_columns_bitwise(d, m, seed):
+    ctx = context(d, m)
+    x = _series_columns(ctx, seed)
+    # constant terms 1 (unit: no term), 2.5 (top degree: one term), 1 and 0.3 (dense)
+    x[0] = [1.0, 2.5, 1.0, 0.3]
+    batch = ctx.log(x)
+    _assert_columns_bitwise(batch, lambda j: ctx.log(x[:, j].copy()))
+    assert not batch[:, 0].any()
+    assert batch[0, 1] == math.log(2.5) and batch[0, 3] == math.log(0.3)
+    assert algebra.log(algebra.from_dense(ctx, x[:, 3])).vec.tobytes() == batch[:, 3].tobytes()
+    group = ctx.exp(_series_columns(ctx, seed))
+    _assert_columns_bitwise(ctx.log(group), lambda j: ctx.log(group[:, j].copy()))
+
+
+@pytest.mark.parametrize("d,m", CONTEXTS)
+def test_batched_dilate_matches_single_columns_bitwise(d, m):
+    ctx = context(d, m)
+    x = _series_columns(ctx, 3)
+    x[0] = 1.0
+    scales = np.array([0.3, 1.0, 1.7, 2.0])
+    _assert_columns_bitwise(ctx.dilate(scales, x), lambda j: ctx.dilate(scales[j], x[:, j].copy()))
+    _assert_columns_bitwise(ctx.dilate(1.3, x), lambda j: ctx.dilate(1.3, x[:, j].copy()))
+    assert algebra.dilate(1.7, algebra.from_dense(ctx, x[:, 2])).vec.tobytes() == ctx.dilate(scales, x)[:, 2].tobytes()
+
+
+@pytest.mark.parametrize("d,m", CONTEXTS)
+def test_batched_adjoint_bracket_and_grading_match_single_columns_bitwise(d, m):
+    ctx = context(d, m)
+    g = 2.0 * ctx.exp(_series_columns(ctx, 4))
+    w, v = _series_columns(ctx, 5), _series_columns(ctx, 6)
+    _assert_columns_bitwise(ctx.adjoint(g, w), lambda j: ctx.adjoint(g[:, j].copy(), w[:, j].copy()))
+    _assert_columns_bitwise(ctx.bracket(w, v), lambda j: ctx.bracket(w[:, j].copy(), v[:, j].copy()))
+    for n in range(m + 1):
+        _assert_columns_bitwise(ctx.graded_part(g, n), lambda j: ctx.graded_part(g[:, j].copy(), n))
