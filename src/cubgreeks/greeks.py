@@ -4,9 +4,9 @@ The one-step Greek applies a derivative-flavor formula directly; the iterated
 scheme differentiates only over the first (small) step and chains expectation
 formulas over the remaining partition, multiplying weights along the branches
 of the resulting evaluation tree.  The tree is evaluated one level at a time:
-a level is one (n, N) state array with its (n,) weights, evolved along the
-formula's paths in one batched call per group of paths with the same knot
-times.
+a level is one (n, N) state array with its (n,) weights, evolved along all
+of the formula's paths in one batched call, one path per row, shorter paths
+padded after their end with zero-increment segments.
 """
 
 from __future__ import annotations
@@ -122,30 +122,29 @@ def _evolve_level(system, states, weights, formula, steps_per_segment):
     """The next tree level: every state evolved along every formula path.
 
     Returns (n*q, N) states in state-major, path-minor order (row i*q + j is
-    state i along path j) and their weights weights[i] * lambda_j.  Paths
-    with the same knot times form a group, and each group is one ``evolve``
-    call on the states repeated state-major, path-minor, with one path per
-    row.  A system written for single states comes as its ``sde.batched``
-    copy and runs row by row in the same calls, under the zero-slope rule for
-    stacks (see ``sde.evolve``): a field non-finite on a row its path does not
-    drive gives NaN there when another path of the group drives it.
+    state i along path j) and their weights weights[i] * lambda_j, from one
+    ``evolve`` call on the states repeated state-major, path-minor, one path
+    per row.  A shorter path is padded after its end with zero-increment
+    segments, and the knot times are shared when all paths have the same,
+    else given per row.  A system written for single states comes as its
+    ``sde.batched`` copy and runs row by row in the same call, under the
+    zero-slope rule for stacks (see ``sde.evolve``): a field non-finite on a
+    row its path does not drive, or at a padded row's end state, gives NaN
+    there when another path drives it.
     """
     n, q = len(states), len(formula.items)
-    children = np.empty((n, q) + states.shape[1:])
-    groups = {}
-    for j, path in enumerate(formula.paths if n else ()):
-        groups.setdefault(path.times.tobytes(), []).append(j)
-    for js in groups.values():
-        points = np.stack([formula.paths[j].points for j in js])
-        rows = sde.evolve(
-            system,
-            np.repeat(states, len(js), axis=0),
-            (formula.paths[js[0]].times, np.tile(points, (n, 1, 1))),
-            steps_per_segment,
-        )
-        children[:, js] = rows.reshape((n, len(js)) + states.shape[1:])
-    children = children.reshape((n * q,) + states.shape[1:])
-    return children, (weights[:, None] * formula.weights[None, :]).ravel()
+    weights = (weights[:, None] * formula.weights[None, :]).ravel()
+    if not (n and q):
+        return np.empty((0,) + states.shape[1:]), weights
+    longest = max(path.n_segments for path in formula.paths)
+    times, points = np.empty((q, longest + 1)), np.empty((q, longest + 1, formula.paths[0].dim))
+    for j, path in enumerate(formula.paths):
+        k = path.n_segments + 1
+        times[j, :k], points[j, :k] = path.times, path.points
+        times[j, k:], points[j, k:] = path.times[-1] * np.arange(2, longest + 3 - k), path.points[-1]
+    times = times[0] if np.all(times == times[0]) else np.tile(times, (n, 1))
+    stack = (times, np.tile(points, (n, 1, 1)))
+    return sde.evolve(system, np.repeat(states, q, axis=0), stack, steps_per_segment), weights
 
 
 def _evaluate_tree(system, payoff, y0, formulas, steps_per_segment):

@@ -26,8 +26,19 @@ class PiecewisePath:
     def __init__(self, t_end, knots):
         times = np.asarray([float(s) for s, _ in knots])
         points = np.asarray([np.asarray(x, dtype=float) for _, x in knots])
-        if points.ndim != 2 or points.shape[1] < 1:
-            raise InvalidPathError("knot points must be equal-length vectors")
+        self._set(t_end, times, points)
+
+    @classmethod
+    def _from_arrays(cls, t_end, times, points):
+        """The path with knot times (K+1,) and points (K+1, d+1), float arrays
+        that it takes over and makes read-only, under the same checks."""
+        path = cls.__new__(cls)
+        path._set(t_end, times, points)
+        return path
+
+    def _set(self, t_end, times, points):
+        if points.ndim != 2 or points.shape[1] < 1 or times.shape != points.shape[:1]:
+            raise InvalidPathError("knot points must be equal-length vectors, one per knot time")
         if len(times) < 2:
             raise InvalidPathError("need at least two knots")
         if not (np.isfinite(times).all() and np.isfinite(points).all()):
@@ -36,7 +47,7 @@ class PiecewisePath:
             raise InvalidPathError(f"first knot time must be 0, got {times[0]}")
         if abs(times[-1] - t_end) > 1e-12 * max(1.0, abs(t_end)):
             raise InvalidPathError(f"last knot time {times[-1]} != t_end {t_end}")
-        if np.any(np.diff(times) <= 0.0):
+        if np.any(times[1:] <= times[:-1]):
             raise InvalidPathError("knot times must be strictly increasing")
         times.setflags(write=False)
         points.setflags(write=False)
@@ -73,8 +84,7 @@ def from_increments(t_end, increments):
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
     k = len(increments)
     points = np.vstack([np.zeros(increments.shape[1]), np.cumsum(increments, axis=0)])
-    times = np.linspace(0.0, t_end, k + 1)
-    return PiecewisePath(t_end, list(zip(times, points)))
+    return PiecewisePath._from_arrays(t_end, np.linspace(0.0, t_end, k + 1), points)
 
 
 def line_path(t_end, increment):
@@ -88,7 +98,7 @@ def concat(p1, p2):
         raise InvalidPathError("cannot concatenate paths of different dimensions")
     times = np.concatenate([p1.times, p1.t_end + p2.times[1:]])
     points = np.vstack([p1.points, p1.points[-1] + p2.points[1:]])
-    return PiecewisePath(p1.t_end + p2.t_end, list(zip(times, points)))
+    return PiecewisePath._from_arrays(p1.t_end + p2.t_end, times, points)
 
 
 def segment_signature(ctx, increment):
@@ -143,7 +153,7 @@ def scale_path(path, t):
     pts = path.points.copy()
     pts[:, 0] *= t
     pts[:, 1:] *= math.sqrt(t)
-    return PiecewisePath(t, list(zip(path.times * t, pts)))
+    return PiecewisePath._from_arrays(t, path.times * t, pts)
 
 
 def path_to_dict(path):

@@ -6,12 +6,12 @@ the SDE along a piecewise-linear path reduces to an ODE whose right-hand side
 on each segment is the constant-slope combination of the fields.  Fields and
 Jacobians are expected to accept batched states (leading axes broadcast, e.g.
 (n, N) arrays indexed as ``y[..., i]``): ``evolve`` moves a batch along one
-path, or each row along its own path over shared knot times, so a level of
-the cubature tree is one call per group of formula paths with the same knot
-times, and the Monte Carlo oracle vectorizes over paths.  ``batched`` decides
-once per call, on N + 1 copies of the start state, whether a system's fields
-do: the tree runs single-state fields row by row, the Monte Carlo oracles
-refuse them.
+path, or each row along its own path over shared or per-row knot times
+(shorter paths padded after their end with zero-increment segments), so a
+level of the cubature tree is one call, and the Monte Carlo oracle
+vectorizes over paths.  ``batched`` decides once per call, on N + 1 copies
+of the start state, whether a system's fields do: the tree runs
+single-state fields row by row, the Monte Carlo oracles refuse them.
 """
 
 from __future__ import annotations
@@ -246,29 +246,38 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
     """Solve dY = sum_i V_i(Y) dw^i along piecewise-linear paths with fixed-step RK4.
 
     ``path`` is a ``PiecewisePath`` that every row of y0 follows, or a pair
-    ``(times, points)``: knot times shared by all rows and a (rows, K+1, d+1)
-    stack of knot points, row r of the (rows, N) state y0 following the path
-    through points[r].  Each linear segment contributes the autonomous field
-    sum_i slope_i V_i, integrated with `steps_per_segment` classical
-    fourth-order steps.  Zero-slope rule: the drift V_0 is always evaluated,
-    and V_i (i >= 1) is skipped when its slope is zero on every row of the
-    call.  A single path thus never evaluates a field it does not drive,
-    while inside a mixed stack a non-finite V_i times a zero slope gives NaN
-    and raises ``BlowUpError`` like any other non-finite state.
+    ``(times, points)``: a (rows, K+1, d+1) stack of knot points, row r of
+    the (rows, N) state y0 following the path through points[r], and knot
+    times (K+1,) shared by all rows or (rows, K+1) per row, finite and
+    strictly increasing with K >= 1 (else ``DomainError``); either way each
+    row gets the bits of its own call.  A shorter path is padded after its
+    end with zero-increment segments: their slopes are exactly 0, so a finite
+    state comes through unchanged (up to the sign of a zero).  Each linear
+    segment contributes the autonomous field sum_i slope_i V_i, integrated
+    with `steps_per_segment` classical fourth-order steps.  Zero-slope rule:
+    the drift V_0 is always evaluated, and V_i (i >= 1) is skipped when its
+    slope is zero on every row of the call.  A single path thus never
+    evaluates a field it does not drive, while inside a mixed or padded stack
+    a non-finite V_i times a zero slope gives NaN and raises ``BlowUpError``
+    like any other non-finite state.
     """
     if steps_per_segment < 1:
         raise DomainError("steps_per_segment must be >= 1")
     times, points = path if isinstance(path, tuple) else (path.times, path.points)
-    points = np.asarray(points, dtype=float)
+    times, points = np.asarray(times, dtype=float), np.asarray(points, dtype=float)
     if points.shape[-1] != system.d + 1:
         raise DomainError(f"path dimension {points.shape[-1]} != d+1 = {system.d + 1}")
-    if points.shape[-2] != len(times):
-        raise DomainError(f"{points.shape[-2]} knot points for {len(times)} knot times")
+    if points.ndim not in (2, 3) or times.shape not in (points.shape[-2:-1], points.shape[:-1]):
+        raise DomainError(f"knot times of shape {times.shape} for knot points of shape {points.shape}")
+    dts = np.diff(times)
+    if times.shape[-1] < 2 or not (np.all(np.isfinite(times)) and np.all(dts > 0.0)):
+        raise DomainError("knot times must be finite and strictly increasing, with at least two knots")
     y = np.asarray(y0, dtype=float).copy()
     if points.ndim == 3 and (y.ndim != 2 or len(points) != len(y)):
         raise DomainError(f"{len(points)} stacked paths for states of shape {y.shape}")
-    for k in range(len(times) - 1):
-        dt_seg = times[k + 1] - times[k]
+    for k in range(times.shape[-1] - 1):
+        # a scalar for shared times, a (rows, 1) column for per-row times
+        dt_seg = dts[k] if times.ndim == 1 else dts[:, k, None]
         # coefficient i is (1,) for one path and (rows, 1) for a stack, so it
         # broadcasts over the state components
         slope = (points[..., k + 1, :] - points[..., k, :]) / dt_seg
@@ -344,15 +353,15 @@ def heisenberg_toy():
     """
 
     def v0(y):
-        return np.zeros_like(y)
+        return np.zeros(y.shape)
 
     def v1(y):
-        out = np.zeros_like(y)
+        out = np.zeros(y.shape)
         out[..., 0] = 1.0
         return out
 
     def v2(y):
-        out = np.zeros_like(y)
+        out = np.zeros(y.shape)
         out[..., 1] = y[..., 0]
         return out
 

@@ -257,7 +257,7 @@ class TestLevelBatching:
     def test_bitwise_equal_to_scalar_tree(self, d, m_prime, k, direction):
         system, y, v, steps = _tree_case(d, m_prime, direction, k)
         # at d = 2, m = 3 the solver-built stage 0 has paths of one and two
-        # segments, so its level is evolved in two time groups
+        # segments, so its level pads the one-segment paths
         ms = (2, 3) if d == 2 else (2,)
         for m, (name, payoff) in itertools.product(ms, BATCH_PAYOFFS[d].items()):
             request = GreekRequest(
@@ -357,16 +357,27 @@ class TestLevelBatching:
         # node 2 + 4 + ... + 512 = 1022
         assert len(calls) == 1 + 8
 
-    def test_solver_stage0_is_two_evolve_calls(self, monkeypatch):
+    def test_solver_stage0_is_one_evolve_call(self, monkeypatch):
         y = (0.3, -0.2)
         v = sde.bracket_vf(HEISENBERG, 1, 2, y)
         stage0, _ = greeks.build_greek_formula(HEISENBERG, np.array(y), v, 0.1, 3)
         calls = self.count_evolve(monkeypatch)
         result = greek_one_step(HEISENBERG, _scalar_mix, y, v, 0.1, 3)
-        # paths of one and of two segments: two time groups
+        # paths of one and of two segments: the one-segment paths are padded
         assert sorted({len(p.times) for p in stage0.paths}) == [2, 3]
         assert result.paths_evaluated == len(stage0.items) > 2
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_degree5_levels_are_one_evolve_call_each(self, monkeypatch):
+        calls = self.count_evolve(monkeypatch)
+        request = GreekRequest(
+            system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,),
+            t=1.0, m=2, m_prime=5, partition=tuple(gamma_partition(1.0, 0.1, 2, 1.0)),
+        )
+        inner = greeks.expectation_formula(1, 5, 0.45)
+        assert sorted({p.n_segments for p in inner.paths}) == [1, 2]
+        assert greek_iterated(request).paths_evaluated == 2 * len(inner.items) ** 2
+        assert len(calls) == 1 + 2
 
     @pytest.mark.parametrize("system,y,v,m,m_prime", [
         (BS, (1.0,), (1.0,), 2, 5),  # two-point stage 0, rescaled degree-5 steps

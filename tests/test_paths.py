@@ -148,6 +148,59 @@ class TestScalePath:
             scale_path(p, -1.0)
 
 
+class TestArrayConstructor:
+    """from_increments, concat and scale_path build from arrays: the same bits
+    and the same checks as the knot-list constructor."""
+
+    @staticmethod
+    def assert_same(path, times, points, t_end):
+        knots = PiecewisePath(t_end, list(zip(times, points)))
+        assert path.t_end.hex() == knots.t_end.hex()
+        assert path.times.tobytes() == knots.times.tobytes()
+        assert path.points.tobytes() == knots.points.tobytes()
+        assert not (path.times.flags.writeable or path.points.flags.writeable)
+
+    @pytest.mark.parametrize("t", [0.01, 0.3, 4.0])
+    def test_scale_path_is_the_knot_constructor(self, t):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            p = random_path(rng, 2)
+            pts = p.points.copy()
+            pts[:, 0] *= t
+            pts[:, 1:] *= math.sqrt(t)
+            self.assert_same(scale_path(p, t), p.times * t, pts, t)
+
+    def test_from_increments_and_concat_are_the_knot_constructor(self):
+        rng = np.random.default_rng(4)
+        incs = rng.uniform(-0.8, 0.8, size=(3, 3))
+        points = np.vstack([np.zeros(3), np.cumsum(incs, axis=0)])
+        self.assert_same(from_increments(0.7, incs), np.linspace(0.0, 0.7, 4), points, 0.7)
+        p1, p2 = random_path(rng, 1, horizon=0.6), random_path(rng, 1, horizon=0.4)
+        times = np.concatenate([p1.times, p1.t_end + p2.times[1:]])
+        points = np.vstack([p1.points, p1.points[-1] + p2.points[1:]])
+        self.assert_same(concat(p1, p2), times, points, p1.t_end + p2.t_end)
+
+    def test_collapsing_knot_times_are_refused(self):
+        # 0.5 * 5e-324 rounds to 0, so the first two knot times coincide
+        p = from_increments(1.0, [[0.5, 0.1], [0.5, -0.2]])
+        with pytest.raises(InvalidPathError):
+            scale_path(p, 5e-324)
+
+    @pytest.mark.parametrize("times,points", [
+        ([0.0, 0.5, 1.0], [[0.0], [1.0]]),  # one time too many
+        ([0.0, 1.0], [0.0, 1.0]),  # points not vectors
+        ([0.0], [[0.0]]),  # one knot
+        ([0.0, np.nan, 1.0], [[0.0], [1.0], [2.0]]),
+        ([0.0, 1.0], [[0.0], [np.inf]]),
+        ([0.1, 1.0], [[0.0], [1.0]]),  # first time not 0
+        ([0.0, 0.9], [[0.0], [1.0]]),  # last time not t_end
+        ([0.0, 0.6, 0.4, 1.0], [[0.0], [1.0], [2.0], [3.0]]),  # decreasing
+    ])
+    def test_array_constructor_keeps_every_check(self, times, points):
+        with pytest.raises(InvalidPathError):
+            PiecewisePath._from_arrays(1.0, np.array(times), np.array(points))
+
+
 class TestPathSerialization:
     def test_roundtrip(self):
         rng = np.random.default_rng(12)

@@ -156,6 +156,62 @@ class TestStackedPaths:
         with pytest.raises(BlowUpError):
             evolve(system, states, (times, points))  # row 0: nan * 0
 
+    @pytest.mark.parametrize("system", [black_scholes(0.05, 0.3), heisenberg_toy(), cubic_toy()])
+    def test_per_row_times_bitwise_equal_to_one_call_per_row(self, system):
+        rng = np.random.default_rng(11)
+        _, points, _ = self.stack(rng, 5, 3, system.d + 1)
+        times = np.cumsum(rng.uniform(0.05, 0.4, size=(5, 4)), axis=1)
+        times[:, 0] = 0.0
+        states = rng.uniform(-1.0, 1.0, size=(5, system.dim))
+        out = evolve(system, states, (times, points))
+        for row, t_row, p_row, state in zip(out, times, points, states):
+            path = PiecewisePath(t_row[-1], list(zip(t_row, p_row)))
+            assert [x.hex() for x in row] == [x.hex() for x in evolve(system, state, path)]
+            assert [x.hex() for x in row] == [x.hex() for x in evolve_loop(system, state, path)]
+
+    @pytest.mark.parametrize("system", [black_scholes(0.05, 0.3), heisenberg_toy(), cubic_toy()])
+    def test_zero_increment_padding_leaves_the_state_unchanged(self, system):
+        rng = np.random.default_rng(12)
+        times, points, paths = self.stack(rng, 2, 2, system.d + 1)
+        states = rng.uniform(-1.0, 1.0, size=(2, system.dim))
+        # row 0 runs its two segments, then two zero-increment segments
+        padded_times = np.array([list(times) + [1.2, 1.8], list(times) + [0.9, 1.5]])
+        padded_points = np.concatenate([points, points[:, -1:].repeat(2, axis=1)], axis=1)
+        padded_points[1, 3:] = padded_points[1, 2] + rng.uniform(-0.3, 0.3, size=(2, system.d + 1))
+        out = evolve(system, states, (padded_times, padded_points))
+        assert out[0].tobytes() == evolve(system, states[0], paths[0]).tobytes()
+        alone = PiecewisePath(1.5, list(zip(padded_times[1], padded_points[1])))
+        assert out[1].tobytes() == evolve(system, states[1], alone).tobytes()
+
+    @pytest.mark.parametrize("times", [
+        [0.0, 0.1, 0.05],  # decreasing: would integrate backwards
+        [0.0, 0.1, 0.1],  # repeated: a zero step
+        [0.0, np.inf, 1.0],
+        [[0.0, 0.1, 0.2]] * 3,  # rows of times for a single path
+        [[[0.0, 0.1, 0.2]]],
+    ])
+    def test_bad_knot_times_are_refused(self, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                evolve(heisenberg_toy(), np.array([0.3, -0.2]), (np.array(times), np.zeros((3, 3))))
+
+    def test_one_knot_is_refused(self):
+        with pytest.raises(DomainError):
+            evolve(heisenberg_toy(), np.array([0.3, -0.2]), (np.zeros(1), np.zeros((1, 3))))
+
+    def test_bad_per_row_times_are_refused(self):
+        system = heisenberg_toy()
+        times, points, _ = self.stack(np.random.default_rng(13), 3, 2, 3)
+        rows = np.tile(times, (3, 1))
+        rows[1] = [0.0, 0.4, 0.3]  # one decreasing row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                evolve(system, np.zeros((3, 2)), (rows, points))
+            with pytest.raises(DomainError):
+                evolve(system, np.zeros((3, 2)), (rows[:2], points))  # rows of times != paths
+
     def test_stack_must_match_states_and_times(self):
         system = heisenberg_toy()
         times, points, _ = self.stack(np.random.default_rng(7), 3, 2, 3)
