@@ -37,8 +37,6 @@ ENV_PREFIX = "CUBGREEKS_"
 # direction flag: a vector, or an expression in V<i>, brackets [a,b], real
 # multiples c*a and sums a+b-c, read by Python's parser and never evaluated
 
-_BRACKET_DEPTH = 3  # sde.FieldExpr's nested finite differences fail deeper; --m nests m - 2 deep
-
 
 def parse_direction(text, system, y):
     """Resolve a direction flag: comma-separated vector or symbolic expression."""
@@ -62,8 +60,8 @@ def _field_expr(node, d, depth=0):
             raise ConfigError(f"direction uses {node.id}, model has V0..V{d}")
         return sde.FieldExpr.base(int(node.id[1:]))
     if isinstance(node, ast.List) and len(node.elts) == 2:
-        if depth == _BRACKET_DEPTH:
-            raise ConfigError(f"direction nests brackets deeper than {_BRACKET_DEPTH}")
+        if depth == sde.BRACKET_DEPTH:
+            raise ConfigError(f"direction nests brackets deeper than {sde.BRACKET_DEPTH}")
         return sde.FieldExpr.commutator(*(_field_expr(e, d, depth + 1) for e in node.elts))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
         coeff, inner = _coefficient(node.left), _field_expr(node.right, d, depth)
@@ -433,7 +431,7 @@ def _parser_and_commands():
     p.add_argument("--direction", required=True, help="vector '0,1' or symbolic 'V1', '[V1,V2]'")
     p.add_argument("--scale", default=None, help="sqrt_t or t^<p>/<q> factor on the direction")
     p.add_argument("--t", type=_horizon, required=True)
-    p.add_argument("--m", type=_int_in(2, _BRACKET_DEPTH + 2), default=2, help="Greek cubature degree")
+    p.add_argument("--m", type=_int_in(2, sde.BRACKET_DEPTH + 2), default=2, help="Greek cubature degree")
     p.add_argument("--mprime", type=_int_in(1), default=3, help="expectation degree for inner steps")
     p.add_argument("--s0", type=_horizon, default=None, help="derivative step size for the iterated scheme")
     p.add_argument("--partition", default=None, type=_partition_arg, help="k,gamma inner partition")
@@ -449,7 +447,7 @@ def _parser_and_commands():
     p.add_argument("--direction", default="V1")
     p.add_argument("--scale", default="sqrt_t")
     p.add_argument("--t-list", default="0.4,0.2,0.1,0.05")
-    p.add_argument("--m", type=_int_in(2, _BRACKET_DEPTH + 2), default=2)
+    p.add_argument("--m", type=_int_in(2, sde.BRACKET_DEPTH + 2), default=2)
     p.add_argument("--mprime", type=_int_in(1), default=3)
     p.add_argument("--payoff", default="identity")
     p.add_argument("--ode-steps", type=_int_in(1), default=sde.DEFAULT_STEPS_PER_SEGMENT)

@@ -12,9 +12,9 @@ increments and through their images under permutations and sign flips of the
 space axes (Lyons & Victoir), so the odd-space moments cancel by symmetry.
 
 Every built-in formula is built and verified once per context at horizon 1.
-``rescale_formula`` alone carries it to a horizon t: sig(scale_path(p, t)) =
-dilate(sqrt t, sig(p)), and both targets dilate the same way, so the degree-n
-residual r_n verified at horizon 1 becomes t^{n/2} r_n with no second check.
+At horizon t, sig(scale_path(p, t)) = dilate(sqrt t, sig(p)) and both targets
+dilate the same way, so a degree-n residual r_n becomes t^{n/2} r_n with no second
+check (``scaled_residuals``, for ``rescale_formula`` and the tree in ``greeks``).
 """
 
 from __future__ import annotations
@@ -300,7 +300,8 @@ def greeks_two_point(ctx, w, t):
             (0.5 * norm, paths.line_path(1.0, inc)),
             (-0.5 * norm, paths.line_path(1.0, -inc)),
         )
-    return rescale_formula(_checked(GreeksFormula(ctx, 1.0, w, items)), t)
+    formula = _checked(GreeksFormula(ctx, 1.0, w, items))
+    return formula if t == 1.0 else rescale_formula(formula, t)
 
 
 def greeks_solve(ctx, w, t, dictionary):
@@ -401,7 +402,12 @@ def rescale_formula(formula, t):
         out = GreeksFormula(formula.ctx, t, algebra.dilate(math.sqrt(t), formula.direction), items)
     else:
         out = CubatureFormula(formula.ctx, t, items)
-    return _checked(out, residuals=tuple(r * t ** (n / 2) for n, r in enumerate(formula.residuals)))
+    return _checked(out, residuals=scaled_residuals(formula.residuals, t))
+
+
+def scaled_residuals(residuals, t):
+    """Per-degree residuals r_n verified at horizon 1, carried to horizon t: t^{n/2} r_n."""
+    return tuple(r * t ** (n / 2) for n, r in enumerate(residuals))
 
 
 def formula_to_dict(formula):

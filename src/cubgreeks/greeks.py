@@ -6,7 +6,8 @@ formulas over the remaining partition, multiplying weights along the branches
 of the resulting evaluation tree.  The tree is evaluated one level at a time:
 a level is one (n, N) state array with its (n,) weights, evolved along all
 of the formula's paths in one batched call, one path per row, shorter paths
-padded after their end with zero-increment segments.
+padded after their end with zero-increment segments, then carried from horizon 1
+to the stage's step by ``paths.scale_knots``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from . import cubature, sde
+from . import cubature, paths, sde
 from .algebra import context, word_degree
 from .errors import BudgetExceededError, DomainError, UnsupportedDegreeError
 
@@ -44,8 +45,10 @@ class GreekRequest:
 
     def __post_init__(self):
         steps = np.asarray(self.partition, dtype=float)
-        if steps.size < 1 or np.any(steps <= 0.0):
-            raise DomainError("partition steps must all be positive")
+        if steps.size < 1 or not np.all((0.0 < steps) & (steps < math.inf)):
+            raise DomainError("partition steps must all be positive and finite")
+        if not 0.0 < self.t < math.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.t}")
         if abs(steps.sum() - self.t) > 1e-9 * max(1.0, self.t):
             raise DomainError(f"partition sums to {steps.sum()}, expected t={self.t}")
 
@@ -67,13 +70,13 @@ class GreekResult:
         }
 
 
-def expectation_formula(d, m_prime, t):
-    """Built-in expectation formula for the requested degree, or raise."""
+def expectation_formula(d, m_prime):
+    """Built-in horizon-1 expectation formula for the requested degree, or raise."""
     if 1 <= m_prime <= 3:
-        return cubature.expectation_degree3(context(d, 3), t)
+        return cubature._expectation_degree3_unit(context(d, 3))
     # the driver limit is checked before context(d, 5), whose basis grows like d^5
     if m_prime == 5 and d <= cubature.DEGREE5_MAX_D:
-        return cubature.expectation_degree5(context(d, 5), t)
+        return cubature._expectation_degree5_unit(context(d, 5))
     raise UnsupportedDegreeError(
         f"no built-in expectation formula for m'={m_prime}, d={d} (m'<=3, m'=5 at d<={cubature.DEGREE5_MAX_D})"
     )
@@ -81,9 +84,9 @@ def expectation_formula(d, m_prime, t):
 
 def expectation_one_step(system, f, y, t, m_prime, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
     """Sum lambda_j f(Y_t^y(omega_j)) over the built-in expectation formula."""
-    formula = expectation_formula(system.d, m_prime, t)
-    estimate, _ = _evaluate_tree(system, f, y, [formula], steps_per_segment)
-    return estimate
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"horizon must be positive and finite, got {t}")
+    return _evaluate_tree(system, f, y, [(expectation_formula(system.d, m_prime), t)], steps_per_segment)[0]
 
 
 def build_greek_formula(system, y, v, t, m):
@@ -94,17 +97,16 @@ def build_greek_formula(system, y, v, t, m):
     (``cubature.greeks_two_point``), which is what makes fixed-direction
     Greeks (|w| ~ t^{-k/2}) converge.
     Anything else goes through the sign-free solver over the default
-    dictionary at horizon 1 (fixed paths, so weights are linear in v there
-    too), carried to t by ``cubature.rescale_formula``.  A bracket word of v
-    past that dictionary's reach at degree m raises UnsupportedDegreeError
-    before the solve, which could only fail verification.
-    Returns (formula, (coefficients, residual) of the decomposition).
+    dictionary (fixed paths, so weights are linear in v there too).  A bracket
+    word of v past that dictionary's reach at degree m raises
+    UnsupportedDegreeError before the solve, which could only fail verification.
+    Returns (horizon-1 formula, (coefficients, residual) of the decomposition at t).
     """
     coeffs, residual = sde.decompose_direction(system, y, v, t, m)
     ctx = context(system.d, m)
     w = sde.lie_direction(ctx, coeffs)
     if m <= 2:
-        formula = cubature.greeks_two_point(ctx, w, t)
+        formula = cubature.greeks_two_point(ctx, w, 1.0)
     else:
         for k in sorted({word_degree(word) for word in coeffs}):
             reach = cubature._GREEK_REACH.get(k, m)
@@ -113,24 +115,23 @@ def build_greek_formula(system, y, v, t, m):
                     f"m={m} is beyond the reach of the default Greeks dictionary for this direction: "
                     f"its degree-{k} bracket words are reached only with m <= {reach}"
                 )
-        unit = cubature.greeks_solve(ctx, w, 1.0, cubature.default_greeks_dictionary(ctx, 1.0))
-        formula = cubature.rescale_formula(unit, t)
+        formula = cubature.greeks_solve(ctx, w, 1.0, cubature.default_greeks_dictionary(ctx, 1.0))
     return formula, (coeffs, residual)
 
 
-def _evolve_level(system, states, weights, formula, steps_per_segment):
-    """The next tree level: every state evolved along every formula path.
+def _evolve_level(system, states, weights, formula, s, steps_per_segment):
+    """The next tree level: every state evolved along every formula path at step s.
 
     Returns (n*q, N) states in state-major, path-minor order (row i*q + j is
     state i along path j) and their weights weights[i] * lambda_j, from one
     ``evolve`` call on the states repeated state-major, path-minor, one path
     per row.  A shorter path is padded after its end with zero-increment
-    segments, and the knot times are shared when all paths have the same,
-    else given per row.  A system written for single states comes as its
-    ``sde.batched`` copy and runs row by row in the same call, under the
-    zero-slope rule for stacks (see ``sde.evolve``): a field non-finite on a
-    row its path does not drive, or at a padded row's end state, gives NaN
-    there when another path drives it.
+    segments, the horizon-1 stack goes to s by ``paths.scale_knots``, and the
+    knot times are shared when all paths have the same, else given per row.
+    A system written for single states comes as its ``sde.batched`` copy and
+    runs row by row in the same call, under the zero-slope rule for stacks
+    (see ``sde.evolve``): a field non-finite on a row its path does not drive,
+    or at a padded row's end state, gives NaN there when another path drives it.
     """
     n, q = len(states), len(formula.items)
     weights = (weights[:, None] * formula.weights[None, :]).ravel()
@@ -142,21 +143,22 @@ def _evolve_level(system, states, weights, formula, steps_per_segment):
         k = path.n_segments + 1
         times[j, :k], points[j, :k] = path.times, path.points
         times[j, k:], points[j, k:] = path.times[-1] * np.arange(2, longest + 3 - k), path.points[-1]
+    times, points = paths.scale_knots(times, points, s)
     times = times[0] if np.all(times == times[0]) else np.tile(times, (n, 1))
     stack = (times, np.tile(points, (n, 1, 1)))
     return sde.evolve(system, np.repeat(states, q, axis=0), stack, steps_per_segment), weights
 
 
-def _evaluate_tree(system, payoff, y0, formulas, steps_per_segment):
-    """Sum of weight * payoff over the leaves of the tree the formulas span at y0.
+def _evaluate_tree(system, payoff, y0, stages, steps_per_segment):
+    """Sum of weight * payoff over the leaves the (formula, step) stages span at y0.
 
     System and payoff are probed once, at y0, for batches (``sde.batched``).
     Returns (estimate, leaf count); leaves are reduced with fsum in leaf order.
     """
     system, payoff = sde.batched(system, y0), sde._batched(payoff, y0, ())
     states, weights = np.asarray(y0, dtype=float).reshape(1, -1), np.ones(1)
-    for formula in formulas:
-        states, weights = _evolve_level(system, states, weights, formula, steps_per_segment)
+    for formula, s in stages:
+        states, weights = _evolve_level(system, states, weights, formula, s, steps_per_segment)
     return math.fsum(weights * payoff(states)), len(weights)
 
 
@@ -165,16 +167,16 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
 
     Weights multiply along branches and states chain through evolve, one
     batched level at a time; leaf contributions are reduced with fsum in leaf
-    order.  The formula residuals are the ones their constructors verified.
-    The inner degree is checked before stage 0 is solved, and the leaf count
-    before any inner formula is rescaled.
+    order.  The formula residuals are the ones their constructors verified
+    at horizon 1, carried to each step.  The inner degree is checked before
+    stage 0 is solved, and the leaf count before the tree is evaluated.
     """
     system = request.system
     y0 = np.asarray(request.y, dtype=float)
     steps = [float(s) for s in request.partition]
     k = len(steps) - 1
-    # every inner formula is this one rescaled, so each has q paths
-    unit = expectation_formula(system.d, request.m_prime, 1.0) if k else None
+    # every inner stage is this formula at its own step, so each has q paths
+    unit = expectation_formula(system.d, request.m_prime) if k else None
 
     stage0, (coeffs, residual) = build_greek_formula(system, y0, request.v, steps[0], request.m)
 
@@ -187,14 +189,12 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
             cap=request.leaf_cap,
         )
 
-    formulas = [stage0, *(cubature.rescale_formula(unit, s) for s in steps[1:])]
-    estimate, evaluated = _evaluate_tree(
-        system, request.payoff, y0, formulas, request.steps_per_segment
-    )
+    stages = [(stage0, steps[0]), *((unit, s) for s in steps[1:])]
+    estimate, evaluated = _evaluate_tree(system, request.payoff, y0, stages, request.steps_per_segment)
     return GreekResult(
         estimate=estimate,
         paths_evaluated=evaluated,
-        formula_residuals=tuple(f.residual for f in formulas),
+        formula_residuals=tuple(max(cubature.scaled_residuals(f.residuals, s)) for f, s in stages),
         direction_words=coeffs,
         decomposition_residual=residual,
     )

@@ -6,6 +6,7 @@ signature is the exponential of the increment and the full signature is the
 ordered product of segment exponentials (Chen's relation), folded by
 ``AlgebraContext.chen``, which the signature Monte Carlo runs too.
 Signatures of piecewise-linear paths are therefore exact up to truncation.
+``scale_knots`` alone carries horizon-1 knots to a horizon t (paths, tree levels).
 """
 
 from __future__ import annotations
@@ -137,23 +138,24 @@ def signatures(ctx, path_list):
     return out
 
 
-def scale_path(path, t):
-    """Carry a horizon-1 path to horizon t.
+def scale_knots(times, points, t):
+    """Horizon-1 knot times (..., K+1) and points (..., K+1, d+1) at horizon t, as new arrays:
+    times and component 0 scale by t, space by sqrt(t), so signatures dilate by sqrt(t)."""
+    points = points.copy()
+    points[..., 0] *= t
+    points[..., 1:] *= math.sqrt(t)
+    return times * t, points
 
-    Knot times scale by t, the time-like component by t and the spatial
-    components by sqrt(t), so the signature transforms by the sqrt(t)
-    dilation.  At t = 1 the path itself is returned.
-    """
+
+def scale_path(path, t):
+    """Carry a horizon-1 path to horizon t by ``scale_knots`` (the path itself at t = 1)."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"target horizon must be positive and finite, got {t}")
     if abs(path.t_end - 1.0) > 1e-12:
         raise DomainError(f"scale_path expects a horizon-1 path, got t_end={path.t_end}")
     if t == 1.0:
         return path
-    pts = path.points.copy()
-    pts[:, 0] *= t
-    pts[:, 1:] *= math.sqrt(t)
-    return PiecewisePath._from_arrays(t, path.times * t, pts)
+    return PiecewisePath._from_arrays(t, *scale_knots(path.times, path.points, t))
 
 
 def path_to_dict(path):

@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     DirectionNotAttainableError,
     DomainError,
+    UnsupportedDegreeError,
 )
 
 FD_STEP = 1e-5
@@ -104,13 +105,15 @@ def _fd_jacobian(func, y):
     return np.stack([_fd_directional(func, y, e) for e in np.eye(y.shape[-1])], axis=-1)
 
 
+BRACKET_DEPTH = 3  # FieldExpr's nested differences fail deeper; a degree-m decomposition nests m - 2 deep
+
+
 class FieldExpr:
     """Symbolic combination of the system's fields: base, bracket, or sum.
 
     Evaluation only needs Jacobian-vector products; analytic Jacobians are
     used for base fields and nested central differences (step 1e-5 per
-    nesting level) for derived ones, which keeps finite-difference bracket
-    depth usable to about three levels.
+    nesting level) for derived ones, usable to BRACKET_DEPTH levels.
     """
 
     def __init__(self, kind, payload):
@@ -184,9 +187,11 @@ def bracket_vf(system, a, b, y):
 
 
 def bracket_evaluate(system, word, y):
-    """Right-nested iterated bracket [V_{i1}, [V_{i2}, [..., V_{ik}]...]](y)."""
+    """Right-nested iterated bracket [V_{i1}, [V_{i2}, [..., V_{ik}]...]](y), at most BRACKET_DEPTH deep."""
     if len(word) == 0:
         raise DomainError("bracket evaluation needs a nonempty word")
+    if len(word) - 1 > BRACKET_DEPTH:
+        raise UnsupportedDegreeError(f"bracket word {word} nests {len(word) - 1} deep, past {BRACKET_DEPTH}")
     expr = FieldExpr.base(word[-1])
     for letter in reversed(word[:-1]):
         expr = FieldExpr.commutator(FieldExpr.base(letter), expr)

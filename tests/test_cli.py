@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -67,6 +68,18 @@ class TestDirectionGrammar:
                 parse_direction(text, system, [0.0, 0.0])
         with pytest.raises(ConfigError):
             parse_direction("[V1," * 200 + "V2" + "]" * 200, system, [0.0, 0.0])
+
+    def test_depth_limits_are_the_library_one(self, monkeypatch):
+        # a degree-m decomposition nests m - 2 deep, so --m stops at depth + 2
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("greek", "converge"):
+            m_flag = next(a for a in sub.choices[command]._actions if "--m" in a.option_strings)
+            assert m_flag.type(str(sde.BRACKET_DEPTH + 2)) == sde.BRACKET_DEPTH + 2
+            with pytest.raises(argparse.ArgumentTypeError):
+                m_flag.type(str(sde.BRACKET_DEPTH + 3))
+        monkeypatch.setattr(sde, "BRACKET_DEPTH", 1)
+        with pytest.raises(ConfigError, match="deeper than 1"):
+            parse_direction("[V1,[V1,V2]]", sde.heisenberg_toy(), [0.0, 0.0])
 
     def test_scale_forms(self):
         assert parse_scale("sqrt_t", 0.25) == 0.5

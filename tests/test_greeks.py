@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cubgreeks import algebra, cli, cubature, greeks, sde
+from cubgreeks import algebra, cli, cubature, greeks, paths, sde
 from cubgreeks.algebra import AlgebraContext, context
 from cubgreeks.cli import fit_loglog_slope
 from cubgreeks.errors import BudgetExceededError, DomainError, UnsupportedDegreeError
@@ -60,6 +61,14 @@ class TestExpectationOneStep:
     def test_unsupported_degree(self):
         with pytest.raises(UnsupportedDegreeError):
             expectation_one_step(BS, first, [1.0], 0.1, 4)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_horizon_is_refused_before_any_evolve(self, monkeypatch, t):
+        monkeypatch.setattr(sde, "evolve", lambda *args, **kwargs: pytest.fail("evolve was called"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="horizon must be positive and finite"):
+                expectation_one_step(BS, first, [1.0], t, 3)
 
 
 class TestGreekOneStep:
@@ -206,6 +215,23 @@ class TestGreekIterated:
                 m=2, m_prime=3, partition=(0.1, 0.2),
             )
 
+    @pytest.mark.parametrize("t, partition", [
+        (math.nan, (0.5, 0.5)),  # nan - 1.0 passes the sum check
+        (math.inf, (0.1, math.inf)),  # inf - inf warned before the check
+        (1.0, (0.5, math.nan)),
+        (1.0, (0.5, math.inf)),
+        (math.inf, (math.inf,)),
+        (-math.inf, (0.5, 0.5)),
+    ])
+    def test_non_finite_horizon_or_step_is_refused_without_a_warning(self, t, partition):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="positive and finite"):
+                GreekRequest(
+                    system=BS, payoff=first, y=(1.0,), v=(0.1,), t=t,
+                    m=2, m_prime=3, partition=partition,
+                )
+
 
 HEISENBERG = sde.heisenberg_toy()
 
@@ -247,6 +273,16 @@ def _tree_case(d, m_prime, direction, k):
     return system, y, v, tuple(steps)
 
 
+def rescaled_stages(system, y, v, steps, m, m_prime):
+    """The stage-0 and inner formulas carried to their steps by ``rescale_formula``."""
+    stage0, _ = greeks.build_greek_formula(system, np.array(y), v, steps[0], m)
+    inner = greeks.expectation_formula(system.d, m_prime) if len(steps) > 1 else None
+    return (
+        cubature.rescale_formula(stage0, steps[0]),
+        [cubature.rescale_formula(inner, s) for s in steps[1:]],
+    )
+
+
 class TestLevelBatching:
     """The batched level evaluation against one scalar evolve per tree node."""
 
@@ -265,8 +301,7 @@ class TestLevelBatching:
                 m_prime=m_prime, partition=steps,
             )
             result = greek_iterated(request)
-            stage0, _ = greeks.build_greek_formula(system, np.array(y), v, steps[0], m)
-            inner = [greeks.expectation_formula(d, m_prime, s) for s in steps[1:]]
+            stage0, inner = rescaled_stages(system, y, v, steps, m, m_prime)
             estimate, leaves = scalar_tree(system, payoff, y, [stage0, *inner])
             assert result.estimate.hex() == estimate.hex(), (m, name)
             assert result.paths_evaluated == leaves, (m, name)
@@ -285,18 +320,19 @@ class TestLevelBatching:
         nan_field = lambda y: np.full_like(y, np.nan)
         system = sde.VectorFieldSystem(dim=2, d=2, fields=HEISENBERG.fields[:2] + (nan_field,))
         w = algebra.TensorElement(context(2, 2), {(1,): 0.7})
-        formula = cubature.greeks_two_point(context(2, 2), w, 0.3)
+        unit = cubature.greeks_two_point(context(2, 2), w, 1.0)
+        formula = cubature.rescale_formula(unit, 0.3)
         states = np.array([[0.4, -0.2], [0.1, 0.5]])
-        children, _ = greeks._evolve_level(system, states, np.ones(2), formula, 16)
+        children, _ = greeks._evolve_level(system, states, np.ones(2), unit, 0.3, 16)
         assert np.all(np.isfinite(children))
         for name, payoff in BATCH_PAYOFFS[2].items():
-            estimate, leaves = greeks._evaluate_tree(system, payoff, (0.4, -0.2), [formula], 16)
+            estimate, leaves = greeks._evaluate_tree(system, payoff, (0.4, -0.2), [(unit, 0.3)], 16)
             reference, ref_leaves = scalar_tree(system, payoff, (0.4, -0.2), [formula])
             assert (estimate.hex(), leaves) == (reference.hex(), ref_leaves), name
 
     @pytest.mark.parametrize("m_prime", [1, 3, 5])
     def test_one_step_expectation_matches_scalar_tree(self, m_prime):
-        formula = greeks.expectation_formula(1, m_prime, 0.3)
+        formula = cubature.rescale_formula(greeks.expectation_formula(1, m_prime), 0.3)
         for payoff in BATCH_PAYOFFS[1].values():
             estimate, _ = scalar_tree(BS, payoff, [1.0], [formula])
             assert expectation_one_step(BS, payoff, [1.0], 0.3, m_prime) == estimate
@@ -374,7 +410,7 @@ class TestLevelBatching:
             system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,),
             t=1.0, m=2, m_prime=5, partition=tuple(gamma_partition(1.0, 0.1, 2, 1.0)),
         )
-        inner = greeks.expectation_formula(1, 5, 0.45)
+        inner = cubature.rescale_formula(greeks.expectation_formula(1, 5), 0.45)
         assert sorted({p.n_segments for p in inner.paths}) == [1, 2]
         assert greek_iterated(request).paths_evaluated == 2 * len(inner.items) ** 2
         assert len(calls) == 1 + 2
@@ -390,8 +426,7 @@ class TestLevelBatching:
             m=m, m_prime=m_prime, partition=tuple(steps),
         )
         residuals = greek_iterated(request).formula_residuals
-        stage0, _ = greeks.build_greek_formula(system, np.array(y), v, steps[0], m)
-        inner = [greeks.expectation_formula(system.d, m_prime, s) for s in steps[1:]]
+        stage0, inner = rescaled_stages(system, y, v, steps, m, m_prime)
         recorded = [f.residual for f in [stage0, *inner]]
         assert [r.hex() for r in residuals] == [r.hex() for r in recorded]
         # rescaled formulas record t^{n/2} r_n from horizon 1, not a fresh check
@@ -439,7 +474,8 @@ class TestFormulasFromHorizonOne:
         ctx = context(2, 3)
         supports = []
         for t in (0.05, 0.1, 0.2):
-            formula, _ = greeks.build_greek_formula(HEISENBERG, y, sde.bracket_vf(HEISENBERG, 1, 2, y), t, 3)
+            unit, _ = greeks.build_greek_formula(HEISENBERG, y, sde.bracket_vf(HEISENBERG, 1, 2, y), t, 3)
+            formula = cubature.rescale_formula(unit, t)
             dictionary = cubature.default_greeks_dictionary(ctx, t)
             supports.append([i for i, p in enumerate(dictionary) if p in formula.paths])
             assert len(supports[-1]) == len(formula.items)
@@ -449,6 +485,43 @@ class TestFormulasFromHorizonOne:
 def _hypo_payoff(x):
     x = np.asarray(x, dtype=float)
     return x[..., 1] * (1.0 + np.sin(x[..., 0]))
+
+
+class TestTreeOnHorizonOneFormulas:
+    """The tree keeps horizon-1 formulas and scales each level's knot arrays,
+    with the bits the rescaled formulas gave."""
+
+    # float.hex of estimate, leaves and residuals, recorded while the tree
+    # still evaluated formulas rescaled by cubature.rescale_formula
+    PINS = [
+        ((0.3, -0.2), 0.05, "0x1.49c50bc7b0143p+0", 15, ("0x1.0000000000000p-49",)),
+        ((0.3, -0.2), 0.1, "0x1.47e6e4fc1439bp+0", 15, ("0x1.e5b9d136c6d96p-50",)),
+        ((0.3, -0.2), 0.2, "0x1.44368e2825506p+0", 15, ("0x1.0000000000000p-49",)),
+        ((-0.6, 0.8), 0.05, "0x1.cc33695a9a60cp-2", 15, ("0x1.1e3779b97f4a8p-49",)),
+        ((-0.6, 0.8), 0.1, "0x1.da79c6c76056cp-2", 15, ("0x1.0000000000000p-50",)),
+        ((-0.6, 0.8), 0.2, "0x1.f6ab11e03a976p-2", 15, ("0x1.90b410d07f01ep-50",)),
+    ]
+
+    @pytest.mark.parametrize("y, t, estimate, leaves, residuals", PINS)
+    def test_one_step_bracket_greek_is_bitwise_recorded(self, y, t, estimate, leaves, residuals):
+        result = greek_one_step(HEISENBERG, _hypo_payoff, y, sde.bracket_vf(HEISENBERG, 1, 2, y), t, 3)
+        assert result.estimate.hex() == estimate
+        assert result.paths_evaluated == leaves
+        assert tuple(r.hex() for r in result.formula_residuals) == residuals
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_warm_tree_builds_no_rescaled_formula_or_path(self, monkeypatch, m):
+        request = GreekRequest(
+            system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,),
+            t=1.0, m=m, m_prime=3, partition=tuple(gamma_partition(1.0, 0.1, 8, 3.0)),
+        )
+        y = (0.3, -0.2)
+        v = sde.bracket_vf(HEISENBERG, 1, 2, y)
+        warm = (greek_iterated(request), greek_one_step(HEISENBERG, _hypo_payoff, y, v, 0.1, 3))
+        for module, name in ((cubature, "rescale_formula"), (paths, "scale_path")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+        again = (greek_iterated(request), greek_one_step(HEISENBERG, _hypo_payoff, y, v, 0.1, 3))
+        assert [r.estimate.hex() for r in again] == [r.estimate.hex() for r in warm]
 
 
 class TestDegree5TwoDrivers:

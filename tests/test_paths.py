@@ -170,6 +170,20 @@ class TestArrayConstructor:
             pts[:, 1:] *= math.sqrt(t)
             self.assert_same(scale_path(p, t), p.times * t, pts, t)
 
+    @pytest.mark.parametrize("t", [0.01, 0.3, 4.0])
+    def test_stacked_knots_scale_like_each_path(self, t):
+        # one scale_knots call on a (q, K+1) stack gives each row scale_path's bits
+        rng = np.random.default_rng(5)
+        stack = [random_path(rng, 2) for _ in range(6)]
+        times, points = np.stack([p.times for p in stack]), np.stack([p.points for p in stack])
+        frozen = points.tobytes()
+        scaled_times, scaled_points = paths.scale_knots(times, points, t)
+        assert points.tobytes() == frozen
+        for j, p in enumerate(stack):
+            q = scale_path(p, t)
+            assert scaled_times[j].tobytes() == q.times.tobytes()
+            assert scaled_points[j].tobytes() == q.points.tobytes()
+
     def test_from_increments_and_concat_are_the_knot_constructor(self):
         rng = np.random.default_rng(4)
         incs = rng.uniform(-0.8, 0.8, size=(3, 3))

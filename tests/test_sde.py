@@ -7,7 +7,13 @@ import pytest
 
 from cubgreeks import sde
 from cubgreeks.algebra import bracket, context, generator, word_degree
-from cubgreeks.errors import BlowUpError, ConfigError, DirectionNotAttainableError, DomainError
+from cubgreeks.errors import (
+    BlowUpError,
+    ConfigError,
+    DirectionNotAttainableError,
+    DomainError,
+    UnsupportedDegreeError,
+)
 from cubgreeks.greeks import greek_one_step
 from cubgreeks.paths import PiecewisePath, from_increments, line_path
 from cubgreeks.sde import (
@@ -305,6 +311,27 @@ class TestBrackets:
                 + bracket_vf(system, e[0], FieldExpr.commutator(e[0], e[1]), y)
             )
             assert np.abs(total).max() < 1e-6
+
+
+class TestBracketDepth:
+    """Nested finite differences lose accuracy past sde.BRACKET_DEPTH, so the
+    library refuses a deeper bracket word instead of returning it."""
+
+    def test_deepest_word_evaluates(self):
+        word = (1,) * sde.BRACKET_DEPTH + (2,)  # [V1,[V1,[V1,V2]]] is zero on heisenberg_toy
+        assert np.allclose(bracket_evaluate(heisenberg_toy(), word, [0.3, -0.2]), [0.0, 0.0])
+
+    def test_deeper_word_is_refused(self):
+        with pytest.raises(UnsupportedDegreeError, match="nests 4 deep"):
+            bracket_evaluate(heisenberg_toy(), (1,) * (sde.BRACKET_DEPTH + 1) + (2,), [0.3, -0.2])
+
+    def test_decomposition_past_the_depth_is_refused(self):
+        # a degree-m decomposition uses words of degree m - 1, nested m - 2 deep
+        m = sde.BRACKET_DEPTH + 2
+        decompose_direction(heisenberg_toy(), [0.3, -0.2], [0.0, 1.0], 0.1, m)
+        for deeper in (m + 1, m + 2):
+            with pytest.raises(UnsupportedDegreeError):
+                decompose_direction(heisenberg_toy(), [0.3, -0.2], [0.0, 1.0], 0.1, deeper)
 
 
 class TestDecomposition:
