@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 import scipy.sparse
 
-from .errors import ContextMismatchError, DomainError, InvalidWordError
+from .errors import ContextMismatchError, DomainError, InvalidWordError, check_horizon
 
 Word = tuple[int, ...]
 
@@ -403,8 +403,7 @@ def heat_element(ctx, t):
 
     The exponent has degree 2, so at m=1 the element degenerates to 1.
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"time horizon must be positive and finite, got {t}")
+    check_horizon(t)
     if ctx.m < 2:
         return unit(ctx)
     exponent = {(0,): t}

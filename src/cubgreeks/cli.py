@@ -48,30 +48,28 @@ def parse_direction(text, system, y):
         return vec
     try:
         expr = _field_expr(ast.parse(text, mode="eval").body, system.d)
-    except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
+    except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError, UnsupportedDegreeError) as exc:
         raise ConfigError(f"cannot parse direction: {exc}") from exc
     return expr.value(system, np.asarray(y, dtype=float))
 
 
-def _field_expr(node, d, depth=0):
-    """The sde.FieldExpr of a parsed direction; other syntax, or brackets too deep, is a ConfigError."""
+def _field_expr(node, d):
+    """The sde.FieldExpr of a parsed direction; other syntax is a ConfigError."""
     if isinstance(node, ast.Name) and node.id[:1] == "V" and node.id[1:].isdecimal():
         if int(node.id[1:]) > d:
             raise ConfigError(f"direction uses {node.id}, model has V0..V{d}")
         return sde.FieldExpr.base(int(node.id[1:]))
     if isinstance(node, ast.List) and len(node.elts) == 2:
-        if depth == sde.BRACKET_DEPTH:
-            raise ConfigError(f"direction nests brackets deeper than {sde.BRACKET_DEPTH}")
-        return sde.FieldExpr.commutator(*(_field_expr(e, d, depth + 1) for e in node.elts))
+        return sde.FieldExpr.commutator(*(_field_expr(e, d) for e in node.elts))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        coeff, inner = _coefficient(node.left), _field_expr(node.right, d, depth)
+        coeff, inner = _coefficient(node.left), _field_expr(node.right, d)
         return inner if coeff == 1.0 else sde.FieldExpr.combination([(coeff, inner)])
     terms = []  # a +/- chain is one combination; its tree nests to the left
     while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        terms.append((1.0 if isinstance(node.op, ast.Add) else -1.0, _field_expr(node.right, d, depth)))
+        terms.append((1.0 if isinstance(node.op, ast.Add) else -1.0, _field_expr(node.right, d)))
         node = node.left
     if terms:
-        return sde.FieldExpr.combination([(1.0, _field_expr(node, d, depth))] + terms[::-1])
+        return sde.FieldExpr.combination([(1.0, _field_expr(node, d))] + terms[::-1])
     raise ConfigError(
         f"unexpected {ast.unparse(node)!r} in direction (use V<i>, [a,b], <number>*a, a+b, a-b)"
     )
@@ -324,21 +322,9 @@ def _z_score(diff, stderr):
     return 0.0 if abs(diff) < 1e-12 else math.copysign(math.inf, diff)
 
 
-# export kind -> (truncation degrees its constructor covers, most drivers or None for any)
-EXPORT_KINDS = {
-    "expectation3": ((1, 2, 3), None),
-    "expectation5": ((5,), cubature.DEGREE5_MAX_D),
-    "greeks2pt": ((1, 2), None),
-}
-
-
 def cmd_cubature(args):
     if args.action == "export":
-        # checked before the context is built: its basis grows like d^m
-        degrees, max_d = EXPORT_KINDS[args.kind]
-        if args.m not in degrees or (max_d and args.d > max_d):
-            need = f"--m in {degrees}" + (f" and --d <= {max_d}" if max_d else "")
-            raise ConfigError(f"--kind {args.kind} needs {need}, got --m {args.m} --d {args.d}")
+        # the constructor refuses a degree or driver count it does not cover
         ctx = _context(args.d, args.m)
         if args.kind == "expectation3":
             formula = cubature.expectation_degree3(ctx, args.t)
@@ -463,7 +449,7 @@ def _parser_and_commands():
 
     p = sub.add_parser("cubature", help="export/import cubature formula files")
     p.add_argument("action", choices=["export", "import"])
-    p.add_argument("--kind", default="expectation3", choices=list(EXPORT_KINDS))
+    p.add_argument("--kind", default="expectation3", choices=["expectation3", "expectation5", "greeks2pt"])
     p.add_argument("--d", type=_int_in(1), default=1)
     p.add_argument("--m", type=_int_in(1), default=3)
     p.add_argument("--t", type=_horizon, default=1.0)

@@ -36,6 +36,7 @@ from .errors import (
     InvalidPathError,
     NoFormulaFoundError,
     UnsupportedDegreeError,
+    check_horizon,
 )
 
 VERIFY_TOL = 1e-10
@@ -265,8 +266,7 @@ def greek_target(ctx, w, t):
     e_0 coordinate equals the coefficient on the word (0), which no genuine
     bracket monomial can carry.
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"horizon must be positive and finite, got {t}")
+    check_horizon(t)
     if w.coeff(()) != 0.0:
         raise DomainError("direction must have zero constant term")
     if abs(w.coeff((0,))) > 1e-14:
@@ -389,8 +389,7 @@ def rescale_formula(formula, t):
     residuals verified at horizon 1 are scaled instead of re-verified; an
     unverified formula is checked once, at horizon 1.
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"target horizon must be positive and finite, got {t}")
+    check_horizon(t)
     if abs(formula.t - 1.0) > 1e-12:
         raise DomainError(f"rescale_formula expects a horizon-1 formula, got t={formula.t}")
     if formula.residuals is None:
@@ -429,9 +428,7 @@ def formula_to_dict(formula):
 def formula_from_dict(data, verify=True):
     """Rebuild a formula; its horizon, paths and direction must fit its t, d and m."""
     ctx = context(int(data["d"]), int(data["m"]))
-    t = float(data["t"])
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"horizon must be positive and finite, got {t}")
+    t = float(check_horizon(data["t"]))
     items = tuple(
         (float(item["w"]), paths.path_from_dict(item["path"])) for item in data["items"]
     )

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the horizon check."""
+
+import math
 
 
 class CubatureError(Exception):
@@ -15,6 +17,16 @@ class ContextMismatchError(CubatureError):
 
 class DomainError(CubatureError):
     """An argument violates the mathematical domain of an operation."""
+
+
+def check_horizon(t):
+    """t unless it is non-numeric, NaN, infinite or not positive: then DomainError."""
+    try:
+        if math.isfinite(t) and t > 0.0:
+            return t
+    except TypeError:
+        pass
+    raise DomainError(f"horizon must be positive and finite, got {t!r}")
 
 
 class InvalidPathError(CubatureError):

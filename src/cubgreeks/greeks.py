@@ -44,13 +44,13 @@ class GreekRequest:
     leaf_cap: int = DEFAULT_LEAF_CAP
 
     def __post_init__(self):
-        steps = np.asarray(self.partition, dtype=float)
-        if steps.size < 1 or not np.all((0.0 < steps) & (steps < math.inf)):
-            raise DomainError("partition steps must all be positive and finite")
-        if not 0.0 < self.t < math.inf:
-            raise DomainError(f"horizon must be positive and finite, got {self.t}")
-        if abs(steps.sum() - self.t) > 1e-9 * max(1.0, self.t):
-            raise DomainError(f"partition sums to {steps.sum()}, expected t={self.t}")
+        steps = np.asarray(self.partition, dtype=float).tolist()
+        total = sum(steps)  # a float sum overflows to inf without a warning
+        if not (steps and all(0.0 < s < math.inf for s in steps) and total < math.inf):
+            raise DomainError("partition steps must all be positive and finite, and so must their sum")
+        sde._state_args(self.system, self.t, self.y, self.v)
+        if abs(total - self.t) > 1e-9 * max(1.0, self.t):
+            raise DomainError(f"partition sums to {total}, expected t={self.t}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ def expectation_formula(d, m_prime):
 
 def expectation_one_step(system, f, y, t, m_prime, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
     """Sum lambda_j f(Y_t^y(omega_j)) over the built-in expectation formula."""
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"horizon must be positive and finite, got {t}")
+    y, _ = sde._state_args(system, t, y)
     return _evaluate_tree(system, f, y, [(expectation_formula(system.d, m_prime), t)], steps_per_segment)[0]
 
 
@@ -208,7 +207,6 @@ def greek_one_step(
     t,
     m,
     steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT,
-    leaf_cap=DEFAULT_LEAF_CAP,
 ) -> GreekResult:
     """Single-interval Greek estimate: sum mu_j f(Y_t^y(omega_j))."""
     request = GreekRequest(
@@ -221,7 +219,6 @@ def greek_one_step(
         m_prime=3,
         partition=(t,),
         steps_per_segment=steps_per_segment,
-        leaf_cap=leaf_cap,
     )
     return greek_iterated(request)
 

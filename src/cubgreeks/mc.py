@@ -30,9 +30,9 @@ import numpy as np
 from scipy.special import expit, ndtr
 
 from . import algebra
-from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError
+from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError, check_horizon
 from .rng import normal_increments
-from .sde import _batched, _fd_directional, _matvec, batched
+from .sde import _batched, _fd_directional, _matvec, _state_args, batched
 
 _SIG_BLOCK = 2048  # paths per block of the Chen fold (product terms stay in L2) and the covariance sums
 
@@ -158,23 +158,6 @@ def _batched_payoff(system, f, y0):
         )
     payoff = _batched(f, y0, ())
     return lambda ys: np.asarray(payoff(ys), dtype=float)
-
-
-def _check_horizon(t):
-    if not (_finite(t) and t > 0.0):
-        raise DomainError(f"horizon must be positive and finite, got {t!r}")
-
-
-def _state_args(system, t, y, v=None):
-    """y and v (y if not given) as float vectors; raises DomainError unless t
-    is positive and finite and each has the system's dim entries."""
-    _check_horizon(t)
-    y = np.asarray(y, dtype=float)
-    v = y if v is None else np.asarray(v, dtype=float)
-    for name, u in (("y", y), ("v", v)):
-        if u.shape != (system.dim,):
-            raise DomainError(f"{name} has shape {u.shape}, the state dim of {system.name!r} is {system.dim}")
-    return y, v
 
 
 def _normals(cfg, d, normals=None):
@@ -340,7 +323,7 @@ def signature_expectation_stats(ctx, t, cfg, normals=None):
     only the summation order of the totals.  Returns (mean element,
     {word: stderr}).
     """
-    _check_horizon(t)
+    check_horizon(t)
     d = ctx.d
     dt = t / cfg.n_steps
     sdt = math.sqrt(dt)
@@ -416,7 +399,7 @@ def covariance_diagnostics(t, cfg, normals=None):
     its own, against the dilation-conjugated means of an independent C^1
     ensemble (paths n..2n, drawn in blocks), within 4 standard errors.
     """
-    _check_horizon(t)
+    check_horizon(t)
     c_t, i1, i2, q = _covariance_matrices(t, _blocks(cfg, 2, normals))
     det_direct = np.linalg.det(c_t[:, :3, :3])
     det_formula = t * t * q - t * i1 * i1 - t * i2 * i2

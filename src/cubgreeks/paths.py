@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import algebra
-from .errors import DomainError, InvalidPathError
+from .errors import DomainError, InvalidPathError, check_horizon
 
 
 class PiecewisePath:
@@ -149,8 +149,7 @@ def scale_knots(times, points, t):
 
 def scale_path(path, t):
     """Carry a horizon-1 path to horizon t by ``scale_knots`` (the path itself at t = 1)."""
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"target horizon must be positive and finite, got {t}")
+    check_horizon(t)
     if abs(path.t_end - 1.0) > 1e-12:
         raise DomainError(f"scale_path expects a horizon-1 path, got t_end={path.t_end}")
     if t == 1.0:

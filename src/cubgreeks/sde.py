@@ -30,6 +30,7 @@ from .errors import (
     DirectionNotAttainableError,
     DomainError,
     UnsupportedDegreeError,
+    check_horizon,
 )
 
 FD_STEP = 1e-5
@@ -61,6 +62,19 @@ class VectorFieldSystem:
         if self.jacobians is not None:
             return np.asarray(self.jacobians[i](y), dtype=float)
         return _fd_jacobian(lambda z: self.field(i, z), y)
+
+
+def _state_args(system, t, y, v=None):
+    """y and v (y if not given) as float vectors: the one check of a state
+    and direction, after ``check_horizon(t)``.  Each needs the system's dim
+    entries, else DomainError."""
+    check_horizon(t)
+    y = np.asarray(y, dtype=float)
+    v = y if v is None else np.asarray(v, dtype=float)
+    for name, u in (("y", y), ("v", v)):
+        if u.shape != (system.dim,):
+            raise DomainError(f"{name} has shape {u.shape}, the state dim of {system.name!r} is {system.dim}")
+    return y, v
 
 
 def _batched(func, y0, row_shape):
@@ -113,12 +127,22 @@ class FieldExpr:
 
     Evaluation only needs Jacobian-vector products; analytic Jacobians are
     used for base fields and nested central differences (step 1e-5 per
-    nesting level) for derived ones, usable to BRACKET_DEPTH levels.
+    nesting level) for derived ones, usable to BRACKET_DEPTH levels.  Every
+    expression knows its ``depth``, the brackets nested in it, and one nested
+    deeper than BRACKET_DEPTH raises UnsupportedDegreeError when it is built.
     """
 
     def __init__(self, kind, payload):
         self.kind = kind  # "base" | "bracket" | "sum"
         self.payload = payload
+        if kind == "base":
+            self.depth = 0
+        elif kind == "sum":
+            self.depth = max((e.depth for _, e in payload), default=0)
+        else:
+            self.depth = 1 + max(e.depth for e in payload)
+        if self.depth > BRACKET_DEPTH:
+            raise UnsupportedDegreeError(f"bracket nests {self.depth} deep, deeper than {BRACKET_DEPTH}")
 
     @staticmethod
     def base(i):
@@ -190,8 +214,6 @@ def bracket_evaluate(system, word, y):
     """Right-nested iterated bracket [V_{i1}, [V_{i2}, [..., V_{ik}]...]](y), at most BRACKET_DEPTH deep."""
     if len(word) == 0:
         raise DomainError("bracket evaluation needs a nonempty word")
-    if len(word) - 1 > BRACKET_DEPTH:
-        raise UnsupportedDegreeError(f"bracket word {word} nests {len(word) - 1} deep, past {BRACKET_DEPTH}")
     expr = FieldExpr.base(word[-1])
     for letter in reversed(word[:-1]):
         expr = FieldExpr.commutator(FieldExpr.base(letter), expr)
@@ -221,8 +243,7 @@ def decompose_direction(system, y, v, t, m):
     when the residual of the returned coefficients exceeds 1e-8 ||v|| (v is
     outside the bracket span at y).  Returns ({word: w_I}, residual).
     """
-    if not 0.0 < t < np.inf:
-        raise DomainError(f"horizon must be positive and finite, got {t}")
+    check_horizon(t)
     v = np.asarray(v, dtype=float)
     table = build_bracket_table(system, y, m)
     words = sorted(table, key=lambda w: (algebra.word_degree(w), w))

@@ -22,6 +22,8 @@ from cubgreeks.cubature import (
     verify_moments,
 )
 from cubgreeks.errors import DomainError, NoFormulaFoundError, UnsupportedDegreeError
+from cubgreeks.greeks import GreekRequest, expectation_one_step
+from cubgreeks.mc import McConfig, Payoff, euler_expectation
 
 from oracles import degree3_spikes, greeks_dictionary_loops
 
@@ -394,18 +396,23 @@ class TestHorizonOne:
         with pytest.raises(NoFormulaFoundError):
             rescale_formula(bad, 0.25)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0, None])
     def test_horizon_must_be_positive_and_finite(self, t):
         ctx = context(2, 3)
         f = expectation_degree3(ctx, 1.0)
+        bs = sde.black_scholes(0.05, 0.3)
         for call in (
             lambda: rescale_formula(f, t),
             lambda: paths.scale_path(f.paths[0], t),
             lambda: greek_target(ctx, generator(ctx, 1), t),
             lambda: heat_element(ctx, t),
             lambda: sde.decompose_direction(sde.heisenberg_toy(), [0.1, 0.2], [0.0, 1.0], t, 3),
+            lambda: cubature.formula_from_dict({**cubature.formula_to_dict(f), "t": t}),
+            lambda: GreekRequest(bs, Payoff("identity"), (1.0,), (1.0,), t, 2, 3, (0.5,)),
+            lambda: expectation_one_step(bs, Payoff("identity"), [1.0], t, 3),
+            lambda: euler_expectation(bs, Payoff("identity"), [1.0], t, McConfig(2, 1)),
         ):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="horizon must be positive and finite"):
                 call()
 
 

@@ -62,6 +62,18 @@ class TestExpectationOneStep:
         with pytest.raises(UnsupportedDegreeError):
             expectation_one_step(BS, first, [1.0], 0.1, 4)
 
+    @pytest.mark.parametrize("run", [
+        lambda: expectation_one_step(BS, first, [1.0, 2.0], 0.25, 3),
+        lambda: expectation_one_step(BS, first, [[1.0]], 0.25, 3),
+        lambda: greek_one_step(BS, first, [1.0], [0.3, 0.1], 0.25, 2),
+        lambda: greek_one_step(sde.heisenberg_toy(), first, [0.3], [0.0, 1.0], 0.25, 3),
+        lambda: greek_one_step(BS, first, [[1.0]], [1.0], 0.25, 2),
+    ], ids=["expectation-y2", "expectation-y1x1", "greek-v2", "greek-heisenberg-y1", "greek-y1x1"])
+    def test_state_and_direction_need_one_entry_per_axis(self, monkeypatch, run):
+        monkeypatch.setattr(sde, "evolve", lambda *args, **kwargs: pytest.fail("evolve was called"))
+        with pytest.raises(DomainError, match="has shape"):
+            run()
+
     @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
     def test_bad_horizon_is_refused_before_any_evolve(self, monkeypatch, t):
         monkeypatch.setattr(sde, "evolve", lambda *args, **kwargs: pytest.fail("evolve was called"))
@@ -222,6 +234,7 @@ class TestGreekIterated:
         (1.0, (0.5, math.inf)),
         (math.inf, (math.inf,)),
         (-math.inf, (0.5, 0.5)),
+        (1e308, (1e308, 1e308)),  # finite steps whose sum overflows
     ])
     def test_non_finite_horizon_or_step_is_refused_without_a_warning(self, t, partition):
         with warnings.catch_warnings():

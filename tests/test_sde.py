@@ -325,6 +325,16 @@ class TestBracketDepth:
         with pytest.raises(UnsupportedDegreeError, match="nests 4 deep"):
             bracket_evaluate(heisenberg_toy(), (1,) * (sde.BRACKET_DEPTH + 1) + (2,), [0.3, -0.2])
 
+    def test_hand_built_bracket_past_the_depth_is_refused(self):
+        e = FieldExpr.base(2)
+        for _ in range(sde.BRACKET_DEPTH):
+            e = FieldExpr.commutator(1, e)
+        assert e.depth == sde.BRACKET_DEPTH
+        with pytest.raises(UnsupportedDegreeError, match="nests 4 deep"):
+            bracket_vf(heisenberg_toy(), 1, e, [0.3, -0.2])
+        with pytest.raises(UnsupportedDegreeError, match="nests 4 deep"):
+            FieldExpr("bracket", (FieldExpr.combination([(0.5, e)]), FieldExpr.base(1)))
+
     def test_decomposition_past_the_depth_is_refused(self):
         # a degree-m decomposition uses words of degree m - 1, nested m - 2 deep
         m = sde.BRACKET_DEPTH + 2
