@@ -376,6 +376,7 @@ def cmd_cubature(args):
 # the environment-backed flags and their fallbacks, by argparse dest
 _ENV_FLAGS = {"out": None, "format": "csv", "seed": "0", "threads": "1", "model": None, "paths": "20000",
               "steps": "128"}
+ODE_STEPS_HELP = f"RK4 steps per segment (default: per tree stage by step doubling, <= {sde.DEFAULT_STEPS_PER_SEGMENT})"
 
 
 def build_parser():
@@ -422,7 +423,7 @@ def _parser_and_commands():
     p.add_argument("--s0", type=_horizon, default=None, help="derivative step size for the iterated scheme")
     p.add_argument("--partition", default=None, type=_partition_arg, help="k,gamma inner partition")
     p.add_argument("--payoff", default="identity", help="identity | call:K | smoothed_call:K:eps")
-    p.add_argument("--ode-steps", type=_int_in(1), default=sde.DEFAULT_STEPS_PER_SEGMENT)
+    p.add_argument("--ode-steps", type=_int_in(1), default=None, help=ODE_STEPS_HELP)
     common(p)
     p.set_defaults(func=cmd_greek)
 
@@ -436,7 +437,7 @@ def _parser_and_commands():
     p.add_argument("--m", type=_int_in(2, sde.BRACKET_DEPTH + 2), default=2)
     p.add_argument("--mprime", type=_int_in(1), default=3)
     p.add_argument("--payoff", default="identity")
-    p.add_argument("--ode-steps", type=_int_in(1), default=sde.DEFAULT_STEPS_PER_SEGMENT)
+    p.add_argument("--ode-steps", type=_int_in(1), default=None, help=ODE_STEPS_HELP)
     common(p)
     p.set_defaults(func=cmd_converge)
 

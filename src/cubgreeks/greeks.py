@@ -8,20 +8,29 @@ a level is one (n, N) state array with its (n,) weights, evolved along all
 of the formula's paths in one batched call, one path per row, shorter paths
 padded after their end with zero-increment segments, then carried from horizon 1
 to the stage's step by ``paths.scale_knots``.
+
+The step rule: unless ``steps_per_segment`` fixes it, a (formula, step) stage
+runs at the smallest power of two n <= 16 RK4 steps per segment with err1 / n^4
+<= ODE_TOL, else 16.  err1 = |y2 - y1| 16/15 / max(1, |y2|) is the one-step
+error estimated on at most 4 states of the level evolved at 1 and 2 steps, once
+per formula and tree: a later stage at a step s <= s_ref of that probe takes
+err1 (s / s_ref)^(5/2).  A probe of the whole level with n <= 2 is the level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import numbers
 
 import numpy as np
 
 from . import cubature, paths, sde
 from .algebra import context, word_degree
-from .errors import BudgetExceededError, DomainError, UnsupportedDegreeError
+from .errors import BlowUpError, BudgetExceededError, DomainError, UnsupportedDegreeError
 
 DEFAULT_LEAF_CAP = 10**6
+ODE_TOL = 1e-11  # the step rule's bound on a stage's estimated relative RK4 error
 
 
 @dataclass(frozen=True)
@@ -30,6 +39,7 @@ class GreekRequest:
 
     ``partition`` lists the step sizes s_0..s_k (sum t); ``m`` is the Greek
     degree used over s_0 and ``m_prime`` the expectation degree for the rest.
+    ``steps_per_segment`` fixes the RK4 steps per segment, None applies the step rule.
     """
 
     system: sde.VectorFieldSystem
@@ -40,14 +50,17 @@ class GreekRequest:
     m: int
     m_prime: int
     partition: tuple
-    steps_per_segment: int = sde.DEFAULT_STEPS_PER_SEGMENT
+    steps_per_segment: int | None = None
     leaf_cap: int = DEFAULT_LEAF_CAP
 
     def __post_init__(self):
-        steps = np.asarray(self.partition, dtype=float).tolist()
+        if not all(isinstance(k, numbers.Integral) for k in (self.m, self.m_prime)):
+            raise DomainError(f"m and m_prime must be integers, got {self.m!r} and {self.m_prime!r}")
+        parts = self.partition if isinstance(self.partition, (tuple, list, np.ndarray)) else ()
+        steps = [float(s) for s in parts] if all(isinstance(s, numbers.Real) for s in parts) else []
         total = sum(steps)  # a float sum overflows to inf without a warning
         if not (steps and all(0.0 < s < math.inf for s in steps) and total < math.inf):
-            raise DomainError("partition steps must all be positive and finite, and so must their sum")
+            raise DomainError("partition steps must be flat numbers, positive and finite, and so must their sum")
         sde._state_args(self.system, self.t, self.y, self.v)
         if abs(total - self.t) > 1e-9 * max(1.0, self.t):
             raise DomainError(f"partition sums to {total}, expected t={self.t}")
@@ -61,6 +74,8 @@ class GreekResult:
     # the stage-0 decomposition of v: {bracket word: coefficient}, residual
     direction_words: dict = field(default_factory=dict)
     decomposition_residual: float | None = None
+    ode_steps: tuple = ()  # per stage: RK4 steps per segment
+    ode_errors: tuple = ()  # per stage: the step rule's error estimate, None for a fixed count
 
     def to_dict(self):
         return {
@@ -82,7 +97,7 @@ def expectation_formula(d, m_prime):
     )
 
 
-def expectation_one_step(system, f, y, t, m_prime, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
+def expectation_one_step(system, f, y, t, m_prime, steps_per_segment=None):
     """Sum lambda_j f(Y_t^y(omega_j)) over the built-in expectation formula."""
     y, _ = sde._state_args(system, t, y)
     return _evaluate_tree(system, f, y, [(expectation_formula(system.d, m_prime), t)], steps_per_segment)[0]
@@ -148,16 +163,46 @@ def _evolve_level(system, states, weights, formula, s, steps_per_segment):
     return sde.evolve(system, np.repeat(states, q, axis=0), stack, steps_per_segment), weights
 
 
-def _evaluate_tree(system, payoff, y0, stages, steps_per_segment):
+def _probe(system, states, weights, formula, s):
+    """(err1, the 2-step level if the probe states are all the states, else
+    None) of the step rule; a blow-up at 1 step reads as err1 = inf."""
+    stride = -(-len(states) // 4) or 1
+    states, weights = states[::stride], weights[::stride]
+    try:
+        (y1, _), level = (_evolve_level(system, states, weights, formula, s, n) for n in (1, 2))
+    except BlowUpError:
+        return math.inf, None
+    scale = np.maximum(1.0, np.abs(level[0]).max(axis=-1, initial=0.0))
+    err1 = 16.0 / 15.0 * (np.abs(level[0] - y1).max(axis=-1, initial=0.0) / scale).max(initial=0.0)
+    return float(err1), level if stride == 1 else None
+
+
+def _evaluate_tree(system, payoff, y0, stages, steps_per_segment, ode=None):
     """Sum of weight * payoff over the leaves the (formula, step) stages span at y0.
 
     System and payoff are probed once, at y0, for batches (``sde.batched``).
+    Each level is one ``evolve`` call at ``steps_per_segment``, if None at the
+    step rule's count; (count, error estimate or None) per stage go to ``ode``.
     Returns (estimate, leaf count); leaves are reduced with fsum in leaf order.
     """
     system, payoff = sde.batched(system, y0), sde._batched(payoff, y0, ())
     states, weights = np.asarray(y0, dtype=float).reshape(1, -1), np.ones(1)
+    probed = {}  # id(formula) -> (step, err1) of its probe
     for formula, s in stages:
-        states, weights = _evolve_level(system, states, weights, formula, s, steps_per_segment)
+        n, err, level = steps_per_segment, None, None
+        if n is None:
+            s_ref, err1 = probed.get(id(formula), (0.0, math.inf))
+            if s <= s_ref:
+                err1 *= (s / s_ref) ** 2.5
+            else:
+                err1, level = _probe(system, states, weights, formula, s)
+                probed[id(formula)] = (s, err1)
+            n = next((k for k in (1, 2, 4, 8) if err1 <= ODE_TOL * k**4), sde.DEFAULT_STEPS_PER_SEGMENT)
+            level, n = (level, 2) if level is not None and n <= 2 else (None, n)
+            err = err1 / n**4
+        states, weights = level or _evolve_level(system, states, weights, formula, s, n)
+        if ode is not None:
+            ode.append((n, err))
     return math.fsum(weights * payoff(states)), len(weights)
 
 
@@ -189,36 +234,24 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
         )
 
     stages = [(stage0, steps[0]), *((unit, s) for s in steps[1:])]
-    estimate, evaluated = _evaluate_tree(system, request.payoff, y0, stages, request.steps_per_segment)
+    ode = []
+    estimate, evaluated = _evaluate_tree(system, request.payoff, y0, stages, request.steps_per_segment, ode)
     return GreekResult(
         estimate=estimate,
         paths_evaluated=evaluated,
         formula_residuals=tuple(max(cubature.scaled_residuals(f.residuals, s)) for f, s in stages),
         direction_words=coeffs,
         decomposition_residual=residual,
+        ode_steps=tuple(n for n, _ in ode),
+        ode_errors=tuple(err for _, err in ode),
     )
 
 
-def greek_one_step(
-    system,
-    f,
-    y,
-    v,
-    t,
-    m,
-    steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT,
-) -> GreekResult:
+def greek_one_step(system, f, y, v, t, m, steps_per_segment=None) -> GreekResult:
     """Single-interval Greek estimate: sum mu_j f(Y_t^y(omega_j))."""
     request = GreekRequest(
-        system=system,
-        payoff=f,
-        y=tuple(np.asarray(y, dtype=float)),
-        v=tuple(np.asarray(v, dtype=float)),
-        t=t,
-        m=m,
-        m_prime=3,
-        partition=(t,),
-        steps_per_segment=steps_per_segment,
+        system=system, payoff=f, y=tuple(np.asarray(y, dtype=float)), v=tuple(np.asarray(v, dtype=float)),
+        t=t, m=m, m_prime=3, partition=(t,), steps_per_segment=steps_per_segment,
     )
     return greek_iterated(request)
 

@@ -17,6 +17,7 @@ single-state fields row by row, the Monte Carlo oracles refuse them.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -280,15 +281,16 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
     end with zero-increment segments: their slopes are exactly 0, so a finite
     state comes through unchanged (up to the sign of a zero).  Each linear
     segment contributes the autonomous field sum_i slope_i V_i, integrated
-    with `steps_per_segment` classical fourth-order steps.  Zero-slope rule:
-    the drift V_0 is always evaluated, and V_i (i >= 1) is skipped when its
-    slope is zero on every row of the call.  A single path thus never
-    evaluates a field it does not drive, while inside a mixed or padded stack
-    a non-finite V_i times a zero slope gives NaN and raises ``BlowUpError``
-    like any other non-finite state.
+    with `steps_per_segment` classical fourth-order steps, an integer >= 1
+    (the tree's default picks it per stage, see ``cubgreeks.greeks``).
+    Zero-slope rule: the drift V_0 is always evaluated, and V_i (i >= 1) is
+    skipped when its slope is zero on every row of the call.  A single path
+    thus never evaluates a field it does not drive, while inside a mixed or
+    padded stack a non-finite V_i times a zero slope gives NaN and raises
+    ``BlowUpError`` like any other non-finite state.
     """
-    if steps_per_segment < 1:
-        raise DomainError("steps_per_segment must be >= 1")
+    if not (isinstance(steps_per_segment, numbers.Integral) and steps_per_segment >= 1):
+        raise DomainError(f"steps_per_segment must be an integer >= 1, got {steps_per_segment!r}")
     times, points = path if isinstance(path, tuple) else (path.times, path.points)
     times, points = np.asarray(times, dtype=float), np.asarray(points, dtype=float)
     if points.shape[-1] != system.d + 1:

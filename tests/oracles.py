@@ -175,14 +175,16 @@ def evolve_loop(system, y0, path, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMEN
 def scalar_tree(system, payoff, y, formulas, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
     """Cubature tree by nested lists: one ``evolve_loop`` and one payoff call per node.
 
-    Node weights multiply along each branch; leaves come state-major,
-    path-minor and are reduced with fsum in that order.  Returns
-    (estimate, leaf count).
+    ``steps_per_segment`` is one RK4 step count for every formula, or a
+    sequence of one count per formula.  Node weights multiply along each
+    branch; leaves come state-major, path-minor and are reduced with fsum in
+    that order.  Returns (estimate, leaf count).
     """
+    counts = [steps_per_segment] * len(formulas) if np.ndim(steps_per_segment) == 0 else steps_per_segment
     nodes = [(1.0, np.asarray(y, dtype=float))]
-    for formula in formulas:
+    for formula, n in zip(formulas, counts, strict=True):
         nodes = [
-            (weight * lam, evolve_loop(system, state, p, steps_per_segment))
+            (weight * lam, evolve_loop(system, state, p, n))
             for weight, state in nodes
             for lam, p in formula.items
         ]

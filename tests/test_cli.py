@@ -358,14 +358,16 @@ class TestRangeFlags:
             "greek", "--model", heisenberg_model, "--y", "0.3,-0.2", "--direction", "[V1,V2]",
             "--t", "0.2", "--m", "3", "--out", str(out),
         ]) == 0
-        # V1 decomposes into degree-1 words only, which the dictionary reaches at m = 4 for any d
+        # V1 decomposes into degree-1 words only, which the dictionary reaches at m = 4 for any d;
+        # the fixed 16 RK4 steps keep the bits recorded before the default step rule
         for direction in ("1,0", "V1"):
-            assert main([
-                "greek", "--model", heisenberg_model, "--y", "0.3,-0.2", "--direction", direction,
-                "--t", "0.2", "--m", "4", "--out", str(out),
-            ]) == 0
-            data = json.loads(out.read_text())
-            assert (data["estimate"].hex(), data["leaves"]) == ("0x1.ffffffffffffap-1", 10)
+            for ode_steps, estimate in (([], "0x1.ffffffffffffep-1"), (["--ode-steps", "16"], "0x1.ffffffffffffap-1")):
+                assert main([
+                    "greek", "--model", heisenberg_model, "--y", "0.3,-0.2", "--direction", direction,
+                    "--t", "0.2", "--m", "4", "--out", str(out), *ode_steps,
+                ]) == 0
+                data = json.loads(out.read_text())
+                assert (data["estimate"].hex(), data["leaves"]) == (estimate, 10)
         assert main(["converge", "--model", bs_model, "--study", "greek", "--m", "4", "--out", str(out)]) == 0
 
     def test_lowest_accepted_values_run(self, bs_model, capsys):
@@ -377,10 +379,11 @@ class TestRangeFlags:
 
 
 class TestPartitionRecorded:
-    """Iterated deltas pinned to the float.hex values of the parent revision,
-    recorded before the inner formulas were carried from horizon 1; the m'=5
-    cases were re-recorded when the degree-5 formula became a union of orbits
-    (7 paths in place of 8)."""
+    """Iterated deltas pinned to float.hex values.  CASES run at a fixed 16
+    RK4 steps per segment: they were recorded before the inner formulas were
+    carried from horizon 1, the m'=5 cases re-recorded when the degree-5
+    formula became a union of orbits (7 paths in place of 8).  DEFAULT_CASES
+    are the same deltas under the default step rule, recorded when it came in."""
 
     CASES = [
         ("3", "0.1", "4,2.0", "0x1.e5561ae698e2fp-2", 32),
@@ -389,17 +392,33 @@ class TestPartitionRecorded:
         ("5", "0.1", "2,1.0", "0x1.b3127be0ea473p-2", 98),
         ("5", "0.2", "3,2.0", "0x1.bc62f2478c90ap-2", 686),
     ]
+    DEFAULT_CASES = [
+        ("3", "0.1", "4,2.0", "0x1.e5561ae696e15p-2", 32),
+        ("3", "0.1", "8,3.0", "0x1.dd933569420bfp-2", 512),
+        ("3", "0.05", "6,1.5", "0x1.e3e6336822900p-2", 128),
+        ("5", "0.1", "2,1.0", "0x1.b3127be0ea473p-2", 98),
+        ("5", "0.2", "3,2.0", "0x1.bc62f2478c90ap-2", 686),
+    ]
 
-    @pytest.mark.parametrize("mprime, s0, partition, estimate, leaves", CASES)
-    def test_estimate_is_bitwise_recorded(self, bs_model, tmp_path, mprime, s0, partition, estimate, leaves):
+    @staticmethod
+    def delta(bs_model, tmp_path, mprime, s0, partition, *flags):
         out = tmp_path / "g.json"
         assert main([
             "greek", "--model", bs_model, "--y", "1.0", "--direction", "1", "--t", "1.0",
             "--m", "2", "--mprime", mprime, "--s0", s0, "--partition", partition,
-            "--payoff", "smoothed_call:1.15:0.05", "--out", str(out),
+            "--payoff", "smoothed_call:1.15:0.05", "--out", str(out), *flags,
         ]) == 0
         data = json.loads(out.read_text())
-        assert (data["estimate"].hex(), data["leaves"]) == (estimate, leaves)
+        return data["estimate"].hex(), data["leaves"]
+
+    @pytest.mark.parametrize("mprime, s0, partition, estimate, leaves", CASES)
+    def test_estimate_is_bitwise_recorded(self, bs_model, tmp_path, mprime, s0, partition, estimate, leaves):
+        flags = ("--ode-steps", "16")
+        assert self.delta(bs_model, tmp_path, mprime, s0, partition, *flags) == (estimate, leaves)
+
+    @pytest.mark.parametrize("mprime, s0, partition, estimate, leaves", DEFAULT_CASES)
+    def test_default_estimate_is_bitwise_recorded(self, bs_model, tmp_path, mprime, s0, partition, estimate, leaves):
+        assert self.delta(bs_model, tmp_path, mprime, s0, partition) == (estimate, leaves)
 
 
 class TestVerifyCommand:

@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.util
 import itertools
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from cubgreeks import algebra, cli, cubature, greeks, paths, sde
 from cubgreeks.algebra import AlgebraContext, context
 from cubgreeks.cli import fit_loglog_slope
-from cubgreeks.errors import BudgetExceededError, DomainError, UnsupportedDegreeError
+from cubgreeks.errors import BlowUpError, BudgetExceededError, DomainError, UnsupportedDegreeError
 from cubgreeks.greeks import (
     GreekRequest,
     expectation_one_step,
@@ -315,7 +318,7 @@ class TestLevelBatching:
             )
             result = greek_iterated(request)
             stage0, inner = rescaled_stages(system, y, v, steps, m, m_prime)
-            estimate, leaves = scalar_tree(system, payoff, y, [stage0, *inner])
+            estimate, leaves = scalar_tree(system, payoff, y, [stage0, *inner], result.ode_steps)
             assert result.estimate.hex() == estimate.hex(), (m, name)
             assert result.paths_evaluated == leaves, (m, name)
             if d == 2:
@@ -348,7 +351,7 @@ class TestLevelBatching:
         formula = cubature.rescale_formula(greeks.expectation_formula(1, m_prime), 0.3)
         for payoff in BATCH_PAYOFFS[1].values():
             estimate, _ = scalar_tree(BS, payoff, [1.0], [formula])
-            assert expectation_one_step(BS, payoff, [1.0], 0.3, m_prime) == estimate
+            assert expectation_one_step(BS, payoff, [1.0], 0.3, m_prime, 16) == estimate
 
     def test_scalar_only_fields_match_batched_fields(self):
         # the same polynomial fields, written per state and batched
@@ -397,7 +400,7 @@ class TestLevelBatching:
         calls = self.count_evolve(monkeypatch)
         request = GreekRequest(
             system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,),
-            t=1.0, m=2, m_prime=3, partition=tuple(gamma_partition(1.0, 0.1, 8, 3.0)),
+            t=1.0, m=2, m_prime=3, partition=tuple(gamma_partition(1.0, 0.1, 8, 3.0)), steps_per_segment=16,
         )
         result = greek_iterated(request)
         assert result.paths_evaluated == 2**9
@@ -411,7 +414,7 @@ class TestLevelBatching:
         v = sde.bracket_vf(HEISENBERG, 1, 2, y)
         stage0, _ = greeks.build_greek_formula(HEISENBERG, np.array(y), v, 0.1, 3)
         calls = self.count_evolve(monkeypatch)
-        result = greek_one_step(HEISENBERG, _scalar_mix, y, v, 0.1, 3)
+        result = greek_one_step(HEISENBERG, _scalar_mix, y, v, 0.1, 3, 16)
         # paths of one and of two segments: the one-segment paths are padded
         assert sorted({len(p.times) for p in stage0.paths}) == [2, 3]
         assert result.paths_evaluated == len(stage0.items) > 2
@@ -421,12 +424,34 @@ class TestLevelBatching:
         calls = self.count_evolve(monkeypatch)
         request = GreekRequest(
             system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,),
-            t=1.0, m=2, m_prime=5, partition=tuple(gamma_partition(1.0, 0.1, 2, 1.0)),
+            t=1.0, m=2, m_prime=5, partition=tuple(gamma_partition(1.0, 0.1, 2, 1.0)), steps_per_segment=16,
         )
         inner = cubature.rescale_formula(greeks.expectation_formula(1, 5), 0.45)
         assert sorted({p.n_segments for p in inner.paths}) == [1, 2]
         assert greek_iterated(request).paths_evaluated == 2 * len(inner.items) ** 2
         assert len(calls) == 1 + 2
+
+    @pytest.mark.parametrize("system, v, m, partition, ode_steps, n_calls", [
+        # 9 levels + 2 probes each of stage 0 and the inner formula, whose
+        # later steps are no longer than its first and reuse its estimate
+        (BS, (1.0,), 2, tuple(gamma_partition(1.0, 0.1, 8, 3.0)), (16,) * 5 + (8, 8, 4, 1), 9 + 2 * 2),
+        # 1 level + 2 probes - the kept 2-step probe of the one-state level
+        (HEISENBERG, None, 3, (0.1,), (2,), 1 + 2 - 1),
+        # 4 levels + 2 * 2 probes - stage 0 kept: stage 1 has 15 states, too many to keep its probe
+        (HEISENBERG, None, 3, tuple(gamma_partition(0.6, 0.1, 3, 2.0)), (2, 1, 1, 1), 4 + 2 * 2 - 1),
+    ])
+    def test_default_step_rule_adds_two_probe_calls_per_formula(
+        self, monkeypatch, system, v, m, partition, ode_steps, n_calls
+    ):
+        y = (0.3, -0.2) if system is HEISENBERG else (1.0,)
+        v = sde.bracket_vf(HEISENBERG, 1, 2, y) if v is None else v
+        request = GreekRequest(
+            system=system, payoff=Payoff("identity"), y=y, v=v, t=sum(partition), m=m, m_prime=3,
+            partition=partition,
+        )
+        calls = self.count_evolve(monkeypatch)
+        assert greek_iterated(request).ode_steps == ode_steps
+        assert len(calls) == n_calls
 
     @pytest.mark.parametrize("system,y,v,m,m_prime", [
         (BS, (1.0,), (1.0,), 2, 5),  # two-point stage 0, rescaled degree-5 steps
@@ -504,8 +529,9 @@ class TestTreeOnHorizonOneFormulas:
     """The tree keeps horizon-1 formulas and scales each level's knot arrays,
     with the bits the rescaled formulas gave."""
 
-    # float.hex of estimate, leaves and residuals, recorded while the tree
-    # still evaluated formulas rescaled by cubature.rescale_formula
+    # float.hex of estimate, leaves and residuals at a fixed 16 RK4 steps per
+    # segment, recorded while the tree still evaluated formulas rescaled by
+    # cubature.rescale_formula
     PINS = [
         ((0.3, -0.2), 0.05, "0x1.49c50bc7b0143p+0", 15, ("0x1.0000000000000p-49",)),
         ((0.3, -0.2), 0.1, "0x1.47e6e4fc1439bp+0", 15, ("0x1.e5b9d136c6d96p-50",)),
@@ -514,13 +540,27 @@ class TestTreeOnHorizonOneFormulas:
         ((-0.6, 0.8), 0.1, "0x1.da79c6c76056cp-2", 15, ("0x1.0000000000000p-50",)),
         ((-0.6, 0.8), 0.2, "0x1.f6ab11e03a976p-2", 15, ("0x1.90b410d07f01ep-50",)),
     ]
+    # the same Greeks under the default step rule, recorded when it came in
+    DEFAULT_PINS = [
+        ((0.3, -0.2), 0.05, "0x1.49c50bc7b017fp+0"),
+        ((0.3, -0.2), 0.1, "0x1.47e6e4fc143bbp+0"),
+        ((0.3, -0.2), 0.2, "0x1.44368e2825508p+0"),
+        ((-0.6, 0.8), 0.05, "0x1.cc33695a9a5f4p-2"),
+        ((-0.6, 0.8), 0.1, "0x1.da79c6c7604adp-2"),
+        ((-0.6, 0.8), 0.2, "0x1.f6ab11e03a9cdp-2"),
+    ]
 
     @pytest.mark.parametrize("y, t, estimate, leaves, residuals", PINS)
     def test_one_step_bracket_greek_is_bitwise_recorded(self, y, t, estimate, leaves, residuals):
-        result = greek_one_step(HEISENBERG, _hypo_payoff, y, sde.bracket_vf(HEISENBERG, 1, 2, y), t, 3)
+        result = greek_one_step(HEISENBERG, _hypo_payoff, y, sde.bracket_vf(HEISENBERG, 1, 2, y), t, 3, 16)
         assert result.estimate.hex() == estimate
         assert result.paths_evaluated == leaves
         assert tuple(r.hex() for r in result.formula_residuals) == residuals
+
+    @pytest.mark.parametrize("y, t, estimate", DEFAULT_PINS)
+    def test_one_step_bracket_greek_default_is_bitwise_recorded(self, y, t, estimate):
+        result = greek_one_step(HEISENBERG, _hypo_payoff, y, sde.bracket_vf(HEISENBERG, 1, 2, y), t, 3)
+        assert (result.estimate.hex(), result.paths_evaluated, result.ode_steps) == (estimate, 15, (2,))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_warm_tree_builds_no_rescaled_formula_or_path(self, monkeypatch, m):
@@ -535,6 +575,140 @@ class TestTreeOnHorizonOneFormulas:
             monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
         again = (greek_iterated(request), greek_one_step(HEISENBERG, _hypo_payoff, y, v, 0.1, 3))
         assert [r.estimate.hex() for r in again] == [r.estimate.hex() for r in warm]
+
+
+def _bench_workloads():
+    """bench/workloads.py, imported from the repository root beside tests/."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestStepRule:
+    """The default RK4 step count, chosen per stage by step doubling against
+    greeks.ODE_TOL, and capped at 16."""
+
+    @staticmethod
+    def requests(system, y, v):
+        for t, m, k, m_prime in itertools.product((0.05, 0.4, 1.0), (2, 3), (0, 2), (3, 5)):
+            partition = tuple(gamma_partition(t, t / 4, k, 2.0)) if k else (t,)
+            if k or m_prime == 3:
+                yield GreekRequest(
+                    system=system, payoff=_hypo_payoff if system is HEISENBERG else first, y=y, v=v, t=t,
+                    m=m, m_prime=m_prime, partition=partition,
+                )
+
+    def test_heisenberg_stages_pick_at_most_two_steps(self):
+        # the fields are affine with nilpotent linear parts, so a segment's
+        # solution is a quadratic in time and one RK4 step is exact
+        for y in ((0.3, -0.2), (-0.6, 0.8)):
+            for request in self.requests(HEISENBERG, y, (1.0, 0.5)):
+                result = greek_iterated(request)
+                assert len(result.ode_steps) == len(request.partition)
+                assert max(result.ode_steps) <= 2, request
+
+    def test_black_scholes_stages_meet_the_tolerance_or_take_sixteen(self):
+        picked = set()
+        for request in self.requests(BS, (1.0,), (1.0,)):
+            result = greek_iterated(request)
+            assert len(result.ode_steps) == len(result.ode_errors) == len(request.partition)
+            for n, error in zip(result.ode_steps, result.ode_errors):
+                assert n in (1, 2, 4, 8, 16)
+                assert n == 16 or error <= greeks.ODE_TOL, (request, result.ode_errors)
+                picked.add(n)
+        assert 16 in picked and min(picked) < 16
+
+    def test_fixed_count_is_reported_without_an_estimate(self):
+        request = GreekRequest(
+            system=BS, payoff=first, y=(1.0,), v=(1.0,), t=1.0, m=2, m_prime=3,
+            partition=tuple(gamma_partition(1.0, 0.1, 3, 2.0)), steps_per_segment=4,
+        )
+        result = greek_iterated(request)
+        assert (result.ode_steps, result.ode_errors) == ((4,) * 4, (None,) * 4)
+
+    def test_blow_up_in_the_one_step_probe_falls_back_to_sixteen(self):
+        # dY = sqrt(Y) o dW from 0.25 along w = -0.8 ends at 0.01, but the
+        # one-step probe leaves the field's domain on the way (a NaN state)
+        root = sde.VectorFieldSystem(
+            dim=1, d=1, fields=(np.zeros_like, lambda y: np.where(y >= 0.0, np.sqrt(np.abs(y)), np.nan))
+        )
+        with pytest.raises(BlowUpError):
+            expectation_one_step(root, first, [0.25], 0.64, 3, 1)
+        default = expectation_one_step(root, first, [0.25], 0.64, 3)
+        assert default == expectation_one_step(root, first, [0.25], 0.64, 3, 16)
+        assert abs(default - 0.41) < 1e-6
+
+    @pytest.fixture
+    def deviations(self, monkeypatch):
+        """|default - 64-step estimate| of each tree evaluated at the default count while active."""
+        out = []
+        evaluate = greeks._evaluate_tree
+
+        def both(system, payoff, y0, stages, steps_per_segment, ode=None):
+            value = evaluate(system, payoff, y0, stages, steps_per_segment, ode)
+            if steps_per_segment is None:
+                out.append(abs(value[0] - evaluate(system, payoff, y0, stages, 64)[0]))
+            return value
+
+        monkeypatch.setattr(greeks, "_evaluate_tree", both)
+        return out
+
+    def test_bench_ops_are_within_1e_8_of_64_steps(self, deviations, tmp_path):
+        workloads = _bench_workloads()
+        for workload in (workloads.IteratedDelta(tmp_path), workloads.HypoGreekGrid(tmp_path)):
+            for op in workload.ops(1, 0):
+                assert workload.check(op, workload.call(op)).error is not None, op
+        assert len(deviations) == len(workloads.IteratedDelta.MIX) + workloads.HypoGreekGrid.OPS_PER_PASS
+        assert max(deviations) <= 1e-8
+
+    def test_acceptance_estimates_are_within_1e_8_of_64_steps(self, deviations):
+        import test_acceptance
+
+        # criteria 4 to 7 evaluate cubature trees; the others call no tree
+        test_acceptance.test_criterion_04_expectation_order()
+        test_acceptance.test_criterion_05_greek_order_and_sinh()
+        test_acceptance.test_criterion_06_iterated_scheme()
+        test_acceptance.test_criterion_07_hypoelliptic_direction()
+        assert len(deviations) == 4 + 4 + 3 + 1
+        assert max(deviations) <= 1e-8
+
+
+class TestRequestInputs:
+    """Malformed partitions, degrees and step counts raise DomainError."""
+
+    @staticmethod
+    def request(**changes):
+        fields = dict(system=BS, payoff=first, y=(1.0,), v=(0.1,), t=0.5, m=2, m_prime=3, partition=(0.5,))
+        return GreekRequest(**(fields | changes))
+
+    @pytest.mark.parametrize("partition", [((0.5,),), "0.5", 0.5, None, (0.25, (0.25,)), ("0.25", "0.25")])
+    def test_partition_must_be_a_flat_sequence_of_numbers(self, partition):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="flat numbers"):
+                self.request(partition=partition)
+
+    @pytest.mark.parametrize("m, m_prime", [(2.5, 3), (2.0, 3), ("2", 3), (2, 3.0), (2, None)])
+    def test_degrees_must_be_integers(self, m, m_prime):
+        with pytest.raises(DomainError, match="must be integers"):
+            self.request(m=m, m_prime=m_prime)
+        if type(m_prime) is int:
+            with pytest.raises(DomainError, match="must be integers"):
+                greek_one_step(BS, first, [1.0], [0.1], 0.5, m)
+
+    def test_numpy_integers_and_steps_are_accepted(self):
+        request = self.request(m=np.int64(2), m_prime=np.int32(3), partition=np.array([0.25, 0.25]))
+        assert greek_iterated(request).paths_evaluated == 2 * 2
+
+    @pytest.mark.parametrize("steps", [1.5, 16.0, "16", 0, -2])
+    def test_step_count_must_be_an_integer_of_at_least_one(self, steps):
+        with pytest.raises(DomainError, match="steps_per_segment"):
+            expectation_one_step(BS, first, [1.0], 0.3, 3, steps)
+        with pytest.raises(DomainError, match="steps_per_segment"):
+            greek_iterated(self.request(steps_per_segment=steps))
 
 
 class TestDegree5TwoDrivers:
