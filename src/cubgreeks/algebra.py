@@ -16,6 +16,7 @@ module-level functions check their inputs and wrap these kernels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -54,6 +55,8 @@ class AlgebraContext:
     """
 
     def __init__(self, d, m):
+        if not all(isinstance(k, numbers.Integral) for k in (d, m)):
+            raise DomainError(f"d and m must be integers, got d={d!r}, m={m!r}")
         if d < 1:
             raise DomainError(f"need at least one driver, got d={d}")
         if m < 1:
@@ -226,7 +229,7 @@ def _frozen(array):
     return array
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: context(1, 2.0) is refused, not the cached (1, 2)
 def context(d, m):
     """Shared context instance for (d, m)."""
     return AlgebraContext(d, m)

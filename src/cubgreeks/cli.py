@@ -4,7 +4,9 @@ Commands: verify (property suites), greek (one-step or iterated estimates),
 converge (order studies against closed forms), diagnostics (Monte Carlo
 cross-checks), cubature export/import (formula files).  Every command is
 deterministic given its full flag set; exit codes are 0 (success),
-1 (numerical/tolerance failure), 2 (usage or configuration error).
+1 (numerical/tolerance failure: any other ``CubatureError``), 2 (usage or
+configuration error: a flag argparse refuses, or a ``ConfigError``,
+``DomainError``, ``UnsupportedDegreeError`` or ``UnsupportedPayoffError``).
 
 Seven long flags can also come from the environment as ``CUBGREEKS_<NAME>``:
 ``--out``, ``--format``, ``--seed``, ``--threads``, ``--model``, ``--paths``
@@ -103,14 +105,6 @@ def parse_scale(text, t):
     raise ConfigError(f"cannot parse scale {text!r} (use sqrt_t or t^<p>/<q>)")
 
 
-def _parse_payoff(text):
-    """The --payoff flag; a malformed one is a usage error."""
-    try:
-        return mc.parse_payoff(text)
-    except UnsupportedPayoffError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _parse_vector(text, name):
     try:
         vec = np.array([float(p) for p in str(text).split(",")], dtype=float)
@@ -156,16 +150,8 @@ def _emit_table(header, rows, fmt, out):
 # commands
 
 
-def _context(d, m):
-    """context(d, m), with a basis too large to build reported as a usage error."""
-    try:
-        return context(d, m)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_verify(args):
-    _context(args.d, args.m)
+    context(args.d, args.m)
     results = checks.run_property_checks(args.d, args.m, seed=args.seed)
     rows = [
         (r.name, "PASS" if r.passed else "FAIL", f"{r.max_error:.3e}", f"{r.tolerance:.1e}")
@@ -202,7 +188,7 @@ def _state_and_directions(args, system, t_values):
 def cmd_greek(args):
     system, _ = _load_model(args)
     y, (v,) = _state_and_directions(args, system, [args.t])
-    payoff = _parse_payoff(args.payoff)
+    payoff = mc.parse_payoff(args.payoff)
 
     if args.partition:
         k, gamma = args.partition
@@ -249,7 +235,7 @@ def cmd_converge(args):
     if min(t_values) <= 0.0 or len(set(t_values)) < 2:
         raise ConfigError(f"--t-list needs at least two distinct positive horizons, got {args.t_list!r}")
     y, directions = _state_and_directions(args, system, t_values if args.study == "greek" else [])
-    payoff = _parse_payoff(args.payoff)
+    payoff = mc.parse_payoff(args.payoff)
     rows = []
     errors = []
     for j, t in enumerate(t_values):
@@ -325,7 +311,7 @@ def _z_score(diff, stderr):
 def cmd_cubature(args):
     if args.action == "export":
         # the constructor refuses a degree or driver count it does not cover
-        ctx = _context(args.d, args.m)
+        ctx = context(args.d, args.m)
         if args.kind == "expectation3":
             formula = cubature.expectation_degree3(ctx, args.t)
         elif args.kind == "expectation5":
@@ -505,7 +491,7 @@ def main(argv=None):
         if getattr(args, "s0", None) is not None and args.s0 >= args.t:
             raise ConfigError(f"--s0 {args.s0} must be below --t {args.t}")
         return args.func(args)
-    except (ConfigError, UnsupportedDegreeError) as exc:
+    except (ConfigError, DomainError, UnsupportedDegreeError, UnsupportedPayoffError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CubatureError as exc:

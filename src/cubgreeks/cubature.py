@@ -221,7 +221,7 @@ def _nnls_polish(A, b):
 
 
 _DEGREE5_SCALES = (0.5, 1.0, math.sqrt(3.0), 1.5, 2.0)
-DEGREE5_MAX_D = 3  # the orbit shapes below stop at three space axes
+DEGREE5_MAX_D = 4  # at d = 5 no positive formula over these orbits exists (an LP finds it infeasible)
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +231,7 @@ def _expectation_degree5_unit(ctx):
     shapes = [[T]] + [[T, (0.0, a)] for a in scales] + [[(0.0, a), T] for a in scales]
     if d >= 2:
         shapes += [[(0.0, a), T, (0.0, 0.0, b)] for a, b in itertools.product(scales, repeat=2)]
-    if d == 3:
+    if d >= 3:
         # swapping the two axes maps (a, b) to (b, a), so a <= b covers every orbit
         pairs = list(itertools.combinations_with_replacement(scales, 2))
         shapes += [[(0.0, a, b), T] for a, b in pairs] + [[T, (0.0, a, b)] for a, b in pairs]
@@ -353,16 +353,6 @@ def default_greeks_dictionary(ctx, t):
     """
     unit = _unit_greeks_dictionary(ctx)
     return unit if t == 1.0 else tuple(paths.scale_path(p, t) for p in unit)
-
-
-# highest m at which the default Greeks dictionary reaches a direction with a
-# bracket word of degree k.  Every orbit in it is closed under flipping all
-# space axes, so it reaches a target exactly when it reaches the target's odd-
-# and even-degree parts.  Computed from its signature columns for d = 1..5: no
-# nonzero combination of degree-1 and degree-3 words is reached at m = 5, and
-# none with a degree-2 word at m >= 4.  Degree-4 words (m = 5 only) are reached
-# for some targets and not others, so those are left to the solve.
-_GREEK_REACH = {1: 4, 2: 3, 3: 4}
 
 
 @lru_cache(maxsize=None)

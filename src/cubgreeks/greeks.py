@@ -26,8 +26,8 @@ import numbers
 import numpy as np
 
 from . import cubature, paths, sde
-from .algebra import context, word_degree
-from .errors import BlowUpError, BudgetExceededError, DomainError, UnsupportedDegreeError
+from .algebra import context
+from .errors import BlowUpError, BudgetExceededError, DomainError, NoFormulaFoundError, UnsupportedDegreeError
 
 DEFAULT_LEAF_CAP = 10**6
 ODE_TOL = 1e-11  # the step rule's bound on a stage's estimated relative RK4 error
@@ -87,6 +87,8 @@ class GreekResult:
 
 def expectation_formula(d, m_prime):
     """Built-in horizon-1 expectation formula for the requested degree, or raise."""
+    if not isinstance(m_prime, numbers.Integral):
+        raise DomainError(f"m' must be an integer, got {m_prime!r}")
     if 1 <= m_prime <= 3:
         return cubature._expectation_degree3_unit(context(d, 3))
     # the driver limit is checked before context(d, 5), whose basis grows like d^5
@@ -111,25 +113,23 @@ def build_greek_formula(system, y, v, t, m):
     (``cubature.greeks_two_point``), which is what makes fixed-direction
     Greeks (|w| ~ t^{-k/2}) converge.
     Anything else goes through the sign-free solver over the default
-    dictionary (fixed paths, so weights are linear in v there too).  A bracket
-    word of v past that dictionary's reach at degree m raises
-    UnsupportedDegreeError before the solve, which could only fail verification.
+    dictionary (fixed paths, so weights are linear in v there too).  Its moment
+    check decides the dictionary's reach: a solve that fails it raises
+    UnsupportedDegreeError with the best residual.
     Returns (horizon-1 formula, (coefficients, residual) of the decomposition at t).
     """
     coeffs, residual = sde.decompose_direction(system, y, v, t, m)
     ctx = context(system.d, m)
     w = sde.lie_direction(ctx, coeffs)
     if m <= 2:
-        formula = cubature.greeks_two_point(ctx, w, 1.0)
-    else:
-        for k in sorted({word_degree(word) for word in coeffs}):
-            reach = cubature._GREEK_REACH.get(k, m)
-            if m > reach:
-                raise UnsupportedDegreeError(
-                    f"m={m} is beyond the reach of the default Greeks dictionary for this direction: "
-                    f"its degree-{k} bracket words are reached only with m <= {reach}"
-                )
+        return cubature.greeks_two_point(ctx, w, 1.0), (coeffs, residual)
+    try:
         formula = cubature.greeks_solve(ctx, w, 1.0, cubature.default_greeks_dictionary(ctx, 1.0))
+    except NoFormulaFoundError as exc:
+        raise UnsupportedDegreeError(
+            f"m={m} is beyond the reach of the default Greeks dictionary for this direction: "
+            f"best residual {exc.best_residual:.3e}"
+        ) from exc
     return formula, (coeffs, residual)
 
 
@@ -264,8 +264,8 @@ def gamma_partition(t, s0, k, gamma):
     """
     if not (0.0 < s0 < t):
         raise DomainError(f"need 0 < s0 < t, got s0={s0}, t={t}")
-    if k < 1:
-        raise DomainError(f"need k >= 1 inner steps, got {k}")
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise DomainError(f"need an integer k >= 1 inner steps, got {k!r}")
     if gamma < 1.0:
         raise DomainError(f"need gamma >= 1, got {gamma}")
     knots = [s0 + (t - s0) * (1.0 - (1.0 - i / k) ** gamma) for i in range(k)]

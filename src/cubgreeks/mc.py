@@ -23,6 +23,7 @@ Estimators are reproducible: draws come from the counter-based stream in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,8 +45,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_paths < 1 or self.n_steps < 1:
-            raise DomainError("n_paths and n_steps must be >= 1")
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.n_paths, self.n_steps)):
+            raise DomainError(f"n_paths and n_steps must be integers >= 1, got {self.n_paths!r}, {self.n_steps!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,15 @@ class VectorFieldSystem:
 def _state_args(system, t, y, v=None):
     """y and v (y if not given) as float vectors: the one check of a state
     and direction, after ``check_horizon(t)``.  Each needs the system's dim
-    entries, else DomainError."""
+    entries, all finite, else DomainError."""
     check_horizon(t)
     y = np.asarray(y, dtype=float)
     v = y if v is None else np.asarray(v, dtype=float)
     for name, u in (("y", y), ("v", v)):
         if u.shape != (system.dim,):
             raise DomainError(f"{name} has shape {u.shape}, the state dim of {system.name!r} is {system.dim}")
+        if not np.all(np.isfinite(u)):
+            raise DomainError(f"{name} has a non-finite entry: {u.tolist()}")
     return y, v
 
 

@@ -88,6 +88,13 @@ class TestContext:
         with pytest.raises(DomainError):
             context(1, 0)
 
+    @pytest.mark.parametrize("d, m", [(1, "3"), (1, 2.5), (1, 2.0), (2.0, 3), (None, 3)])
+    def test_non_integer_params(self, d, m):
+        # (1, 2.5) once built a second context equal to (1, 2); (1, "3") raised TypeError
+        context(1, 2)
+        with pytest.raises(DomainError, match="d and m must be integers"):
+            context(d, m)
+
     @pytest.mark.parametrize("d,m", [(4, 8), (6, 12), (40, 3), (1, 10**6)])
     def test_oversized_basis_is_refused_before_it_is_built(self, d, m):
         # counted, never built: (4, 8) alone would have 128,557 words

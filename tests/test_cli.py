@@ -6,10 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from cubgreeks import cli, cubature, greeks, mc, rng, sde
-from cubgreeks.algebra import context, heat_element, lie_basis, word_degree
+from cubgreeks import cli, greeks, mc, rng, sde
+from cubgreeks.algebra import context, heat_element, word_degree
 from cubgreeks.cli import main, parse_direction, parse_scale
-from cubgreeks.errors import ConfigError, NoFormulaFoundError
+from cubgreeks.errors import ConfigError
 
 
 @pytest.fixture
@@ -190,6 +190,12 @@ class TestMalformedInput:
         assert main(argv) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_state_outside_the_closed_form_domain(self, bs_model, capsys):
+        # the reference's DomainError is a configuration error, as its own message says
+        assert main(["converge", "--model", bs_model, "--study", "greek", "--y", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need finite r and y, t, sigma > 0") and err.count("\n") == 1
+
     def test_non_finite_horizon(self, bs_model, capsys):
         argv = ["converge", "--model", bs_model, "--study", "expectation", "--t-list", "0.1,nan"]
         assert main(argv) == 2
@@ -285,7 +291,7 @@ class TestRangeFlags:
             ["converge", "--study", "greek", "--ode-steps", "0"],
             ["cubature", "export", "--m", "4"],
             ["cubature", "export", "--kind", "expectation5", "--m", "3"],
-            ["cubature", "export", "--kind", "expectation5", "--d", "4", "--m", "5"],
+            ["cubature", "export", "--kind", "expectation5", "--d", "5", "--m", "5"],
             ["cubature", "export", "--kind", "greeks2pt", "--m", "3"],
             ["cubature", "export", "--d", "0"],
             ["diagnostics", "--paths", "0"],
@@ -309,44 +315,23 @@ class TestRangeFlags:
         assert len([line for line in err.splitlines() if "error: " in line]) == 1
 
     @pytest.mark.parametrize(
-        "model, y, direction, m, degree, reach",
+        "model, y, direction, m",
         [
-            ("bs", "1.0", "1", "5", 1, 4),
-            ("heisenberg", "0.3,-0.2", "[V1,V2]", "4", 2, 3),
-            ("heisenberg", "0.3,-0.2", "[V1,V2]", "5", 1, 4),
-            ("heisenberg", "0.3,-0.2", "1,0", "5", 1, 4),
-            ("heisenberg", "0,-0.2", "0,1", "5", 2, 3),
+            ("bs", "1.0", "1", "5"),
+            ("heisenberg", "0.3,-0.2", "[V1,V2]", "4"),
+            ("heisenberg", "0.3,-0.2", "[V1,V2]", "5"),
+            ("heisenberg", "0.3,-0.2", "1,0", "5"),
+            ("heisenberg", "0,-0.2", "0,1", "5"),
         ],
     )
-    def test_m_past_the_dictionary_reach_is_refused_before_any_solve(
-        self, bs_model, heisenberg_model, capsys, monkeypatch, model, y, direction, m, degree, reach
-    ):
-        # past the reach a solve could only fail verification, a numerical failure (exit 1)
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved past the reach check")
-
-        monkeypatch.setattr(cubature, "greeks_solve", no_solve)
+    def test_m_past_the_dictionary_reach_is_refused(self, bs_model, heisenberg_model, capsys, model, y, direction, m):
+        # the solve fails its moment check; that is a refused degree, not a numerical failure
         path = bs_model if model == "bs" else heisenberg_model
         argv = ["greek", "--model", path, "--y", y, "--direction", direction, "--t", "0.2", "--m", m]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"m={m} is beyond the reach of the default Greeks dictionary for this direction" in err
-        assert f"its degree-{degree} bracket words are reached only with m <= {reach}" in err
-
-    @pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (2, 5)])  # at (1, 4) no word is refused
-    def test_refused_words_fail_the_solve(self, d, m):
-        # a direction with a word past its degree's reach fails verification
-        # whatever its other words, so the check refuses only failing solves
-        ctx = context(d, m)
-        words = [w for w in lie_basis(context(d, m - 1)).words if w != (0,)]
-        refused = [w for w in words if m > cubature._GREEK_REACH.get(word_degree(w), m)]
-        assert refused
-        rng = np.random.default_rng(d * 10 + m)
-        dictionary = cubature.default_greeks_dictionary(ctx, 1.0)
-        for word in refused:
-            for coeffs in ({word: 1.0}, {w: rng.normal() for w in words} | {word: 1.0}):
-                with pytest.raises(NoFormulaFoundError):
-                    cubature.greeks_solve(ctx, sde.lie_direction(ctx, coeffs), 1.0, dictionary)
+        assert err.startswith(f"error: m={m} is beyond the reach of the default Greeks dictionary for this direction")
+        assert err.count("\n") == 1
 
     def test_highest_reachable_m_runs(self, bs_model, heisenberg_model, tmp_path):
         out = tmp_path / "g.json"

@@ -122,7 +122,14 @@ class TestExpectationDegree5:
         assert np.all(f.weights > 0) and abs(f.weights.sum() - 1.0) < 1e-12
         assert len(f.items) <= ctx.dim
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_four_drivers(self):
+        # the two-axis shapes of d = 3 also span the d = 4 heat element
+        f = expectation_degree5(context(4, 5), 1.0)
+        assert f.residual <= VERIFY_TOL and max_residual(f) <= VERIFY_TOL
+        assert np.all(f.weights > 0) and abs(f.weights.sum() - 1.0) < 1e-12
+        assert len(f.items) == 97
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_one_weight_per_orbit(self, d):
         # every image of a path under axis permutations and sign flips is in
         # the formula, with the same weight
@@ -136,9 +143,9 @@ class TestExpectationDegree5:
                     image[:, list(perm)] = p.points[:, 1:] * signs + 0.0
                     assert weights[image.tobytes()] == w
 
-    def test_needs_at_most_three_drivers_and_m5(self):
+    def test_needs_at_most_four_drivers_and_m5(self):
         with pytest.raises(UnsupportedDegreeError):
-            expectation_degree5(context(4, 5), 1.0)
+            expectation_degree5(context(5, 5), 1.0)
         with pytest.raises(UnsupportedDegreeError):
             expectation_degree5(context(2, 3), 1.0)
 

@@ -5,22 +5,30 @@ import math
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cubgreeks import algebra, cli, cubature, greeks, paths, sde
-from cubgreeks.algebra import AlgebraContext, context
+from cubgreeks.algebra import AlgebraContext, context, lie_basis
 from cubgreeks.cli import fit_loglog_slope
-from cubgreeks.errors import BlowUpError, BudgetExceededError, DomainError, UnsupportedDegreeError
+from cubgreeks.errors import (
+    BlowUpError,
+    BudgetExceededError,
+    DomainError,
+    NoFormulaFoundError,
+    UnsupportedDegreeError,
+)
 from cubgreeks.greeks import (
     GreekRequest,
+    build_greek_formula,
     expectation_one_step,
     gamma_partition,
     greek_iterated,
     greek_one_step,
 )
-from cubgreeks.mc import Payoff, bs_closed_form
+from cubgreeks.mc import McConfig, Payoff, bs_closed_form, fd_greek
 
 from oracles import heisenberg_one_state, scalar_tree
 
@@ -65,6 +73,12 @@ class TestExpectationOneStep:
         with pytest.raises(UnsupportedDegreeError):
             expectation_one_step(BS, first, [1.0], 0.1, 4)
 
+    @pytest.mark.parametrize("m_prime", [2.5, 3.0, "3"])
+    def test_non_integer_degree_is_refused(self, m_prime):
+        # 2.5 once ran the m' = 3 formula
+        with pytest.raises(DomainError, match="m' must be an integer"):
+            expectation_one_step(BS, first, [1.0], 0.3, m_prime)
+
     @pytest.mark.parametrize("run", [
         lambda: expectation_one_step(BS, first, [1.0, 2.0], 0.25, 3),
         lambda: expectation_one_step(BS, first, [[1.0]], 0.25, 3),
@@ -76,6 +90,18 @@ class TestExpectationOneStep:
         monkeypatch.setattr(sde, "evolve", lambda *args, **kwargs: pytest.fail("evolve was called"))
         with pytest.raises(DomainError, match="has shape"):
             run()
+
+    @pytest.mark.parametrize("run", [
+        lambda: greek_one_step(BS, first, [math.nan], [1.0], 0.2, 2),
+        lambda: greek_one_step(BS, first, [1.0], [math.inf], 0.2, 2),
+        lambda: expectation_one_step(BS, first, [-math.inf], 0.2, 3),
+        lambda: fd_greek(BS, Payoff("identity"), [1.0], [math.nan], 0.2, McConfig(4, 2)),
+    ], ids=["greek-y", "greek-v", "expectation-y", "fd-v"])
+    def test_non_finite_state_or_direction_is_refused_quietly(self, capfd, run):
+        # a NaN state once reached LAPACK, which printed to stderr before LinAlgError
+        with pytest.raises(DomainError, match="non-finite entry"):
+            run()
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
     def test_bad_horizon_is_refused_before_any_evolve(self, monkeypatch, t):
@@ -774,6 +800,11 @@ class TestGammaPartition:
         with pytest.raises(DomainError):
             gamma_partition(1.0, 0.1, 2, 0.5)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_inner_step_count_must_be_an_integer(self, k):
+        with pytest.raises(DomainError, match="integer k"):
+            gamma_partition(1.0, 0.1, k, 2.0)
+
 
 class TestErrorPropagation:
     def test_unattainable_direction_propagates(self):
@@ -783,13 +814,39 @@ class TestErrorPropagation:
         with pytest.raises(DirectionNotAttainableError):
             greek_one_step(system, first, [0.0, 0.0], [0.0, 1.0], 0.2, 2)
 
-    def test_degree_past_the_dictionary_reach_is_refused_before_the_solve(self, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved past the reach check")
-
-        monkeypatch.setattr(cubature, "greeks_solve", no_solve)
-        with pytest.raises(UnsupportedDegreeError, match="degree-1 bracket words are reached only with m <= 4"):
+    def test_degree_past_the_dictionary_reach_is_refused(self):
+        with pytest.raises(UnsupportedDegreeError, match="m=5 is beyond the reach of the default Greeks dictionary"):
             greek_one_step(BS, first, [1.0], [0.1], 0.2, 5)
+
+    def test_three_driver_direction_past_the_reach_is_refused(self):
+        # at y = 0, e4 is spanned only by the degree-3 brackets [V1,[V2,V3]] and
+        # [V2,[V1,V3]], which the default dictionary does not reach at m = 4
+        e = np.eye(4)
+        fields = (lambda y: np.zeros(4), lambda y: e[0], lambda y: e[1], lambda y: e[2] + y[0] * y[1] * e[3])
+        system = sde.VectorFieldSystem(dim=4, d=3, fields=fields)
+        with pytest.raises(UnsupportedDegreeError, match="m=4 is beyond the reach") as err:
+            greek_one_step(system, lambda y: y[3], np.zeros(4), e[3], 0.2, 4)
+        assert isinstance(err.value.__cause__, NoFormulaFoundError)
+        assert err.value.__cause__.best_residual > cubature.VERIFY_TOL
+
+    @pytest.mark.parametrize("d, m", [(1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)])
+    def test_stage0_build_serves_a_verified_formula_or_refuses(self, monkeypatch, d, m):
+        # the solve's moment check decides the reach: every canonical Lie word,
+        # and seeded combinations of them, gets a verified formula or
+        # UnsupportedDegreeError, never a numerical failure
+        words = [w for w in lie_basis(context(d, m - 1)).words if w != (0,)]
+        rng = np.random.default_rng(d * 10 + m)
+        targets = [{w: 1.0} for w in words] + [{w: rng.normal() for w in words} for _ in range(5)]
+        system = SimpleNamespace(d=d)  # all the build reads of a system past its decomposition
+        for coeffs in targets:
+            monkeypatch.setattr(sde, "decompose_direction", lambda *args, c=coeffs: (c, 0.0))
+            try:
+                formula, _ = build_greek_formula(system, None, None, 1.0, m)
+            except UnsupportedDegreeError as exc:
+                assert str(exc).startswith(f"m={m} is beyond the reach of the default Greeks dictionary")
+            else:
+                assert formula.residual <= cubature.VERIFY_TOL
+                assert cubature.max_residual(formula) <= cubature.VERIFY_TOL
 
     def test_unsupported_inner_degree_propagates(self):
         request = GreekRequest(

@@ -82,6 +82,11 @@ class TestCounterRng:
         with pytest.raises(DomainError):
             McConfig(n_paths=0, n_steps=4)
 
+    @pytest.mark.parametrize("n_paths, n_steps", [(10.5, 4), (10, 4.0), ("10", 4)])
+    def test_counts_must_be_integers(self, n_paths, n_steps):
+        with pytest.raises(DomainError, match="integers >= 1"):
+            McConfig(n_paths, n_steps)
+
 
 class TestEulerExpectation:
     def test_black_scholes_mean(self):
