@@ -2,11 +2,10 @@
 
 Each check returns its worst observed error; the CLI `verify` command runs
 the whole registry for a given (d, m) and reports a pass/fail table.  Checks
-are deterministic for a fixed seed.  A sampled check draws its n_samples
-inputs in the order of a loop over samples, then evaluates its identity once
-on word-major (dim, n_samples) batches through the ``AlgebraContext``
-kernels, whose columns are bitwise their single-vector results; so each
-max_error is bitwise that of the one-sample-at-a-time loop.
+are deterministic for a fixed seed.  A sampled check draws each of its inputs
+for all n_samples samples in one generator call, then evaluates its identity
+once on word-major (dim, n_samples) batches through the ``AlgebraContext``
+kernels, whose columns are bitwise their single-vector results.
 """
 
 from __future__ import annotations
@@ -32,28 +31,11 @@ class CheckResult:
         return self.max_error < self.tolerance
 
 
-def _random_element(ctx, rng, sparsity=0.6, scale=1.0):
-    """Coefficients (dim,): each basis word in order keeps a coefficient
-    scale * U(-1, 1) when a uniform draw falls below ``sparsity``.
-
-    One double per Bernoulli draw and one per coefficient, as one scalar
-    ``rng.random()`` / ``rng.uniform()`` call each would use; they are drawn in
-    chunks of the dim - k doubles certainly still needed at word k, so the
-    generator never runs ahead of the scalar loop.  -1 + 2u is exactly
-    ``uniform(-1, 1)``'s value, since 2u is exact.
-    """
-    dim = ctx.dim
-    vec = np.zeros(dim)
-    k, pending = 0, False
-    while k < dim:
-        for u in rng.random(dim - k).tolist():
-            if pending:
-                vec[k] = scale * (-1.0 + 2.0 * u)
-            elif u < sparsity:
-                pending = True
-                continue
-            k, pending = k + 1, False
-    return vec
+def _random_elements(ctx, rng, n, sparsity=0.6, scale=1.0):
+    """Coefficients (dim, n): each entry is scale * U(-1, 1) where a uniform
+    draw falls below ``sparsity``, else 0."""
+    keep = rng.random((ctx.dim, n)) < sparsity
+    return np.where(keep, scale * rng.uniform(-1.0, 1.0, (ctx.dim, n)), 0.0)
 
 
 def _lie_elements(lie, coeffs):
@@ -64,9 +46,20 @@ def _lie_elements(lie, coeffs):
     return out
 
 
-def _random_path(rng, d, n_segments=3, horizon=1.0):
-    incs = rng.uniform(-0.8, 0.8, size=(n_segments, d + 1))
-    return paths.from_increments(horizon, incs)
+def _random_paths(rng, n, d, n_segments=3, horizon=1.0):
+    """n paths through U(-0.8, 0.8) increments at equally spaced knots."""
+    return [paths.from_increments(horizon, incs) for incs in rng.uniform(-0.8, 0.8, (n, n_segments, d + 1))]
+
+
+def _lie_dimension(d, m):
+    """Dimension of the free Lie algebra on e_1..e_d (degree 1) and e_0 (degree 2) up to
+    degree m: the weighted Witt counts l_n, n <= m, summed; L_n = sum_{k | n} k l_k
+    (Moebius inversion) with L_1 = d, L_2 = d^2 + 2 and L_n = d L_{n-1} + L_{n-2}."""
+    power_sums, counts = [0, d, d * d + 2], [0]
+    for n in range(1, m + 1):
+        power_sums.append(d * power_sums[-1] + power_sums[-2])
+        counts.append((power_sums[n] - sum(k * counts[k] for k in range(1, n) if n % k == 0)) // n)
+    return sum(counts)
 
 
 def run_property_checks(d, m, seed=0):
@@ -81,24 +74,21 @@ def run_property_checks(d, m, seed=0):
     def record(name, err, tol):
         results.append(CheckResult(name, float(err), tol))
 
-    def draw(*kinds):
-        """Call each draw once per sample, in a per-sample loop's order; one stacked array per draw."""
-        samples = [[kind() for kind in kinds] for _ in range(n_samples)]
-        return [np.stack(column, axis=-1) for column in zip(*samples)]
-
     def gap(a, b):
         return np.max(np.abs(a - b), initial=0.0)
 
-    element = partial(_random_element, ctx, rng)
-    lie_coords = partial(rng.uniform, -1.0, 1.0, size=lie.dim)  # the doubles of lie.dim scalar calls
+    def lie_coords():
+        return rng.uniform(-1.0, 1.0, (lie.dim, n_samples))
+
+    elements = partial(_random_elements, ctx, rng, n_samples)
     mul, br = ctx.product, ctx.bracket
 
     # associativity of the truncated product
-    x, y, z = draw(element, element, element)
+    x, y, z = elements(), elements(), elements()
     record("mul-associativity", gap(mul(mul(x, y), z), mul(x, mul(y, z))), 1e-12)
 
     # grading: degree-p times degree-q support lands in degree p+q
-    x, y = draw(element, element)
+    x, y = elements(), elements()
     err = 0.0
     for p in range(m + 1):
         for q in range(m + 1 - p):
@@ -107,29 +97,28 @@ def run_property_checks(d, m, seed=0):
     record("mul-grading", err, 1e-12)
 
     # exp/log round trips, on nilpotent elements and on group-like ones
-    a, c = draw(partial(element, scale=0.8), lie_coords)
+    a, c = elements(scale=0.8), lie_coords()
     a[0] = 0.0  # nilpotent: bitwise x - x_0 * 1
     g = ctx.exp(_lie_elements(lie, 0.7 * c))
     record("exp-log-roundtrip", max(gap(ctx.log(ctx.exp(a)), a), gap(ctx.exp(ctx.log(g)), g)), 1e-12)
 
     # exp(a) * exp(-a) = 1
-    (c,) = draw(lie_coords)
-    a = _lie_elements(lie, 0.8 * c)
+    a = _lie_elements(lie, 0.8 * lie_coords())
     record("exp-inverse", gap(mul(ctx.exp(a), ctx.exp(-a)), unit), 1e-12)
 
     # dilation is a product homomorphism and a one-parameter group
-    wide, narrow = partial(rng.uniform, 0.3, 2.0), partial(rng.uniform, 0.3, 1.5)
-    x, y, s, a, b = draw(element, element, wide, narrow, narrow)
+    x, y = elements(), elements()
+    s, a, b = rng.uniform(0.3, 2.0, n_samples), rng.uniform(0.3, 1.5, n_samples), rng.uniform(0.3, 1.5, n_samples)
     err = gap(ctx.dilate(s, mul(x, y)), mul(ctx.dilate(s, x), ctx.dilate(s, y)))
     record("dilate-homomorphism", max(err, gap(ctx.dilate(a, ctx.dilate(b, x)), ctx.dilate(a * b, x))), 1e-12)
 
     # bracket: antisymmetry and the Jacobi identity
-    x, y, z = draw(element, element, element)
+    x, y, z = elements(), elements(), elements()
     jac = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))
     record("bracket-jacobi", max(gap(br(x, y), -br(y, x)), gap(jac, 0.0)), 1e-12)
 
     # adjoint: identity element, bracket morphism, Lie-span stability
-    w, g, u, v = draw(lie_coords, lie_coords, lie_coords, lie_coords)
+    w, g, u, v = lie_coords(), lie_coords(), lie_coords(), lie_coords()
     w, u, v = _lie_elements(lie, w), _lie_elements(lie, 0.5 * u), _lie_elements(lie, 0.5 * v)
     g = ctx.exp(_lie_elements(lie, 0.5 * g))
     ad = ctx.adjoint(g, u)
@@ -146,39 +135,26 @@ def run_property_checks(d, m, seed=0):
         err = max(err, abs(h.coeff(()) - 1.0), algebra.max_abs_diff(h, dilated))
     record("heat-dilate-identity", err, 1e-12)
 
-    # Lie span: expected dimension for the documented case, log of signatures inside
-    if (d, m) == (2, 2) and lie.dim != 4:
-        record("lie-dimension", float(abs(lie.dim - 4)), 0.5)
-    else:
-        rank = np.linalg.matrix_rank(lie.matrix, tol=1e-10)
-        record("lie-dimension", float(abs(rank - lie.dim)), 0.5)
-    sigs = paths.signatures(ctx, [_random_path(rng, d) for _ in range(n_samples)])
+    # Lie span: the free Lie algebra's dimension, log of signatures inside
+    record("lie-dimension", float(abs(lie.dim - _lie_dimension(d, m))), 0.5)
+    sigs = paths.signatures(ctx, _random_paths(rng, n_samples, d))
     record("signature-group-likeness", _max_lie_residual(lie, ctx.log(sigs)), 1e-10)
 
     # Chen: multiplicativity over a split point
-    pairs = [
-        (_random_path(rng, d, n_segments=2, horizon=0.6), _random_path(rng, d, n_segments=2, horizon=0.4))
-        for _ in range(n_samples)
-    ]
-    joint = paths.signatures(ctx, [paths.concat(p1, p2) for p1, p2 in pairs])
-    firsts, seconds = (paths.signatures(ctx, list(half)) for half in zip(*pairs))
-    record("chen-multiplicativity", gap(joint, mul(firsts, seconds)), 1e-13)
+    firsts, seconds = (_random_paths(rng, n_samples, d, n_segments=2, horizon=h) for h in (0.6, 0.4))
+    joint = paths.signatures(ctx, [paths.concat(p1, p2) for p1, p2 in zip(firsts, seconds)])
+    err = gap(joint, mul(paths.signatures(ctx, firsts), paths.signatures(ctx, seconds)))
+    record("chen-multiplicativity", err, 1e-13)
 
     # reparametrization invariance: inserting a collinear knot changes nothing
-    plain = [_random_path(rng, d, n_segments=2) for _ in range(n_samples)]
-    refined = [
-        paths.PiecewisePath(
-            p.t_end,
-            [(p.times[0], p.points[0]), (0.5 * (p.times[0] + p.times[1]), 0.5 * (p.points[0] + p.points[1]))]
-            + list(zip(p.times[1:], p.points[1:])),
-        )
-        for p in plain
-    ]
+    plain = _random_paths(rng, n_samples, d, n_segments=2)
+    knots = [[np.insert(a, 1, 0.5 * (a[0] + a[1]), axis=0) for a in (p.times, p.points)] for p in plain]
+    refined = [paths.PiecewisePath(p.t_end, list(zip(times, points))) for p, (times, points) in zip(plain, knots)]
     err = gap(paths.signatures(ctx, plain), paths.signatures(ctx, refined))
     record("reparametrization-invariance", err, 1e-13)
 
     # scaling: signature(scale_path(w, t)) = dilate(sqrt t, signature(w))
-    plain = [_random_path(rng, d) for _ in range(n_samples)]
+    plain = _random_paths(rng, n_samples, d)
     sig1 = paths.signatures(ctx, plain)
     err = max(
         gap(paths.signatures(ctx, [paths.scale_path(p, t) for p in plain]), ctx.dilate(math.sqrt(t), sig1))
@@ -190,5 +166,6 @@ def run_property_checks(d, m, seed=0):
 
 
 def _max_lie_residual(lie, columns):
-    """Largest Lie-span residual over the columns, one least-squares solve per column."""
-    return max(algebra.lie_coordinates(lie, algebra.from_dense(lie.context, col))[1] for col in columns.T)
+    """Largest Lie-span residual over the (dim, n) columns, from one least-squares solve."""
+    coords, *_ = np.linalg.lstsq(lie.matrix, columns, rcond=None)
+    return np.max(np.abs(lie.matrix @ coords - columns), initial=0.0)

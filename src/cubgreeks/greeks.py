@@ -185,7 +185,7 @@ def _evaluate_tree(system, payoff, y0, stages, steps_per_segment, ode=None):
     step rule's count; (count, error estimate or None) per stage go to ``ode``.
     Returns (estimate, leaf count); leaves are reduced with fsum in leaf order.
     """
-    system, payoff = sde.batched(system, y0), sde._batched(payoff, y0, ())
+    system, payoff = sde.batched(system, y0), sde._scalar_payoff(payoff, y0)
     states, weights = np.asarray(y0, dtype=float).reshape(1, -1), np.ones(1)
     probed = {}  # id(formula) -> (step, err1) of its probe
     for formula, s in stages:

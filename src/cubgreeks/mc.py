@@ -33,7 +33,7 @@ from scipy.special import expit, ndtr
 from . import algebra
 from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError, check_horizon
 from .rng import normal_increments
-from .sde import _batched, _fd_directional, _matvec, _state_args, batched
+from .sde import _batched, _fd_directional, _matvec, _scalar_payoff, _state_args, batched
 
 _SIG_BLOCK = 2048  # paths per block of the Chen fold (product terms stay in L2) and the covariance sums
 
@@ -157,8 +157,7 @@ def _batched_payoff(system, f, y0):
             f"fields or Jacobians of {system.name!r} do not evaluate (n, N) state batches "
             "row by row; the Monte Carlo oracles need them to (index states as y[..., i])"
         )
-    payoff = _batched(f, y0, ())
-    return lambda ys: np.asarray(payoff(ys), dtype=float)
+    return _scalar_payoff(f, y0)
 
 
 def _normals(cfg, d, normals=None):

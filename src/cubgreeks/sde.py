@@ -31,6 +31,7 @@ from .errors import (
     DirectionNotAttainableError,
     DomainError,
     UnsupportedDegreeError,
+    UnsupportedPayoffError,
     check_horizon,
 )
 
@@ -80,13 +81,13 @@ def _state_args(system, t, y, v=None):
     return y, v
 
 
-def _batched(func, y0, row_shape):
+def _batched(func, y0, row_shape, error=ValueError):
     """func if one call on N + 1 copies of the (N,) state y0 returns the same
     ``row_shape`` value on every row without raising or warning, else a loop
-    calling func on each row of (n, N) states.  N + 1 rows are never one
-    state, nor N rows that single-state code could read as one state.
-    Floating-point warnings do not count: a batched field may be singular at
-    y0 (sin(y)/y at 0) and still return one value per row."""
+    calling func on each row of (n, N) states (``error`` if a value does not
+    fill ``row_shape``).  N + 1 rows are never one state, nor N rows that
+    single-state code could read as one state.  Floating-point warnings do
+    not count: a batched field may be singular at y0 (sin(y)/y at 0) and batch."""
     states = np.array([y0] * (len(y0) + 1), dtype=float)
     try:
         with warnings.catch_warnings(), np.errstate(all="ignore"):
@@ -97,7 +98,28 @@ def _batched(func, y0, row_shape):
             return func
     except (TypeError, ValueError, IndexError, Warning):
         pass
-    return lambda y: np.array([func(row) for row in y], dtype=float).reshape((len(y),) + row_shape)
+
+    def rows(y):
+        values = np.array([func(row) for row in y], dtype=float)
+        if values.size != len(y) * np.prod(row_shape):
+            raise error(f"each state must give a value of shape {row_shape}, got shape {values.shape[1:]}")
+        return values.reshape((len(y),) + row_shape)
+
+    return rows
+
+
+def _scalar_payoff(f, y0):
+    """f as a map from (n, N) states to (n,) floats, probed at y0 (``_batched``);
+    UnsupportedPayoffError unless it gives one finite float per state."""
+    func = _batched(f, y0, (), UnsupportedPayoffError)
+
+    def payoff(states):
+        values = np.asarray(func(states), dtype=float)
+        if not np.isfinite(values).all():
+            raise UnsupportedPayoffError(f"payoff is not finite on {np.sum(~np.isfinite(values))} states")
+        return values
+
+    return payoff
 
 
 def batched(system, y0):

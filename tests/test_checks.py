@@ -1,24 +1,24 @@
-"""The batched property registry against its per-sample form, and its draws.
+"""The batched property registry against its per-sample form.
 
-``checks.run_property_checks`` draws every sample's inputs first, in the
-order of a loop over samples, and evaluates each identity once on the
-(dim, n_samples) batch.  These tests hold it to the frozen one-sample-at-a-time
-registry in ``oracles.py`` bitwise, check the ``verify`` CSV bytes, and check
-that the chunked element draw leaves the generator where one scalar call per
-double would.
+``checks.run_property_checks`` draws each input of a check for all samples
+in one generator call and evaluates each identity once on the
+(dim, n_samples) batch.  These tests hold it bitwise to the registry in
+``oracles.py``, which reads the same draws one sample at a time through the
+element-level API, check the ``verify`` CSV bytes, and check the
+``lie-dimension`` row against the free Lie algebra's dimension.
 """
 
 import csv
+import dataclasses
 import io
 
-import numpy as np
 import pytest
 
-from cubgreeks import checks
+from cubgreeks import algebra, checks
 from cubgreeks.algebra import context
 from cubgreeks.cli import main
 
-from oracles import property_checks_per_sample, random_element_scalar
+from oracles import lyndon_count, property_checks_per_sample
 
 CONTEXTS = [(1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 4)]
 SEEDS = [0, 1, 17, 123456789, 2**31 - 1]
@@ -48,41 +48,27 @@ def test_verify_csv_bytes_match_the_per_sample_registry(tmp_path, capsys, d, m, 
     assert out.read_bytes() == buf.getvalue().encode()
 
 
-class TestChunkedDraw:
-    @pytest.mark.parametrize("sparsity", [0.0, 0.6, 1.0])
-    @pytest.mark.parametrize("d,m", [(1, 3), (2, 5), (3, 4)])
-    def test_same_coefficients_and_generator_state(self, d, m, sparsity):
-        ctx = context(d, m)
-        for seed in range(5):
-            chunked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-            for scale in (1.0, 0.8):
-                got = checks._random_element(ctx, chunked, sparsity=sparsity, scale=scale)
-                want = random_element_scalar(ctx, scalar, sparsity=sparsity, scale=scale)
-                assert got.tobytes() == want.tobytes()
-                assert chunked.bit_generator.state == scalar.bit_generator.state
-            assert chunked.random() == scalar.random()
+@pytest.mark.parametrize(
+    "d,m,dim",
+    [
+        (1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 5, 6), (1, 8, 17), (2, 2, 4), (2, 3, 8),
+        (2, 4, 15), (2, 5, 31), (2, 6, 61), (3, 3, 18), (3, 4, 45), (4, 4, 111),
+    ],
+)
+def test_lie_dimension_is_the_weighted_witt_count(d, m, dim):
+    ctx = context(d, m)
+    assert checks._lie_dimension(d, m) == dim == lyndon_count(ctx) == algebra.lie_basis(ctx).dim
 
-    @pytest.mark.parametrize("last_kept", [True, False])
-    def test_last_word_bernoulli(self, last_kept):
-        # the draw ends on a coefficient when the last word's Bernoulli succeeds
-        ctx = context(2, 3)
-        for seed in range(200):
-            probe = np.random.default_rng(seed)
-            if (random_element_scalar(ctx, probe)[-1] != 0.0) == last_kept:
-                break
-        else:
-            pytest.fail("no seed in 0..199 gives the wanted last word")
-        chunked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = checks._random_element(ctx, chunked)
-        assert got.tobytes() == random_element_scalar(ctx, scalar).tobytes()
-        assert (got[-1] != 0.0) == last_kept
-        assert chunked.bit_generator.state == scalar.bit_generator.state
 
-    def test_draws_stay_lazy(self):
-        # the state after one element is the state after its exact double count
-        ctx = context(2, 4)
-        rng = np.random.default_rng(5)
-        vec = checks._random_element(ctx, rng)
-        used = np.random.default_rng(5)
-        used.random(ctx.dim + np.count_nonzero(vec))
-        assert rng.bit_generator.state == used.bit_generator.state
+@pytest.mark.parametrize("d,m", [(1, 3), (2, 4), (3, 4)])
+def test_lie_basis_missing_a_word_fails_lie_dimension(monkeypatch, d, m):
+    full_basis = algebra.lie_basis
+
+    def short_basis(ctx):
+        lie = full_basis(ctx)
+        return dataclasses.replace(lie, words=lie.words[:-1], elements=lie.elements[:-1], matrix=lie.matrix[:, :-1])
+
+    monkeypatch.setattr(algebra, "lie_basis", short_basis)
+    rows = {r.name: r for r in checks.run_property_checks(d, m)}
+    assert rows["lie-dimension"].max_error == 1.0
+    assert not rows["lie-dimension"].passed

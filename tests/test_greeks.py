@@ -19,6 +19,7 @@ from cubgreeks.errors import (
     DomainError,
     NoFormulaFoundError,
     UnsupportedDegreeError,
+    UnsupportedPayoffError,
 )
 from cubgreeks.greeks import (
     GreekRequest,
@@ -703,7 +704,8 @@ class TestStepRule:
 
 
 class TestRequestInputs:
-    """Malformed partitions, degrees and step counts raise DomainError."""
+    """Malformed partitions, degrees and step counts raise DomainError; a
+    payoff value other than one finite float per state, UnsupportedPayoffError."""
 
     @staticmethod
     def request(**changes):
@@ -735,6 +737,22 @@ class TestRequestInputs:
             expectation_one_step(BS, first, [1.0], 0.3, 3, steps)
         with pytest.raises(DomainError, match="steps_per_segment"):
             greek_iterated(self.request(steps_per_segment=steps))
+
+    @pytest.mark.parametrize(
+        "payoff, match",
+        [
+            (lambda y: np.stack([y[..., 0], y[..., 0]], axis=-1), "shape"),
+            (lambda y: [float(y[0]), 1.0], "shape"),
+            (lambda y: np.full(y.shape[:-1], np.nan), "not finite"),
+            (lambda y: np.where(y[..., 0] > 1.0, np.inf, y[..., 0]), "not finite"),
+        ],
+        ids=["two-batched", "two-per-state", "nan", "inf-at-some-leaves"],
+    )
+    def test_payoff_must_give_one_finite_float_per_state(self, payoff, match):
+        with pytest.raises(UnsupportedPayoffError, match=match):
+            expectation_one_step(BS, payoff, [1.0], 0.3, 3)
+        with pytest.raises(UnsupportedPayoffError, match=match):
+            greek_one_step(BS, payoff, [1.0], [0.1], 0.5, 2)
 
 
 class TestDegree5TwoDrivers:

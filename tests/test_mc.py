@@ -769,6 +769,19 @@ class TestClosedForms:
         with pytest.raises(UnsupportedPayoffError):
             parse_payoff(text)
 
+    @pytest.mark.parametrize(
+        "payoff, match",
+        [
+            (lambda y: np.concatenate([y, y], axis=-1), "shape"),
+            (lambda y: [float(y[0]), 1.0], "shape"),
+            (lambda y: np.where(y[..., 0] > 1.0, np.nan, 1.0), "not finite"),
+        ],
+        ids=["two-batched", "two-per-state", "nan-on-some-paths"],
+    )
+    def test_payoff_must_give_one_finite_float_per_state(self, payoff, match):
+        with pytest.raises(UnsupportedPayoffError, match=match):
+            euler_expectation(BS, payoff, [1.0], 0.5, McConfig(n_paths=200, n_steps=8, seed=1))
+
     def test_payoff_numbers_must_be_finite(self):
         with pytest.raises(UnsupportedPayoffError):
             Payoff("call", math.nan)
