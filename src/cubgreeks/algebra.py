@@ -63,31 +63,20 @@ class AlgebraContext:
             raise DomainError(f"truncation degree must be >= 1, got m={m}")
         self.d = int(d)
         self.m = int(m)
-        # words of degree k: c(k) = d c(k-1) + c(k-2), counted before any is built
-        counts = [1, self.d]
-        while len(counts) <= self.m and sum(counts) <= MAX_BASIS:
-            counts.append(self.d * counts[-1] + counts[-2])
-        if sum(counts[: self.m + 1]) > MAX_BASIS:
-            raise DomainError(f"context (d={d}, m={m}) has over {MAX_BASIS} basis words")
-        words = [EMPTY_WORD]
-        frontier = [EMPTY_WORD]
-        degrees = {EMPTY_WORD: 0}
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for letter in range(self.d + 1):
-                    nw = w + (letter,)
-                    deg = degrees[w] + (2 if letter == 0 else 1)
-                    if deg <= self.m:
-                        degrees[nw] = deg
-                        nxt.append(nw)
-            words.extend(nxt)
-            frontier = nxt
-        words.sort(key=lambda w: (degrees[w], w))
+        # degree-k words: e_0 before each degree-(k-2) word, then e_1..e_d before
+        # each degree-(k-1) word, which is tuple order with no sort; each degree
+        # is counted before it is built, so at most MAX_BASIS words ever are
+        levels = [[], [EMPTY_WORD]]  # degrees -1 and 0
+        total = 1
+        for _ in range(self.m):
+            total += self.d * len(levels[-1]) + len(levels[-2])
+            if total > MAX_BASIS:
+                raise DomainError(f"context (d={d}, m={m}) has over {MAX_BASIS} basis words")
+            levels.append([(0,) + w for w in levels[-2]] + [(i,) + w for i in range(1, self.d + 1) for w in levels[-1]])
+        words = [w for level in levels for w in level]
         self.basis = tuple(words)
         self.index = index = {w: i for i, w in enumerate(words)}
-        self._degrees = degrees
-        self.degrees = _frozen(np.array([degrees[w] for w in words]))
+        self.degrees = _frozen(np.repeat(np.arange(self.m + 1), [len(level) for level in levels[1:]]))
         # every split K = K[:cut] * K[cut:], ascending cut within each K; the
         # basis is closed under prefixes and suffixes, so all parts are words
         splits = np.array(
@@ -114,10 +103,8 @@ class AlgebraContext:
         return len(self.basis)
 
     def degree(self, word):
-        try:
-            return self._degrees[word]
-        except KeyError:
-            return word_degree(word, self.d)
+        i = self.index.get(word)
+        return word_degree(word, self.d) if i is None else int(self.degrees[i])
 
     def check_word(self, word):
         if word not in self.index:

@@ -81,11 +81,12 @@ def _state_args(system, t, y, v=None):
     return y, v
 
 
-def _batched(func, y0, row_shape, error=ValueError):
+def _batched(func, y0, row_shape, error=ConfigError):
     """func if one call on N + 1 copies of the (N,) state y0 returns the same
     ``row_shape`` value on every row without raising or warning, else a loop
-    calling func on each row of (n, N) states (``error`` if a value does not
-    fill ``row_shape``).  N + 1 rows are never one state, nor N rows that
+    calling func on each row of (n, N) states that raises ``error`` (ConfigError
+    for a field, UnsupportedPayoffError for a payoff) if a value does not fill
+    ``row_shape``.  N + 1 rows are never one state, nor N rows that
     single-state code could read as one state.  Floating-point warnings do
     not count: a batched field may be singular at y0 (sin(y)/y at 0) and batch."""
     states = np.array([y0] * (len(y0) + 1), dtype=float)
@@ -100,10 +101,11 @@ def _batched(func, y0, row_shape, error=ValueError):
         pass
 
     def rows(y):
-        values = np.array([func(row) for row in y], dtype=float)
-        if values.size != len(y) * np.prod(row_shape):
-            raise error(f"each state must give a value of shape {row_shape}, got shape {values.shape[1:]}")
-        return values.reshape((len(y),) + row_shape)
+        values = [np.asarray(func(row), dtype=float) for row in y]
+        for value in values:  # checked before stacking: numpy refuses ragged rows untyped
+            if value.size != np.prod(row_shape):
+                raise error(f"each state must give a value of shape {row_shape}, got shape {value.shape}")
+        return np.array(values).reshape((len(y),) + row_shape)
 
     return rows
 
@@ -271,7 +273,7 @@ def decompose_direction(system, y, v, t, m):
     check_horizon(t)
     v = np.asarray(v, dtype=float)
     table = build_bracket_table(system, y, m)
-    words = sorted(table, key=lambda w: (algebra.word_degree(w), w))
+    words = list(table)  # lie_basis order: by degree, then by word
     cols = np.column_stack([t ** (algebra.word_degree(w) / 2.0) * table[w] for w in words])
     coeffs, *_ = np.linalg.lstsq(cols, v, rcond=None)
     scale = max(float(np.linalg.norm(v)), 1e-30)

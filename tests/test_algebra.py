@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -82,6 +83,18 @@ class TestContext:
         degrees = [ctx.degree(w) for w in ctx.basis]
         assert degrees == sorted(degrees)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_basis_is_every_word_by_degree_then_tuple(self, d, m):
+        words = [w for n in range(m + 1) for w in itertools.product(range(d + 1), repeat=n)]
+        expected = sorted((w for w in words if word_degree(w) <= m), key=lambda w: (word_degree(w), w))
+        ctx = algebra.AlgebraContext(d, m)
+        assert ctx.basis == tuple(expected)
+        assert ctx.index == {w: i for i, w in enumerate(expected)}
+        assert ctx.degrees.dtype == np.int_
+        assert ctx.degrees.tolist() == [word_degree(w) for w in expected]
+        assert [ctx.degree(w) for w in expected] == ctx.degrees.tolist()
+
     def test_invalid_params(self):
         with pytest.raises(DomainError):
             context(0, 2)
@@ -97,9 +110,15 @@ class TestContext:
 
     @pytest.mark.parametrize("d,m", [(4, 8), (6, 12), (40, 3), (1, 10**6)])
     def test_oversized_basis_is_refused_before_it_is_built(self, d, m):
-        # counted, never built: (4, 8) alone would have 128,557 words
+        # each degree is counted before it is built: (4, 8) alone would have 128,557 words
         with pytest.raises(DomainError, match="basis words"):
             algebra.AlgebraContext(d, m)
+
+    def test_basis_limit_boundary(self, monkeypatch):
+        monkeypatch.setattr(algebra, "MAX_BASIS", 50)
+        assert algebra.AlgebraContext(2, 4).dim == 49
+        with pytest.raises(DomainError, match="over 50 basis words"):
+            algebra.AlgebraContext(2, 5)  # 119 words
 
 
 class TestMul:

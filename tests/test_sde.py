@@ -13,8 +13,10 @@ from cubgreeks.errors import (
     DirectionNotAttainableError,
     DomainError,
     UnsupportedDegreeError,
+    UnsupportedPayoffError,
 )
-from cubgreeks.greeks import greek_one_step
+from cubgreeks.greeks import expectation_one_step, greek_one_step
+from cubgreeks.mc import McConfig, euler_expectation
 from cubgreeks.paths import PiecewisePath, from_increments, line_path
 from cubgreeks.sde import (
     FieldExpr,
@@ -265,6 +267,26 @@ class TestBatchDecision:
         looped = sde._batched(single_state, np.array([0.5]), (1,))
         assert looped is not single_state
         assert np.array_equal(looped(np.array([[1.0], [2.0]])), [[2.0], [4.0]])
+
+    def test_single_state_field_of_the_wrong_shape_is_a_config_error(self):
+        # a field of the wrong shape is a malformed system, as VectorFieldSystem's own checks say
+        system = sde.VectorFieldSystem(
+            dim=1, d=1, fields=(lambda y: [0.05 * float(y[0]), 0.0], lambda y: 0.3 * float(y[0]))
+        )
+        with pytest.raises(ConfigError, match=r"shape \(1,\), got shape \(2,\)"):
+            expectation_one_step(system, lambda y: np.asarray(y)[..., 0], [1.0], 0.3, 3)
+
+    @pytest.mark.parametrize("estimate", ["cubature", "euler"])
+    def test_ragged_single_state_payoff_is_unsupported(self, estimate):
+        # one value on some states and two on others: each is checked before the stack
+        def ragged(y):
+            return [1.0, 2.0] if y[0] > 1.0 else 1.0
+
+        with pytest.raises(UnsupportedPayoffError, match=r"shape \(\), got shape \(2,\)"):
+            if estimate == "cubature":
+                expectation_one_step(black_scholes(0.05, 0.3), ragged, [1.0], 0.3, 3)
+            else:
+                euler_expectation(black_scholes(0.05, 0.3), ragged, [1.0], 0.3, McConfig(50, 4))
 
 
 class TestBrackets:
