@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from . import algebra, paths
 from .algebra import context
@@ -210,6 +208,8 @@ def _nnls_polish(A, b):
     """Nonnegative least squares for A w = b.  Weights below PRUNE_TOL are
     pruned, and an unconstrained re-solve on the support replaces them when
     it stays positive."""
+    import scipy.optimize  # loaded on first use: it alone adds ~0.2 s to start-up
+
     w, _ = scipy.optimize.nnls(A, b)
     support = np.flatnonzero(w > PRUNE_TOL)
     if support.size:
@@ -337,6 +337,8 @@ def greeks_solve(ctx, w, t, dictionary):
 
 def _independent_columns(S):
     """Columns of S that a rank-revealing (column-pivoted) QR keeps, in pivot order."""
+    import scipy.linalg  # loaded on first use: only a Greeks formula solve needs it
+
     _, R, piv = scipy.linalg.qr(S, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     rank = int(np.sum(diag > 1e-12 * diag[0])) if diag.size and diag[0] > 0 else 0

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from . import algebra
 from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError, check_horizon
@@ -47,6 +46,8 @@ class McConfig:
     def __post_init__(self):
         if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.n_paths, self.n_steps)):
             raise DomainError(f"n_paths and n_steps must be integers >= 1, got {self.n_paths!r}, {self.n_steps!r}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise DomainError(f"seed must be an integer, got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +84,8 @@ class Payoff:
             return np.ones_like(s)
         if self.kind == "call":
             return (s > self.strike).astype(float)
+        from scipy.special import expit  # loaded on first use: verify and the tree never call it
+
         return expit((s - self.strike) / self.smoothing)
 
     def __repr__(self):
@@ -400,6 +403,8 @@ def covariance_diagnostics(t, cfg, normals=None):
     ensemble (paths n..2n, drawn in blocks), within 4 standard errors.
     """
     check_horizon(t)
+    if cfg.n_paths < 2:
+        raise DomainError(f"the scaling check's standard errors need n_paths >= 2, got {cfg.n_paths}")
     c_t, i1, i2, q = _covariance_matrices(t, _blocks(cfg, 2, normals))
     det_direct = np.linalg.det(c_t[:, :3, :3])
     det_formula = t * t * q - t * i1 * i1 - t * i2 * i2
@@ -410,8 +415,8 @@ def covariance_diagnostics(t, cfg, normals=None):
 
     n = cfg.n_paths
     c_1, *_ = _covariance_matrices(1.0, _blocks(cfg, 2, path_start=n))
-    dil = np.diag([math.sqrt(t), math.sqrt(t), t, t])
-    conj = np.einsum("ij,njk,kl->nil", dil, c_1, dil)
+    dil = np.array([math.sqrt(t), math.sqrt(t), t, t])
+    conj = (dil[:, None] * c_1) * dil  # diag(dil) @ c_1 @ diag(dil), entrywise
     se_t = c_t.std(axis=0, ddof=1) / math.sqrt(n)
     se_conj = conj.std(axis=0, ddof=1) / math.sqrt(n)
     denom = np.sqrt(se_t**2 + se_conj**2)
@@ -452,6 +457,8 @@ def bs_closed_form(r, sigma, y, t, payoff):
         return y * growth, growth
     k = payoff.strike
     if payoff.kind == "call":
+        from scipy.special import ndtr  # loaded on first use: verify and the tree never call it
+
         sq = sigma * math.sqrt(t)
         d1 = (math.log(y / k) + (r + 0.5 * sigma * sigma) * t) / sq
         d2 = d1 - sq

@@ -13,7 +13,6 @@ mode: every path has a stream of its own, independent of every other path's.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -52,6 +51,8 @@ def normal_increments(seed, path_start, n_paths, n_steps, d):
     draw.  The draws are made one block of whole paths (about ``_BLOCK``
     draws) at a time, straight into the result.
     """
+    from scipy.special import ndtri  # loaded on first use: verify and the tree never draw
+
     out = np.empty((n_paths, n_steps, d))
     per_path = n_steps * d
     if out.size == 0:

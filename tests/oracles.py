@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from cubgreeks import algebra, checks, paths, sde
+from cubgreeks import algebra, checks, mc, paths, sde
 from cubgreeks.errors import BlowUpError, DomainError
 
 
@@ -352,6 +352,31 @@ def covariance_matrices_copied(t, normals):
     c[:, 2, 1] = -i1
     c[:, 2, 2] = q
     return c, i1, i2, q
+
+
+def covariance_diagnostics_einsum(t, cfg, normals=None):
+    """``mc.covariance_diagnostics`` with the dilation conjugation as the
+    three-operand einsum diag(dil) @ C^1 @ diag(dil) it once ran."""
+    c_t, i1, i2, q = mc._covariance_matrices(t, mc._blocks(cfg, 2, normals))
+    det_direct = np.linalg.det(c_t[:, :3, :3])
+    det_formula = t * t * q - t * i1 * i1 - t * i2 * i2
+    scale = np.maximum(np.abs(det_formula), 1e-300)
+    n = cfg.n_paths
+    c_1, *_ = mc._covariance_matrices(1.0, mc._blocks(cfg, 2, path_start=n))
+    dil = np.diag([math.sqrt(t), math.sqrt(t), t, t])
+    conj = np.einsum("ij,njk,kl->nil", dil, c_1, dil)
+    se_t = c_t.std(axis=0, ddof=1) / math.sqrt(n)
+    se_conj = conj.std(axis=0, ddof=1) / math.sqrt(n)
+    denom = np.sqrt(se_t**2 + se_conj**2)
+    diff = np.abs(c_t.mean(axis=0) - conj.mean(axis=0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = np.where(denom > 0.0, diff / denom, np.where(diff > 1e-12, np.inf, 0.0))
+    return mc.CovarianceReport(
+        max_det_rel_error=float(np.max(np.abs(det_direct - det_formula) / scale)),
+        e0_max_abs=float(np.max(np.abs(c_t[:, 3, :])) + np.max(np.abs(c_t[:, :, 3]))),
+        positivity_fraction=float(np.mean(det_formula > 0.0)),
+        scaling_max_z=float(np.max(z)),
+    )
 
 
 def lyndon_count(ctx):

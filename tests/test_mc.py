@@ -1,9 +1,12 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from cubgreeks.mc import (
 
 from oracles import (
     counter_uniforms_unblocked,
+    covariance_diagnostics_einsum,
     covariance_matrices_copied,
     gbm_exact_samples,
     heisenberg_one_state,
@@ -86,6 +90,18 @@ class TestCounterRng:
     def test_counts_must_be_integers(self, n_paths, n_steps):
         with pytest.raises(DomainError, match="integers >= 1"):
             McConfig(n_paths, n_steps)
+
+    @pytest.mark.parametrize("seed", [0.5, "3", None, math.nan, 3.0])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            McConfig(10, 4, seed)
+
+    @pytest.mark.parametrize("seed", [-3, 2**64 + 3, np.int64(-7), np.uint64(2**64 - 5)])
+    def test_integer_seeds_reduce_mod_2_64(self, seed):
+        reduced = McConfig(50, 4, int(seed) % 2**64)
+        assert euler_expectation(BS, IDENT, [1.0], 0.3, McConfig(50, 4, seed)) == euler_expectation(
+            BS, IDENT, [1.0], 0.3, reduced
+        )
 
 
 class TestEulerExpectation:
@@ -717,6 +733,30 @@ class TestCovarianceDiagnostics:
         report = covariance_diagnostics(0.25, self.CFG)
         assert report.scaling_max_z < 4.0
 
+    @pytest.mark.parametrize(
+        "t, cfg",
+        [
+            (0.25, McConfig(n_paths=20000, n_steps=128, seed=0)),  # the diagnostics command's default ensemble
+            (0.25, CFG),
+            (1.7, McConfig(n_paths=300, n_steps=16, seed=7)),
+            (1e-3, McConfig(n_paths=1000, n_steps=32, seed=11)),
+            (0.3, McConfig(n_paths=2, n_steps=1, seed=5)),
+        ],
+    )
+    def test_report_bitwise_against_einsum_conjugation(self, t, cfg):
+        normals = rng.normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, 2)
+        report = covariance_diagnostics(t, cfg, normals)
+        ref = covariance_diagnostics_einsum(t, cfg, normals)
+        assert np.array(astuple(report)).tobytes() == np.array(astuple(ref)).tobytes()
+
+    @pytest.mark.parametrize("normals", [None, np.zeros((1, 4, 2))])
+    def test_one_path_is_refused(self, normals):
+        # one path has no sample standard deviation for the scaling check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="n_paths >= 2"):
+                covariance_diagnostics(0.25, McConfig(1, 4), normals)
+
 
 class TestClosedForms:
     def test_identity(self):
@@ -802,9 +842,31 @@ class TestClosedForms:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # the closed forms need only scipy.special, which loads far less than scipy.stats
+    # each scipy submodule loads only when a command calls into it: verify runs
+    # on numpy and scipy.sparse alone, diagnostics adds scipy.special, and only
+    # a degree-5 formula solve loads scipy.optimize
     src = os.path.dirname(os.path.dirname(cubgreeks.__file__))
-    code = "import sys, cubgreeks, cubgreeks.cli; print('scipy.stats' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
+    code = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import cubgreeks, cubgreeks.cli
+
+        def loaded():
+            names = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special")
+            return [n for n in names if n in sys.modules]
+
+        seen = {"import": loaded()}
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cubgreeks.cli.main(["verify", "--d", "2", "--m", "3"])]
+            seen["verify"] = loaded()
+            codes.append(cubgreeks.cli.main(["diagnostics", "--paths", "200", "--steps", "4"]))
+        seen["diagnostics"] = loaded()
+        print(json.dumps([codes, seen]))
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CUBGREEKS_")}
+    env["PYTHONPATH"] = src
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    codes, seen = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert seen == {"import": [], "verify": [], "diagnostics": ["scipy.special"]}
