@@ -16,7 +16,6 @@ module-level functions check their inputs and wrap these kernels.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -24,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 import scipy.sparse
 
-from .errors import ContextMismatchError, DomainError, InvalidWordError, check_horizon
+from .errors import ContextMismatchError, DomainError, InvalidWordError, check_horizon, is_integer
 
 Word = tuple[int, ...]
 
@@ -55,7 +54,7 @@ class AlgebraContext:
     """
 
     def __init__(self, d, m):
-        if not all(isinstance(k, numbers.Integral) for k in (d, m)):
+        if not (is_integer(d) and is_integer(m)):
             raise DomainError(f"d and m must be integers, got d={d!r}, m={m!r}")
         if d < 1:
             raise DomainError(f"need at least one driver, got d={d}")

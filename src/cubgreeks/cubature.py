@@ -2,12 +2,13 @@
 
 An expectation formula is a list of positive weights and paths whose weighted
 signatures reproduce the heat element; a Greeks formula uses sign-free
-weights and targets (dilated direction) * (heat element).  Built-in
-constructors cover the closed-form families; beyond those, formulas are found
-by moment matching over a dictionary of candidate paths: signatures are
-linear in the weights once the paths are fixed, so the solve is a (possibly
-sign-constrained) linear least-squares problem in the coefficient basis.
-Every built-in path set is a union of orbits: the paths through a few
+weights and targets (dilated direction) * (heat element).  The expectation
+formulas are closed-form: degree 3 by axis spikes, degree 5 by the
+Ninomiya-Victoir splitting.  Greeks formulas beyond the two-point family are
+found by moment matching over a dictionary of candidate paths: signatures are
+linear in the weights once the paths are fixed, so the solve is a linear
+least-squares problem in the coefficient basis.  The degree-3 paths and the
+default Greeks dictionary are unions of orbits: the paths through a few
 increments and through their images under permutations and sign flips of the
 space axes (Lyons & Victoir), so the odd-space moments cancel by symmetry.
 
@@ -176,74 +177,32 @@ def expectation_degree3(ctx, t):
     return rescale_formula(_expectation_degree3_unit(ctx), t)
 
 
-def expectation_solve(ctx, t, dictionary):
-    """Positive-weight moment matching over a path dictionary (NNLS).
-
-    Solves min ||sum_j w_j sig(path_j) - heat_element(t)|| subject to w >= 0,
-    prunes weights below the threshold and re-polishes on the active support.
-    """
-    return _positive_solve(ctx, t, [(p,) for p in dictionary], algebra.heat_element(ctx, t))
-
-
-def _positive_solve(ctx, t, groups, target):
-    """NNLS over groups of paths that share one weight, split evenly in the group.
-
-    A group's column is its mean signature, summed in path order.  The
-    formula's residuals come from the same signature columns.
-    """
-    if not groups:
-        raise NoFormulaFoundError("empty dictionary", best_residual=None)
-    flat = [p for group in groups for p in group]
-    S = paths.signatures(ctx, flat)
-    spans = [range(e - len(g), e) for e, g in zip(itertools.accumulate(map(len, groups)), groups)]
-    A = np.column_stack([sum(S[:, span].T) * (1.0 / len(span)) for span in spans])
-    b = algebra.to_dense(target)
-    w = _nnls_polish(A, b)
-    kept = [(g, j) for g in np.flatnonzero(w > PRUNE_TOL) for j in spans[g]]
-    formula = CubatureFormula(ctx, t, tuple((float(w[g]) * (1.0 / len(spans[g])), flat[j]) for g, j in kept))
-    return _checked(formula, _residuals(ctx, S[:, [j for _, j in kept]], formula.weights, b))
-
-
-def _nnls_polish(A, b):
-    """Nonnegative least squares for A w = b.  Weights below PRUNE_TOL are
-    pruned, and an unconstrained re-solve on the support replaces them when
-    it stays positive."""
-    import scipy.optimize  # loaded on first use: it alone adds ~0.2 s to start-up
-
-    w, _ = scipy.optimize.nnls(A, b)
-    support = np.flatnonzero(w > PRUNE_TOL)
-    if support.size:
-        w_sub, *_ = np.linalg.lstsq(A[:, support], b, rcond=None)
-        if np.all(w_sub > 0.0):
-            w = np.zeros_like(w)
-            w[support] = w_sub
-    return w
-
-
-_DEGREE5_SCALES = (0.5, 1.0, math.sqrt(3.0), 1.5, 2.0)
-DEGREE5_MAX_D = 4  # at d = 5 no positive formula over these orbits exists (an LP finds it infeasible)
+DEGREE5_MAX_D = 5  # d = 6 has 1,445 paths: a two-step tree (1,445^2 leaves) is over the leaf cap
 
 
 @lru_cache(maxsize=None)
 def _expectation_degree5_unit(ctx):
-    # one NNLS column per orbit: its mean signature, which no odd-space word survives
-    d, T, scales = ctx.d, (1.0,), _DEGREE5_SCALES
-    shapes = [[T]] + [[T, (0.0, a)] for a in scales] + [[(0.0, a), T] for a in scales]
-    if d >= 2:
-        shapes += [[(0.0, a), T, (0.0, 0.0, b)] for a, b in itertools.product(scales, repeat=2)]
-    if d >= 3:
-        # swapping the two axes maps (a, b) to (b, a), so a <= b covers every orbit
-        pairs = list(itertools.combinations_with_replacement(scales, 2))
-        shapes += [[(0.0, a, b), T] for a, b in pairs] + [[T, (0.0, a, b)] for a, b in pairs]
-    groups = [_orbit(shape, d) for shape in shapes]
-    return _positive_solve(ctx, 1.0, groups, algebra.heat_element(ctx, 1.0))
+    # Ninomiya-Victoir: half the time, then z_i e_i along each axis with a nonzero
+    # 3-point Gauss-Hermite node z_i, then the other half; axis orders 1..d and d..1
+    # each carry half of z's weight, and identical paths merge in first-seen order
+    node, axes = math.sqrt(3.0), np.eye(ctx.d + 1)
+    merged = {}
+    for z in itertools.product((0.0, node, -node), repeat=ctx.d):
+        weight = 0.5 * math.prod(2.0 / 3.0 if x == 0.0 else 1.0 / 6.0 for x in z)
+        moves = [x * axes[i] for i, x in enumerate(z, 1) if x]
+        for order in (moves, moves[::-1]):
+            incs = np.array([axes[0] / 2.0, *order, axes[0] / 2.0])
+            merged.setdefault(incs.tobytes(), [0.0, incs])[0] += weight
+    items = tuple((w, paths.from_increments(1.0, incs)) for w, incs in merged.values())
+    return _checked(CubatureFormula(ctx, 1.0, items))
 
 
 def expectation_degree5(ctx, t):
-    """Degree-5 formula for d <= DEGREE5_MAX_D drivers, solved once at t=1 and rescaled.
+    """Degree-5 formula for d <= DEGREE5_MAX_D drivers, built once at t=1 and rescaled.
 
-    The candidates are orbits of short time-space shapes under the
-    hyperoctahedral group (Lyons & Victoir), each orbit sharing one weight.
+    The Ninomiya-Victoir splitting with each Gaussian replaced by the 3-point
+    Gauss-Hermite rule (Ninomiya & Victoir 2008): positive closed-form
+    weights, 3, 13, 47, 153 and 475 paths at d = 1..5, and no solve.
     """
     if ctx.d > DEGREE5_MAX_D or ctx.m != 5:
         raise UnsupportedDegreeError(

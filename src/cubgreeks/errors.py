@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the horizon check."""
+"""Exception types shared across the package, and the horizon and integer checks."""
 
 import math
+import numbers
 
 
 class CubatureError(Exception):
@@ -27,6 +28,11 @@ def check_horizon(t):
     except TypeError:
         pass
     raise DomainError(f"horizon must be positive and finite, got {t!r}")
+
+
+def is_integer(k):
+    """Whether k is an integer of any kind, numpy's included, other than a bool."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
 class InvalidPathError(CubatureError):

@@ -27,7 +27,14 @@ import numpy as np
 
 from . import cubature, paths, sde
 from .algebra import context
-from .errors import BlowUpError, BudgetExceededError, DomainError, NoFormulaFoundError, UnsupportedDegreeError
+from .errors import (
+    BlowUpError,
+    BudgetExceededError,
+    DomainError,
+    NoFormulaFoundError,
+    UnsupportedDegreeError,
+    is_integer,
+)
 
 DEFAULT_LEAF_CAP = 10**6
 ODE_TOL = 1e-11  # the step rule's bound on a stage's estimated relative RK4 error
@@ -54,7 +61,7 @@ class GreekRequest:
     leaf_cap: int = DEFAULT_LEAF_CAP
 
     def __post_init__(self):
-        if not all(isinstance(k, numbers.Integral) for k in (self.m, self.m_prime)):
+        if not (is_integer(self.m) and is_integer(self.m_prime)):
             raise DomainError(f"m and m_prime must be integers, got {self.m!r} and {self.m_prime!r}")
         parts = self.partition if isinstance(self.partition, (tuple, list, np.ndarray)) else ()
         steps = [float(s) for s in parts] if all(isinstance(s, numbers.Real) for s in parts) else []
@@ -87,7 +94,7 @@ class GreekResult:
 
 def expectation_formula(d, m_prime):
     """Built-in horizon-1 expectation formula for the requested degree, or raise."""
-    if not isinstance(m_prime, numbers.Integral):
+    if not is_integer(m_prime):
         raise DomainError(f"m' must be an integer, got {m_prime!r}")
     if 1 <= m_prime <= 3:
         return cubature._expectation_degree3_unit(context(d, 3))
@@ -95,7 +102,8 @@ def expectation_formula(d, m_prime):
     if m_prime == 5 and d <= cubature.DEGREE5_MAX_D:
         return cubature._expectation_degree5_unit(context(d, 5))
     raise UnsupportedDegreeError(
-        f"no built-in expectation formula for m'={m_prime}, d={d} (m'<=3, m'=5 at d<={cubature.DEGREE5_MAX_D})"
+        f"no built-in expectation formula for m'={m_prime}, d={d} (m'<=3 at any d; m'=5 at"
+        f" d<={cubature.DEGREE5_MAX_D}, beyond which a two-step tree of its paths is over the leaf cap)"
     )
 
 
@@ -264,7 +272,7 @@ def gamma_partition(t, s0, k, gamma):
     """
     if not (0.0 < s0 < t):
         raise DomainError(f"need 0 < s0 < t, got s0={s0}, t={t}")
-    if not (isinstance(k, numbers.Integral) and k >= 1):
+    if not (is_integer(k) and k >= 1):
         raise DomainError(f"need an integer k >= 1 inner steps, got {k!r}")
     if gamma < 1.0:
         raise DomainError(f"need gamma >= 1, got {gamma}")

@@ -23,14 +23,13 @@ Estimators are reproducible: draws come from the counter-based stream in
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import algebra
-from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError, check_horizon
+from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError, check_horizon, is_integer
 from .rng import normal_increments
 from .sde import _batched, _fd_directional, _matvec, _scalar_payoff, _state_args, batched
 
@@ -44,9 +43,9 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.n_paths, self.n_steps)):
+        if not all(is_integer(n) and n >= 1 for n in (self.n_paths, self.n_steps)):
             raise DomainError(f"n_paths and n_steps must be integers >= 1, got {self.n_paths!r}, {self.n_steps!r}")
-        if not isinstance(self.seed, numbers.Integral):
+        if not is_integer(self.seed):
             raise DomainError(f"seed must be an integer, got {self.seed!r}")
 
 

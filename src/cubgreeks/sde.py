@@ -17,7 +17,6 @@ single-state fields row by row, the Monte Carlo oracles refuse them.
 from __future__ import annotations
 
 import json
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -33,6 +32,7 @@ from .errors import (
     UnsupportedDegreeError,
     UnsupportedPayoffError,
     check_horizon,
+    is_integer,
 )
 
 FD_STEP = 1e-5
@@ -315,7 +315,7 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
     padded stack a non-finite V_i times a zero slope gives NaN and raises
     ``BlowUpError`` like any other non-finite state.
     """
-    if not (isinstance(steps_per_segment, numbers.Integral) and steps_per_segment >= 1):
+    if not (is_integer(steps_per_segment) and steps_per_segment >= 1):
         raise DomainError(f"steps_per_segment must be an integer >= 1, got {steps_per_segment!r}")
     times, points = path if isinstance(path, tuple) else (path.times, path.points)
     times, points = np.asarray(times, dtype=float), np.asarray(points, dtype=float)

@@ -291,7 +291,7 @@ class TestRangeFlags:
             ["converge", "--study", "greek", "--ode-steps", "0"],
             ["cubature", "export", "--m", "4"],
             ["cubature", "export", "--kind", "expectation5", "--m", "3"],
-            ["cubature", "export", "--kind", "expectation5", "--d", "5", "--m", "5"],
+            ["cubature", "export", "--kind", "expectation5", "--d", "6", "--m", "5"],
             ["cubature", "export", "--kind", "greeks2pt", "--m", "3"],
             ["cubature", "export", "--d", "0"],
             ["diagnostics", "--paths", "0"],
@@ -367,22 +367,22 @@ class TestPartitionRecorded:
     """Iterated deltas pinned to float.hex values.  CASES run at a fixed 16
     RK4 steps per segment: they were recorded before the inner formulas were
     carried from horizon 1, the m'=5 cases re-recorded when the degree-5
-    formula became a union of orbits (7 paths in place of 8).  DEFAULT_CASES
+    formula became the Ninomiya-Victoir splitting (3 paths in place of 7).  DEFAULT_CASES
     are the same deltas under the default step rule, recorded when it came in."""
 
     CASES = [
         ("3", "0.1", "4,2.0", "0x1.e5561ae698e2fp-2", 32),
         ("3", "0.1", "8,3.0", "0x1.dd9335694aae8p-2", 512),
         ("3", "0.05", "6,1.5", "0x1.e3e633687b023p-2", 128),
-        ("5", "0.1", "2,1.0", "0x1.b3127be0ea473p-2", 98),
-        ("5", "0.2", "3,2.0", "0x1.bc62f2478c90ap-2", 686),
+        ("5", "0.1", "2,1.0", "0x1.a7195cab9b170p-2", 18),
+        ("5", "0.2", "3,2.0", "0x1.b9e0844d96450p-2", 54),
     ]
     DEFAULT_CASES = [
         ("3", "0.1", "4,2.0", "0x1.e5561ae696e15p-2", 32),
         ("3", "0.1", "8,3.0", "0x1.dd933569420bfp-2", 512),
         ("3", "0.05", "6,1.5", "0x1.e3e6336822900p-2", 128),
-        ("5", "0.1", "2,1.0", "0x1.b3127be0ea473p-2", 98),
-        ("5", "0.2", "3,2.0", "0x1.bc62f2478c90ap-2", 686),
+        ("5", "0.1", "2,1.0", "0x1.a7195cab9b170p-2", 18),
+        ("5", "0.2", "3,2.0", "0x1.b9e0844d96450p-2", 54),
     ]
 
     @staticmethod

@@ -454,7 +454,7 @@ class TestLevelBatching:
             t=1.0, m=2, m_prime=5, partition=tuple(gamma_partition(1.0, 0.1, 2, 1.0)), steps_per_segment=16,
         )
         inner = cubature.rescale_formula(greeks.expectation_formula(1, 5), 0.45)
-        assert sorted({p.n_segments for p in inner.paths}) == [1, 2]
+        assert sorted({p.n_segments for p in inner.paths}) == [2, 3]
         assert greek_iterated(request).paths_evaluated == 2 * len(inner.items) ** 2
         assert len(calls) == 1 + 2
 

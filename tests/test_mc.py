@@ -841,10 +841,11 @@ class TestClosedForms:
                 bs_closed_form(r, sigma, y, t, Payoff("call", 1.0))
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # each scipy submodule loads only when a command calls into it: verify runs
-    # on numpy and scipy.sparse alone, diagnostics adds scipy.special, and only
-    # a degree-5 formula solve loads scipy.optimize
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # each scipy submodule loads only when a command calls into it: verify, an
+    # m' = 5 iterated delta and the degree-5 export run on numpy and
+    # scipy.sparse alone, diagnostics adds scipy.special, and nothing loads
+    # scipy.optimize, since every expectation formula is built in closed form
     src = os.path.dirname(os.path.dirname(cubgreeks.__file__))
     code = textwrap.dedent(
         """
@@ -859,14 +860,23 @@ def test_import_leaves_scipy_stats_unloaded():
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cubgreeks.cli.main(["verify", "--d", "2", "--m", "3"])]
             seen["verify"] = loaded()
+            codes.append(cubgreeks.cli.main([
+                "greek", "--model", sys.argv[1], "--y", "1.0", "--direction", "1", "--t", "1.0",
+                "--mprime", "5", "--s0", "0.1", "--partition", "2,1",
+            ]))
+            seen["greek"] = loaded()
+            codes.append(cubgreeks.cli.main(["cubature", "export", "--kind", "expectation5", "--m", "5"]))
+            seen["export"] = loaded()
             codes.append(cubgreeks.cli.main(["diagnostics", "--paths", "200", "--steps", "4"]))
         seen["diagnostics"] = loaded()
         print(json.dumps([codes, seen]))
         """
     )
+    model = tmp_path / "bs.json"
+    model.write_text('{"model": "black_scholes", "params": {"r": 0.05, "sigma": 0.3}}')
     env = {k: v for k, v in os.environ.items() if not k.startswith("CUBGREEKS_")}
     env["PYTHONPATH"] = src
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    out = subprocess.run([sys.executable, "-c", code, str(model)], capture_output=True, text=True, check=True, env=env)
     codes, seen = json.loads(out.stdout.splitlines()[-1])
-    assert codes == [0, 0]
-    assert seen == {"import": [], "verify": [], "diagnostics": ["scipy.special"]}
+    assert codes == [0, 0, 0, 0]
+    assert seen == {"import": [], "verify": [], "greek": [], "export": [], "diagnostics": ["scipy.special"]}

@@ -1,11 +1,15 @@
 """The public surface: the names the package exports and the CLI's commands
-and long flags.  Changing either is a deliberate act that edits this file."""
+and long flags.  Changing either is a deliberate act that edits this file.
+The integer arguments of the entry points share one check, probed here."""
 
 import argparse
 import inspect
 
+import pytest
+
 import cubgreeks
-from cubgreeks import cli
+from cubgreeks import Payoff, cli, paths, sde
+from cubgreeks.errors import DomainError
 
 EXPORTS = {
     "AlgebraContext", "CubatureFormula", "GreekRequest", "GreekResult", "GreeksFormula",
@@ -51,3 +55,28 @@ def test_cli_commands_and_long_flags():
         for name, command in sub.choices.items()
     }
     assert flags == COMMANDS
+
+
+BS = sde.black_scholes(0.05, 0.3)
+
+
+def _request(m=2, m_prime=3):
+    return cubgreeks.GreekRequest(BS, Payoff("identity"), (1.0,), (1.0,), 1.0, m, m_prime, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: cubgreeks.context(True, 2),
+    lambda: cubgreeks.context(2, True),
+    lambda: _request(m=True),
+    lambda: _request(m_prime=True),
+    lambda: cubgreeks.expectation_one_step(BS, Payoff("identity"), [1.0], 0.1, True),
+    lambda: cubgreeks.gamma_partition(1.0, 0.1, True, 1.0),
+    lambda: cubgreeks.McConfig(True, True, True),
+    lambda: cubgreeks.McConfig(2, 1, True),
+    lambda: cubgreeks.evolve(BS, [1.0], paths.line_path(1.0, [1.0, 0.5]), True),
+], ids=["context-d", "context-m", "request-m", "request-mprime", "expectation-mprime", "partition-k",
+        "mc-counts", "mc-seed", "evolve-steps"])
+def test_bool_is_not_an_integer(probe):
+    # bool is a numbers.Integral, so each of these once passed its integer check
+    with pytest.raises(DomainError):
+        probe()
