@@ -458,14 +458,6 @@ def lie_basis(ctx):
     return LieBasis(ctx, tuple(kept_words), tuple(kept_elements), matrix)
 
 
-def lie_coordinates(basis, x):
-    """Least-squares coordinates of x in the Lie basis and the max-abs residual."""
-    vec = to_dense(x)
-    coords, *_ = np.linalg.lstsq(basis.matrix, vec, rcond=None)
-    residual = np.max(np.abs(basis.matrix @ coords - vec)) if basis.dim else np.max(np.abs(vec), initial=0.0)
-    return coords, float(residual)
-
-
 def to_dense(x):
     """Writable copy of the coefficient vector, with -0.0 entries read as 0.0."""
     return x.vec + 0.0

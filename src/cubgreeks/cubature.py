@@ -36,6 +36,7 @@ from .errors import (
     NoFormulaFoundError,
     UnsupportedDegreeError,
     check_horizon,
+    is_finite,
 )
 
 VERIFY_TOL = 1e-10
@@ -48,12 +49,17 @@ class _Formula:
 
     ``residuals[n]`` is the degree-n moment residual the constructor verified,
     or None for a formula nobody checked (built directly, or imported
-    unverified); ``residual`` is their maximum.
+    unverified); ``residual`` is their maximum.  Every weight must be finite.
     """
 
     ctx: algebra.AlgebraContext
     t: float
     residuals: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for w, _ in self.items:
+            if not is_finite(w):
+                raise DomainError(f"formula weights must be finite, got {w}")
 
     @property
     def weights(self):
@@ -75,6 +81,7 @@ class CubatureFormula(_Formula):
     items: tuple  # of (weight, PiecewisePath)
 
     def __post_init__(self):
+        super().__post_init__()
         for w, _ in self.items:
             if w <= 0.0:
                 raise DomainError(f"expectation weights must be positive, got {w}")
@@ -113,20 +120,21 @@ def _residuals(ctx, S, weights, target):
     return tuple(float(np.max(diff[ctx.degrees == n], initial=0.0)) for n in range(ctx.m + 1))
 
 
-def max_residual(formula, target=None):
-    return max(verify_moments(formula, formula.target() if target is None else target).values())
+def is_verified(residuals):
+    """Whether every residual is at most VERIFY_TOL (NaN is not): built and imported formulas' one rule."""
+    return all(r <= VERIFY_TOL for r in residuals)
 
 
 def _checked(formula, residuals=None):
     """Record the per-degree residuals on the formula and return it.
 
-    The moments are verified unless ``residuals`` is given; either way the
-    largest residual must not exceed VERIFY_TOL.
+    The moments are verified unless ``residuals`` is given; either way they
+    must pass ``is_verified``.
     """
     if residuals is None:
         residuals = tuple(verify_moments(formula, formula.target()).values())
-    res = max(residuals)
-    if res > VERIFY_TOL:
+    if not is_verified(residuals):
+        res = float(np.max(residuals))  # NaN if any residual is NaN
         raise NoFormulaFoundError(
             f"constructed formula fails verification: residual {res:.3e} > {VERIFY_TOL:.1e}",
             best_residual=res,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the horizon and integer checks."""
+"""Exception types shared across the package, and the horizon, finiteness and integer checks."""
 
 import math
 import numbers
@@ -22,12 +22,15 @@ class DomainError(CubatureError):
 
 def check_horizon(t):
     """t unless it is non-numeric, NaN, infinite or not positive: then DomainError."""
-    try:
-        if math.isfinite(t) and t > 0.0:
-            return t
-    except TypeError:
-        pass
+    if is_finite(t) and t > 0.0:
+        return t
     raise DomainError(f"horizon must be positive and finite, got {t!r}")
+
+
+def is_finite(x):
+    """Whether x is a real number of any kind, numpy's included, other than NaN or an infinity."""
+    # float and int first: the numbers.Real check alone costs ~10x math.isfinite
+    return isinstance(x, (float, int, numbers.Real)) and math.isfinite(x)
 
 
 def is_integer(k):

@@ -15,7 +15,8 @@ the same.  The signature and covariance oracles read it, or draw it, one
 block of paths at a time, and draw the covariance check's horizon-1 ensemble
 in blocks as well, so neither holds a second copy of a draw.
 Every estimator averages independent paths, one per row of the draw, so its
-standard error is the sample standard deviation over sqrt(n_paths).
+standard error is the sample standard deviation over sqrt(n_paths), and
+``z_score`` holds the one rule for comparing an estimate with its reference.
 Estimators are reproducible: draws come from the counter-based stream in
 :mod:`cubgreeks.rng`, so a seed fixes every number regardless of scheduling.
 """
@@ -29,7 +30,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import algebra
-from .errors import BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError, check_horizon, is_integer
+from .errors import (
+    BlowUpError, DomainError, EllipticityError, UnsupportedPayoffError, check_horizon, is_finite, is_integer,
+)
 from .rng import normal_increments
 from .sde import _batched, _fd_directional, _matvec, _scalar_payoff, _state_args, batched
 
@@ -59,9 +62,9 @@ class Payoff:
     def __init__(self, kind, strike=None, smoothing=None):
         if kind not in ("identity", "call", "smoothed_call"):
             raise UnsupportedPayoffError(f"unknown payoff {kind!r}")
-        if kind != "identity" and not _finite(strike):
+        if kind != "identity" and not is_finite(strike):
             raise UnsupportedPayoffError(f"payoff {kind!r} needs a finite strike, got {strike!r}")
-        if kind == "smoothed_call" and not (_finite(smoothing) and smoothing > 0):
+        if kind == "smoothed_call" and not (is_finite(smoothing) and smoothing > 0):
             raise UnsupportedPayoffError(
                 f"smoothed_call needs a positive finite smoothing width, got {smoothing!r}"
             )
@@ -95,13 +98,6 @@ class Payoff:
         return f"smoothed_call:{self.strike}:{self.smoothing}"
 
 
-def _finite(x):
-    try:
-        return math.isfinite(x)
-    except TypeError:
-        return False
-
-
 def parse_payoff(text):
     """\"identity\", \"call:K\", or \"smoothed_call:K:eps\" with finite K and eps."""
     parts = str(text).split(":")
@@ -123,6 +119,15 @@ def _mean_stderr(values):
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return mean, stderr
+
+
+def z_score(diff, stderr):
+    """diff / stderr elementwise, for scalars or arrays; at zero stderr, 0 where
+    |diff| <= 1e-12 and +-inf (the sign of diff) elsewhere, NaN included."""
+    diff, stderr = np.asarray(diff, dtype=float), np.asarray(stderr, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = np.where(stderr > 0.0, diff / stderr, np.where(np.abs(diff) <= 1e-12, 0.0, np.copysign(np.inf, diff)))
+    return z[()]
 
 
 # ---------------------------------------------------------------------------
@@ -290,25 +295,6 @@ def _weight_integrand(sigma, Jv, k):
     return integrand
 
 
-def simple_weight_delta_m1(system, f, y, v, t, cfg):
-    """The m=1 weight sum_i B_t^i w_i / t with w = sigma^{-1}(y) v (frozen at y).
-
-    Same driving noise as :func:`malliavin_delta_m1`, so the difference of
-    the two estimators isolates the O(sqrt t) remainder.
-    """
-    if system.dim != system.d:
-        raise EllipticityError(f"elliptic weight needs N = d, got N={system.dim}, d={system.d}")
-    y, v = _state_args(system, t, y, v)
-    f = _batched_payoff(system, f, y)
-    sigma0 = np.stack([system.field(i, y) for i in range(1, system.d + 1)], axis=-1)
-    w = _weight_integrand(sigma0[None], v[None], 0)[0]
-    normals = _normals(cfg, system.d)
-    ys = _euler_states(system, y, t, normals)
-    b_t = normals.sum(axis=1) * math.sqrt(t / cfg.n_steps)
-    values = f(ys) * (b_t @ w) / t
-    return _mean_stderr(values)
-
-
 # ---------------------------------------------------------------------------
 # signature expectation
 
@@ -418,10 +404,7 @@ def covariance_diagnostics(t, cfg, normals=None):
     conj = (dil[:, None] * c_1) * dil  # diag(dil) @ c_1 @ diag(dil), entrywise
     se_t = c_t.std(axis=0, ddof=1) / math.sqrt(n)
     se_conj = conj.std(axis=0, ddof=1) / math.sqrt(n)
-    denom = np.sqrt(se_t**2 + se_conj**2)
-    diff = np.abs(c_t.mean(axis=0) - conj.mean(axis=0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = np.where(denom > 0.0, diff / denom, np.where(diff > 1e-12, np.inf, 0.0))
+    z = z_score(np.abs(c_t.mean(axis=0) - conj.mean(axis=0)), np.sqrt(se_t**2 + se_conj**2))
     return CovarianceReport(
         max_det_rel_error=max_det_rel,
         e0_max_abs=e0_max,
@@ -449,7 +432,7 @@ def bs_closed_form(r, sigma, y, t, payoff):
     integrated against the lognormal density with 400-point Gauss-Legendre
     quadrature on 12 standard deviations.
     """
-    if not all(_finite(x) for x in (r, sigma, y, t)) or y <= 0.0 or t <= 0.0 or sigma <= 0.0:
+    if not all(is_finite(x) for x in (r, sigma, y, t)) or y <= 0.0 or t <= 0.0 or sigma <= 0.0:
         raise DomainError(f"need finite r and y, t, sigma > 0, got r={r}, sigma={sigma}, y={y}, t={t}")
     growth = math.exp(r * t)
     if payoff.kind == "identity":

@@ -268,13 +268,17 @@ def decompose_direction(system, y, v, t, m):
     Minimal-norm least squares over the canonical bracket words, dropping a
     word whose term |w_I| t^{deg/2} |[V_I](y)| is at most 1e-13 ||v||; raises
     when the residual of the returned coefficients exceeds 1e-8 ||v|| (v is
-    outside the bracket span at y).  Returns ({word: w_I}, residual).
+    outside the bracket span at y), and DomainError for a non-finite column.
+    Returns ({word: w_I}, residual).
     """
     check_horizon(t)
     v = np.asarray(v, dtype=float)
     table = build_bracket_table(system, y, m)
     words = list(table)  # lie_basis order: by degree, then by word
     cols = np.column_stack([t ** (algebra.word_degree(w) / 2.0) * table[w] for w in words])
+    finite = np.isfinite(cols).all(axis=0)
+    if not finite.all():
+        raise DomainError(f"bracket field {words[np.argmin(finite)]} is not finite at y={y}, t={t}")
     coeffs, *_ = np.linalg.lstsq(cols, v, rcond=None)
     scale = max(float(np.linalg.norm(v)), 1e-30)
     coeffs[np.abs(coeffs) * np.linalg.norm(cols, axis=0) <= 1e-13 * scale] = 0.0

@@ -13,6 +13,9 @@ Greeks dictionary and degree-3 spikes are frozen copies of the family loops
 that built them before they became orbits, and the property registry checks
 the registry's own batched draws one sample at a time through the
 element-level algebra functions, counting the Lie basis by Lyndon words.
+Three helpers only tests call sit here too: a formula's largest moment
+residual, an element's coordinates in the Lie basis, and the m = 1 weight
+frozen at the start state, which isolates the adapted weight's remainder.
 """
 
 import itertools
@@ -22,7 +25,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from cubgreeks import algebra, checks, mc, paths, sde
-from cubgreeks.errors import BlowUpError, DomainError
+from cubgreeks.algebra import to_dense
+from cubgreeks.cubature import verify_moments
+from cubgreeks.errors import BlowUpError, DomainError, EllipticityError
+from cubgreeks.mc import _batched_payoff, _euler_states, _mean_stderr, _normals, _weight_integrand
+from cubgreeks.sde import _state_args
 
 
 def path_on_grid(path, points_per_segment=2000):
@@ -64,6 +71,18 @@ def fd_jacobian(func, y, h=1e-6):
         dy[k] = h
         cols.append((np.asarray(func(y + dy)) - np.asarray(func(y - dy))) / (2 * h))
     return np.stack(cols, axis=-1)
+
+
+def max_residual(formula, target=None):
+    return max(verify_moments(formula, formula.target() if target is None else target).values())
+
+
+def lie_coordinates(basis, x):
+    """Least-squares coordinates of x in the Lie basis and the max-abs residual."""
+    vec = to_dense(x)
+    coords, *_ = np.linalg.lstsq(basis.matrix, vec, rcond=None)
+    residual = np.max(np.abs(basis.matrix @ coords - vec)) if basis.dim else np.max(np.abs(vec), initial=0.0)
+    return coords, float(residual)
 
 
 def dict_mul(ctx, x, y):
@@ -265,6 +284,25 @@ def gbm_exact_samples(r, sigma, y, t, n, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
     return y * np.exp((r - 0.5 * sigma * sigma) * t + sigma * math.sqrt(t) * z)
+
+
+def simple_weight_delta_m1(system, f, y, v, t, cfg):
+    """The m=1 weight sum_i B_t^i w_i / t with w = sigma^{-1}(y) v (frozen at y).
+
+    Same driving noise as :func:`malliavin_delta_m1`, so the difference of
+    the two estimators isolates the O(sqrt t) remainder.
+    """
+    if system.dim != system.d:
+        raise EllipticityError(f"elliptic weight needs N = d, got N={system.dim}, d={system.d}")
+    y, v = _state_args(system, t, y, v)
+    f = _batched_payoff(system, f, y)
+    sigma0 = np.stack([system.field(i, y) for i in range(1, system.d + 1)], axis=-1)
+    w = _weight_integrand(sigma0[None], v[None], 0)[0]
+    normals = _normals(cfg, system.d)
+    ys = _euler_states(system, y, t, normals)
+    b_t = normals.sum(axis=1) * math.sqrt(t / cfg.n_steps)
+    values = f(ys) * (b_t @ w) / t
+    return _mean_stderr(values)
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)

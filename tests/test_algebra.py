@@ -15,7 +15,6 @@ from cubgreeks.algebra import (
     generator,
     heat_element,
     lie_basis,
-    lie_coordinates,
     log,
     max_abs_diff,
     mul,
@@ -24,6 +23,8 @@ from cubgreeks.algebra import (
     zero,
 )
 from cubgreeks.errors import ContextMismatchError, DomainError, InvalidWordError
+
+from oracles import lie_coordinates
 
 
 def random_element(ctx, rng, sparsity=0.7, scale=1.0):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from cubgreeks import cli, greeks, mc, rng, sde
+from cubgreeks import cli, cubature, greeks, mc, rng, sde
 from cubgreeks.algebra import context, heat_element, word_degree
 from cubgreeks.cli import main, parse_direction, parse_scale
 from cubgreeks.errors import ConfigError
@@ -644,6 +644,35 @@ class TestCubatureCommand:
         assert data["valid"] is True
         assert data["max_residual"] < 1e-10
 
+    def test_residual_at_the_tolerance_is_valid(self, tmp_path, monkeypatch):
+        # import and the constructors' check share one rule: a residual equal to VERIFY_TOL passes
+        out = tmp_path / "formula.json"
+        argv = ["cubature", "export", "--kind", "expectation5", "--d", "2", "--m", "5", "--t", "0.5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        formula = cubature.formula_from_dict(data, verify=False)
+        worst = max(cubature.verify_moments(formula, formula.target()).values())
+        assert 0.0 < worst < cubature.VERIFY_TOL
+        monkeypatch.setattr(cubature, "VERIFY_TOL", worst)
+        assert cubature.formula_from_dict(data).residual == worst
+        report = tmp_path / "report.json"
+        assert main(["cubature", "import", "--in", str(out), "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["valid"] is True
+
+    @pytest.mark.parametrize("kind, d, m", [("expectation3", 1, 3), ("greeks2pt", 1, 2)])
+    @pytest.mark.parametrize("item", [0, 1])
+    def test_import_of_a_nan_weight_is_a_usage_error(self, tmp_path, capsys, kind, d, m, item):
+        out = tmp_path / "formula.json"
+        main(["cubature", "export", "--kind", kind, "--d", str(d), "--m", str(m), "--out", str(out)])
+        data = json.loads(out.read_text())
+        data["items"][item]["w"] = math.nan
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["cubature", "import", "--in", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: formula file {out} is malformed: formula weights must be finite")
+
     def test_import_detects_corruption(self, tmp_path):
         out = tmp_path / "formula.json"
         main(["cubature", "export", "--kind", "expectation3", "--d", "2", "--m", "3",
@@ -730,14 +759,14 @@ def _diagnostics_csv_one_by_one(t, cfg):
     heat = heat_element(ctx, 1.0)
     max_z = 0.0
     for w in ctx.basis:
-        max_z = max(max_z, cli._z_score(abs(element.coeff(w) - heat.coeff(w)), stderr[w]))
+        max_z = max(max_z, mc.z_score(abs(element.coeff(w) - heat.coeff(w)), stderr[w]))
     rows.append(["signature_mc_max_z", max_z, 0.0, 0.0, max_z])
     system = sde.black_scholes(0.05, 0.3)
     payoff = mc.Payoff("call", 1.0)
     _, ref = mc.bs_closed_form(0.05, 0.3, 1.0, t, payoff)
     for name, oracle in [("malliavin_delta", mc.malliavin_delta_m1), ("fd_delta", mc.fd_greek)]:
         est, se = oracle(system, payoff, [1.0], [1.0], t, cfg)
-        rows.append([name, est, se, ref, cli._z_score(est - ref, se)])
+        rows.append([name, est, se, ref, mc.z_score(est - ref, se)])
     lines = ["quantity,estimate,stderr,reference,z_score"]
     lines += [f"{q},{e:.10g},{s:.4g},{r:.10g},{z:.4g}" for q, e, s, r, z in rows]
     return "\n".join(lines) + "\n"

@@ -16,7 +16,6 @@ from cubgreeks.cubature import (
     greek_target,
     greeks_solve,
     greeks_two_point,
-    max_residual,
     rescale_formula,
     verify_moments,
 )
@@ -24,7 +23,7 @@ from cubgreeks.errors import DomainError, NoFormulaFoundError, UnsupportedDegree
 from cubgreeks.greeks import GreekRequest, expectation_one_step
 from cubgreeks.mc import McConfig, Payoff, euler_expectation
 
-from oracles import degree3_spikes, greeks_dictionary_loops
+from oracles import degree3_spikes, greeks_dictionary_loops, max_residual
 
 
 def _path_key(path):
@@ -49,6 +48,14 @@ class TestVerifyMoments:
         ctx = context(1, 3)
         res = verify_moments(CubatureFormula(ctx, 1.0, ()), heat_element(ctx, 1.0))
         assert res[0] == 1.0
+
+    def test_nan_residual_fails_verification(self):
+        # max() of residuals with a NaN past the first ignores it, and NaN > tol is False
+        assert cubature.is_verified((0.0, VERIFY_TOL, 1e-16))
+        for residuals in [(0.0, math.nan, 0.0, 0.0), (math.nan, 0.0), (0.0, 2 * VERIFY_TOL)]:
+            assert not cubature.is_verified(residuals)
+            with pytest.raises(NoFormulaFoundError):
+                cubature._checked(expectation_degree3(context(1, 3), 1.0), residuals)
 
 
 class TestExpectationDegree3:

@@ -25,7 +25,6 @@ from cubgreeks.mc import (
     malliavin_delta_m1,
     parse_payoff,
     signature_expectation_stats,
-    simple_weight_delta_m1,
 )
 
 from oracles import (
@@ -36,6 +35,7 @@ from oracles import (
     heisenberg_one_state,
     normal_increments_unblocked,
     signature_expectation_unblocked,
+    simple_weight_delta_m1,
 )
 
 BS = sde.black_scholes(0.05, 0.3)
@@ -696,6 +696,24 @@ class TestOraclesOnAGivenDraw:
         for oracle in oracles[d]:
             with pytest.raises(DomainError, match="given draw has shape"):
                 oracle()
+
+
+class TestZScore:
+    ABOVE = np.nextafter(1e-12, 1.0)
+
+    def test_zero_stderr_boundary_for_scalars(self):
+        # 0 up to a difference of 1e-12 inclusive, signed infinity above it
+        for diff, z in [(1e-12, 0.0), (-1e-12, 0.0), (0.0, 0.0), (self.ABOVE, math.inf), (-self.ABOVE, -math.inf)]:
+            got = mc.z_score(diff, 0.0)
+            assert isinstance(got, float) and got == z
+        assert abs(mc.z_score(math.nan, 0.0)) == math.inf
+        assert mc.z_score(-3.0, 2.0) == -1.5
+
+    def test_zero_stderr_boundary_for_arrays(self):
+        diff = np.array([1e-12, -1e-12, self.ABOVE, -self.ABOVE, 3.0, -3.0])
+        stderr = np.array([0.0, 0.0, 0.0, 0.0, 2.0, 0.0])
+        assert mc.z_score(diff, stderr).tolist() == [0.0, 0.0, math.inf, -math.inf, 1.5, -math.inf]
+        assert mc.z_score(diff[:, None], 0.0).shape == (6, 1)
 
 
 class TestCovarianceDiagnostics:

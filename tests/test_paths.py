@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cubgreeks import algebra, paths
-from cubgreeks.algebra import context, dilate, lie_basis, lie_coordinates, log, max_abs_diff, mul, unit
+from cubgreeks.algebra import context, dilate, lie_basis, log, max_abs_diff, mul, unit
 from cubgreeks.errors import DomainError, InvalidPathError
 from cubgreeks.paths import (
     PiecewisePath,
@@ -19,7 +19,7 @@ from cubgreeks.paths import (
     signatures,
 )
 
-from oracles import iterated_integral_quadrature
+from oracles import iterated_integral_quadrature, lie_coordinates
 
 
 def random_path(rng, d, n_segments=3, horizon=1.0):

@@ -417,6 +417,18 @@ class TestDecomposition:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
             greek_one_step(system, lambda x: x[..., 0], [1.0], [1.0], 0.5, 2)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_non_finite_bracket_is_refused_quietly(self, capfd, m):
+        # V1 = sqrt(y - 2) is NaN at y = 1; least squares on a NaN column used to
+        # fail inside LAPACK, printing to stderr and raising numpy's LinAlgError
+        system = sde.VectorFieldSystem(dim=1, d=1, fields=(lambda y: 0.0 * y, lambda y: np.sqrt(y - 2.0)))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DomainError, match=r"bracket field \(1,\) is not finite"):
+                decompose_direction(system, [1.0], [1.0], 0.1, m)
+            with pytest.raises(DomainError, match=r"bracket field \(1,\) is not finite"):
+                greek_one_step(system, lambda x: x[..., 0], [1.0], [1.0], 0.1, m)
+        assert capfd.readouterr().err == ""
+
     def test_table_excludes_time_word(self):
         table = build_bracket_table(heisenberg_toy(), [0.0, 0.0], 3)
         assert (0,) not in table

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import pickle
 
 import numpy as np
@@ -17,9 +19,10 @@ from cubgreeks.cubature import (
     formula_from_dict,
     formula_to_dict,
     greeks_two_point,
-    max_residual,
 )
 from cubgreeks.errors import DomainError, NoFormulaFoundError
+
+from oracles import max_residual
 
 
 class TestElementJson:
@@ -79,6 +82,22 @@ class TestFormulaJson:
             formula_from_dict(data)
         g = formula_from_dict(data, verify=False)
         assert max_residual(g) > 1e-4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("item", [0, 1])
+    @pytest.mark.parametrize("flavor", ["expectation", "greeks"])
+    def test_non_finite_weight_is_refused(self, flavor, item, bad):
+        # a NaN weight once gave NaN residuals, which passed verification
+        ctx = context(1, 3 if flavor == "expectation" else 2)
+        f = expectation_degree3(ctx, 1.0) if flavor == "expectation" else greeks_two_point(ctx, generator(ctx, 1), 1.0)
+        data = formula_to_dict(f)
+        data["items"][item]["w"] = bad
+        for verify in (True, False):
+            with pytest.raises(DomainError, match="weights must be finite"):
+                formula_from_dict(data, verify=verify)
+        items = tuple((bad if j == item else w, p) for j, (w, p) in enumerate(f.items))
+        with pytest.raises(DomainError, match="weights must be finite"):
+            dataclasses.replace(f, items=items)
 
     def test_unknown_flavor(self):
         f = expectation_degree3(context(1, 3), 0.5)

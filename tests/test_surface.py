@@ -1,9 +1,13 @@
 """The public surface: the names the package exports and the CLI's commands
 and long flags.  Changing either is a deliberate act that edits this file.
-The integer arguments of the entry points share one check, probed here."""
+The integer arguments of the entry points share one check, probed here, and
+every public function or class in the package has a caller in the package or
+is exported."""
 
 import argparse
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,9 @@ EXPORTS = {
     "segment_signature", "signature", "signature_expectation_mc", "verify_moments",
     "word_degree",
 }
+
+# element-level algebra beside exp, mul and dilate that no package code calls
+LIBRARY_ONLY = {"algebra.adjoint", "algebra.log"}
 
 COMMON = {"--format", "--help", "--out", "--seed", "--threads"}
 COMMANDS = {
@@ -80,3 +87,42 @@ def test_bool_is_not_an_integer(probe):
     # bool is a numbers.Integral, so each of these once passed its integer check
     with pytest.raises(DomainError):
         probe()
+
+
+def _uncalled_public_names(src):
+    """module.name of each public module-level function or class in src that no
+    other top-level statement of the package refers to and __init__ does not import."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    defined = {
+        (mod, node.name)
+        for mod, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = set()
+    for mod, tree in modules.items():
+        aliases = {}  # local name -> module name, or (module, name) for an imported name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = alias.name if node.module is None else (node.module, alias.name)
+                    aliases[alias.asname or alias.name] = target
+                    if mod == "__init__" and node.module:
+                        used.add(target)  # exported
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != own:
+                    target = aliases.get(node.id, (mod, node.id))
+                    if isinstance(target, tuple):
+                        used.add(target)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if isinstance(aliases.get(node.value.id), str):
+                        used.add((aliases[node.value.id], node.attr))
+    return {f"{mod}.{name}" for mod, name in defined - used}
+
+
+def test_src_names_have_a_src_caller():
+    # test-only helpers belong in tests/oracles.py, not in the package
+    src = Path(cubgreeks.__file__).parent
+    assert _uncalled_public_names(src) == LIBRARY_ONLY
