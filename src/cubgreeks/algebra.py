@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 import scipy.sparse
 
-from .errors import ContextMismatchError, DomainError, InvalidWordError, check_horizon, is_integer
+from .errors import ContextMismatchError, DomainError, InvalidWordError, check_horizon, is_finite, is_integer
 
 Word = tuple[int, ...]
 
@@ -484,4 +484,6 @@ def element_to_dict(x):
 def element_from_dict(data):
     ctx = context(int(data["d"]), int(data["m"]))
     coeffs = {tuple(item["word"]): float(item["c"]) for item in data["coeffs"]}
+    if not all(map(is_finite, coeffs.values())):
+        raise DomainError(f"element coefficients must be finite, got {list(coeffs.values())}")
     return TensorElement(ctx, coeffs)

@@ -10,7 +10,7 @@ padded after their end with zero-increment segments, then carried from horizon 1
 to the stage's step by ``paths.scale_knots``.
 
 The step rule: unless ``steps_per_segment`` fixes it, a (formula, step) stage
-runs at the smallest power of two n <= 16 RK4 steps per segment with err1 / n^4
+runs at the smallest integer n <= 16 RK4 steps per segment with err1 / n^4
 <= ODE_TOL, else 16.  err1 = |y2 - y1| 16/15 / max(1, |y2|) is the one-step
 error estimated on at most 4 states of the level evolved at 1 and 2 steps, once
 per formula and tree: a later stage at a step s <= s_ref of that probe takes
@@ -205,7 +205,7 @@ def _evaluate_tree(system, payoff, y0, stages, steps_per_segment, ode=None):
             else:
                 err1, level = _probe(system, states, weights, formula, s)
                 probed[id(formula)] = (s, err1)
-            n = next((k for k in (1, 2, 4, 8) if err1 <= ODE_TOL * k**4), sde.DEFAULT_STEPS_PER_SEGMENT)
+            n = next((k for k in range(1, 16) if err1 <= ODE_TOL * k**4), sde.DEFAULT_STEPS_PER_SEGMENT)
             level, n = (level, 2) if level is not None and n <= 2 else (None, n)
             err = err1 / n**4
         states, weights = level or _evolve_level(system, states, weights, formula, s, n)

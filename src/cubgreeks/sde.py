@@ -233,7 +233,7 @@ def _matvec(mat, vec):
 
 
 def bracket_vf(system, a, b, y):
-    """Lie bracket [A, B](y) = dA(y) B(y) - dB(y) A(y) of fields or expressions."""
+    """Lie bracket [A, B](y) = dB(y) A(y) - dA(y) B(y) of fields or expressions."""
     return FieldExpr.commutator(a, b).value(system, y)
 
 
@@ -345,16 +345,19 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
         def rhs(y):
             out = coef[0] * system.field(0, y)
             for i in driven:
-                out = out + coef[i] * system.field(i, y)
+                out += coef[i] * system.field(i, y)
             return out
 
         h = dt_seg / steps_per_segment
+        half, sixth = 0.5 * h, h / 6.0
         for _ in range(steps_per_segment):
             k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = rhs(y + half * k1)
+            k3 = rhs(y + half * k2)
+            k1 += 2.0 * k2  # k1 + 2 k2 + 2 k3 + k4, summed left to right in place
+            k1 += 2.0 * k3
+            k1 += rhs(y + h * k3)
+            y = y + sixth * k1
         if not np.all(np.isfinite(y)):
             raise BlowUpError(f"state became non-finite on segment {k}", segment=k)
     return y

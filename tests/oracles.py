@@ -1,12 +1,13 @@
 """Independent numerical oracles used by the tests.
 
-These deliberately avoid the package's own fast paths: iterated integrals
-come from composite trapezoid quadrature on a fine grid, derivatives from
-central differences, reference prices from direct lognormal sampling,
-truncated products and signatures from double loops over sparse word maps,
-cubature trees from one single-path RK4 loop per node, and first variations
-from a joint RK4 loop of their own.  The counter-based normals and the
-signature-expectation recursion are frozen, unblocked copies that draw and
+These deliberately avoid the package's own fast paths: iterated integrals come
+from composite trapezoid quadrature on a fine grid, derivatives from central
+differences, reference prices from direct lognormal sampling, truncated
+products and signatures from double loops over sparse word maps, cubature
+trees from one single-path RK4 loop per node, and first variations from a
+joint RK4 loop of their own.  ``evolve``'s batched segment loop is frozen as
+it stood before its RK4 kernel summed in place.  The counter-based normals and
+the signature-expectation recursion are frozen, unblocked copies that draw and
 multiply every path of a chunk in one array, and the covariance quadratures a
 frozen copy that builds the Brownian paths beside the draw.  The built-in
 Greeks dictionary and degree-3 spikes are frozen copies of the family loops
@@ -177,6 +178,38 @@ def evolve_loop(system, y0, path, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMEN
             for i in range(1, system.d + 1):
                 if slope[i] != 0.0:
                     out = out + slope[i] * system.field(i, y)
+            return out
+
+        h = dt_seg / steps_per_segment
+        for _ in range(steps_per_segment):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise BlowUpError(f"state became non-finite on segment {k}", segment=k)
+    return y
+
+
+def evolve_out_of_place(system, y0, path, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
+    """``sde.evolve``'s segment loop as it was before its RK4 kernel summed in
+    place: every field term, stage and update a fresh array, 0.5 h and h / 6
+    formed inside the step loop.  Takes the same paths and stacks, unchecked."""
+    times, points = path if isinstance(path, tuple) else (path.times, path.points)
+    times, points = np.asarray(times, dtype=float), np.asarray(points, dtype=float)
+    dts = np.diff(times)
+    y = np.asarray(y0, dtype=float).copy()
+    for k in range(times.shape[-1] - 1):
+        dt_seg = dts[k] if times.ndim == 1 else dts[:, k, None]
+        slope = (points[..., k + 1, :] - points[..., k, :]) / dt_seg
+        coef = [slope[..., i, None] for i in range(system.d + 1)]
+        driven = [i for i in range(1, system.d + 1) if np.any(coef[i] != 0.0)]
+
+        def rhs(y):
+            out = coef[0] * system.field(0, y)
+            for i in driven:
+                out = out + coef[i] * system.field(i, y)
             return out
 
         h = dt_seg / steps_per_segment

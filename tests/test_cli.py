@@ -368,7 +368,8 @@ class TestPartitionRecorded:
     RK4 steps per segment: they were recorded before the inner formulas were
     carried from horizon 1, the m'=5 cases re-recorded when the degree-5
     formula became the Ninomiya-Victoir splitting (3 paths in place of 7).  DEFAULT_CASES
-    are the same deltas under the default step rule, recorded when it came in."""
+    are the same deltas under the default step rule, re-recorded when it took the
+    smallest integer step count in place of the smallest power of two."""
 
     CASES = [
         ("3", "0.1", "4,2.0", "0x1.e5561ae698e2fp-2", 32),
@@ -378,11 +379,11 @@ class TestPartitionRecorded:
         ("5", "0.2", "3,2.0", "0x1.b9e0844d96450p-2", 54),
     ]
     DEFAULT_CASES = [
-        ("3", "0.1", "4,2.0", "0x1.e5561ae696e15p-2", 32),
-        ("3", "0.1", "8,3.0", "0x1.dd933569420bfp-2", 512),
-        ("3", "0.05", "6,1.5", "0x1.e3e6336822900p-2", 128),
-        ("5", "0.1", "2,1.0", "0x1.a7195cab9b170p-2", 18),
-        ("5", "0.2", "3,2.0", "0x1.b9e0844d96450p-2", 54),
+        ("3", "0.1", "4,2.0", "0x1.e5561ae5c4163p-2", 32),
+        ("3", "0.1", "8,3.0", "0x1.dd9335685b2b2p-2", 512),
+        ("3", "0.05", "6,1.5", "0x1.e3e633672f1eep-2", 128),
+        ("5", "0.1", "2,1.0", "0x1.a7195caae53abp-2", 18),
+        ("5", "0.2", "3,2.0", "0x1.b9e0844d5a766p-2", 54),
     ]
 
     @staticmethod
@@ -673,6 +674,20 @@ class TestCubatureCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: formula file {out} is malformed: formula weights must be finite")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_import_of_a_non_finite_direction_coefficient_is_a_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "formula.json"
+        main(["cubature", "export", "--kind", "greeks2pt", "--d", "2", "--m", "2", "--direction", "3,4",
+              "--out", str(out)])
+        data = json.loads(out.read_text())
+        data["direction"]["coeffs"][0]["c"] = value
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["cubature", "import", "--in", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: formula file {out} is malformed: element coefficients must be finite")
+
     def test_import_detects_corruption(self, tmp_path):
         out = tmp_path / "formula.json"
         main(["cubature", "export", "--kind", "expectation3", "--d", "2", "--m", "3",
@@ -742,6 +757,17 @@ class TestDiagnosticsCommand:
         rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()[1:]}
         assert rows["malliavin_delta"][2] == "0" and rows["malliavin_delta"][4] == "-inf"
         assert rows["fd_delta"][4] == "-inf"
+
+    @pytest.mark.parametrize("z", [5.0, -5.0])
+    def test_fd_delta_far_from_the_closed_form_fails(self, tmp_path, monkeypatch, z):
+        _, ref = mc.bs_closed_form(0.05, 0.3, 1.0, 0.25, mc.Payoff("call", 1.0))
+        monkeypatch.setattr(mc, "fd_greek", lambda *args, **kwargs: (ref + z * 0.01, 0.01))
+        out = tmp_path / "d.csv"
+        argv = ["diagnostics", "--t", "0.25", "--paths", "4000", "--steps", "64", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 1
+        rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()[1:]}
+        assert float(rows["fd_delta"][4]) == pytest.approx(z)
+        assert abs(float(rows["malliavin_delta"][4])) < 4.0
 
 
 def _diagnostics_csv_one_by_one(t, cfg):

@@ -32,7 +32,7 @@ from cubgreeks.sde import (
     load_model,
 )
 
-from oracles import evolve_loop, fd_jacobian, first_variation_loop, heisenberg_one_state
+from oracles import evolve_loop, evolve_out_of_place, fd_jacobian, first_variation_loop, heisenberg_one_state
 
 
 def reversed_path(path):
@@ -227,6 +227,47 @@ class TestStackedPaths:
             evolve(system, np.zeros((2, 2)), (times, points))
         with pytest.raises(DomainError):
             evolve(system, np.zeros((3, 2)), (times[:-1], points))
+
+
+class TestInPlaceKernel:
+    """``evolve``'s RK4 kernel, summing in place with 0.5 h and h / 6 hoisted,
+    gives the bytes of the out-of-place loop it replaced on every path form."""
+
+    @staticmethod
+    def cases(system):
+        rng = np.random.default_rng(17)
+        times, points, paths = TestStackedPaths.stack(rng, 5, 3, system.d + 1)
+        points[1, :, 1] = 0.0  # one row leaves V1 undriven
+        states = rng.uniform(-1.0, 1.0, size=(5, system.dim))
+        row_times = np.cumsum(rng.uniform(0.05, 0.4, size=(5, 4)), axis=1)
+        row_times[:, 0] = 0.0
+        # rows 0 and 1 end early and run zero-increment segments after their end
+        padded = points.copy()
+        padded[0, 2:], padded[1, 3:] = padded[0, 1], padded[1, 2]
+        yield "single path", states[0], paths[0]
+        yield "one path for a batch", states, paths[2]
+        yield "shared-time stack", states, (times, points)
+        yield "per-row times", states, (row_times, points)
+        yield "padded rows", states, (row_times, padded)
+
+    @pytest.mark.parametrize("steps", [1, 3, 16])
+    @pytest.mark.parametrize("system", [black_scholes(0.05, 0.3), heisenberg_toy()])
+    def test_bytes_equal_to_the_out_of_place_loop(self, system, steps):
+        for name, states, path in self.cases(system):
+            new = evolve(system, states, path, steps)
+            assert new.tobytes() == evolve_out_of_place(system, states, path, steps).tobytes(), name
+
+    @pytest.mark.parametrize("steps", [1, 3, 16])
+    @pytest.mark.parametrize("system", [black_scholes(0.05, 0.3), heisenberg_toy()])
+    def test_first_variation_bytes_equal_to_the_out_of_place_loop(self, monkeypatch, system, steps):
+        rng = np.random.default_rng(19)
+        path = from_increments(0.6, rng.uniform(-0.7, 0.7, size=(3, system.d + 1)))
+        for states in (rng.uniform(-0.8, 0.8, size=system.dim), rng.uniform(-0.8, 0.8, size=(4, system.dim))):
+            new = first_variation(system, states, path, steps)
+            with monkeypatch.context() as patched:
+                patched.setattr(sde, "evolve", evolve_out_of_place)
+                old = first_variation(system, states, path, steps)
+            assert new.tobytes() == old.tobytes()
 
 
 class TestBatchDecision:
