@@ -55,6 +55,7 @@ class _Formula:
     ctx: algebra.AlgebraContext
     t: float
     residuals: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _stack: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for w, _ in self.items:
@@ -72,6 +73,23 @@ class _Formula:
     @property
     def residual(self):
         return None if self.residuals is None else max(self.residuals)
+
+    @property
+    def stack(self):
+        """(times (q, K+1), points (q, K+1, d+1), whether every row has the same times, weights (q,)),
+        built on first use, read-only; a shorter path ends in zero-increment segments at 2, 3, .. x its end."""
+        if self._stack is None:
+            q, longest = len(self.items), max((p.n_segments for p in self.paths), default=1)
+            times, points = np.empty((q, longest + 1)), np.empty((q, longest + 1, self.ctx.d + 1))
+            for j, path in enumerate(self.paths):
+                k = path.n_segments + 1
+                times[j, :k], points[j, :k] = path.times, path.points
+                times[j, k:], points[j, k:] = path.times[-1] * np.arange(2, longest + 3 - k), path.points[-1]
+            weights = self.weights
+            for array in (times, points, weights):
+                array.setflags(write=False)
+            object.__setattr__(self, "_stack", (times, points, bool((times == times[:1]).all()), weights))
+        return self._stack
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,9 @@ The one-step Greek applies a derivative-flavor formula directly; the iterated
 scheme differentiates only over the first (small) step and chains expectation
 formulas over the remaining partition, multiplying weights along the branches
 of the resulting evaluation tree.  The tree is evaluated one level at a time:
-a level is one (n, N) state array with its (n,) weights, evolved along all
-of the formula's paths in one batched call, one path per row, shorter paths
-padded after their end with zero-increment segments, then carried from horizon 1
-to the stage's step by ``paths.scale_knots``.
+a level is one (n, N) state array with its (n,) weights, evolved in one batched
+call along the formula's padded stack of paths (``stack``, built once per
+formula at horizon 1), carried to the stage's step by ``paths.scale_knots``.
 
 The step rule: unless ``steps_per_segment`` fixes it, a (formula, step) stage
 runs at the smallest integer n <= 16 RK4 steps per segment with err1 / n^4
@@ -146,28 +145,20 @@ def _evolve_level(system, states, weights, formula, s, steps_per_segment):
 
     Returns (n*q, N) states in state-major, path-minor order (row i*q + j is
     state i along path j) and their weights weights[i] * lambda_j, from one
-    ``evolve`` call on the states repeated state-major, path-minor, one path
-    per row.  A shorter path is padded after its end with zero-increment
-    segments, the horizon-1 stack goes to s by ``paths.scale_knots``, and the
-    knot times are shared when all paths have the same, else given per row.
+    ``evolve`` call along the formula's padded horizon-1 ``stack`` (built once
+    per formula), carried to s by ``paths.scale_knots`` and tiled over the states.
     A system written for single states comes as its ``sde.batched`` copy and
     runs row by row in the same call, under the zero-slope rule for stacks
     (see ``sde.evolve``): a field non-finite on a row its path does not drive,
     or at a padded row's end state, gives NaN there when another path drives it.
     """
-    n, q = len(states), len(formula.items)
-    weights = (weights[:, None] * formula.weights[None, :]).ravel()
+    times, points, shared, lam = formula.stack
+    n, q = len(states), len(lam)
+    weights = (weights[:, None] * lam[None, :]).ravel()
     if not (n and q):
         return np.empty((0,) + states.shape[1:]), weights
-    longest = max(path.n_segments for path in formula.paths)
-    times, points = np.empty((q, longest + 1)), np.empty((q, longest + 1, formula.paths[0].dim))
-    for j, path in enumerate(formula.paths):
-        k = path.n_segments + 1
-        times[j, :k], points[j, :k] = path.times, path.points
-        times[j, k:], points[j, k:] = path.times[-1] * np.arange(2, longest + 3 - k), path.points[-1]
     times, points = paths.scale_knots(times, points, s)
-    times = times[0] if np.all(times == times[0]) else np.tile(times, (n, 1))
-    stack = (times, np.tile(points, (n, 1, 1)))
+    stack = (times[0] if shared else np.tile(times, (n, 1)), np.tile(points, (n, 1, 1)))
     return sde.evolve(system, np.repeat(states, q, axis=0), stack, steps_per_segment), weights
 
 

@@ -317,7 +317,8 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
     skipped when its slope is zero on every row of the call.  A single path
     thus never evaluates a field it does not drive, while inside a mixed or
     padded stack a non-finite V_i times a zero slope gives NaN and raises
-    ``BlowUpError`` like any other non-finite state.
+    ``BlowUpError`` like any other non-finite state.  A field whose first
+    value in a call is not of y0's shape raises ``ConfigError`` naming it.
     """
     if not (is_integer(steps_per_segment) and steps_per_segment >= 1):
         raise DomainError(f"steps_per_segment must be an integer >= 1, got {steps_per_segment!r}")
@@ -327,28 +328,33 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
         raise DomainError(f"path dimension {points.shape[-1]} != d+1 = {system.d + 1}")
     if points.ndim not in (2, 3) or times.shape not in (points.shape[-2:-1], points.shape[:-1]):
         raise DomainError(f"knot times of shape {times.shape} for knot points of shape {points.shape}")
-    dts = np.diff(times)
-    if times.shape[-1] < 2 or not (np.all(np.isfinite(times)) and np.all(dts > 0.0)):
+    dts = times[..., 1:, None] - times[..., :-1, None]
+    if times.shape[-1] < 2 or not (np.isfinite(times).all() and (dts > 0.0).all()):
         raise DomainError("knot times must be finite and strictly increasing, with at least two knots")
     y = np.asarray(y0, dtype=float).copy()
     if points.ndim == 3 and (y.ndim != 2 or len(points) != len(y)):
         raise DomainError(f"{len(points)} stacked paths for states of shape {y.shape}")
+
+    def checked(i, y):  # a field's first value in the call; numpy would broadcast another shape or refuse it untyped
+        value, calls[i] = system.field(i, y), system.field
+        if value.shape != y.shape:
+            raise ConfigError(f"field V{i} of {system.name!r} gives shape {value.shape} on states of shape {y.shape}")
+        return value
+
+    calls = [checked] * (system.d + 1)  # calls[i](i, y) is V_i(y)
+    slopes = (points[..., 1:, :] - points[..., :-1, :]) / dts
     for k in range(times.shape[-1] - 1):
-        # a scalar for shared times, a (rows, 1) column for per-row times
-        dt_seg = dts[k] if times.ndim == 1 else dts[:, k, None]
-        # coefficient i is (1,) for one path and (rows, 1) for a stack, so it
-        # broadcasts over the state components
-        slope = (points[..., k + 1, :] - points[..., k, :]) / dt_seg
-        coef = [slope[..., i, None] for i in range(system.d + 1)]
-        driven = [i for i in range(1, system.d + 1) if np.any(coef[i] != 0.0)]
+        # the step and coefficients as contiguous arrays of the states' shape, numpy's fastest operands here
+        h = np.full(y.shape, dts[..., k, :] / steps_per_segment)
+        coef = [np.full(y.shape, slopes[..., k, i, None]) for i in range(system.d + 1)]
+        driven = [i for i in range(1, system.d + 1) if (slopes[..., k, i] != 0.0).any()]
 
         def rhs(y):
-            out = coef[0] * system.field(0, y)
+            out = coef[0] * calls[0](0, y)
             for i in driven:
-                out += coef[i] * system.field(i, y)
+                out += coef[i] * calls[i](i, y)
             return out
 
-        h = dt_seg / steps_per_segment
         half, sixth = 0.5 * h, h / 6.0
         for _ in range(steps_per_segment):
             k1 = rhs(y)
@@ -358,7 +364,7 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
             k1 += 2.0 * k3
             k1 += rhs(y + h * k3)
             y = y + sixth * k1
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise BlowUpError(f"state became non-finite on segment {k}", segment=k)
     return y
 

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import importlib.util
 import itertools
 import math
 import sys
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -497,6 +499,102 @@ class TestLevelBatching:
         # rescaled formulas record t^{n/2} r_n from horizon 1, not a fresh check
         fresh = [max_residual(f) for f in [stage0, *inner]]
         assert np.allclose(residuals, fresh, rtol=0.0, atol=1e-14)
+
+
+class TestFormulaStack:
+    """Each horizon-1 formula pads its paths into one read-only evaluation stack,
+    built on first use and freed with the formula."""
+
+    REQUEST = GreekRequest(
+        system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,), t=1.0,
+        m=2, m_prime=3, partition=tuple(gamma_partition(1.0, 0.1, 8, 3.0)),
+    )
+
+    @staticmethod
+    def spy(monkeypatch):
+        """(formulas whose stack was built, formulas whose stack was read), one entry per event."""
+        built, read, stack = [], [], cubature._Formula.stack
+
+        def spied(self):
+            before = self._stack
+            out = stack.fget(self)
+            read.append(self)
+            if out is not before:
+                built.append(self)
+            return out
+
+        monkeypatch.setattr(cubature._Formula, "stack", property(spied))
+        return built, read
+
+    def test_a_request_builds_each_stack_once(self, monkeypatch):
+        unit = greeks.expectation_formula(1, 3)
+        object.__setattr__(unit, "_stack", None)  # unbuilt, as on first use in a process
+        built, read = self.spy(monkeypatch)
+        first = greek_iterated(self.REQUEST)
+        # stage 0 and the inner formula: one build each, read by both probes of
+        # each and by all 9 levels (the 13 evolve calls of the step-rule test)
+        assert [f is unit for f in built] == [False, True]
+        assert (sum(f is unit for f in read), len(read)) == (2 + 8, 13)
+        kept = unit.stack
+        second = greek_iterated(self.REQUEST)
+        # a second request reuses the cached inner formula's stack and builds only its own stage 0
+        assert [f is unit for f in built] == [False, True, False]
+        assert unit.stack is kept
+        assert second.estimate.hex() == first.estimate.hex()
+
+    @pytest.mark.parametrize("d, m_prime", [(1, 3), (2, 3), (1, 5), (2, 5)])
+    def test_stack_pads_each_path_and_is_read_only(self, d, m_prime):
+        formula = greeks.expectation_formula(d, m_prime)
+        times, points, shared, weights = formula.stack
+        assert formula.stack is formula.stack
+        assert weights.tobytes() == formula.weights.tobytes()
+        for j, path in enumerate(formula.paths):
+            k = len(path.times)
+            assert times[j, :k].tobytes() == path.times.tobytes()
+            assert points[j, :k].tobytes() == path.points.tobytes()
+            assert np.array_equal(times[j, k:], path.times[-1] * np.arange(2, times.shape[1] + 2 - k))
+            assert (points[j, k:] == path.points[-1]).all()
+        assert shared == all(np.array_equal(row, times[0]) for row in times)
+        for array in (times, points, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_a_finished_requests_stage0_formula_and_stack_are_freed(self, monkeypatch):
+        built, read = self.spy(monkeypatch)
+        greek_iterated(self.REQUEST)
+        unit = greeks.expectation_formula(1, 3)
+        stage0 = [f for f in built if f is not unit]
+        assert len(stage0) == 1
+        times, points, _, weights = stage0[0].stack
+        refs = [weakref.ref(obj) for obj in (stage0[0], times, points, weights)]
+        del built[:], read[:], stage0, times, points, weights
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
+        assert unit._stack is not None  # the lru-cached inner formula keeps its own
+
+    @pytest.mark.parametrize("system, d, m_prime, fields_per_segment", [
+        (BS, 1, 3, (1 + 1,)),  # one segment, every path drives V1
+        (HEISENBERG, 2, 3, (1 + 2,)),  # paths along e_1 and e_2 in one stack drive both
+        (BS, 1, 5, (1, 1 + 1, 1)),  # drift halves around the driven middle; z = 0 is padded
+    ])
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_each_rk4_stage_calls_the_drift_and_each_driven_field(
+        self, monkeypatch, system, d, m_prime, fields_per_segment, steps
+    ):
+        # the calls go through VectorFieldSystem.field, which the bench tracer
+        # counts as sde.field_calls and sde.field_rows
+        calls, field = [], sde.VectorFieldSystem.field
+
+        def counted(self, i, y):
+            calls.append(len(y))
+            return field(self, i, y)
+
+        monkeypatch.setattr(sde.VectorFieldSystem, "field", counted)
+        formula = greeks.expectation_formula(d, m_prime)
+        states = np.linspace(0.5, 1.5, 3 * system.dim).reshape(3, system.dim)
+        greeks._evolve_level(system, states, np.ones(3), formula, 0.3, steps)
+        assert len(calls) == 4 * steps * sum(fields_per_segment)
+        assert set(calls) == {3 * len(formula.items)}
 
 
 class TestFormulasFromHorizonOne:

@@ -117,6 +117,19 @@ class TestEvolve:
             with pytest.raises(BlowUpError):
                 evolve(system, [3.0], p)
 
+    @pytest.mark.parametrize("constant", [0, 1])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_field_value_not_of_the_batch_shape_is_a_config_error(self, constant, stacked):
+        # a constant (N,) value for an (n, N) batch: numpy refuses it untyped as
+        # V0 on one path and broadcasts it silently otherwise
+        fields = [lambda y: 0.1 * y, lambda y: 0.3 * y]
+        fields[constant] = lambda y: np.array([0.1, 0.0])
+        system = sde.VectorFieldSystem(dim=2, d=1, fields=tuple(fields))
+        path = line_path(1.0, [1.0, 0.5])
+        path = (path.times, np.stack([path.points] * 3)) if stacked else path
+        with pytest.raises(ConfigError, match=rf"V{constant} .*shape \(2,\) on states of shape \(3, 2\)"):
+            evolve(system, np.ones((3, 2)), path)
+
     def test_rejects_bad_steps(self):
         system = black_scholes(0.0, 0.2)
         with pytest.raises(DomainError):
