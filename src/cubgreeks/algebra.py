@@ -4,10 +4,10 @@ Generators are e_0, ..., e_d.  A word is a tuple of letters in {0..d}; its
 degree is the letter count with every 0 counted twice, so e_0 behaves like a
 quadratic (time-like) symbol.  All products truncate words of degree > m.
 Elements are dense coefficient vectors over the graded-lexicographic basis.
-The context owns the dense kernels: the one product, a scatter over the
-precomputed splits K = I*J of every basis word; the bracket; the exp and log
-series; dilation, graded projection and conjugation; the segment exponential;
-and the Chen fold of segment exponentials that every path signature runs.
+The context owns the dense kernels: the one product, a scatter over the precomputed
+splits K = I*J of every basis word; the bracket; the exp and log series; dilation, graded
+projection and conjugation; the segment exponential; and the Chen fold that every path
+signature runs, whose group-like step adds only interior splits, in the product's order.
 Each accepts a single vector (dim,) or a word-major batch (dim, n), and each
 column of a batch is bitwise the result of its own single-vector call.  The
 module-level functions check their inputs and wrap these kernels.
@@ -96,6 +96,9 @@ class AlgebraContext:
                 np.array([w[-1] for w in level]),
                 1.0 / length,
             ))
+        # interior cuts 0 < c < len(w), cut-major: (words, prefixes, suffixes)
+        cuts = [[(index[w], index[w[:c]], index[w[c:]]) for w in words if len(w) > c] for c in range(1, self.m)]
+        self._chen_cuts = [tuple(np.array(cut).T.copy()) for cut in cuts]
 
     @property
     def dim(self):
@@ -181,20 +184,35 @@ class AlgebraContext:
         with the division taken as a product by the reciprocal.
         """
         inc = np.asarray(inc, dtype=float)
-        out = np.zeros((self.dim,) + inc.shape[1:])
+        if inc.shape[:1] != (self.d + 1,):
+            raise DomainError(f"increments of shape {inc.shape} need d+1 = {self.d + 1} rows")
+        out = np.empty((self.dim,) + inc.shape[1:])
         out[0] = 1.0
-        for idx, prefix, last, recip in self._exp_levels:
+        (idx, _, last, _), *levels = self._exp_levels
+        out[idx] = inc[last]  # (1 * inc) * 1, bit for bit
+        for idx, prefix, last, recip in levels:
             out[idx] = (out[prefix] * inc[last]) * recip
         return out
 
     def chen(self, inc):
         """Signature of a piecewise-linear path from step-major increments of
         shape (d+1, K) or (d+1, K, n), K >= 1: the segment exponentials
-        multiplied in step order (Chen's relation), starting from the first."""
+        multiplied in step order (Chen's relation), starting from the first.
+        Factor y and partial product sig have constant term 1.0, so each word K sums as
+        (0 + y[K]) + interior splits by ascending cut + sig[K], bitwise ``product(sig, y)``."""
         inc = np.asarray(inc, dtype=float)
+        if inc.ndim < 2 or inc.shape[1] == 0:
+            raise DomainError(f"increments of shape {inc.shape} hold no step; need (d+1, K) or (d+1, K, n), K >= 1")
         sig = self.segment_exp(inc[:, 0])
         for k in range(1, inc.shape[1]):
-            sig = self.product(sig, self.segment_exp(inc[:, k]))
+            y = self.segment_exp(inc[:, k])
+            out = y + 0.0  # the product's sum starts at +0.0, which turns -0.0 to 0.0
+            for words, prefixes, suffixes in self._chen_cuts:
+                terms = sig[prefixes]  # in place: a fresh block fewer, so a new heap is not trimmed and refaulted
+                terms *= y[suffixes]
+                out[words] += terms
+            out[1:] += sig[1:]
+            sig = out
         return sig
 
     def __eq__(self, other):

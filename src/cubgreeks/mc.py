@@ -36,7 +36,7 @@ from .errors import (
 from .rng import normal_increments
 from .sde import _batched, _fd_directional, _matvec, _scalar_payoff, _state_args, batched
 
-_SIG_BLOCK = 2048  # paths per block of the Chen fold (product terms stay in L2) and the covariance sums
+_SIG_BLOCK = 2048  # paths per block of the Chen fold (a step's 320 KiB arrays stay in L2) and the covariance sums
 
 
 @dataclass(frozen=True)

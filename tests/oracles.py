@@ -3,7 +3,8 @@
 These deliberately avoid the package's own fast paths: iterated integrals come
 from composite trapezoid quadrature on a fine grid, derivatives from central
 differences, reference prices from direct lognormal sampling, truncated
-products and signatures from double loops over sparse word maps, cubature
+products and signatures from double loops over sparse word maps, the Chen
+fold through the general product on zero-filled segment exponentials, cubature
 trees from one single-path RK4 loop per node, and first variations from a
 joint RK4 loop of their own.  ``evolve``'s batched segment loop is frozen as
 it stood before its RK4 kernel summed in place.  The counter-based normals and
@@ -121,6 +122,27 @@ def dict_signature(ctx, path):
             for w, c in term.items():
                 seg[w] = seg.get(w, 0.0) + c
         sig = dict_mul(ctx, sig, seg)
+    return sig
+
+
+def segment_exp_zero_filled(ctx, inc):
+    """Segment exponential of (d+1,) or (d+1, n) increments on a zero-filled
+    array, every word of length >= 1 by E_w = (E_prefix * inc[last]) * (1/len(w))."""
+    inc = np.asarray(inc, dtype=float)
+    out = np.zeros((ctx.dim,) + inc.shape[1:])
+    out[0] = 1.0
+    for k, w in enumerate(ctx.basis[1:], start=1):
+        out[k] = (out[ctx.index[w[:-1]]] * inc[w[-1]]) * (1.0 / len(w))
+    return out
+
+
+def chen_by_product(ctx, inc):
+    """Chen fold of (d+1, K) or (d+1, K, n) increments through ``ctx.product``,
+    which sums every split of each word, its two end splits included."""
+    inc = np.asarray(inc, dtype=float)
+    sig = segment_exp_zero_filled(ctx, inc[:, 0])
+    for k in range(1, inc.shape[1]):
+        sig = ctx.product(sig, segment_exp_zero_filled(ctx, inc[:, k]))
     return sig
 
 

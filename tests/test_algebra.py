@@ -343,6 +343,30 @@ class TestAdjoint:
             assert max_abs_diff(algebra.adjoint(c * g, w), algebra.adjoint(g, w)) < 1e-14
 
 
+class TestSegmentFoldRefusals:
+    """The segment exponential and the Chen fold refuse increments whose first
+    axis is not d+1, which used to index out of range (fewer rows) or fold the
+    first d+1 rows silently (more), and a fold with no step."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 4, 5])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_row_count_other_than_d_plus_1(self, rows, batch):
+        ctx = context(2, 3)
+        with pytest.raises(DomainError, match="d\\+1 = 3"):
+            ctx.segment_exp(np.full((rows,) + batch, 0.1))
+        with pytest.raises(DomainError, match="d\\+1 = 3"):
+            ctx.chen(np.full((rows, 2) + batch, 0.1))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (3, 0, 4), (3,), ()])
+    def test_chen_without_a_step(self, shape):
+        with pytest.raises(DomainError, match="no step"):
+            context(2, 3).chen(np.zeros(shape))
+
+    def test_segment_exp_of_a_scalar(self):
+        with pytest.raises(DomainError):
+            context(2, 3).segment_exp(0.1)
+
+
 class TestHeatElement:
     def test_d1_m3_closed_form(self):
         # exp(t(e0 + e1^2/2)) has no other word of degree <= 3

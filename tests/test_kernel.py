@@ -3,6 +3,9 @@
 The dense product and signature are checked bitwise against the sparse
 double-loop oracles in ``oracles.py``: on basis-ordered inputs both sum the
 splits of each word in ascending cut order, so the arithmetic is the same.
+The Chen fold's group-like step is checked bitwise against a fold through
+the general product, and the segment exponential against its zero-filled
+recursion, on increments with signed zeros.
 The batched Chen fold and ``paths.signatures`` are checked bitwise, path by
 path, against the single-path fold and the oracle, and the Monte Carlo mean
 against per-path signatures.  The exp and log series, dilation, conjugation,
@@ -21,7 +24,7 @@ from cubgreeks import algebra, mc, paths
 from cubgreeks.algebra import TensorElement, context, mul
 from cubgreeks.rng import normal_increments
 
-from oracles import dict_mul, dict_signature
+from oracles import chen_by_product, dict_mul, dict_signature, segment_exp_zero_filled
 
 CONTEXTS = [(1, 5), (2, 3), (2, 5), (3, 4)]
 # no shrinking: a dense element at (2,5) has 119 coefficients, and shrinking
@@ -32,6 +35,10 @@ SETTINGS = settings(
 )
 
 coefficient = st.one_of(st.just(0.0), st.floats(-100.0, 100.0, allow_nan=False))
+# every context the benchmark runs, (2, 3) and (2, 4) besides those above, and (1, 3)
+FOLD_CONTEXTS = CONTEXTS + [(1, 3), (2, 4)]
+# signed zeros: the fold's sum starts at +0.0, which turns a lone -0.0 to 0.0
+increment_value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
 
 
 def basis_ordered(ctx, values):
@@ -65,6 +72,34 @@ def test_signature_matches_dict_oracle_bitwise(d, m, data):
     )
     path = paths.from_increments(1.0, increments)
     assert dict(paths.signature(ctx, path).coeffs) == dict_signature(ctx, path)
+
+
+def _increments(data, d, *shape):
+    """(d+1, *shape) increments, with exact zeros of either sign among them."""
+    size = (d + 1) * math.prod(shape)
+    values = data.draw(st.lists(increment_value, min_size=size, max_size=size))
+    return np.array(values).reshape((d + 1,) + shape)
+
+
+@pytest.mark.parametrize("d,m", FOLD_CONTEXTS)
+@SETTINGS
+@given(data=st.data())
+def test_chen_matches_the_product_fold_bitwise(d, m, data):
+    ctx = context(d, m)
+    k = data.draw(st.integers(1, 4))
+    batch = data.draw(st.one_of(st.just(()), st.tuples(st.integers(1, 5))))
+    inc = _increments(data, d, k, *batch)
+    assert ctx.chen(inc).tobytes() == chen_by_product(ctx, inc).tobytes()
+
+
+@pytest.mark.parametrize("d,m", FOLD_CONTEXTS + [(1, 1), (3, 2)])
+@SETTINGS
+@given(data=st.data())
+def test_segment_exp_matches_the_zero_filled_recursion_bitwise(d, m, data):
+    ctx = context(d, m)
+    batch = data.draw(st.one_of(st.just(()), st.tuples(st.integers(1, 5))))
+    inc = _increments(data, d, *batch)
+    assert ctx.segment_exp(inc).tobytes() == segment_exp_zero_filled(ctx, inc).tobytes()
 
 
 @pytest.mark.parametrize("d,m", CONTEXTS)

@@ -613,13 +613,15 @@ class TestBitwiseAgainstUnblockedOracles:
         assert u.tobytes() == counter_uniforms_unblocked(seed, counters).tobytes()
 
     def test_signature_expectation(self):
-        # two whole fold blocks and a part block
+        # two whole fold blocks and a part block; then one part block at the
+        # diagnostics depth, where the oracle's fold through ctx.product runs
+        # 127 steps beside the group-like one
         ctx = context(2, 3)
-        cfg = McConfig(2 * mc._SIG_BLOCK + 5, 8, seed=4)
-        element, stderr = signature_expectation_stats(ctx, 1.0, cfg)
-        ref_element, ref_stderr = signature_expectation_unblocked(ctx, 1.0, cfg, chunk=mc._SIG_BLOCK)
-        assert element.vec.tobytes() == ref_element.vec.tobytes()
-        assert np.array(list(stderr.values())).tobytes() == np.array(list(ref_stderr.values())).tobytes()
+        for cfg in (McConfig(2 * mc._SIG_BLOCK + 5, 8, seed=4), McConfig(300, 128, seed=7)):
+            element, stderr = signature_expectation_stats(ctx, 1.0, cfg)
+            ref_element, ref_stderr = signature_expectation_unblocked(ctx, 1.0, cfg, chunk=mc._SIG_BLOCK)
+            assert element.vec.tobytes() == ref_element.vec.tobytes()
+            assert np.array(list(stderr.values())).tobytes() == np.array(list(ref_stderr.values())).tobytes()
 
     @pytest.mark.parametrize(
         "t, cfg, path_start",
