@@ -10,10 +10,13 @@ formula at horizon 1), carried to the stage's step by ``paths.scale_knots``.
 
 The step rule: unless ``steps_per_segment`` fixes it, a (formula, step) stage
 runs at the smallest integer n <= 16 RK4 steps per segment with err1 / n^4
-<= ODE_TOL, else 16.  err1 = |y2 - y1| 16/15 / max(1, |y2|) is the one-step
-error estimated on at most 4 states of the level evolved at 1 and 2 steps, once
-per formula and tree: a later stage at a step s <= s_ref of that probe takes
-err1 (s / s_ref)^(5/2).  A probe of the whole level with n <= 2 is the level.
+<= tol, else 16.  tol is ODE_TOL at stage 0, the whole tree of a one-step
+estimate and held to its 1e-10 identities, and INNER_ODE_TOL at each later
+stage, an expectation step of an iterated scheme whose own error is ~1e-3.
+err1 = |y2 - y1| 16/15 / max(1, |y2|) is the one-step error estimated on at
+most 4 states of the level evolved at 1 and 2 steps, once per formula and tree:
+a later stage at a step s <= s_ref of that probe takes err1 (s / s_ref)^(5/2).
+A probe of the whole level with n <= 2 is the level.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
 
 DEFAULT_LEAF_CAP = 10**6
 ODE_TOL = 1e-11  # the step rule's bound on a stage's estimated relative RK4 error
+INNER_ODE_TOL = 1e-9  # the same bound on every stage after the first
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,10 @@ class GreekRequest:
         if not (steps and all(0.0 < s < math.inf for s in steps) and total < math.inf):
             raise DomainError("partition steps must be flat numbers, positive and finite, and so must their sum")
         sde._state_args(self.system, self.t, self.y, self.v)
+        fixed = 1 if self.steps_per_segment is None else self.steps_per_segment
+        for name, value in (("steps_per_segment", fixed), ("leaf_cap", self.leaf_cap)):
+            if not (is_integer(value) and value >= 1):
+                raise DomainError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if abs(total - self.t) > 1e-9 * max(1.0, self.t):
             raise DomainError(f"partition sums to {total}, expected t={self.t}")
 
@@ -187,7 +195,7 @@ def _evaluate_tree(system, payoff, y0, stages, steps_per_segment, ode=None):
     system, payoff = sde.batched(system, y0), sde._scalar_payoff(payoff, y0)
     states, weights = np.asarray(y0, dtype=float).reshape(1, -1), np.ones(1)
     probed = {}  # id(formula) -> (step, err1) of its probe
-    for formula, s in stages:
+    for i, (formula, s) in enumerate(stages):
         n, err, level = steps_per_segment, None, None
         if n is None:
             s_ref, err1 = probed.get(id(formula), (0.0, math.inf))
@@ -196,7 +204,8 @@ def _evaluate_tree(system, payoff, y0, stages, steps_per_segment, ode=None):
             else:
                 err1, level = _probe(system, states, weights, formula, s)
                 probed[id(formula)] = (s, err1)
-            n = next((k for k in range(1, 16) if err1 <= ODE_TOL * k**4), sde.DEFAULT_STEPS_PER_SEGMENT)
+            tol = INNER_ODE_TOL if i else ODE_TOL
+            n = next((k for k in range(1, 16) if err1 <= tol * k**4), sde.DEFAULT_STEPS_PER_SEGMENT)
             level, n = (level, 2) if level is not None and n <= 2 else (None, n)
             err = err1 / n**4
         states, weights = level or _evolve_level(system, states, weights, formula, s, n)

@@ -369,7 +369,8 @@ class TestPartitionRecorded:
     carried from horizon 1, the m'=5 cases re-recorded when the degree-5
     formula became the Ninomiya-Victoir splitting (3 paths in place of 7).  DEFAULT_CASES
     are the same deltas under the default step rule, re-recorded when it took the
-    smallest integer step count in place of the smallest power of two."""
+    smallest integer step count in place of the smallest power of two, and again
+    when the stages after the first took greeks.INNER_ODE_TOL in place of ODE_TOL."""
 
     CASES = [
         ("3", "0.1", "4,2.0", "0x1.e5561ae698e2fp-2", 32),
@@ -379,11 +380,11 @@ class TestPartitionRecorded:
         ("5", "0.2", "3,2.0", "0x1.b9e0844d96450p-2", 54),
     ]
     DEFAULT_CASES = [
-        ("3", "0.1", "4,2.0", "0x1.e5561ae5c4163p-2", 32),
-        ("3", "0.1", "8,3.0", "0x1.dd9335685b2b2p-2", 512),
-        ("3", "0.05", "6,1.5", "0x1.e3e633672f1eep-2", 128),
-        ("5", "0.1", "2,1.0", "0x1.a7195caae53abp-2", 18),
-        ("5", "0.2", "3,2.0", "0x1.b9e0844d5a766p-2", 54),
+        ("3", "0.1", "4,2.0", "0x1.e5561ac6fe48cp-2", 32),
+        ("3", "0.1", "8,3.0", "0x1.dd933548c12c2p-2", 512),
+        ("3", "0.05", "6,1.5", "0x1.e3e6334c66b51p-2", 128),
+        ("5", "0.1", "2,1.0", "0x1.a7195ca944800p-2", 18),
+        ("5", "0.2", "3,2.0", "0x1.b9e0844619456p-2", 54),
     ]
 
     @staticmethod

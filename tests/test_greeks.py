@@ -463,7 +463,7 @@ class TestLevelBatching:
     @pytest.mark.parametrize("system, v, m, partition, ode_steps, n_calls", [
         # 9 levels + 2 probes each of stage 0 and the inner formula, whose
         # later steps are no longer than its first and reuse its estimate
-        (BS, (1.0,), 2, tuple(gamma_partition(1.0, 0.1, 8, 3.0)), (9, 16, 15, 13, 10, 7, 5, 3, 1), 9 + 2 * 2),
+        (BS, (1.0,), 2, tuple(gamma_partition(1.0, 0.1, 8, 3.0)), (9, 6, 5, 4, 3, 3, 2, 1, 1), 9 + 2 * 2),
         # 1 level + 2 probes - the kept 2-step probe of the one-state level
         (HEISENBERG, None, 3, (0.1,), (2,), 1 + 2 - 1),
         # 4 levels + 2 * 2 probes - stage 0 kept: stage 1 has 15 states, too many to keep its probe
@@ -714,7 +714,7 @@ def _bench_workloads():
 
 class TestStepRule:
     """The default RK4 step count, chosen per stage by step doubling against
-    greeks.ODE_TOL, and capped at 16."""
+    greeks.ODE_TOL at stage 0 and greeks.INNER_ODE_TOL after, and capped at 16."""
 
     @staticmethod
     def requests(system, y, v):
@@ -736,17 +736,19 @@ class TestStepRule:
                 assert max(result.ode_steps) <= 2, request
 
     def test_black_scholes_stages_meet_the_tolerance_or_take_sixteen(self):
-        # each stage takes the smallest n with err1 / n^4 <= ODE_TOL, so n - 1
-        # fails it, else 16; a kept 2-step probe serves a stage 1 step would meet
+        # each stage takes the smallest n with err1 / n^4 <= its tolerance (ODE_TOL
+        # at stage 0, INNER_ODE_TOL after), so n - 1 fails it, else 16; a kept
+        # 2-step probe serves a stage 1 step would meet
         picked = set()
         for request in self.requests(BS, (1.0,), (1.0,)):
             result = greek_iterated(request)
             assert len(result.ode_steps) == len(result.ode_errors) == len(request.partition)
-            for n, error in zip(result.ode_steps, result.ode_errors):
+            for i, (n, error) in enumerate(zip(result.ode_steps, result.ode_errors)):
+                tol = greeks.INNER_ODE_TOL if i else greeks.ODE_TOL
                 err1 = error * n**4
-                smallest = next((k for k in range(1, 16) if err1 <= greeks.ODE_TOL * k**4), 16)
+                smallest = next((k for k in range(1, 16) if err1 <= tol * k**4), 16)
                 assert n == smallest or (n, smallest) == (2, 1), (request, result.ode_errors)
-                assert n == 16 or error <= greeks.ODE_TOL, (request, result.ode_errors)
+                assert n == 16 or error <= tol, (request, result.ode_errors)
                 picked.add(n)
         assert 16 in picked and min(picked) < 16
         assert picked - {1, 2, 4, 8, 16}, picked
@@ -794,6 +796,38 @@ class TestStepRule:
         assert len(deviations) == len(workloads.IteratedDelta.MIX) + workloads.HypoGreekGrid.OPS_PER_PASS
         assert max(deviations) <= 1e-8
 
+    def test_bench_box_corners_are_within_1e_8_of_64_steps(self, deviations, tmp_path):
+        # every iterated_delta op kind at the corners of the box its s0 and gamma are drawn from
+        workloads = _bench_workloads()
+        workload = workloads.IteratedDelta(tmp_path)
+        corners = list(itertools.product(sorted(set(workload.MIX)), (0.05, 0.2), (1.0, 3.0)))
+        for (m_prime, k), s0, gamma in corners:
+            op = workloads.Op(f"m{m_prime}k{k}", (m_prime, k, s0, gamma))
+            assert workload.check(op, workload.call(op)).error is not None, op
+        assert len(deviations) == len(corners) == 4 * 2 * 2
+        assert max(deviations) <= 1e-8
+
+    @pytest.mark.parametrize("system, f, y, v, t, greek, expectation", [
+        (BS, first, (1.0,), (1.0,), 0.2, "0x1.029b3aef3f19cp+0", "0x1.0290de7a18e5bp+0"),
+        (HEISENBERG, _hypo_payoff, (0.3, -0.2), (0.0, 1.0), 0.1, "0x1.47e6e4fc143bbp+0", "-0x1.0658b4ffa016cp-2"),
+    ])
+    def test_one_step_trees_keep_ode_tol(self, monkeypatch, system, f, y, v, t, greek, expectation):
+        # a one-step tree is stage 0 alone, so INNER_ODE_TOL never applies to it
+        odes, evaluate = [], greeks._evaluate_tree
+
+        def recorded(system, payoff, y0, stages, steps_per_segment, ode=None):
+            odes.append([] if ode is None else ode)
+            return evaluate(system, payoff, y0, stages, steps_per_segment, odes[-1])
+
+        monkeypatch.setattr(greeks, "_evaluate_tree", recorded)
+        result = greek_one_step(system, f, y, v, t, 3)
+        estimates = (result.estimate.hex(), expectation_one_step(system, f, y, t, 3).hex())
+        assert estimates == (greek, expectation)
+        assert result.ode_steps[0] < 16 and result.ode_errors[0] <= greeks.ODE_TOL
+        assert [len(ode) for ode in odes] == [1, 1]
+        assert odes[0][0] == (result.ode_steps[0], result.ode_errors[0])
+        assert odes[1][0][0] < 16 and odes[1][0][1] <= greeks.ODE_TOL
+
     def test_acceptance_estimates_are_within_1e_8_of_64_steps(self, deviations):
         import test_acceptance
 
@@ -840,6 +874,22 @@ class TestRequestInputs:
             expectation_one_step(BS, first, [1.0], 0.3, 3, steps)
         with pytest.raises(DomainError, match="steps_per_segment"):
             greek_iterated(self.request(steps_per_segment=steps))
+
+    @pytest.mark.parametrize("steps", [1.5, 16.0, "16", 0, -2, math.nan, True])
+    def test_request_refuses_a_bad_step_count_when_built(self, steps):
+        with pytest.raises(DomainError, match="steps_per_segment"):
+            self.request(steps_per_segment=steps)
+
+    @pytest.mark.parametrize("cap", ["10", None, math.nan, math.inf, 10.0, 0, -1, True])
+    def test_leaf_cap_must_be_an_integer_of_at_least_one(self, cap):
+        with pytest.raises(DomainError, match="leaf_cap"):
+            self.request(leaf_cap=cap)
+
+    def test_leaf_cap_bounds_the_tree(self):
+        request = self.request(partition=(0.25, 0.25), leaf_cap=np.int64(4), steps_per_segment=np.int32(2))
+        assert greek_iterated(request).paths_evaluated == 4
+        with pytest.raises(BudgetExceededError):
+            greek_iterated(dataclasses.replace(request, leaf_cap=3))
 
     @pytest.mark.parametrize(
         "payoff, match",
