@@ -2,10 +2,10 @@
 
 Each check returns its worst observed error; the CLI `verify` command runs
 the whole registry for a given (d, m) and reports a pass/fail table.  Checks
-are deterministic for a fixed seed.  A sampled check draws each of its inputs
-for all n_samples samples in one generator call, then evaluates its identity
-once on word-major (dim, n_samples) batches through the ``AlgebraContext``
-kernels, whose columns are bitwise their single-vector results.
+are deterministic for a fixed seed.  A sampled check draws each input for all
+n_samples samples in one generator call, its paths as one (n_samples, K+1,
+d+1) knot-point stack, then evaluates its identity once on word-major (dim,
+n_samples) batches through the ``AlgebraContext`` kernels, bitwise per column.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from . import algebra, paths
 from .algebra import context
+from .errors import DomainError, is_integer
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,10 @@ def _lie_elements(lie, coeffs):
     return out
 
 
-def _random_paths(rng, n, d, n_segments=3, horizon=1.0):
-    """n paths through U(-0.8, 0.8) increments at equally spaced knots."""
-    return [paths.from_increments(horizon, incs) for incs in rng.uniform(-0.8, 0.8, (n, n_segments, d + 1))]
+def _random_paths(rng, n, d, n_segments=3):
+    """Knot points (n, K+1, d+1) of n paths through U(-0.8, 0.8) increments: a zero row, then their running sums."""
+    incs = rng.uniform(-0.8, 0.8, (n, n_segments, d + 1))
+    return np.concatenate([np.zeros((n, 1, d + 1)), np.cumsum(incs, axis=1)], axis=1)
 
 
 def _lie_dimension(d, m):
@@ -64,6 +66,8 @@ def _lie_dimension(d, m):
 
 def run_property_checks(d, m, seed=0):
     """Run the registry for (d, m); returns a list of CheckResult."""
+    if not (is_integer(seed) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     n_samples = 20  # random draws per sampled check
     ctx = context(d, m)
     lie = algebra.lie_basis(ctx)
@@ -140,24 +144,23 @@ def run_property_checks(d, m, seed=0):
     sigs = paths.signatures(ctx, _random_paths(rng, n_samples, d))
     record("signature-group-likeness", _max_lie_residual(lie, ctx.log(sigs)), 1e-10)
 
-    # Chen: multiplicativity over a split point
-    firsts, seconds = (_random_paths(rng, n_samples, d, n_segments=2, horizon=h) for h in (0.6, 0.4))
-    joint = paths.signatures(ctx, [paths.concat(p1, p2) for p1, p2 in zip(firsts, seconds)])
+    # Chen: multiplicativity over a split point; the second path runs on from the first's end
+    firsts, seconds = (_random_paths(rng, n_samples, d, n_segments=2) for _ in range(2))
+    joint = paths.signatures(ctx, np.concatenate([firsts, firsts[:, -1:] + seconds[:, 1:]], axis=1))
     err = gap(joint, mul(paths.signatures(ctx, firsts), paths.signatures(ctx, seconds)))
     record("chen-multiplicativity", err, 1e-13)
 
     # reparametrization invariance: inserting a collinear knot changes nothing
     plain = _random_paths(rng, n_samples, d, n_segments=2)
-    knots = [[np.insert(a, 1, 0.5 * (a[0] + a[1]), axis=0) for a in (p.times, p.points)] for p in plain]
-    refined = [paths.PiecewisePath(p.t_end, list(zip(times, points))) for p, (times, points) in zip(plain, knots)]
+    refined = np.insert(plain, 1, 0.5 * (plain[:, 0] + plain[:, 1]), axis=1)
     err = gap(paths.signatures(ctx, plain), paths.signatures(ctx, refined))
     record("reparametrization-invariance", err, 1e-13)
 
-    # scaling: signature(scale_path(w, t)) = dilate(sqrt t, signature(w))
+    # scaling: signature(scale_knots(w, t)) = dilate(sqrt t, signature(w)); 1.0 stands in for the unread knot times
     plain = _random_paths(rng, n_samples, d)
     sig1 = paths.signatures(ctx, plain)
     err = max(
-        gap(paths.signatures(ctx, [paths.scale_path(p, t) for p in plain]), ctx.dilate(math.sqrt(t), sig1))
+        gap(paths.signatures(ctx, paths.scale_knots(1.0, plain, t)[1]), ctx.dilate(math.sqrt(t), sig1))
         for t in (0.01, 1.0, 4.0)
     )
     record("scale-dilate-intertwine", err, 1e-13)

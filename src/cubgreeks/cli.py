@@ -260,13 +260,12 @@ def cmd_diagnostics(args):
     cfg = mc.McConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     system = sde.black_scholes(0.05, 0.3)
     payoff = mc.Payoff("call", 1.0)
-    # each noise window is drawn once and read by two oracles on purpose: the
-    # d = 2 window by the signature and covariance checks, the d = 1 window by
-    # both deltas as common random numbers
+    # one d = 2 draw feeds the signature and covariance checks; at counter (p * S + k) * d + i,
+    # its first n * S draws are the d = 1 window both deltas read as common random numbers
     normals = rng.normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, 2)
     element, stderr = mc.signature_expectation_stats(context(2, 3), 1.0, cfg, normals)
     report = mc.covariance_diagnostics(args.t, cfg, normals)
-    normals = rng.normal_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps, 1)
+    normals = normals.reshape(-1)[: cfg.n_paths * cfg.n_steps].reshape(cfg.n_paths, cfg.n_steps, 1)
     mal, mal_se = mc.malliavin_delta_m1(system, payoff, [1.0], [1.0], args.t, cfg, normals)
     fd, fd_se = mc.fd_greek(system, payoff, [1.0], [1.0], args.t, cfg, normals=normals)
     rows = []

@@ -6,6 +6,7 @@ signature is the exponential of the increment and the full signature is the
 ordered product of segment exponentials (Chen's relation), folded by
 ``AlgebraContext.chen``, which the signature Monte Carlo runs too.
 Signatures of piecewise-linear paths are therefore exact up to truncation.
+``signatures`` folds a list of paths or a bare (n, K+1, d+1) knot-point stack.
 ``scale_knots`` alone carries horizon-1 knots to a horizon t (paths, tree levels).
 """
 
@@ -93,15 +94,6 @@ def line_path(t_end, increment):
     return from_increments(t_end, [np.asarray(increment, dtype=float)])
 
 
-def concat(p1, p2):
-    """Concatenation: run p1, then p2 translated to start at p1's endpoint."""
-    if p1.dim != p2.dim:
-        raise InvalidPathError("cannot concatenate paths of different dimensions")
-    times = np.concatenate([p1.times, p1.t_end + p2.times[1:]])
-    points = np.vstack([p1.points, p1.points[-1] + p2.points[1:]])
-    return PiecewisePath._from_arrays(p1.t_end + p2.t_end, times, points)
-
-
 def segment_signature(ctx, increment):
     """exp(sum_i dw^i e_i) for a single linear segment.
 
@@ -116,26 +108,32 @@ def segment_signature(ctx, increment):
 
 def signature(ctx, path):
     """Truncated signature: the context's Chen fold over the segments in knot order."""
-    if path.dim != ctx.d + 1:
-        raise InvalidPathError(f"path dimension {path.dim} != d+1 = {ctx.d + 1}")
-    return algebra.from_dense(ctx, ctx.chen(path.increments().T))
+    return algebra.from_dense(ctx, signatures(ctx, [path])[:, 0])
 
 
-def signatures(ctx, path_list):
-    """Signatures of a list of paths as a (dim, n) array, one column per path in list order.
-
-    Paths with the same segment count share one batched Chen fold, which is
-    bitwise equal to each path's own fold.
+def signatures(ctx, paths):
+    """Signatures as a (dim, n) array, one column per path, each bitwise that path's own fold:
+    of a knot-point stack (n, K+1, d+1) by one batched Chen fold, or of a list of paths in
+    list order, whose paths with the same segment count are stacked and folded together.
     """
+    if isinstance(paths, np.ndarray):
+        if paths.ndim != 3 or paths.shape[1] < 2 or paths.shape[2] != ctx.d + 1 or not np.isfinite(paths).all():
+            raise InvalidPathError(f"knot stack of shape {paths.shape}: need finite (n, K+1 >= 2, d+1 = {ctx.d + 1})")
+        return _fold(ctx, paths)
     by_count = {}
-    for j, path in enumerate(path_list):
+    for j, path in enumerate(paths):
         if path.dim != ctx.d + 1:
             raise InvalidPathError(f"path {j} has dimension {path.dim} != d+1 = {ctx.d + 1}")
         by_count.setdefault(path.n_segments, []).append(j)
-    out = np.empty((ctx.dim, len(path_list)))
+    out = np.empty((ctx.dim, len(paths)))
     for js in by_count.values():
-        out[:, js] = ctx.chen(np.stack([path_list[j].increments().T for j in js], axis=-1))
+        out[:, js] = _fold(ctx, np.stack([paths[j].points for j in js]))
     return out
+
+
+def _fold(ctx, points):
+    """The (dim, n) Chen fold of a knot-point stack (n, K+1, d+1) of finite points."""
+    return ctx.chen(np.diff(points, axis=1).transpose(2, 1, 0))
 
 
 def scale_knots(times, points, t):

@@ -15,9 +15,10 @@ Greeks dictionary and degree-3 spikes are frozen copies of the family loops
 that built them before they became orbits, and the property registry checks
 the registry's own batched draws one sample at a time through the
 element-level algebra functions, counting the Lie basis by Lyndon words.
-Three helpers only tests call sit here too: a formula's largest moment
-residual, an element's coordinates in the Lie basis, and the m = 1 weight
-frozen at the start state, which isolates the adapted weight's remainder.
+Four helpers only tests call sit here too: path concatenation, a formula's
+largest moment residual, an element's coordinates in the Lie basis, and the
+m = 1 weight frozen at the start state, which isolates the adapted weight's
+remainder.
 """
 
 import itertools
@@ -29,9 +30,18 @@ from scipy.special import ndtri
 from cubgreeks import algebra, checks, mc, paths, sde
 from cubgreeks.algebra import to_dense
 from cubgreeks.cubature import verify_moments
-from cubgreeks.errors import BlowUpError, DomainError, EllipticityError
+from cubgreeks.errors import BlowUpError, DomainError, EllipticityError, InvalidPathError
 from cubgreeks.mc import _batched_payoff, _euler_states, _mean_stderr, _normals, _weight_integrand
 from cubgreeks.sde import _state_args
+
+
+def concat(p1, p2):
+    """Concatenation: run p1, then p2 translated to start at p1's endpoint."""
+    if p1.dim != p2.dim:
+        raise InvalidPathError("cannot concatenate paths of different dimensions")
+    times = np.concatenate([p1.times, p1.t_end + p2.times[1:]])
+    points = np.vstack([p1.points, p1.points[-1] + p2.points[1:]])
+    return paths.PiecewisePath._from_arrays(p1.t_end + p2.t_end, times, points)
 
 
 def path_on_grid(path, points_per_segment=2000):
@@ -578,7 +588,7 @@ def property_checks_per_sample(d, m, seed=0):
 
     err = 0.0
     for p1, p2 in zip(random_paths(2, 0.6), random_paths(2, 0.4)):
-        joint = paths.signature(ctx, paths.concat(p1, p2))
+        joint = paths.signature(ctx, concat(p1, p2))
         err = max(err, A.max_abs_diff(joint, A.mul(paths.signature(ctx, p1), paths.signature(ctx, p2))))
     results.append(("chen-multiplicativity", err, 1e-13))
 

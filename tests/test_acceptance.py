@@ -13,7 +13,7 @@ from cubgreeks import algebra, checks, cubature, greeks, mc, paths, sde
 from cubgreeks.algebra import context, dilate, generator, heat_element, lie_basis, max_abs_diff
 from cubgreeks.cli import fit_loglog_slope
 
-from oracles import max_residual, simple_weight_delta_m1
+from oracles import concat, max_residual, simple_weight_delta_m1
 
 BS = sde.black_scholes(0.05, 0.3)
 R, SIGMA, Y0 = 0.05, 0.3, 1.0
@@ -51,7 +51,7 @@ def test_criterion_02_chen_and_scaling():
     for _ in range(100):
         p1 = paths.from_increments(0.6, rng.uniform(-0.8, 0.8, size=(2, 3)))
         p2 = paths.from_increments(0.4, rng.uniform(-0.8, 0.8, size=(2, 3)))
-        joined = paths.signature(ctx, paths.concat(p1, p2))
+        joined = paths.signature(ctx, concat(p1, p2))
         split = algebra.mul(paths.signature(ctx, p1), paths.signature(ctx, p2))
         worst_chen = max(worst_chen, max_abs_diff(joined, split))
 

@@ -6,10 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from cubgreeks import cli, cubature, greeks, mc, rng, sde
+from cubgreeks import checks, cli, cubature, greeks, mc, rng, sde
 from cubgreeks.algebra import context, heat_element, word_degree
 from cubgreeks.cli import main, parse_direction, parse_scale
-from cubgreeks.errors import ConfigError
+from cubgreeks.errors import ConfigError, DomainError
 
 
 @pytest.fixture
@@ -802,8 +802,8 @@ def _diagnostics_csv_one_by_one(t, cfg):
 class TestDiagnosticsSharedDraws:
     """``diagnostics`` draws each noise window once: the signature check and
     the horizon-t covariance ensemble share one d = 2 draw, and the Malliavin
-    and finite-difference deltas one d = 1 draw.  Its table is the bytes of
-    the public oracles run one by one."""
+    and finite-difference deltas read its first n * S draws as their d = 1
+    window.  Its table is the bytes of the public oracles run one by one."""
 
     @pytest.mark.parametrize(
         "seed, paths, steps, code",
@@ -828,14 +828,22 @@ class TestDiagnosticsSharedDraws:
         monkeypatch.setattr(rng, "normal_increments", counted)
         argv = ["diagnostics", "--paths", "4000", "--steps", "64", "--seed", "5"]
         assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
-        # one full-size d = 2 draw: the horizon-1 covariance ensemble (paths
-        # n..2n) is drawn in blocks of mc._SIG_BLOCK paths
-        assert windows == [(0, 4000, 64, 2), (4000, 2048, 64, 2), (6048, 1952, 64, 2), (0, 4000, 64, 1)]
-        assert sum(math.prod(w[1:]) for w in windows) == 1_280_000
+        # one full-size d = 2 draw, whose prefix is the d = 1 window: the
+        # horizon-1 covariance ensemble (paths n..2n) is drawn in blocks of
+        # mc._SIG_BLOCK paths
+        assert windows == [(0, 4000, 64, 2), (4000, 2048, 64, 2), (6048, 1952, 64, 2)]
+        assert sum(math.prod(w[1:]) for w in windows) == 1_024_000
         # the oracles one by one draw the d = 2 window 0..n and the d = 1 window twice each
         windows.clear()
         _diagnostics_csv_one_by_one(0.25, mc.McConfig(n_paths=4000, n_steps=64, seed=5))
         assert sum(math.prod(w[1:]) for w in windows) == 2_048_000
+
+    @pytest.mark.parametrize("seed, paths, steps", [(5, 1, 1), (0, 3, 7), (41, 4001, 63), (2**40 + 1, 17, 129)])
+    def test_d1_window_is_the_d2_draws_prefix(self, seed, paths, steps):
+        # draw (p, k, i) sits at counter (p * S + k) * d + i, so the first n * S
+        # d = 2 draws are the d = 1 window, bit for bit
+        prefix = rng.normal_increments(seed, 0, paths, steps, 2).reshape(-1)[: paths * steps]
+        assert prefix.reshape(paths, steps, 1).tobytes() == rng.normal_increments(seed, 0, paths, steps, 1).tobytes()
 
     def test_each_oracle_is_called_once_by_its_public_name(self, tmp_path, monkeypatch):
         # a tracer that wraps the public names of mc sees every oracle
@@ -848,6 +856,29 @@ class TestDiagnosticsSharedDraws:
         argv = ["diagnostics", "--paths", "500", "--steps", "16", "--seed", "5"]
         assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
         assert calls == ["signature_expectation_stats", "covariance_diagnostics", "malliavin_delta_m1", "fd_greek"]
+
+
+class TestVerifySeed:
+    """``verify`` refuses a seed that is not an integer >= 0, which numpy's
+    generator would refuse with an untyped error, as a usage error."""
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, True, None, "3"])
+    def test_library_call_refuses_the_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            checks.run_property_checks(1, 2, seed=seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        assert checks.run_property_checks(1, 2, seed=np.int64(7)) == checks.run_property_checks(1, 2, seed=7)
+
+    def test_flag_exits_2(self, capsys):
+        assert main(["verify", "--d", "1", "--m", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: seed must be an integer >= 0, got -1" in captured.err
+
+    def test_environment_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("CUBGREEKS_SEED", "-1")
+        assert main(["verify", "--d", "1", "--m", "2"]) == 2
+        assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 class TestEnvOverrides:

@@ -8,7 +8,6 @@ from cubgreeks.algebra import context, dilate, lie_basis, log, max_abs_diff, mul
 from cubgreeks.errors import DomainError, InvalidPathError
 from cubgreeks.paths import (
     PiecewisePath,
-    concat,
     from_increments,
     line_path,
     path_from_dict,
@@ -19,7 +18,7 @@ from cubgreeks.paths import (
     signatures,
 )
 
-from oracles import iterated_integral_quadrature, lie_coordinates
+from oracles import concat, iterated_integral_quadrature, lie_coordinates
 
 
 def random_path(rng, d, n_segments=3, horizon=1.0):
@@ -213,6 +212,54 @@ class TestArrayConstructor:
     def test_array_constructor_keeps_every_check(self, times, points):
         with pytest.raises(InvalidPathError):
             PiecewisePath._from_arrays(1.0, np.array(times), np.array(points))
+
+
+class TestSignatureStack:
+    """``signatures`` of an (n, K+1, d+1) knot-point stack: one Chen fold whose
+    columns are bitwise each path's own signature, and the list form's fold."""
+
+    CONTEXTS = [(1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 4)]  # verify's test contexts
+
+    @staticmethod
+    def stack(rng, n, n_segments, d):
+        points = np.concatenate([np.zeros((n, 1, d + 1)), rng.uniform(-0.8, 0.8, (n, n_segments, d + 1))], axis=1)
+        points[0, 1, 1] = -0.0  # -0.0 - 0.0: an increment of -0.0
+        points[1, :, 0] = 0.0  # a path that never moves in time
+        return points
+
+    @pytest.mark.parametrize("n_segments", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d,m", CONTEXTS)
+    def test_each_column_is_the_path_signature_bitwise(self, d, m, n_segments):
+        ctx = context(d, m)
+        points = self.stack(np.random.default_rng(100 * d + 10 * m + n_segments), 5, n_segments, d)
+        assert np.signbit(np.diff(points[0], axis=0)[0, 1])
+        columns = signatures(ctx, points)
+        assert columns.shape == (ctx.dim, 5)
+        times = np.linspace(0.0, 1.0, n_segments + 1)
+        for j, row in enumerate(points):
+            own = signature(ctx, PiecewisePath(1.0, list(zip(times, row))))
+            assert columns[:, j].tobytes() == own.vec.tobytes()
+
+    @pytest.mark.parametrize("d,m", CONTEXTS)
+    def test_list_of_equal_length_paths_is_the_stack(self, d, m):
+        points = self.stack(np.random.default_rng(d + m), 6, 3, d)
+        path_list = [PiecewisePath(0.7, list(zip(np.linspace(0.0, 0.7, 4), row))) for row in points]
+        ctx = context(d, m)
+        assert signatures(ctx, path_list).tobytes() == signatures(ctx, points).tobytes()
+
+    @pytest.mark.parametrize("points", [
+        np.zeros((3, 3)),  # ndim 2
+        np.zeros((1, 2, 3, 3)),  # ndim 4
+        np.zeros((2, 3, 2)),  # last axis d
+        np.zeros((2, 3, 4)),  # last axis d + 2
+        np.zeros((2, 1, 3)),  # one knot
+        np.zeros((2, 0, 3)),  # no knot
+        np.array([[[0.0, 0.0, 0.0], [1.0, np.nan, 0.0]]]),
+        np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, -np.inf]]]),
+    ], ids=["ndim2", "ndim4", "dim-d", "dim-d+2", "one-knot", "no-knot", "nan", "inf"])
+    def test_bad_stack_is_refused(self, points):
+        with pytest.raises(InvalidPathError):
+            signatures(context(2, 3), points)
 
 
 class TestPathSerialization:
