@@ -383,8 +383,8 @@ def log(x):
 
 def dilate(s, x):
     """Grading automorphism: scale every degree-n coefficient by s**n."""
-    if s <= 0.0:
-        raise DomainError(f"dilation parameter must be positive, got {s}")
+    if not (is_finite(s) and s > 0.0):
+        raise DomainError(f"dilation parameter must be positive and finite, got {s!r}")
     return TensorElement._of(x.context, x.context.dilate(s, x.vec))
 
 

@@ -13,6 +13,9 @@ increments and through their images under permutations and sign flips of the
 space axes (Lyons & Victoir), so the odd-space moments cancel by symmetry.
 
 Every built-in formula is built and verified once per context at horizon 1.
+Its paths are laid out once, as the padded knot stack of ``paths.knot_stack``
+(``stack``): its moment check folds that stack, and the tree in ``greeks``
+evolves along it.  A dictionary is folded through the same stack form.
 At horizon t, sig(scale_path(p, t)) = dilate(sqrt t, sig(p)) and both targets
 dilate the same way, so a degree-n residual r_n becomes t^{n/2} r_n with no second
 check (``scaled_residuals``, for ``rescale_formula`` and the tree in ``greeks``).
@@ -76,15 +79,10 @@ class _Formula:
 
     @property
     def stack(self):
-        """(times (q, K+1), points (q, K+1, d+1), whether every row has the same times, weights (q,)),
-        built on first use, read-only; a shorter path ends in zero-increment segments at 2, 3, .. x its end."""
+        """(times (q, K+1), points (q, K+1, d+1), whether every row has the same times, weights (q,)):
+        the paths' ``paths.knot_stack`` and the weights, built on first use, read-only."""
         if self._stack is None:
-            q, longest = len(self.items), max((p.n_segments for p in self.paths), default=1)
-            times, points = np.empty((q, longest + 1)), np.empty((q, longest + 1, self.ctx.d + 1))
-            for j, path in enumerate(self.paths):
-                k = path.n_segments + 1
-                times[j, :k], points[j, :k] = path.times, path.points
-                times[j, k:], points[j, k:] = path.times[-1] * np.arange(2, longest + 3 - k), path.points[-1]
+            times, points = paths.knot_stack(self.paths, self.ctx.d + 1)
             weights = self.weights
             for array in (times, points, weights):
                 array.setflags(write=False)
@@ -124,8 +122,9 @@ class GreeksFormula(_Formula):
 
 
 def verify_moments(formula, target):
-    """Per-degree max-abs coefficient error of sum w_j sig(path_j) - target."""
-    S = paths.signatures(formula.ctx, formula.paths)
+    """Per-degree max-abs coefficient error of sum w_j sig(path_j) - target, folded from the
+    formula's padded ``stack``, which the tree then reuses."""
+    S = paths.signatures(formula.ctx, formula.stack[1])
     return dict(enumerate(_residuals(formula.ctx, S, formula.weights, target.vec)))
 
 
@@ -302,10 +301,10 @@ def greeks_solve(ctx, w, t, dictionary):
         raise NoFormulaFoundError("empty dictionary", best_residual=None)
     b = algebra.to_dense(greek_target(ctx, w, t))
     direction = algebra.dilate(math.sqrt(t), w)
-    if dictionary is _unit_greeks_dictionary(ctx):  # default_greeks_dictionary(ctx, 1.0)
+    if dictionary is default_greeks_dictionary(ctx):
         S, selected = _unit_greeks_columns(ctx)
     else:
-        S = paths.signatures(ctx, dictionary)
+        S = paths.signatures(ctx, paths.knot_stack(dictionary, ctx.d + 1)[1])
         selected = _independent_columns(S)
     mu_sel, *_ = np.linalg.lstsq(S[:, selected], b, rcond=None)
     selected = selected[np.abs(mu_sel) >= PRUNE_TOL]
@@ -330,20 +329,14 @@ def _independent_columns(S):
     return piv[:rank]
 
 
-def default_greeks_dictionary(ctx, t):
-    """Deterministic candidate paths for degree <= 3 Greek targets.
+@lru_cache(maxsize=None)
+def default_greeks_dictionary(ctx):
+    """Deterministic horizon-1 candidate paths for degree <= 3 Greek targets, one tuple per context.
 
     The orbits of straight lines along an axis (two magnitudes) and a plane
     diagonal, two-segment L-shapes in a coordinate plane, and time-space
-    combinations.  Built once per context at horizon 1 and carried to t by
-    ``scale_path``; at t = 1 the cached tuple itself is returned.
+    combinations.  ``paths.scale_path`` carries them to a horizon t.
     """
-    unit = _unit_greeks_dictionary(ctx)
-    return unit if t == 1.0 else tuple(paths.scale_path(p, t) for p in unit)
-
-
-@lru_cache(maxsize=None)
-def _unit_greeks_dictionary(ctx):
     T, e1, e2 = (1.0,), (0.0, 1.0), (0.0, 0.0, 1.0)
     shapes = [[e1], [(0.0, 0.5)], [(0.0, 1.0, 1.0)], [e1, e2], [T], [T, e1], [e1, T], [(1.0, 1.0)]]
     return tuple(p for shape in shapes for p in _orbit(shape, ctx.d))
@@ -352,7 +345,7 @@ def _unit_greeks_dictionary(ctx):
 @lru_cache(maxsize=None)
 def _unit_greeks_columns(ctx):
     """Signature columns of the horizon-1 default dictionary and their QR choice, read-only."""
-    S = paths.signatures(ctx, _unit_greeks_dictionary(ctx))
+    S = paths.signatures(ctx, paths.knot_stack(default_greeks_dictionary(ctx), ctx.d + 1)[1])
     selected = _independent_columns(S)
     for array in (S, selected):
         array.setflags(write=False)

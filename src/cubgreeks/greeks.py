@@ -35,6 +35,8 @@ from .errors import (
     DomainError,
     NoFormulaFoundError,
     UnsupportedDegreeError,
+    check_horizon,
+    is_finite,
     is_integer,
 )
 
@@ -139,7 +141,7 @@ def build_greek_formula(system, y, v, t, m):
     if m <= 2:
         return cubature.greeks_two_point(ctx, w, 1.0), (coeffs, residual)
     try:
-        formula = cubature.greeks_solve(ctx, w, 1.0, cubature.default_greeks_dictionary(ctx, 1.0))
+        formula = cubature.greeks_solve(ctx, w, 1.0, cubature.default_greeks_dictionary(ctx))
     except NoFormulaFoundError as exc:
         raise UnsupportedDegreeError(
             f"m={m} is beyond the reach of the default Greeks dictionary for this direction: "
@@ -270,14 +272,12 @@ def gamma_partition(t, s0, k, gamma):
     gamma = 1 gives uniform inner steps; larger gamma shrinks the later steps
     toward t, matching the (t - t_i)^{-m'/2} weighting of the error bound.
     """
-    if not (0.0 < s0 < t):
+    check_horizon(t)
+    if not (is_finite(s0) and 0.0 < s0 < t):
         raise DomainError(f"need 0 < s0 < t, got s0={s0}, t={t}")
     if not (is_integer(k) and k >= 1):
         raise DomainError(f"need an integer k >= 1 inner steps, got {k!r}")
-    if gamma < 1.0:
-        raise DomainError(f"need gamma >= 1, got {gamma}")
-    knots = [s0 + (t - s0) * (1.0 - (1.0 - i / k) ** gamma) for i in range(k)]
-    knots.append(t)
-    steps = [s0]
-    steps.extend(knots[i + 1] - knots[i] for i in range(k))
-    return steps
+    if not (is_finite(gamma) and gamma >= 1.0):
+        raise DomainError(f"need a finite gamma >= 1, got {gamma!r}")
+    knots = [s0 + (t - s0) * (1.0 - (1.0 - i / k) ** gamma) for i in range(k)] + [t]
+    return [s0, *(knots[i + 1] - knots[i] for i in range(k))]

@@ -48,8 +48,8 @@ class McConfig:
     def __post_init__(self):
         if not all(is_integer(n) and n >= 1 for n in (self.n_paths, self.n_steps)):
             raise DomainError(f"n_paths and n_steps must be integers >= 1, got {self.n_paths!r}, {self.n_steps!r}")
-        if not is_integer(self.seed):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +218,8 @@ def euler_expectation(system, f, y, t, cfg):
 def fd_greek(system, f, y, v, t, cfg, h=1e-3, normals=None):
     """Central difference (E f(Y^{y+hv}) - E f(Y^{y-hv}))/(2h), shared noise:
     both runs read one (n_paths, n_steps, d) draw, the given one or its own."""
-    if h <= 0.0:
-        raise DomainError(f"finite-difference step must be positive, got {h}")
+    if not (is_finite(h) and h > 0.0):
+        raise DomainError(f"finite-difference step must be positive and finite, got {h!r}")
     y, v = _state_args(system, t, y, v)
     f = _batched_payoff(system, f, y)
     normals = _normals(cfg, system.d, normals)

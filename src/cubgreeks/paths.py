@@ -6,7 +6,8 @@ signature is the exponential of the increment and the full signature is the
 ordered product of segment exponentials (Chen's relation), folded by
 ``AlgebraContext.chen``, which the signature Monte Carlo runs too.
 Signatures of piecewise-linear paths are therefore exact up to truncation.
-``signatures`` folds a list of paths or a bare (n, K+1, d+1) knot-point stack.
+``knot_stack`` alone lays a list of paths out as arrays, padded to the longest,
+and ``signatures`` folds such an (n, K+1, d+1) knot-point stack in one batch.
 ``scale_knots`` alone carries horizon-1 knots to a horizon t (paths, tree levels).
 """
 
@@ -108,31 +109,30 @@ def segment_signature(ctx, increment):
 
 def signature(ctx, path):
     """Truncated signature: the context's Chen fold over the segments in knot order."""
-    return algebra.from_dense(ctx, signatures(ctx, [path])[:, 0])
+    return algebra.from_dense(ctx, signatures(ctx, path.points[None])[:, 0])
 
 
-def signatures(ctx, paths):
-    """Signatures as a (dim, n) array, one column per path, each bitwise that path's own fold:
-    of a knot-point stack (n, K+1, d+1) by one batched Chen fold, or of a list of paths in
-    list order, whose paths with the same segment count are stacked and folded together.
-    """
-    if isinstance(paths, np.ndarray):
-        if paths.ndim != 3 or paths.shape[1] < 2 or paths.shape[2] != ctx.d + 1 or not np.isfinite(paths).all():
-            raise InvalidPathError(f"knot stack of shape {paths.shape}: need finite (n, K+1 >= 2, d+1 = {ctx.d + 1})")
-        return _fold(ctx, paths)
-    by_count = {}
-    for j, path in enumerate(paths):
-        if path.dim != ctx.d + 1:
-            raise InvalidPathError(f"path {j} has dimension {path.dim} != d+1 = {ctx.d + 1}")
-        by_count.setdefault(path.n_segments, []).append(j)
-    out = np.empty((ctx.dim, len(paths)))
-    for js in by_count.values():
-        out[:, js] = _fold(ctx, np.stack([paths[j].points for j in js]))
-    return out
+def knot_stack(path_list, dim):
+    """Knot times (n, K+1) and points (n, K+1, dim) of paths of dimension dim, K the most segments;
+    a shorter path ends in zero-increment segments at 2, 3, .. x its end, which keep the bits of
+    its signature but for -0.0, which becomes 0.0."""
+    n, longest = len(path_list), max((p.n_segments for p in path_list), default=1)
+    times, points = np.empty((n, longest + 1)), np.empty((n, longest + 1, dim))
+    for j, path in enumerate(path_list):
+        if path.dim != dim:
+            raise InvalidPathError(f"path {j} has dimension {path.dim} != {dim}")
+        k = path.n_segments + 1
+        times[j, :k], points[j, :k] = path.times, path.points
+        times[j, k:], points[j, k:] = path.times[-1] * np.arange(2, longest + 3 - k), path.points[-1]
+    return times, points
 
 
-def _fold(ctx, points):
-    """The (dim, n) Chen fold of a knot-point stack (n, K+1, d+1) of finite points."""
+def signatures(ctx, points):
+    """Signatures as a (dim, n) array, one column per row of a knot-point stack (n, K+1, d+1),
+    from one batched Chen fold; each column is bitwise its row's own fold."""
+    shape = getattr(points, "shape", None)
+    if len(shape or ()) != 3 or shape[1] < 2 or shape[2] != ctx.d + 1 or not np.isfinite(points).all():
+        raise InvalidPathError(f"knot stack of shape {shape}: need a finite array (n, K+1 >= 2, d+1 = {ctx.d + 1})")
     return ctx.chen(np.diff(points, axis=1).transpose(2, 1, 0))
 
 

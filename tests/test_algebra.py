@@ -256,6 +256,11 @@ class TestDilate:
         with pytest.raises(DomainError):
             dilate(-1.0, unit(ctx))
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, "2", None])
+    def test_rejects_a_scale_that_is_not_a_finite_number(self, s):
+        with pytest.raises(DomainError, match="positive and finite"):
+            dilate(s, unit(context(1, 2)))
+
     def test_preserves_lie_span(self):
         ctx = context(2, 3)
         rng = np.random.default_rng(19)

@@ -881,6 +881,20 @@ class TestVerifySeed:
         assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
+class TestDiagnosticsSeed:
+    """``diagnostics`` applies ``verify``'s seed rule through ``McConfig``."""
+
+    def test_flag_exits_2(self, capsys):
+        assert main(["diagnostics", "--paths", "2", "--steps", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: seed must be an integer >= 0, got -1" in captured.err
+
+    def test_environment_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("CUBGREEKS_SEED", "-1")
+        assert main(["diagnostics", "--paths", "2", "--steps", "1"]) == 2
+        assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
 class TestEnvOverrides:
     def test_seed_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CUBGREEKS_SEED", "99")

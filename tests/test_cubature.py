@@ -30,6 +30,11 @@ def _path_key(path):
     return path.times.tobytes(), path.points.tobytes()
 
 
+def _dictionary_at(ctx, t):
+    """The default Greeks dictionary carried to horizon t."""
+    return tuple(paths.scale_path(p, t) for p in default_greeks_dictionary(ctx))
+
+
 class TestVerifyMoments:
     def test_degree3_is_its_own_oracle(self):
         ctx = context(1, 3)
@@ -168,7 +173,7 @@ class TestOrbitsMatchFamilyLoops:
     # at d = 10 an orbit is only tractable if just the axes a shape uses are moved
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_greeks_dictionary_is_the_same_set(self, d):
-        new = [_path_key(p) for p in default_greeks_dictionary(context(d, 3), 1.0)]
+        new = [_path_key(p) for p in default_greeks_dictionary(context(d, 3))]
         old = [_path_key(p) for p in greeks_dictionary_loops(d)]
         assert len(set(new)) == len(new)
         assert sorted(new) == sorted(old)
@@ -190,7 +195,7 @@ class TestOrbitsMatchFamilyLoops:
         for y in itertools.product((-0.8, -0.1, 0.0, 0.4, 0.9), repeat=2):
             coeffs, _ = sde.decompose_direction(system, y, sde.bracket_vf(system, 1, 2, y), t, 3)
             w = sde.lie_direction(ctx, coeffs)
-            new = greeks_solve(ctx, w, 1.0, default_greeks_dictionary(ctx, 1.0))
+            new = greeks_solve(ctx, w, 1.0, default_greeks_dictionary(ctx))
             old = greeks_solve(ctx, w, 1.0, old_dictionary)
             new_mu = {_path_key(p): mu for mu, p in new.items}
             old_mu = {_path_key(p): mu for mu, p in old.items}
@@ -304,14 +309,14 @@ class TestGreeksSolve:
 
     def test_zero_direction_empty_formula(self):
         ctx = context(2, 2)
-        f = greeks_solve(ctx, zero(ctx), 1.0, default_greeks_dictionary(ctx, 1.0))
+        f = greeks_solve(ctx, zero(ctx), 1.0, default_greeks_dictionary(ctx))
         assert f.items == ()
 
     def test_bracket_direction_with_l_shapes(self):
         ctx = context(2, 3)
         t = 0.1
         w = (1.0 / t) * bracket(generator(ctx, 1), generator(ctx, 2))
-        f = greeks_solve(ctx, w, t, default_greeks_dictionary(ctx, t))
+        f = greeks_solve(ctx, w, t, _dictionary_at(ctx, t))
         assert max_residual(f, greek_target(ctx, w, t)) < 1e-10
         assert abs(f.weights.sum()) < 1e-10
         assert len(f.items) <= 2 * ctx.dim
@@ -328,7 +333,7 @@ class TestGreeksSolve:
         ctx = context(2, 3)
         t = 0.3
         w = generator(ctx, 1) + 0.5 * bracket(generator(ctx, 1), generator(ctx, 2))
-        f = greeks_solve(ctx, w, t, default_greeks_dictionary(ctx, t))
+        f = greeks_solve(ctx, w, t, _dictionary_at(ctx, t))
         assert max_residual(f, greek_target(ctx, w, t)) < 1e-10
 
 
@@ -383,7 +388,7 @@ class TestHorizonOne:
             expectation_degree5(context(2, 5), t),
             expectation_degree5(context(3, 5), t),
             greeks_two_point(ctx22, 0.7 * generator(ctx22, 1) - 1.2 * generator(ctx22, 2), t),
-            rescale_formula(greeks_solve(ctx23, w, 1.0, default_greeks_dictionary(ctx23, 1.0)), t),
+            rescale_formula(greeks_solve(ctx23, w, 1.0, default_greeks_dictionary(ctx23)), t),
         ]
         for f in formulas:
             assert f.t == t and len(f.residuals) == f.ctx.m + 1
@@ -392,7 +397,7 @@ class TestHorizonOne:
     def test_built_once_per_context(self):
         assert expectation_degree3(context(2, 3), 1.0) is expectation_degree3(context(2, 3), 1.0)
         ctx = context(2, 3)
-        first, second = default_greeks_dictionary(ctx, 1.0), default_greeks_dictionary(ctx, 1.0)
+        first, second = default_greeks_dictionary(ctx), default_greeks_dictionary(ctx)
         assert first is second  # the cached tuple, which greeks_solve recognises by identity
 
     def test_unverified_input_is_checked_once_at_horizon_one(self):
@@ -435,9 +440,9 @@ class TestMomentsComputedOnce:
     def calls(self, monkeypatch):
         counted, signatures = [], paths.signatures
 
-        def count(ctx, path_list):
-            counted.append(len(path_list))
-            return signatures(ctx, path_list)
+        def count(ctx, points):
+            counted.append(len(points))
+            return signatures(ctx, points)
 
         monkeypatch.setattr(paths, "signatures", count)
         return counted
@@ -449,7 +454,7 @@ class TestMomentsComputedOnce:
             lambda: cubature._expectation_degree3_unit.__wrapped__(ctx23),
             lambda: cubature._expectation_degree5_unit.__wrapped__(context(2, 5)),
             lambda: greeks_two_point(ctx22, 0.7 * generator(ctx22, 1) - 1.2 * generator(ctx22, 2), 0.3),
-            lambda: greeks_solve(ctx23, w, 0.5, default_greeks_dictionary(ctx23, 0.5)),
+            lambda: greeks_solve(ctx23, w, 0.5, _dictionary_at(ctx23, 0.5)),
             lambda: cubature._unit_greeks_columns.__wrapped__(ctx23),
         ]
         for build in builds:
@@ -460,10 +465,10 @@ class TestMomentsComputedOnce:
     def test_warm_formulas_compute_no_signatures(self, calls):
         ctx23 = context(2, 3)
         w = bracket(generator(ctx23, 1), generator(ctx23, 2))
-        greeks_solve(ctx23, w, 1.0, default_greeks_dictionary(ctx23, 1.0))
+        greeks_solve(ctx23, w, 1.0, default_greeks_dictionary(ctx23))
         expectation_degree3(ctx23, 1.0)
         calls.clear()
-        greeks_solve(ctx23, -0.4 * w + generator(ctx23, 1), 1.0, default_greeks_dictionary(ctx23, 1.0))
+        greeks_solve(ctx23, -0.4 * w + generator(ctx23, 1), 1.0, default_greeks_dictionary(ctx23))
         expectation_degree3(ctx23, 0.3)
         assert calls == []
 

@@ -531,10 +531,11 @@ class TestFormulaStack:
         object.__setattr__(unit, "_stack", None)  # unbuilt, as on first use in a process
         built, read = self.spy(monkeypatch)
         first = greek_iterated(self.REQUEST)
-        # stage 0 and the inner formula: one build each, read by both probes of
-        # each and by all 9 levels (the 13 evolve calls of the step-rule test)
+        # stage 0 and the inner formula: one build each, read by stage 0's moment
+        # check, by both probes of each and by all 9 levels (the 13 evolve calls
+        # of the step-rule test)
         assert [f is unit for f in built] == [False, True]
-        assert (sum(f is unit for f in read), len(read)) == (2 + 8, 13)
+        assert (sum(f is unit for f in read), len(read)) == (2 + 8, 1 + 13)
         kept = unit.stack
         second = greek_iterated(self.REQUEST)
         # a second request reuses the cached inner formula's stack and builds only its own stage 0
@@ -639,7 +640,7 @@ class TestFormulasFromHorizonOne:
         for t in (0.05, 0.1, 0.2):
             unit, _ = greeks.build_greek_formula(HEISENBERG, y, sde.bracket_vf(HEISENBERG, 1, 2, y), t, 3)
             formula = cubature.rescale_formula(unit, t)
-            dictionary = cubature.default_greeks_dictionary(ctx, t)
+            dictionary = [paths.scale_path(p, t) for p in cubature.default_greeks_dictionary(ctx)]
             supports.append([i for i, p in enumerate(dictionary) if p in formula.paths])
             assert len(supports[-1]) == len(formula.items)
         assert supports[0] and supports[0] == supports[1] == supports[2]
@@ -975,6 +976,21 @@ class TestGammaPartition:
     def test_inner_step_count_must_be_an_integer(self, k):
         with pytest.raises(DomainError, match="integer k"):
             gamma_partition(1.0, 0.1, k, 2.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, "2", None])
+    def test_exponent_must_be_finite(self, gamma):
+        with pytest.raises(DomainError, match="finite gamma >= 1"):
+            gamma_partition(1.0, 0.1, 4, gamma)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, "1", 0.0])
+    def test_horizon_must_be_positive_and_finite(self, t):
+        with pytest.raises(DomainError, match="horizon must be positive and finite"):
+            gamma_partition(t, 0.1, 4, 2.0)
+
+    @pytest.mark.parametrize("s0", [math.nan, "0.1", None])
+    def test_first_step_must_be_a_number(self, s0):
+        with pytest.raises(DomainError, match="need 0 < s0 < t"):
+            gamma_partition(1.0, s0, 4, 2.0)
 
 
 class TestErrorPropagation:

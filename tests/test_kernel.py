@@ -129,10 +129,15 @@ def test_signatures_of_mixed_segment_counts_match_per_path_bitwise(d, m, data):
     increment = st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=d + 1, max_size=d + 1)
     path = st.integers(1, 4).flatmap(lambda k: st.lists(increment, min_size=k, max_size=k))
     batch = [paths.from_increments(1.0, incs) for incs in data.draw(st.lists(path, min_size=1, max_size=6))]
-    columns = paths.signatures(ctx, batch)
+    _, points = paths.knot_stack(batch, d + 1)
+    columns = paths.signatures(ctx, points)
     assert columns.shape == (ctx.dim, len(batch))
     for column, p in zip(columns.T, batch):
-        assert column.tobytes() == paths.signature(ctx, p).vec.tobytes()
+        own = paths.signature(ctx, p).vec
+        # a padding step turns -0.0 into 0.0 and keeps every other bit; an unpadded row keeps them all
+        assert (column + 0.0).tobytes() == (own + 0.0).tobytes()
+        if p.n_segments == points.shape[1] - 1:
+            assert column.tobytes() == own.tobytes()
 
 
 @pytest.mark.parametrize("d,m", [(1, 5), (2, 3), (3, 4)])

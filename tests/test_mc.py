@@ -96,7 +96,13 @@ class TestCounterRng:
         with pytest.raises(DomainError, match="seed must be an integer"):
             McConfig(10, 4, seed)
 
-    @pytest.mark.parametrize("seed", [-3, 2**64 + 3, np.int64(-7), np.uint64(2**64 - 5)])
+    @pytest.mark.parametrize("seed", [-3, np.int64(-7), -(2**70)])
+    def test_negative_seeds_are_refused(self, seed):
+        # the rule run_property_checks applies: any integer >= 0
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            McConfig(10, 4, seed)
+
+    @pytest.mark.parametrize("seed", [2**64 + 3, np.uint64(2**64 - 5)])
     def test_integer_seeds_reduce_mod_2_64(self, seed):
         reduced = McConfig(50, 4, int(seed) % 2**64)
         assert euler_expectation(BS, IDENT, [1.0], 0.3, McConfig(50, 4, seed)) == euler_expectation(
@@ -478,6 +484,11 @@ class TestFdGreek:
         with pytest.raises(DomainError):
             fd_greek(BS, IDENT, [1.0], [1.0], 0.5, McConfig(10, 4), h=0.0)
 
+    @pytest.mark.parametrize("h", ["a", math.nan, math.inf, -1e-3, None])
+    def test_step_must_be_positive_and_finite(self, h):
+        with pytest.raises(DomainError, match="step must be positive and finite"):
+            fd_greek(BS, IDENT, [1.0], [1.0], 0.5, McConfig(10, 4), h=h)
+
 
 class TestOracleArguments:
     """A horizon that is not positive and finite, or a state or direction
@@ -630,7 +641,7 @@ class TestBitwiseAgainstUnblockedOracles:
             (1.0, McConfig(500, 128, seed=2), 500),  # its horizon-1 partner
             (0.3, McConfig(50, 1, seed=1), 0),
             (0.3, McConfig(50, 129, seed=1), 0),
-            (0.7, McConfig(10, 16, seed=-3), 2**40),
+            (0.7, McConfig(10, 16, seed=2**64 - 3), 2**40),  # the draws of seed -3
             (0.25, McConfig(2 * mc._SIG_BLOCK + 1, 8, seed=6), 0),  # a one-path last block
         ],
     )

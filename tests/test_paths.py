@@ -9,6 +9,7 @@ from cubgreeks.errors import DomainError, InvalidPathError
 from cubgreeks.paths import (
     PiecewisePath,
     from_increments,
+    knot_stack,
     line_path,
     path_from_dict,
     path_to_dict,
@@ -108,7 +109,7 @@ class TestSignature:
     def test_wrong_dimension_is_refused(self):
         ctx = context(2, 3)
         good, bad = line_path(1.0, [1.0, 0.5, 0.5]), line_path(1.0, [1.0, 0.5])
-        for call in (lambda: signature(ctx, bad), lambda: signatures(ctx, [good, bad])):
+        for call in (lambda: signature(ctx, bad), lambda: knot_stack([good, bad], ctx.d + 1)):
             with pytest.raises(InvalidPathError):
                 call()
 
@@ -216,7 +217,8 @@ class TestArrayConstructor:
 
 class TestSignatureStack:
     """``signatures`` of an (n, K+1, d+1) knot-point stack: one Chen fold whose
-    columns are bitwise each path's own signature, and the list form's fold."""
+    columns are bitwise each path's own signature, and ``knot_stack``, which lays a
+    list of paths out as that stack."""
 
     CONTEXTS = [(1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 4)]  # verify's test contexts
 
@@ -244,8 +246,16 @@ class TestSignatureStack:
     def test_list_of_equal_length_paths_is_the_stack(self, d, m):
         points = self.stack(np.random.default_rng(d + m), 6, 3, d)
         path_list = [PiecewisePath(0.7, list(zip(np.linspace(0.0, 0.7, 4), row))) for row in points]
+        times, stacked = knot_stack(path_list, d + 1)
+        assert stacked.tobytes() == points.tobytes()
+        assert times.tobytes() == np.tile(np.linspace(0.0, 0.7, 4), (6, 1)).tobytes()
         ctx = context(d, m)
-        assert signatures(ctx, path_list).tobytes() == signatures(ctx, points).tobytes()
+        assert signatures(ctx, stacked).tobytes() == signatures(ctx, points).tobytes()
+
+    def test_empty_list_is_an_empty_stack(self):
+        times, points = knot_stack([], 3)
+        assert times.shape == (0, 2) and points.shape == (0, 2, 3)
+        assert signatures(context(2, 3), points).shape == (context(2, 3).dim, 0)
 
     @pytest.mark.parametrize("points", [
         np.zeros((3, 3)),  # ndim 2
@@ -256,7 +266,8 @@ class TestSignatureStack:
         np.zeros((2, 0, 3)),  # no knot
         np.array([[[0.0, 0.0, 0.0], [1.0, np.nan, 0.0]]]),
         np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, -np.inf]]]),
-    ], ids=["ndim2", "ndim4", "dim-d", "dim-d+2", "one-knot", "no-knot", "nan", "inf"])
+        [line_path(1.0, [1.0, 0.5, 0.5])],  # a list of paths: knot_stack lays those out
+    ], ids=["ndim2", "ndim4", "dim-d", "dim-d+2", "one-knot", "no-knot", "nan", "inf", "path-list"])
     def test_bad_stack_is_refused(self, points):
         with pytest.raises(InvalidPathError):
             signatures(context(2, 3), points)
