@@ -6,16 +6,18 @@ weights and targets (dilated direction) * (heat element).  The expectation
 formulas are closed-form: degree 3 by axis spikes, degree 5 by the
 Ninomiya-Victoir splitting.  Greeks formulas beyond the two-point family are
 found by moment matching over a dictionary of candidate paths: signatures are
-linear in the weights once the paths are fixed, so the solve is a linear
-least-squares problem in the coefficient basis.  The degree-3 paths and the
-default Greeks dictionary are unions of orbits: the paths through a few
+linear in the weights once the paths are fixed, so the weights are one
+pseudo-inverse of chosen signature columns times the target.  The degree-3
+paths and the Greeks dictionary are unions of orbits: the paths through a few
 increments and through their images under permutations and sign flips of the
 space axes (Lyons & Victoir), so the odd-space moments cancel by symmetry.
 
 Every built-in formula is built and verified once per context at horizon 1.
 Its paths are laid out once, as the padded knot stack of ``paths.knot_stack``
 (``stack``): its moment check folds that stack, and the tree in ``greeks``
-evolves along it.  A dictionary is folded through the same stack form.
+evolves along it, and a dictionary is folded the same way.  Cached per context:
+the default dictionary's columns, QR and supports (pseudo-inverse, knot stack),
+and the two-point Greek's pair of lines per unit direction.
 At horizon t, sig(scale_path(p, t)) = dilate(sqrt t, sig(p)) and both targets
 dilate the same way, so a degree-n residual r_n becomes t^{n/2} r_n with no second
 check (``scaled_residuals``, for ``rescale_formula`` and the tree in ``greeks``).
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -52,7 +54,8 @@ class _Formula:
 
     ``residuals[n]`` is the degree-n moment residual the constructor verified,
     or None for a formula nobody checked (built directly, or imported
-    unverified); ``residual`` is their maximum.  Every weight must be finite.
+    unverified); ``residual`` is their maximum.  Every weight must be finite,
+    and every path must have dimension d+1 and end at t.
     """
 
     ctx: algebra.AlgebraContext
@@ -61,9 +64,13 @@ class _Formula:
     _stack: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for w, _ in self.items:
+        for w, p in self.items:
             if not is_finite(w):
                 raise DomainError(f"formula weights must be finite, got {w}")
+            if p.dim != self.ctx.d + 1:
+                raise InvalidPathError(f"path dimension {p.dim} != d+1 = {self.ctx.d + 1}")
+            if abs(p.t_end - self.t) > 1e-12 * max(1.0, abs(self.t)):
+                raise InvalidPathError(f"path ends at {p.t_end}, formula horizon is {self.t}")
 
     @property
     def weights(self):
@@ -82,12 +89,21 @@ class _Formula:
         """(times (q, K+1), points (q, K+1, d+1), whether every row has the same times, weights (q,)):
         the paths' ``paths.knot_stack`` and the weights, built on first use, read-only."""
         if self._stack is None:
-            times, points = paths.knot_stack(self.paths, self.ctx.d + 1)
-            weights = self.weights
-            for array in (times, points, weights):
-                array.setflags(write=False)
-            object.__setattr__(self, "_stack", (times, points, bool((times == times[:1]).all()), weights))
+            self._set_stack(*paths.knot_stack(self.paths, self.ctx.d + 1))
         return self._stack
+
+    def _set_stack(self, times, points):
+        """Take the paths' knot stack, e.g. a cached one, as ``stack``; returns the formula."""
+        _, _, weights = _read_only(times, points, self.weights)
+        object.__setattr__(self, "_stack", (times, points, bool((times == times[:1]).all()), weights))
+        return self
+
+
+def _read_only(*arrays):
+    """The arrays, each marked read-only."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -137,23 +153,23 @@ def _residuals(ctx, S, weights, target):
     return tuple(float(np.max(diff[ctx.degrees == n], initial=0.0)) for n in range(ctx.m + 1))
 
 
-def is_verified(residuals):
-    """Whether every residual is at most VERIFY_TOL (NaN is not): built and imported formulas' one rule."""
-    return all(r <= VERIFY_TOL for r in residuals)
+def is_verified(residuals, tol=VERIFY_TOL):
+    """Whether every residual is at most tol (NaN is not): built and imported formulas' one rule."""
+    return all(r <= tol for r in residuals)
 
 
-def _checked(formula, residuals=None):
+def _checked(formula, residuals=None, tol=VERIFY_TOL):
     """Record the per-degree residuals on the formula and return it.
 
     The moments are verified unless ``residuals`` is given; either way they
-    must pass ``is_verified``.
+    must pass ``is_verified`` at tol.
     """
     if residuals is None:
         residuals = tuple(verify_moments(formula, formula.target()).values())
-    if not is_verified(residuals):
+    if not is_verified(residuals, tol):
         res = float(np.max(residuals))  # NaN if any residual is NaN
         raise NoFormulaFoundError(
-            f"constructed formula fails verification: residual {res:.3e} > {VERIFY_TOL:.1e}",
+            f"constructed formula fails verification: residual {res:.3e} > {tol:.1e}",
             best_residual=res,
         )
     object.__setattr__(formula, "residuals", residuals)
@@ -276,47 +292,65 @@ def greeks_two_point(ctx, w, t):
             raise DomainError(f"two-point construction needs a degree-1 direction, found word {word}")
     w_vec = np.array([w.coeff((i,)) for i in range(1, ctx.d + 1)])
     norm = float(np.linalg.norm(w_vec))
-    items = ()
+    items, knots = (), paths.knot_stack((), ctx.d + 1)
     if norm > 0.0:
-        inc = np.concatenate([[0.0], w_vec / norm])
+        (plus, minus), knots = _unit_pair(ctx, np.concatenate([[0.0], w_vec / norm]).tobytes())
         # exact +-norm/2 weights keep the constant-payoff estimate at literal zero
-        items = (
-            (0.5 * norm, paths.line_path(1.0, inc)),
-            (-0.5 * norm, paths.line_path(1.0, -inc)),
-        )
-    formula = _checked(GreeksFormula(ctx, 1.0, w, items))
+        items = ((0.5 * norm, plus), (-0.5 * norm, minus))
+    formula = _checked(GreeksFormula(ctx, 1.0, w, items)._set_stack(*knots))
     return formula if t == 1.0 else rescale_formula(formula, t)
 
 
+@lru_cache(maxsize=64)
+def _unit_pair(ctx, unit):
+    """The horizon-1 lines +-inc, for inc the float64 bytes ``unit``, and their read-only knot stack."""
+    pair = (paths.line_path(1.0, np.frombuffer(unit)), paths.line_path(1.0, -np.frombuffer(unit)))
+    return pair, _read_only(*paths.knot_stack(pair, ctx.d + 1))
+
+
 def greeks_solve(ctx, w, t, dictionary):
-    """Sign-free moment matching: solve sum mu_j sig(path_j) = greek target.
+    """Sign-free moment matching: solve sum mu_j sig(path_j) = greek target b.
 
     The dictionary's paths end at t.  A column-pivoted QR of the signature
-    columns selects an independent subset (at most dim A columns); dense
-    least squares solves on it, weights below PRUNE_TOL are pruned and the
-    system re-solved on the support.  The QR does not depend on the target,
-    so the horizon-1 default dictionary keeps its columns and QR per context.
-    """
+    columns selects an independent subset (at most dim A columns), whose
+    pseudo-inverse times b gives the weights; weights at most PRUNE_TOL s are
+    pruned, with s = min(1, max|b|), and the support's pseudo-inverse gives
+    them again, which must match to VERIFY_TOL s.  Only b depends on w, so
+    the default dictionary caches its columns, QR and each support's
+    pseudo-inverse and knot stack per context."""
     if not dictionary:
         raise NoFormulaFoundError("empty dictionary", best_residual=None)
     b = algebra.to_dense(greek_target(ctx, w, t))
-    direction = algebra.dilate(math.sqrt(t), w)
+    scale = min(1.0, float(np.max(np.abs(b))))
     if dictionary is default_greeks_dictionary(ctx):
         S, selected = _unit_greeks_columns(ctx)
+        solver = partial(_unit_support, ctx)
     else:
         S = paths.signatures(ctx, paths.knot_stack(dictionary, ctx.d + 1)[1])
         selected = _independent_columns(S)
-    mu_sel, *_ = np.linalg.lstsq(S[:, selected], b, rcond=None)
-    selected = selected[np.abs(mu_sel) >= PRUNE_TOL]
-    mu_sel = np.zeros(0)
-    if selected.size:
-        mu_sel, *_ = np.linalg.lstsq(S[:, selected], b, rcond=None)
-        # the empty-word row forces sum(mu) = 0 up to rounding; project it out
-        mu_sel = mu_sel - mu_sel.sum() / mu_sel.size
-    order = np.argsort(selected)
-    items = tuple((float(mu_sel[k]), dictionary[selected[k]]) for k in order)
-    formula = GreeksFormula(ctx, t, direction, items)
-    return _checked(formula, _residuals(ctx, S[:, selected[order]], formula.weights, b))
+        solver = partial(_support_solver, ctx, S, dictionary)
+    mu = solver(tuple(selected.tolist()))[0] @ b
+    support = tuple(selected[np.abs(mu) > PRUNE_TOL * scale].tolist())
+    pinv, order, columns, *knots = solver(support)
+    mu = pinv @ b  # the empty-word row forces sum(mu) = 0 up to rounding; project it out
+    mu = mu - mu.sum() / max(mu.size, 1)
+    items = tuple((float(mu[k]), dictionary[support[k]]) for k in order)
+    formula = GreeksFormula(ctx, t, algebra.dilate(math.sqrt(t), w), items)._set_stack(*knots)
+    return _checked(formula, _residuals(ctx, columns, formula.weights, b), VERIFY_TOL * scale)
+
+
+def _support_solver(ctx, S, dictionary, support):
+    """pinv(S[:, support]), the support's argsort order, and in that order its columns and knot stack."""
+    support = np.array(support, dtype=int)
+    order = np.argsort(support)
+    knots = paths.knot_stack([dictionary[j] for j in support[order]], ctx.d + 1)
+    return _read_only(np.linalg.pinv(S[:, support]), order, S[:, support[order]], *knots)
+
+
+@lru_cache(maxsize=64)
+def _unit_support(ctx, support):
+    """``_support_solver`` on the horizon-1 default dictionary, built once per (context, support)."""
+    return _support_solver(ctx, _unit_greeks_columns(ctx)[0], default_greeks_dictionary(ctx), support)
 
 
 def _independent_columns(S):
@@ -346,10 +380,7 @@ def default_greeks_dictionary(ctx):
 def _unit_greeks_columns(ctx):
     """Signature columns of the horizon-1 default dictionary and their QR choice, read-only."""
     S = paths.signatures(ctx, paths.knot_stack(default_greeks_dictionary(ctx), ctx.d + 1)[1])
-    selected = _independent_columns(S)
-    for array in (S, selected):
-        array.setflags(write=False)
-    return S, selected
+    return _read_only(S, _independent_columns(S))
 
 
 def rescale_formula(formula, t):
@@ -386,9 +417,7 @@ def formula_to_dict(formula):
         "m": formula.ctx.m,
         "t": formula.t,
         "flavor": flavor,
-        "items": [
-            {"w": float(w), "path": paths.path_to_dict(p)} for w, p in formula.items
-        ],
+        "items": [{"w": float(w), "path": paths.path_to_dict(p)} for w, p in formula.items],
     }
     if flavor == "greeks":
         data["direction"] = algebra.element_to_dict(formula.direction)
@@ -399,12 +428,7 @@ def formula_from_dict(data, verify=True):
     """Rebuild a formula; its horizon, paths and direction must fit its t, d and m."""
     ctx = context(int(data["d"]), int(data["m"]))
     t = float(check_horizon(data["t"]))
-    items = tuple(
-        (float(item["w"]), paths.path_from_dict(item["path"])) for item in data["items"]
-    )
-    for _, p in items:
-        if p.dim != ctx.d + 1:
-            raise InvalidPathError(f"path dimension {p.dim} != d+1 = {ctx.d + 1}")
+    items = tuple((float(item["w"]), paths.path_from_dict(item["path"])) for item in data["items"])
     if data["flavor"] == "greeks":
         direction = algebra.element_from_dict(data["direction"])
         if direction.context != ctx:

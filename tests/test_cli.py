@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from cubgreeks import checks, cli, cubature, greeks, mc, rng, sde
+from cubgreeks import algebra, checks, cli, cubature, greeks, mc, rng, sde
 from cubgreeks.algebra import context, heat_element, word_degree
 from cubgreeks.cli import main, parse_direction, parse_scale
 from cubgreeks.errors import ConfigError, DomainError
@@ -338,15 +338,16 @@ class TestRangeFlags:
         argv = ["greek", "--model", bs_model, "--y", "1.0", "--direction", "1", "--t", "0.5", "--m", "4"]
         assert main(argv + ["--out", str(out)]) == 0
         data = json.loads(out.read_text())
-        assert (data["estimate"].hex(), data["leaves"]) == ("0x1.066bb689970aap+0", 6)
+        assert (data["estimate"].hex(), data["leaves"]) == ("0x1.066bb689970acp+0", 6)
         assert main([
             "greek", "--model", heisenberg_model, "--y", "0.3,-0.2", "--direction", "[V1,V2]",
             "--t", "0.2", "--m", "3", "--out", str(out),
         ]) == 0
         # V1 decomposes into degree-1 words only, which the dictionary reaches at m = 4 for any d;
-        # the fixed 16 RK4 steps keep the bits recorded before the default step rule
+        # the fixed 16 RK4 steps keep the bits recorded before the default step rule; both pins
+        # (and the Black-Scholes one above) were re-recorded with greeks_solve's pseudo-inverse weights
         for direction in ("1,0", "V1"):
-            for ode_steps, estimate in (([], "0x1.ffffffffffffep-1"), (["--ode-steps", "16"], "0x1.ffffffffffffap-1")):
+            for ode_steps, estimate in (([], "0x1.ffffffffffffcp-1"), (["--ode-steps", "16"], "0x1.ffffffffffff9p-1")):
                 assert main([
                     "greek", "--model", heisenberg_model, "--y", "0.3,-0.2", "--direction", direction,
                     "--t", "0.2", "--m", "4", "--out", str(out), *ode_steps,
@@ -406,6 +407,39 @@ class TestPartitionRecorded:
     @pytest.mark.parametrize("mprime, s0, partition, estimate, leaves", DEFAULT_CASES)
     def test_default_estimate_is_bitwise_recorded(self, bs_model, tmp_path, mprime, s0, partition, estimate, leaves):
         assert self.delta(bs_model, tmp_path, mprime, s0, partition) == (estimate, leaves)
+
+
+class TestStageZeroCaches:
+    """Stage-0 formulas come from per-context caches that leave every output byte alone."""
+
+    def test_two_point_cache_keeps_iterated_output_bytes(self, bs_model, capsys, monkeypatch):
+        argv = [
+            "greek", "--model", bs_model, "--y", "1.0", "--direction", "1", "--t", "1.0", "--m", "2",
+            "--mprime", "3", "--s0", "0.1", "--partition", "8,3.0", "--payoff", "smoothed_call:1.15:0.05",
+        ]
+        cubature._unit_pair.cache_clear()
+        outputs = []
+        for _ in range(2):  # cold, then warm
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert cubature._unit_pair.cache_info()[:2] == (1, 1)  # (hits, misses)
+        monkeypatch.setattr(cubature, "_unit_pair", cubature._unit_pair.__wrapped__)
+        assert main(argv) == 0
+        assert outputs == [capsys.readouterr().out] * 2
+
+    def test_tiny_direction_is_served_as_its_scaled_unit(self, bs_model, tmp_path):
+        out = tmp_path / "g.json"
+
+        def greek(direction):
+            argv = ["greek", "--model", bs_model, "--y", "1.0", "--t", "0.5", "--m", "3", "--direction", direction]
+            assert main(argv + ["--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        unit = greek("1")
+        for c in (1e-13, 1e-14):
+            data = greek(repr(c))
+            assert data["leaves"] == unit["leaves"] == 7
+            assert abs(data["estimate"] - c * unit["estimate"]) <= 1e-13 * c * unit["estimate"]
 
 
 class TestVerifyCommand:
@@ -708,6 +742,15 @@ class TestCubatureCommand:
         out.write_text(json.dumps(data))
         assert main(["cubature", "import", "--in", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: formula file {out} is missing key '{drop}'")
+
+    def test_import_of_paths_that_miss_the_horizon_is_a_usage_error(self, tmp_path, capsys):
+        ctx = context(2, 3)
+        w = algebra.bracket(algebra.generator(ctx, 1), algebra.generator(ctx, 2))
+        formula = cubature.greeks_solve(ctx, w, 1.0, cubature.default_greeks_dictionary(ctx))
+        out = tmp_path / "formula.json"
+        out.write_text(json.dumps({**cubature.formula_to_dict(formula), "t": 0.5}))
+        assert main(["cubature", "import", "--in", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: formula file {out} is malformed: path ends at 1.0")
 
     def test_greeks_export(self, tmp_path):
         out = tmp_path / "g.json"

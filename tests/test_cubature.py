@@ -19,7 +19,7 @@ from cubgreeks.cubature import (
     rescale_formula,
     verify_moments,
 )
-from cubgreeks.errors import DomainError, NoFormulaFoundError, UnsupportedDegreeError
+from cubgreeks.errors import DomainError, InvalidPathError, NoFormulaFoundError, UnsupportedDegreeError
 from cubgreeks.greeks import GreekRequest, expectation_one_step
 from cubgreeks.mc import McConfig, Payoff, euler_expectation
 
@@ -33,6 +33,20 @@ def _path_key(path):
 def _dictionary_at(ctx, t):
     """The default Greeks dictionary carried to horizon t."""
     return tuple(paths.scale_path(p, t) for p in default_greeks_dictionary(ctx))
+
+
+def _random_directions(ctx, n, seed):
+    """n Lie directions with standard normal coefficients on the bracket words a degree-m
+    decomposition uses (``sde.build_bracket_table``'s)."""
+    words = [w for w in algebra.lie_basis(context(ctx.d, ctx.m - 1)).words if w != (0,)]
+    rng = np.random.default_rng(seed)
+    return [sde.lie_direction(ctx, dict(zip(words, rng.normal(size=len(words))))) for _ in range(n)]
+
+
+def _indices(formula, dictionary):
+    """{dictionary index: weight} of a formula over (the same path objects as) a dictionary."""
+    index = {id(p): j for j, p in enumerate(dictionary)}
+    return {index[id(p)]: mu for mu, p in formula.items}
 
 
 class TestVerifyMoments:
@@ -337,6 +351,86 @@ class TestGreeksSolve:
         assert max_residual(f, greek_target(ctx, w, t)) < 1e-10
 
 
+class TestCachedSupportSolve:
+    """The weights are pinv(S[:, support]) b, with each support's pseudo-inverse and knot
+    stack cached per context on the default dictionary and built afresh on any other."""
+
+    @staticmethod
+    def lstsq_weights(ctx, w):
+        """{dictionary index: weight} by the dense least-squares solves the pseudo-inverses replaced."""
+        b = algebra.to_dense(greek_target(ctx, w, 1.0))
+        S, selected = cubature._unit_greeks_columns(ctx)
+        mu, *_ = np.linalg.lstsq(S[:, selected], b, rcond=None)
+        selected = selected[np.abs(mu) >= cubature.PRUNE_TOL]
+        mu, *_ = np.linalg.lstsq(S[:, selected], b, rcond=None)
+        return dict(zip(selected.tolist(), mu - mu.sum() / mu.size))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_weights_match_least_squares(self, d):
+        ctx = context(d, 3)
+        dictionary = default_greeks_dictionary(ctx)
+        for w in _random_directions(ctx, 200, d):
+            new, old = _indices(greeks_solve(ctx, w, 1.0, dictionary), dictionary), self.lstsq_weights(ctx, w)
+            assert new.keys() == old.keys()
+            assert max(abs(new[j] - old[j]) for j in new) <= 1e-14 * max(map(abs, old.values()))
+
+    def test_each_support_is_built_once_per_context_and_read_only(self, monkeypatch):
+        ctx = context(2, 3)
+        dictionary = default_greeks_dictionary(ctx)
+        _, selected = cubature._unit_greeks_columns(ctx)
+        cubature._unit_support.cache_clear()
+        built, pinv, knot_stack = [], np.linalg.pinv, paths.knot_stack
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: built.append("pinv") or pinv(a))
+        monkeypatch.setattr(paths, "knot_stack", lambda *args: built.append("stack") or knot_stack(*args))
+        directions = _random_directions(ctx, 10, 7) + [bracket(generator(ctx, 1), generator(ctx, 2)), zero(ctx)]
+        formulas = [greeks_solve(ctx, w, 1.0, dictionary) for w in directions * 2]
+        keys = {tuple(selected.tolist())}
+        for f in formulas:
+            # the support in the QR's pivot order keys its cache entry
+            support = tuple(j for j in selected.tolist() if j in _indices(f, dictionary))
+            keys.add(support)
+            entry = cubature._unit_support(ctx, support)
+            assert f.stack[0] is entry[3] and f.stack[1] is entry[4]
+            for array in entry:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+        assert len(keys) >= 3
+        assert sorted(built) == sorted(["pinv", "stack"] * len(keys))
+
+    def test_user_dictionary_takes_the_same_rule_uncached(self):
+        ctx = context(2, 3)
+        dictionary = default_greeks_dictionary(ctx)
+        for w in _random_directions(ctx, 5, 11):
+            cached = greeks_solve(ctx, w, 1.0, dictionary)
+            info = cubature._unit_support.cache_info()
+            fresh = greeks_solve(ctx, w, 1.0, list(dictionary))
+            assert cubature._unit_support.cache_info() == info
+            assert [mu.hex() for mu in fresh.weights] == [mu.hex() for mu in cached.weights]
+            assert all(p is q for p, q in zip(fresh.paths, cached.paths))
+            assert fresh.residuals == cached.residuals
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh.stack[:2], cached.stack[:2]))
+
+
+class TestTinyDirections:
+    """Pruning and verification scale with s = min(1, max|b|), so a tiny target gets the
+    formula of its unit-scale twin and an unreachable one is refused at any scale."""
+
+    def test_scaled_in_reach_direction_keeps_the_unit_support(self):
+        ctx = context(2, 3)
+        dictionary = default_greeks_dictionary(ctx)
+        for w in [bracket(generator(ctx, 1), generator(ctx, 2)) + generator(ctx, 1), *_random_directions(ctx, 5, 3)]:
+            unit, tiny = (greeks_solve(ctx, c * w, 1.0, dictionary) for c in (1.0, 1e-12))
+            assert all(p is q for p, q in zip(tiny.paths, unit.paths)) and len(tiny.items) == len(unit.items)
+            scaled = 1e-12 * unit.weights
+            assert np.abs(tiny.weights - scaled).max() <= 1e-14 * np.abs(scaled).max()
+
+    @pytest.mark.parametrize("c", [1.0, 1e-9, 1e-12])
+    def test_out_of_reach_direction_is_refused_at_any_scale(self, c):
+        ctx = context(2, 4)
+        with pytest.raises(NoFormulaFoundError):
+            greeks_solve(ctx, c * bracket(generator(ctx, 1), generator(ctx, 2)), 1.0, default_greeks_dictionary(ctx))
+
+
 class TestRescale:
     def test_identity_at_one(self):
         f = expectation_degree3(context(1, 3), 1.0)
@@ -474,6 +568,16 @@ class TestMomentsComputedOnce:
 
 
 class TestFormulaInvariants:
+    def test_paths_must_end_at_the_horizon(self):
+        ctx = context(2, 3)
+        with pytest.raises(InvalidPathError, match="formula horizon is 0.5"):
+            greeks_solve(ctx, bracket(generator(ctx, 1), generator(ctx, 2)), 0.5, default_greeks_dictionary(ctx))
+        items = expectation_degree3(ctx, 1.0).items
+        with pytest.raises(InvalidPathError):
+            CubatureFormula(ctx, 0.5, items)
+        # PiecewisePath's rule: a relative 1e-12
+        assert CubatureFormula(ctx, 1.0 + 1e-13, items).items == items
+
     def test_expectation_weights_must_be_positive(self):
         ctx = context(1, 3)
         with pytest.raises(DomainError):

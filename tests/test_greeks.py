@@ -503,7 +503,8 @@ class TestLevelBatching:
 
 class TestFormulaStack:
     """Each horizon-1 formula pads its paths into one read-only evaluation stack,
-    built on first use and freed with the formula."""
+    built on first use and freed with the formula; a stage-0 Greek takes its
+    knots from the cached ones of its unit pair or dictionary support."""
 
     REQUEST = GreekRequest(
         system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,), t=1.0,
@@ -531,16 +532,21 @@ class TestFormulaStack:
         object.__setattr__(unit, "_stack", None)  # unbuilt, as on first use in a process
         built, read = self.spy(monkeypatch)
         first = greek_iterated(self.REQUEST)
-        # stage 0 and the inner formula: one build each, read by stage 0's moment
-        # check, by both probes of each and by all 9 levels (the 13 evolve calls
-        # of the step-rule test)
-        assert [f is unit for f in built] == [False, True]
+        # the inner formula builds its stack once; stage 0 takes its unit pair's cached
+        # knots. Stacks are read by stage 0's moment check, by both probes of each and
+        # by all 9 levels (the 13 evolve calls of the step-rule test)
+        assert built == [unit]
         assert (sum(f is unit for f in read), len(read)) == (2 + 8, 1 + 13)
-        kept = unit.stack
+        kept, stage0 = unit.stack, next(f for f in read if f is not unit)
+        del read[:]
         second = greek_iterated(self.REQUEST)
-        # a second request reuses the cached inner formula's stack and builds only its own stage 0
-        assert [f is unit for f in built] == [False, True, False]
+        # a second request reuses the cached inner formula's stack, and its own stage 0
+        # the same unit pair's knots beside its own weights
+        assert built == [unit]
         assert unit.stack is kept
+        again = next(f for f in read if f is not unit)
+        assert again is not stage0 and again._stack[3] is not stage0._stack[3]
+        assert again._stack[0] is stage0._stack[0] and again._stack[1] is stage0._stack[1]
         assert second.estimate.hex() == first.estimate.hex()
 
     @pytest.mark.parametrize("d, m_prime", [(1, 3), (2, 3), (1, 5), (2, 5)])
@@ -564,13 +570,17 @@ class TestFormulaStack:
         built, read = self.spy(monkeypatch)
         greek_iterated(self.REQUEST)
         unit = greeks.expectation_formula(1, 3)
-        stage0 = [f for f in built if f is not unit]
+        stage0 = list({id(f): f for f in read if f is not unit}.values())
         assert len(stage0) == 1
         times, points, _, weights = stage0[0].stack
-        refs = [weakref.ref(obj) for obj in (stage0[0], times, points, weights)]
+        refs = [weakref.ref(obj) for obj in (stage0[0], weights)]
+        knots = [weakref.ref(obj) for obj in (times, points)]
         del built[:], read[:], stage0, times, points, weights
         gc.collect()
-        assert [ref() for ref in refs] == [None] * 4
+        assert [ref() for ref in refs] == [None] * 2
+        # the knots are the unit pair's, cached per (context, unit direction) like the inner formula
+        _, cached = cubature._unit_pair(context(1, 2), np.array([0.0, 1.0]).tobytes())
+        assert [ref() for ref in knots] == list(cached)
         assert unit._stack is not None  # the lru-cached inner formula keeps its own
 
     @pytest.mark.parametrize("system, d, m_prime, fields_per_segment", [
@@ -657,23 +667,25 @@ class TestTreeOnHorizonOneFormulas:
 
     # float.hex of estimate, leaves and residuals at a fixed 16 RK4 steps per
     # segment, recorded while the tree still evaluated formulas rescaled by
-    # cubature.rescale_formula
+    # cubature.rescale_formula, and re-recorded (moves <= 1.5e-14) when
+    # greeks_solve's weights came from cached pseudo-inverses
     PINS = [
-        ((0.3, -0.2), 0.05, "0x1.49c50bc7b0143p+0", 15, ("0x1.0000000000000p-49",)),
-        ((0.3, -0.2), 0.1, "0x1.47e6e4fc1439bp+0", 15, ("0x1.e5b9d136c6d96p-50",)),
-        ((0.3, -0.2), 0.2, "0x1.44368e2825506p+0", 15, ("0x1.0000000000000p-49",)),
-        ((-0.6, 0.8), 0.05, "0x1.cc33695a9a60cp-2", 15, ("0x1.1e3779b97f4a8p-49",)),
-        ((-0.6, 0.8), 0.1, "0x1.da79c6c76056cp-2", 15, ("0x1.0000000000000p-50",)),
-        ((-0.6, 0.8), 0.2, "0x1.f6ab11e03a976p-2", 15, ("0x1.90b410d07f01ep-50",)),
+        ((0.3, -0.2), 0.05, "0x1.49c50bc7b013ep+0", 15, ("0x1.0000000000000p-48",)),
+        ((0.3, -0.2), 0.1, "0x1.47e6e4fc1439ap+0", 15, ("0x1.43d136248490fp-50",)),
+        ((0.3, -0.2), 0.2, "0x1.44368e28254fep+0", 15, ("0x1.019853f3bf5cap-50",)),
+        ((-0.6, 0.8), 0.05, "0x1.cc33695a9a5fcp-2", 15, ("0x1.1e3779b97f4a8p-50",)),
+        ((-0.6, 0.8), 0.1, "0x1.da79c6c76057fp-2", 15, ("0x1.94c583ada5b53p-50",)),
+        ((-0.6, 0.8), 0.2, "0x1.f6ab11e03a968p-2", 15, ("0x1.a4bd11a7b88eep-51",)),
     ]
-    # the same Greeks under the default step rule, recorded when it came in
+    # the same Greeks under the default step rule, recorded when it came in,
+    # re-recorded with the pseudo-inverse weights
     DEFAULT_PINS = [
-        ((0.3, -0.2), 0.05, "0x1.49c50bc7b017fp+0"),
-        ((0.3, -0.2), 0.1, "0x1.47e6e4fc143bbp+0"),
-        ((0.3, -0.2), 0.2, "0x1.44368e2825508p+0"),
-        ((-0.6, 0.8), 0.05, "0x1.cc33695a9a5f4p-2"),
-        ((-0.6, 0.8), 0.1, "0x1.da79c6c7604adp-2"),
-        ((-0.6, 0.8), 0.2, "0x1.f6ab11e03a9cdp-2"),
+        ((0.3, -0.2), 0.05, "0x1.49c50bc7b0176p+0"),
+        ((0.3, -0.2), 0.1, "0x1.47e6e4fc143b8p+0"),
+        ((0.3, -0.2), 0.2, "0x1.44368e2825500p+0"),
+        ((-0.6, 0.8), 0.05, "0x1.cc33695a9a5dcp-2"),
+        ((-0.6, 0.8), 0.1, "0x1.da79c6c7604bdp-2"),
+        ((-0.6, 0.8), 0.2, "0x1.f6ab11e03a9cbp-2"),
     ]
 
     @pytest.mark.parametrize("y, t, estimate, leaves, residuals", PINS)
@@ -810,7 +822,7 @@ class TestStepRule:
 
     @pytest.mark.parametrize("system, f, y, v, t, greek, expectation", [
         (BS, first, (1.0,), (1.0,), 0.2, "0x1.029b3aef3f19cp+0", "0x1.0290de7a18e5bp+0"),
-        (HEISENBERG, _hypo_payoff, (0.3, -0.2), (0.0, 1.0), 0.1, "0x1.47e6e4fc143bbp+0", "-0x1.0658b4ffa016cp-2"),
+        (HEISENBERG, _hypo_payoff, (0.3, -0.2), (0.0, 1.0), 0.1, "0x1.47e6e4fc143b8p+0", "-0x1.0658b4ffa016cp-2"),
     ])
     def test_one_step_trees_keep_ode_tol(self, monkeypatch, system, f, y, v, t, greek, expectation):
         # a one-step tree is stage 0 alone, so INNER_ODE_TOL never applies to it
