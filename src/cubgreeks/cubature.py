@@ -153,23 +153,26 @@ def _residuals(ctx, S, weights, target):
     return tuple(float(np.max(diff[ctx.degrees == n], initial=0.0)) for n in range(ctx.m + 1))
 
 
-def is_verified(residuals, tol=VERIFY_TOL):
-    """Whether every residual is at most tol (NaN is not): built and imported formulas' one rule."""
-    return all(r <= tol for r in residuals)
+def is_verified(residuals, target=None):
+    """Whether every residual is at most VERIFY_TOL s, s = min(1, max|target|) for a dense target, else 1
+    (NaN is not): the one rule of solved, built and imported formulas (s = 1 for expectation targets)."""
+    scale = 1.0 if target is None else min(1.0, float(np.max(np.abs(target))))
+    return all(r <= VERIFY_TOL * scale for r in residuals)
 
 
-def _checked(formula, residuals=None, tol=VERIFY_TOL):
+def _checked(formula, residuals=None, target=None):
     """Record the per-degree residuals on the formula and return it.
 
-    The moments are verified unless ``residuals`` is given; either way they
-    must pass ``is_verified`` at tol.
+    The moments are verified against the formula's target unless
+    ``residuals`` is given; either way they must pass ``is_verified``.
     """
     if residuals is None:
-        residuals = tuple(verify_moments(formula, formula.target()).values())
-    if not is_verified(residuals, tol):
+        target = formula.target()
+        residuals, target = tuple(verify_moments(formula, target).values()), target.vec
+    if not is_verified(residuals, target):
         res = float(np.max(residuals))  # NaN if any residual is NaN
         raise NoFormulaFoundError(
-            f"constructed formula fails verification: residual {res:.3e} > {tol:.1e}",
+            f"constructed formula fails verification: residual {res:.3e} > {VERIFY_TOL:.1e} min(1, max|target|)",
             best_residual=res,
         )
     object.__setattr__(formula, "residuals", residuals)
@@ -222,19 +225,26 @@ DEGREE5_MAX_D = 5  # d = 6 has 1,445 paths: a two-step tree (1,445^2 leaves) is 
 
 
 @lru_cache(maxsize=None)
-def _expectation_degree5_unit(ctx):
-    # Ninomiya-Victoir: half the time, then z_i e_i along each axis with a nonzero
-    # 3-point Gauss-Hermite node z_i, then the other half; axis orders 1..d and d..1
-    # each carry half of z's weight, and identical paths merge in first-seen order
+def _degree5_moves_and_drift(ctx):
+    """The degree-5 formula's middles and its drift line e_0: each Ninomiya-Victoir path is (e_0/2, middle,
+    e_0/2), the middle z_i e_i along each axis with a nonzero 3-point Gauss-Hermite node z_i (z = 0: one zero
+    increment, which the path drops), axis orders 1..d and d..1 each with half of z's weight, merged in order."""
     node, axes = math.sqrt(3.0), np.eye(ctx.d + 1)
     merged = {}
     for z in itertools.product((0.0, node, -node), repeat=ctx.d):
         weight = 0.5 * math.prod(2.0 / 3.0 if x == 0.0 else 1.0 / 6.0 for x in z)
-        moves = [x * axes[i] for i, x in enumerate(z, 1) if x]
-        for order in (moves, moves[::-1]):
-            incs = np.array([axes[0] / 2.0, *order, axes[0] / 2.0])
-            merged.setdefault(incs.tobytes(), [0.0, incs])[0] += weight
-    items = tuple((w, paths.from_increments(1.0, incs)) for w, incs in merged.values())
+        moves = [x * axes[i] for i, x in enumerate(z, 1) if x] or [0.0 * axes[0]]
+        for order in (np.array(moves), np.array(moves[::-1])):
+            merged.setdefault(order.tobytes(), [0.0, order])[0] += weight
+    moves = tuple((w, paths.from_increments(1.0, incs)) for w, incs in merged.values())
+    return CubatureFormula(ctx, 1.0, moves), CubatureFormula(ctx, 1.0, ((1.0, paths.line_path(1.0, axes[0])),))
+
+
+@lru_cache(maxsize=None)
+def _expectation_degree5_unit(ctx):
+    half = np.eye(ctx.d + 1)[:1] / 2.0
+    incs = [(w, np.vstack([half, p.increments(), half])) for w, p in _degree5_moves_and_drift(ctx)[0].items]
+    items = tuple((w, paths.from_increments(1.0, inc[inc.any(axis=1)])) for w, inc in incs)
     return _checked(CubatureFormula(ctx, 1.0, items))
 
 
@@ -315,9 +325,9 @@ def greeks_solve(ctx, w, t, dictionary):
     columns selects an independent subset (at most dim A columns), whose
     pseudo-inverse times b gives the weights; weights at most PRUNE_TOL s are
     pruned, with s = min(1, max|b|), and the support's pseudo-inverse gives
-    them again, which must match to VERIFY_TOL s.  Only b depends on w, so
-    the default dictionary caches its columns, QR and each support's
-    pseudo-inverse and knot stack per context."""
+    them again, which must match to VERIFY_TOL s (``is_verified``).  Only b
+    depends on w, so the default dictionary caches its columns, QR and each
+    support's pseudo-inverse and knot stack per context."""
     if not dictionary:
         raise NoFormulaFoundError("empty dictionary", best_residual=None)
     b = algebra.to_dense(greek_target(ctx, w, t))
@@ -328,22 +338,23 @@ def greeks_solve(ctx, w, t, dictionary):
     else:
         S = paths.signatures(ctx, paths.knot_stack(dictionary, ctx.d + 1)[1])
         selected = _independent_columns(S)
-        solver = partial(_support_solver, ctx, S, dictionary)
+        solver = partial(_support_solver, ctx, S, None)
     mu = solver(tuple(selected.tolist()))[0] @ b
     support = tuple(selected[np.abs(mu) > PRUNE_TOL * scale].tolist())
     pinv, order, columns, *knots = solver(support)
     mu = pinv @ b  # the empty-word row forces sum(mu) = 0 up to rounding; project it out
     mu = mu - mu.sum() / max(mu.size, 1)
     items = tuple((float(mu[k]), dictionary[support[k]]) for k in order)
-    formula = GreeksFormula(ctx, t, algebra.dilate(math.sqrt(t), w), items)._set_stack(*knots)
-    return _checked(formula, _residuals(ctx, columns, formula.weights, b), VERIFY_TOL * scale)
+    formula = GreeksFormula(ctx, t, algebra.dilate(math.sqrt(t), w), items)
+    formula = formula._set_stack(*knots) if knots else formula
+    return _checked(formula, _residuals(ctx, columns, formula.weights, b), b)
 
 
 def _support_solver(ctx, S, dictionary, support):
-    """pinv(S[:, support]), the support's argsort order, and in that order its columns and knot stack."""
+    """pinv(S[:, support]), its argsort order, and in that order its columns and, given a dictionary, knot stack."""
     support = np.array(support, dtype=int)
     order = np.argsort(support)
-    knots = paths.knot_stack([dictionary[j] for j in support[order]], ctx.d + 1)
+    knots = paths.knot_stack([dictionary[j] for j in support[order]], ctx.d + 1) if dictionary else ()
     return _read_only(np.linalg.pinv(S[:, support]), order, S[:, support[order]], *knots)
 
 

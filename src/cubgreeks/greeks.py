@@ -7,6 +7,9 @@ of the resulting evaluation tree.  The tree is evaluated one level at a time:
 a level is one (n, N) state array with its (n,) weights, evolved in one batched
 call along the formula's padded stack of paths (``stack``, built once per
 formula at horizon 1), carried to the stage's step by ``paths.scale_knots``.
+At m' = 5 each path is (s/2 e_0, moves M, s/2 e_0), so the inner stages fuse the drift
+halves (Strang 1968): D(s_1/2), M(s_1), D((s_1 + s_2)/2), .., M(s_k), D(s_k/2), D the
+drift line; each partition step keeps one residual, count and error in ``GreekResult``, M's.
 
 The step rule: unless ``steps_per_segment`` fixes it, a (formula, step) stage
 runs at the smallest integer n <= 16 RK4 steps per segment with err1 / n^4
@@ -217,13 +220,11 @@ def _evaluate_tree(system, payoff, y0, stages, steps_per_segment, ode=None):
 
 
 def greek_iterated(request: GreekRequest) -> GreekResult:
-    """Evaluate the full tree: Greek step over s_0, expectation steps after.
+    """Evaluate the full tree (``_evaluate_tree``): Greek step over s_0, expectation steps after.
 
-    Weights multiply along branches and states chain through evolve, one
-    batched level at a time; leaf contributions are reduced with fsum in leaf
-    order.  The formula residuals are the ones their constructors verified
-    at horizon 1, carried to each step.  The inner degree is checked before
-    stage 0 is solved, and the leaf count before the tree is evaluated.
+    The formula residuals are the ones their constructors verified at horizon
+    1, carried to each step.  The inner degree is checked before stage 0 is
+    solved, and the leaf count before the tree is evaluated.
     """
     system = request.system
     y0 = np.asarray(request.y, dtype=float)
@@ -237,15 +238,18 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
     n0, q = max(len(stage0.items), 1), len(unit.items) if k else 1
     leaves = n0 * q**k
     if leaves > request.leaf_cap:
-        raise BudgetExceededError(
-            f"evaluation tree needs {n0} x {q}^{k} leaves > cap {request.leaf_cap}",
-            required=leaves,
-            cap=request.leaf_cap,
-        )
+        cap = request.leaf_cap
+        raise BudgetExceededError(f"evaluation tree needs {n0} x {q}^{k} leaves > cap {cap}", required=leaves, cap=cap)
 
     stages = [(stage0, steps[0]), *((unit, s) for s in steps[1:])]
-    ode = []
-    estimate, evaluated = _evaluate_tree(system, request.payoff, y0, stages, request.steps_per_segment, ode)
+    tree, ode = stages, []
+    if k and request.m_prime == 5:  # the fused drift stages of the module docstring
+        moves, drift = cubature._degree5_moves_and_drift(unit.ctx)
+        tree = [stages[0], (drift, 0.5 * steps[1])]
+        for s, after in zip(steps[1:], [*steps[2:], 0.0]):
+            tree += [(moves, s), (drift, 0.5 * (s + after))]
+    estimate, evaluated = _evaluate_tree(system, request.payoff, y0, tree, request.steps_per_segment, ode)
+    ode = ode if tree is stages else ode[:1] + ode[2::2]  # a fused level reports its moves stage
     return GreekResult(
         estimate=estimate,
         paths_evaluated=evaluated,

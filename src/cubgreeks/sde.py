@@ -308,15 +308,15 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
     times (K+1,) shared by all rows or (rows, K+1) per row, finite and
     strictly increasing with K >= 1 (else ``DomainError``); either way each
     row gets the bits of its own call.  A shorter path is padded after its
-    end with zero-increment segments: their slopes are exactly 0, so a finite
-    state comes through unchanged (up to the sign of a zero).  Each linear
-    segment contributes the autonomous field sum_i slope_i V_i, integrated
-    with `steps_per_segment` classical fourth-order steps, an integer >= 1
-    (the tree's default picks it per stage, see ``cubgreeks.greeks``).
-    Zero-slope rule: the drift V_0 is always evaluated, and V_i (i >= 1) is
-    skipped when its slope is zero on every row of the call.  A single path
-    thus never evaluates a field it does not drive, while inside a mixed or
-    padded stack a non-finite V_i times a zero slope gives NaN and raises
+    end with zero-increment segments, which keep a finite state (up to the
+    sign of a zero).  Each linear segment contributes the autonomous field
+    sum_i slope_i V_i, integrated with `steps_per_segment` classical
+    fourth-order steps, an integer >= 1 (the tree's default picks it per
+    stage, see ``cubgreeks.greeks``).  Zero-slope rule: V_i (V_0 included)
+    is skipped on a segment where its slope is zero on every row, so a
+    segment that drives nothing leaves the states as they are and a single
+    path never evaluates a field it does not drive; inside a mixed or padded
+    stack a non-finite V_i times a zero slope gives NaN and raises
     ``BlowUpError`` like any other non-finite state.  A field whose first
     value in a call is not of y0's shape raises ``ConfigError`` naming it.
     """
@@ -344,26 +344,27 @@ def evolve(system, y0, path, steps_per_segment=DEFAULT_STEPS_PER_SEGMENT):
     calls = [checked] * (system.d + 1)  # calls[i](i, y) is V_i(y)
     slopes = (points[..., 1:, :] - points[..., :-1, :]) / dts
     for k in range(times.shape[-1] - 1):
-        # the step and coefficients as contiguous arrays of the states' shape, numpy's fastest operands here
-        h = np.full(y.shape, dts[..., k, :] / steps_per_segment)
-        coef = [np.full(y.shape, slopes[..., k, i, None]) for i in range(system.d + 1)]
-        driven = [i for i in range(1, system.d + 1) if (slopes[..., k, i] != 0.0).any()]
+        driven = [i for i in range(system.d + 1) if slopes[..., k, i].any()]
+        if driven:  # else the segment leaves the states as they are
+            # the step and coefficients as contiguous arrays of the states' shape, numpy's fastest operands here
+            h = np.full(y.shape, dts[..., k, :] / steps_per_segment)
+            (first, c0), *rest = [(i, np.full(y.shape, slopes[..., k, i, None])) for i in driven]
 
-        def rhs(y):
-            out = coef[0] * calls[0](0, y)
-            for i in driven:
-                out += coef[i] * calls[i](i, y)
-            return out
+            def rhs(y):
+                out = c0 * calls[first](first, y)
+                for i, c in rest:
+                    out += c * calls[i](i, y)
+                return out
 
-        half, sixth = 0.5 * h, h / 6.0
-        for _ in range(steps_per_segment):
-            k1 = rhs(y)
-            k2 = rhs(y + half * k1)
-            k3 = rhs(y + half * k2)
-            k1 += 2.0 * k2  # k1 + 2 k2 + 2 k3 + k4, summed left to right in place
-            k1 += 2.0 * k3
-            k1 += rhs(y + h * k3)
-            y = y + sixth * k1
+            half, sixth = 0.5 * h, h / 6.0
+            for _ in range(steps_per_segment):
+                k1 = rhs(y)
+                k2 = rhs(y + half * k1)
+                k3 = rhs(y + half * k2)
+                k1 += 2.0 * k2  # k1 + 2 k2 + 2 k3 + k4, summed left to right in place
+                k1 += 2.0 * k3
+                k1 += rhs(y + h * k3)
+                y = y + sixth * k1
         if not np.isfinite(y).all():
             raise BlowUpError(f"state became non-finite on segment {k}", segment=k)
     return y

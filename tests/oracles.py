@@ -5,8 +5,9 @@ from composite trapezoid quadrature on a fine grid, derivatives from central
 differences, reference prices from direct lognormal sampling, truncated
 products and signatures from double loops over sparse word maps, the Chen
 fold through the general product on zero-filled segment exponentials, cubature
-trees from one single-path RK4 loop per node, and first variations from a
-joint RK4 loop of their own.  ``evolve``'s batched segment loop is frozen as
+trees from one single-path RK4 loop per node (and the m' = 5 tree as it ran
+before its drift halves were fused), and first variations from a joint RK4
+loop of their own.  ``evolve``'s batched segment loop is frozen as
 it stood before its RK4 kernel summed in place.  The counter-based normals and
 the signature-expectation recursion are frozen, unblocked copies that draw and
 multiply every path of a chunk in one array, and the covariance quadratures a
@@ -27,7 +28,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from cubgreeks import algebra, checks, mc, paths, sde
+from cubgreeks import algebra, checks, greeks, mc, paths, sde
 from cubgreeks.algebra import to_dense
 from cubgreeks.cubature import verify_moments
 from cubgreeks.errors import BlowUpError, DomainError, EllipticityError, InvalidPathError
@@ -194,8 +195,8 @@ def degree3_spikes(d):
 
 
 def evolve_loop(system, y0, path, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMENT):
-    """RK4 along one path with the field sum built per segment: the drift
-    always, and V_i only where its slope is nonzero."""
+    """RK4 along one path with the field sum built per segment from the V_i
+    (V_0 included) whose slope is nonzero; a segment with none keeps the state."""
     if steps_per_segment < 1:
         raise DomainError("steps_per_segment must be >= 1")
     if path.dim != system.d + 1:
@@ -205,15 +206,16 @@ def evolve_loop(system, y0, path, steps_per_segment=sde.DEFAULT_STEPS_PER_SEGMEN
         dt_seg = path.times[k + 1] - path.times[k]
         slope = (path.points[k + 1] - path.points[k]) / dt_seg
 
+        driven = [i for i in range(system.d + 1) if slope[i] != 0.0]
+
         def rhs(y):
-            out = slope[0] * system.field(0, y)
-            for i in range(1, system.d + 1):
-                if slope[i] != 0.0:
-                    out = out + slope[i] * system.field(i, y)
+            out = slope[driven[0]] * system.field(driven[0], y)
+            for i in driven[1:]:
+                out = out + slope[i] * system.field(i, y)
             return out
 
         h = dt_seg / steps_per_segment
-        for _ in range(steps_per_segment):
+        for _ in range(steps_per_segment if driven else 0):
             k1 = rhs(y)
             k2 = rhs(y + 0.5 * h * k1)
             k3 = rhs(y + 0.5 * h * k2)
@@ -273,6 +275,17 @@ def scalar_tree(system, payoff, y, formulas, steps_per_segment=sde.DEFAULT_STEPS
             for lam, p in formula.items
         ]
     return math.fsum(w * float(payoff(state)) for w, state in nodes), len(nodes)
+
+
+def unfused_degree5_tree(request):
+    """The iterated Greek with each m' = 5 level evolved along the degree-5 formula's
+    whole paths (s/2 e_0, z-moves, s/2 e_0), one stage per partition step, as the
+    tree ran before its drift halves were fused across levels.  Returns the estimate."""
+    y0 = np.asarray(request.y, dtype=float)
+    stage0, _ = greeks.build_greek_formula(request.system, y0, request.v, request.partition[0], request.m)
+    unit = greeks.expectation_formula(request.system.d, request.m_prime)
+    stages = [(stage0, request.partition[0]), *((unit, s) for s in request.partition[1:])]
+    return greeks._evaluate_tree(request.system, request.payoff, y0, stages, request.steps_per_segment)[0]
 
 
 def heisenberg_one_state():

@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -371,21 +373,23 @@ class TestPartitionRecorded:
     formula became the Ninomiya-Victoir splitting (3 paths in place of 7).  DEFAULT_CASES
     are the same deltas under the default step rule, re-recorded when it took the
     smallest integer step count in place of the smallest power of two, and again
-    when the stages after the first took greeks.INNER_ODE_TOL in place of ODE_TOL."""
+    when the stages after the first took greeks.INNER_ODE_TOL in place of ODE_TOL.
+    The m'=5 cases of both were re-recorded when the tree fused the drift halves
+    of its degree-5 levels (moves <= 4.5e-16)."""
 
     CASES = [
         ("3", "0.1", "4,2.0", "0x1.e5561ae698e2fp-2", 32),
         ("3", "0.1", "8,3.0", "0x1.dd9335694aae8p-2", 512),
         ("3", "0.05", "6,1.5", "0x1.e3e633687b023p-2", 128),
-        ("5", "0.1", "2,1.0", "0x1.a7195cab9b170p-2", 18),
-        ("5", "0.2", "3,2.0", "0x1.b9e0844d96450p-2", 54),
+        ("5", "0.1", "2,1.0", "0x1.a7195cab9b16bp-2", 18),
+        ("5", "0.2", "3,2.0", "0x1.b9e0844d9644ep-2", 54),
     ]
     DEFAULT_CASES = [
         ("3", "0.1", "4,2.0", "0x1.e5561ac6fe48cp-2", 32),
         ("3", "0.1", "8,3.0", "0x1.dd933548c12c2p-2", 512),
         ("3", "0.05", "6,1.5", "0x1.e3e6334c66b51p-2", 128),
-        ("5", "0.1", "2,1.0", "0x1.a7195ca944800p-2", 18),
-        ("5", "0.2", "3,2.0", "0x1.b9e0844619456p-2", 54),
+        ("5", "0.1", "2,1.0", "0x1.a7195ca9447f8p-2", 18),
+        ("5", "0.2", "3,2.0", "0x1.b9e0844619452p-2", 54),
     ]
 
     @staticmethod
@@ -447,6 +451,19 @@ class TestVerifyCommand:
         assert main(["verify", "--d", "2", "--m", "2"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 12
+
+    def test_runs_as_python_dash_m_cubgreeks(self, capsys, monkeypatch):
+        assert main(["verify", "--d", "1", "--m", "2"]) == 0
+        direct = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["cubgreeks", "verify", "--d", "1", "--m", "2"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("cubgreeks", run_name="__main__")
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == direct
+        monkeypatch.setattr(sys, "argv", ["cubgreeks", "verify", "--d", "1", "--m", "0"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("cubgreeks", run_name="__main__")
+        assert exit_.value.code == 2
 
     def test_passes_high_degree(self):
         assert main(["verify", "--d", "1", "--m", "5"]) == 0
@@ -679,6 +696,27 @@ class TestCubatureCommand:
         data = json.loads(report.read_text())
         assert data["valid"] is True
         assert data["max_residual"] < 1e-10
+
+    def test_import_holds_a_greeks_formula_to_its_target_scale(self, tmp_path, capsys):
+        # the empty formula for an out-of-reach direction misses its target by the target
+        # itself (1e-12), which is under VERIFY_TOL but not under VERIFY_TOL * 1e-12
+        ctx = context(2, 4)
+        direction = algebra.TensorElement(ctx, {(1,): 1e-12, (2,): 1e-12})
+        out, report = tmp_path / "formula.json", tmp_path / "report.json"
+        out.write_text(json.dumps(cubature.formula_to_dict(cubature.GreeksFormula(ctx, 1.0, direction, ()))))
+        assert main(["cubature", "import", "--in", str(out), "--out", str(report)]) == 1
+        data = json.loads(report.read_text())
+        assert (data["valid"], data["max_residual"]) == (False, 1e-12)
+        with pytest.raises(cubature.NoFormulaFoundError, match="fails verification"):
+            cubature.formula_from_dict(json.loads(out.read_text()))
+        # an exported two-point formula stays valid, a tiny direction's too
+        for direction in ("3,4", "1e-12,2e-12"):
+            argv = ["cubature", "export", "--kind", "greeks2pt", "--d", "2", "--m", "2", "--direction", direction]
+            assert main(argv + ["--out", str(out)]) == 0
+            assert main(["cubature", "import", "--in", str(out), "--out", str(report)]) == 0
+            data = json.loads(report.read_text())
+            assert data["valid"] is True
+            assert cubature.formula_from_dict(json.loads(out.read_text())).residual == data["max_residual"]
 
     def test_residual_at_the_tolerance_is_valid(self, tmp_path, monkeypatch):
         # import and the constructors' check share one rule: a residual equal to VERIFY_TOL passes

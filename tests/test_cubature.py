@@ -410,6 +410,20 @@ class TestCachedSupportSolve:
             assert fresh.residuals == cached.residuals
             assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh.stack[:2], cached.stack[:2]))
 
+    def test_user_dictionary_stacks_only_the_final_support_and_only_on_use(self, monkeypatch):
+        ctx = context(2, 3)
+        dictionary = list(default_greeks_dictionary(ctx))
+        stacked, knot_stack = [], paths.knot_stack
+        monkeypatch.setattr(paths, "knot_stack", lambda *args: stacked.append(len(args[0])) or knot_stack(*args))
+        for w in _random_directions(ctx, 3, 13):
+            del stacked[:]
+            formula = greeks_solve(ctx, w, 1.0, dictionary)
+            assert stacked == [len(dictionary)]  # the dictionary's signature fold alone
+            times, points, *_ = formula.stack
+            assert stacked == [len(dictionary), len(formula.items)]
+            expected = knot_stack(formula.paths, ctx.d + 1)
+            assert times.tobytes() == expected[0].tobytes() and points.tobytes() == expected[1].tobytes()
+
 
 class TestTinyDirections:
     """Pruning and verification scale with s = min(1, max|b|), so a tiny target gets the

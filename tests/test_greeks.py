@@ -33,7 +33,7 @@ from cubgreeks.greeks import (
 )
 from cubgreeks.mc import McConfig, Payoff, bs_closed_form, fd_greek
 
-from oracles import heisenberg_one_state, max_residual, scalar_tree
+from oracles import heisenberg_one_state, max_residual, scalar_tree, unfused_degree5_tree
 
 BS = sde.black_scholes(0.05, 0.3)
 SIGMA, R = 0.3, 0.05
@@ -318,6 +318,26 @@ def _tree_case(d, m_prime, direction, k):
     return system, y, v, tuple(steps)
 
 
+def traced_stages(monkeypatch):
+    """[(stages, ode)] of each ``greeks._evaluate_tree`` call while active: the
+    (formula, step) stages it ran and the (RK4 count, error) it gave each."""
+    out, evaluate = [], greeks._evaluate_tree
+
+    def traced(system, payoff, y0, stages, steps_per_segment, ode=None):
+        out.append((list(stages), [] if ode is None else ode))
+        return evaluate(system, payoff, y0, stages, steps_per_segment, out[-1][1])
+
+    monkeypatch.setattr(greeks, "_evaluate_tree", traced)
+    return out
+
+
+def scaled(formula, s):
+    """A formula's paths carried to step s by ``paths.scale_path``, beside its weights:
+    what ``oracles.scalar_tree`` reads, for any stage (the fused m' = 5 ones are not
+    moment-matching formulas, so ``cubature.rescale_formula`` refuses them)."""
+    return SimpleNamespace(items=tuple((w, paths.scale_path(p, s)) for w, p in formula.items))
+
+
 def rescaled_stages(system, y, v, steps, m, m_prime):
     """The stage-0 and inner formulas carried to their steps by ``rescale_formula``."""
     stage0, _ = greeks.build_greek_formula(system, np.array(y), v, steps[0], m)
@@ -335,19 +355,23 @@ class TestLevelBatching:
         (1, 1, 3), (1, 3, 3), (1, 5, 2), (2, 1, 2), (2, 3, 2), (2, 3, 0),
     ])
     @pytest.mark.parametrize("direction", [1.0, 0.0])
-    def test_bitwise_equal_to_scalar_tree(self, d, m_prime, k, direction):
+    def test_bitwise_equal_to_scalar_tree(self, monkeypatch, d, m_prime, k, direction):
         system, y, v, steps = _tree_case(d, m_prime, direction, k)
         # at d = 2, m = 3 the solver-built stage 0 has paths of one and two
-        # segments, so its level pads the one-segment paths
+        # segments, so its level pads the one-segment paths; at m' = 5 the
+        # scalar tree runs the fused drift and moves stages the tree ran
         ms = (2, 3) if d == 2 else (2,)
+        trees = traced_stages(monkeypatch)
         for m, (name, payoff) in itertools.product(ms, BATCH_PAYOFFS[d].items()):
             request = GreekRequest(
                 system=system, payoff=payoff, y=y, v=v, t=0.6, m=m,
                 m_prime=m_prime, partition=steps,
             )
             result = greek_iterated(request)
-            stage0, inner = rescaled_stages(system, y, v, steps, m, m_prime)
-            estimate, leaves = scalar_tree(system, payoff, y, [stage0, *inner], result.ode_steps)
+            stages, ode = trees[-1]
+            assert len(stages) == (2 * k + 2 if m_prime == 5 and k else k + 1)
+            formulas = [scaled(f, s) for f, s in stages]
+            estimate, leaves = scalar_tree(system, payoff, y, formulas, [n for n, _ in ode])
             assert result.estimate.hex() == estimate.hex(), (m, name)
             assert result.paths_evaluated == leaves, (m, name)
             if d == 2:
@@ -358,12 +382,15 @@ class TestLevelBatching:
             if direction == 0.0:
                 assert (result.estimate, leaves) == (0.0, 0)
             elif m == 3:
-                assert len({p.times.tobytes() for p in stage0.paths}) == 2
+                assert len({p.times.tobytes() for p in stages[0][0].paths}) == 2
 
-    def test_undriven_nan_field_is_never_evaluated(self):
-        # V2 is nan everywhere, and the two-point paths along e_1 never drive it
+    @staticmethod
+    def check_nan_field_is_never_evaluated(i):
+        """The two-point lines along e_1, at the level and through the tree, with V_i nan everywhere."""
         nan_field = lambda y: np.full_like(y, np.nan)
-        system = sde.VectorFieldSystem(dim=2, d=2, fields=HEISENBERG.fields[:2] + (nan_field,))
+        fields = list(HEISENBERG.fields)
+        fields[i] = nan_field
+        system = sde.VectorFieldSystem(dim=2, d=2, fields=tuple(fields))
         w = algebra.TensorElement(context(2, 2), {(1,): 0.7})
         unit = cubature.greeks_two_point(context(2, 2), w, 1.0)
         formula = cubature.rescale_formula(unit, 0.3)
@@ -374,6 +401,16 @@ class TestLevelBatching:
             estimate, leaves = greeks._evaluate_tree(system, payoff, (0.4, -0.2), [(unit, 0.3)], 16)
             reference, ref_leaves = scalar_tree(system, payoff, (0.4, -0.2), [formula])
             assert (estimate.hex(), leaves) == (reference.hex(), ref_leaves), name
+        with pytest.raises(BlowUpError):  # the degree-3 paths drive every field
+            greeks._evolve_level(system, states, np.ones(2), greeks.expectation_formula(2, 3), 0.3, 1)
+
+    def test_undriven_nan_field_is_never_evaluated(self):
+        # V2 is nan everywhere, and the two-point paths along e_1 never drive it
+        self.check_nan_field_is_never_evaluated(2)
+
+    def test_undriven_nan_drift_is_never_evaluated(self):
+        # V0 is nan everywhere, and the two-point lines have no time component
+        self.check_nan_field_is_never_evaluated(0)
 
     @pytest.mark.parametrize("m_prime", [1, 3, 5])
     def test_one_step_expectation_matches_scalar_tree(self, m_prime):
@@ -449,16 +486,24 @@ class TestLevelBatching:
         assert result.paths_evaluated == len(stage0.items) > 2
         assert len(calls) == 1
 
-    def test_degree5_levels_are_one_evolve_call_each(self, monkeypatch):
+    def test_degree5_levels_are_one_moves_call_and_one_drift_call_each(self, monkeypatch):
         calls = self.count_evolve(monkeypatch)
+        levels, evolve_level = [], greeks._evolve_level
+        monkeypatch.setattr(greeks, "_evolve_level", lambda *args: levels.append(args[3]) or evolve_level(*args))
         request = GreekRequest(
             system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,),
             t=1.0, m=2, m_prime=5, partition=tuple(gamma_partition(1.0, 0.1, 2, 1.0)), steps_per_segment=16,
         )
-        inner = cubature.rescale_formula(greeks.expectation_formula(1, 5), 0.45)
-        assert sorted({p.n_segments for p in inner.paths}) == [2, 3]
-        assert greek_iterated(request).paths_evaluated == 2 * len(inner.items) ** 2
-        assert len(calls) == 1 + 2
+        unit = greeks.expectation_formula(1, 5)
+        moves, drift = cubature._degree5_moves_and_drift(unit.ctx)
+        # the whole paths have 2 and 3 segments; their moves have one, the z = 0 one zero
+        assert sorted({p.n_segments for p in unit.paths}) == [2, 3]
+        assert [p.n_segments for p in moves.paths] == [1, 1, 1] and not moves.paths[0].points.any()
+        assert moves.weights.tobytes() == unit.weights.tobytes() and len(drift.items) == 1
+        assert greek_iterated(request).paths_evaluated == 2 * len(unit.items) ** 2
+        # stage 0, the first drift half, then each level's moves and the drift after them
+        assert [id(f) for f in levels[1:]] == [id(f) for f in (drift, moves, drift, moves, drift)]
+        assert len(calls) == 1 + 2 * 2 + 1
 
     @pytest.mark.parametrize("system, v, m, partition, ode_steps, n_calls", [
         # 9 levels + 2 probes each of stage 0 and the inner formula, whose
@@ -583,15 +628,25 @@ class TestFormulaStack:
         assert [ref() for ref in knots] == list(cached)
         assert unit._stack is not None  # the lru-cached inner formula keeps its own
 
-    @pytest.mark.parametrize("system, d, m_prime, fields_per_segment", [
-        (BS, 1, 3, (1 + 1,)),  # one segment, every path drives V1
-        (HEISENBERG, 2, 3, (1 + 2,)),  # paths along e_1 and e_2 in one stack drive both
-        (BS, 1, 5, (1, 1 + 1, 1)),  # drift halves around the driven middle; z = 0 is padded
+    FORMULAS = {
+        "degree3": lambda d: greeks.expectation_formula(d, 3),
+        "degree5": lambda d: greeks.expectation_formula(d, 5),
+        "moves": lambda d: cubature._degree5_moves_and_drift(context(d, 5))[0],
+        "drift": lambda d: cubature._degree5_moves_and_drift(context(d, 5))[1],
+        "two_point": lambda d: cubature.greeks_two_point(context(d, 2), 0.7 * algebra.generator(context(d, 2), 1), 1.0),
+    }
+
+    @pytest.mark.parametrize("system, kind, fields_per_segment", [
+        (BS, "degree3", (1 + 1,)),  # one segment, every path drives V0 and V1
+        (HEISENBERG, "degree3", (1 + 2,)),  # paths along e_1 and e_2 in one stack drive all three
+        (BS, "degree5", (1, 1 + 1, 1)),  # whole paths: drift halves around the moves; z = 0 is padded
+        (BS, "moves", (1,)),  # the fused moves drive V1 alone; the z = 0 row is a zero increment
+        (HEISENBERG, "moves", (2, 2)),  # moves along e_1 and e_2, one or two per path, padded
+        (BS, "drift", (1,)),  # the fused drift line drives V0 alone
+        (HEISENBERG, "two_point", (1,)),  # the m = 2 lines along e_1 drive V1, not the drift
     ])
     @pytest.mark.parametrize("steps", [1, 3])
-    def test_each_rk4_stage_calls_the_drift_and_each_driven_field(
-        self, monkeypatch, system, d, m_prime, fields_per_segment, steps
-    ):
+    def test_each_rk4_stage_calls_each_driven_field(self, monkeypatch, system, kind, fields_per_segment, steps):
         # the calls go through VectorFieldSystem.field, which the bench tracer
         # counts as sde.field_calls and sde.field_rows
         calls, field = [], sde.VectorFieldSystem.field
@@ -601,7 +656,7 @@ class TestFormulaStack:
             return field(self, i, y)
 
         monkeypatch.setattr(sde.VectorFieldSystem, "field", counted)
-        formula = greeks.expectation_formula(d, m_prime)
+        formula = self.FORMULAS[kind](system.d)
         states = np.linspace(0.5, 1.5, 3 * system.dim).reshape(3, system.dim)
         greeks._evolve_level(system, states, np.ones(3), formula, 0.3, steps)
         assert len(calls) == 4 * steps * sum(fields_per_segment)
@@ -851,6 +906,50 @@ class TestStepRule:
         test_acceptance.test_criterion_07_hypoelliptic_direction()
         assert len(deviations) == 4 + 4 + 3 + 1
         assert max(deviations) <= 1e-8
+
+
+class TestFusedDriftStages:
+    """At m' = 5 the tree runs D(s_1/2), M(s_1), D((s_1 + s_2)/2), .., M(s_k), D(s_k/2):
+    flows of V_0 compose, so it estimates what the whole-path levels did, at a
+    different RK4 discretisation, and each drift stage takes its own count."""
+
+    @staticmethod
+    def box_corners():
+        """The iterated_delta m' = 5 op at each corner of the bench box of k, s0 and gamma."""
+        for k, s0, gamma in itertools.product((2, 3), (0.05, 0.2), (1.0, 3.0)):
+            yield GreekRequest(
+                system=BS, payoff=Payoff("smoothed_call", 1.15, 0.05), y=(1.0,), v=(1.0,), t=1.0,
+                m=2, m_prime=5, partition=tuple(gamma_partition(1.0, s0, k, gamma)),
+            )
+
+    def test_fused_tree_is_within_1e_12_of_the_whole_path_levels_at_64_steps(self):
+        y = (0.3, -0.2)
+        hypo = GreekRequest(
+            system=HEISENBERG, payoff=_hypo_payoff, y=y, v=tuple(sde.bracket_vf(HEISENBERG, 1, 2, y)), t=0.6,
+            m=3, m_prime=5, partition=tuple(gamma_partition(0.6, 0.1, 2, 2.0)),
+        )
+        for request in [*self.box_corners(), hypo]:
+            request = dataclasses.replace(request, steps_per_segment=64)
+            result = greek_iterated(request)
+            assert abs(result.estimate - unfused_degree5_tree(request)) <= 1e-12, request.partition
+            assert result.ode_steps == (64,) * len(request.partition)
+        assert result.paths_evaluated == 15 * 13**2  # the hypo-elliptic request: 15 stage-0 paths, 13 per level
+
+    def test_drift_stages_take_at_most_two_steps_and_levels_report_their_moves(self, monkeypatch):
+        trees = traced_stages(monkeypatch)
+        moves, drift = cubature._degree5_moves_and_drift(context(1, 5))
+        for request in self.box_corners():
+            result = greek_iterated(request)
+            (stages, ode), = trees
+            del trees[:]
+            k = len(request.partition) - 1
+            assert all(f is drift for f, _ in stages[1::2]) and all(f is moves for f, _ in stages[2::2])
+            assert [s for _, s in stages[2::2]] == list(request.partition[1:])
+            halves = [0.5 * (a + b) for a, b in zip((0.0, *request.partition[1:]), (*request.partition[1:], 0.0))]
+            assert [s for _, s in stages[1::2]] == halves
+            assert max(n for n, _ in ode[1::2]) <= 2, ode
+            assert (result.ode_steps, result.ode_errors) == tuple(zip(*[ode[0], *ode[2::2]]))
+            assert len(result.formula_residuals) == k + 1
 
 
 class TestRequestInputs:

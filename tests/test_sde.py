@@ -88,6 +88,26 @@ class TestEvolve:
         p = line_path(1.0, [0.0, 0.0, 0.0])
         assert np.allclose(evolve(system, [0.4, -0.2], p), [0.4, -0.2])
 
+    def test_undriven_fields_are_never_evaluated(self):
+        # every field counts its calls; the drift is nan and V2 raises
+        calls = []
+
+        def field(i, value):
+            return lambda y: calls.append(i) or np.full_like(y, value)
+
+        def refuse(y):
+            raise AssertionError("V2 is never driven")
+
+        system = sde.VectorFieldSystem(dim=2, d=2, fields=(field(0, np.nan), field(1, 0.5), refuse))
+        state = np.array([0.4, -0.2])
+        out = evolve(system, state, from_increments(1.0, [[0.0, 0.0, 0.0], [0.0, 0.3, 0.0]]), 2)
+        assert calls == [1] * 4 * 2  # the zero segment evaluates nothing, the pure-space one V1 alone
+        assert np.allclose(out, state + 0.5 * 0.3, rtol=0.0, atol=1e-15)  # V1 = 0.5 moves it by 0.5 x 0.3
+        zero = evolve(system, state, line_path(1.0, [0.0, 0.0, 0.0]))
+        assert zero.tobytes() == state.tobytes() and calls == [1] * 8
+        with pytest.raises(BlowUpError):
+            evolve(system, state, line_path(1.0, [0.1, 0.3, 0.0]))
+
     def test_fourth_order_convergence(self):
         system = cubic_toy()
         p = from_increments(1.0, [[0.4, 0.9], [0.6, -0.3]])
