@@ -322,7 +322,8 @@ def cmd_cubature(args):
         raise ConfigError(f"formula file {args.infile} is missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError, CubatureError) as exc:
         raise ConfigError(f"formula file {args.infile} is malformed: {exc}") from exc
-    residuals = cubature.verify_moments(formula, target := formula.target())
+    target = formula.target()
+    residuals = cubature.verify_moments(formula, target)
     valid = cubature.is_verified(residuals.values(), target.vec)
     _emit_json(
         {

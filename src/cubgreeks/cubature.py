@@ -338,7 +338,7 @@ def greeks_solve(ctx, w, t, dictionary):
     else:
         S = paths.signatures(ctx, paths.knot_stack(dictionary, ctx.d + 1)[1])
         selected = _independent_columns(S)
-        solver = partial(_support_solver, ctx, S, None)
+        solver = partial(_support_solver, S)
     mu = solver(tuple(selected.tolist()))[0] @ b
     support = tuple(selected[np.abs(mu) > PRUNE_TOL * scale].tolist())
     pinv, order, columns, *knots = solver(support)
@@ -350,18 +350,21 @@ def greeks_solve(ctx, w, t, dictionary):
     return _checked(formula, _residuals(ctx, columns, formula.weights, b), b)
 
 
-def _support_solver(ctx, S, dictionary, support):
-    """pinv(S[:, support]), its argsort order, and in that order its columns and, given a dictionary, knot stack."""
+def _support_solver(S, support):
+    """pinv(S[:, support]), the support's argsort order, and its columns in that order."""
     support = np.array(support, dtype=int)
     order = np.argsort(support)
-    knots = paths.knot_stack([dictionary[j] for j in support[order]], ctx.d + 1) if dictionary else ()
-    return _read_only(np.linalg.pinv(S[:, support]), order, S[:, support[order]], *knots)
+    return np.linalg.pinv(S[:, support]), order, S[:, support[order]]
 
 
 @lru_cache(maxsize=64)
 def _unit_support(ctx, support):
-    """``_support_solver`` on the horizon-1 default dictionary, built once per (context, support)."""
-    return _support_solver(ctx, _unit_greeks_columns(ctx)[0], default_greeks_dictionary(ctx), support)
+    """``_support_solver`` on the horizon-1 default dictionary and, in its order, the support's
+    knot stack, built once per (context, support), read-only."""
+    pinv, order, columns = _support_solver(_unit_greeks_columns(ctx)[0], support)
+    dictionary = default_greeks_dictionary(ctx)
+    knots = paths.knot_stack([dictionary[support[j]] for j in order], ctx.d + 1)
+    return _read_only(pinv, order, columns, *knots)
 
 
 def _independent_columns(S):

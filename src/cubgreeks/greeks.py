@@ -9,7 +9,9 @@ call along the formula's padded stack of paths (``stack``, built once per
 formula at horizon 1), carried to the stage's step by ``paths.scale_knots``.
 At m' = 5 each path is (s/2 e_0, moves M, s/2 e_0), so the inner stages fuse the drift
 halves (Strang 1968): D(s_1/2), M(s_1), D((s_1 + s_2)/2), .., M(s_k), D(s_k/2), D the
-drift line; each partition step keeps one residual, count and error in ``GreekResult``, M's.
+drift line.  ``GreekResult`` keeps one residual, count and error per partition step: a fused
+level's count is the largest of its moves stage and the drift stages folded into it (the one
+after, and at level 1 the one before too), its error the sum of their estimates.
 
 The step rule: unless ``steps_per_segment`` fixes it, a (formula, step) stage
 runs at the smallest integer n <= 16 RK4 steps per segment with err1 / n^4
@@ -220,11 +222,13 @@ def _evaluate_tree(system, payoff, y0, stages, steps_per_segment, ode=None):
 
 
 def greek_iterated(request: GreekRequest) -> GreekResult:
-    """Evaluate the full tree (``_evaluate_tree``): Greek step over s_0, expectation steps after.
+    """Evaluate the full tree: Greek step over s_0, expectation steps after.
 
-    The formula residuals are the ones their constructors verified at horizon
-    1, carried to each step.  The inner degree is checked before stage 0 is
-    solved, and the leaf count before the tree is evaluated.
+    Weights multiply along branches and states chain through evolve, one
+    batched level at a time; leaf contributions are reduced with fsum in leaf
+    order.  The formula residuals are the ones their constructors verified
+    at horizon 1, carried to each step.  The inner degree is checked before
+    stage 0 is solved, and the leaf count before the tree is evaluated.
     """
     system = request.system
     y0 = np.asarray(request.y, dtype=float)
@@ -238,8 +242,11 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
     n0, q = max(len(stage0.items), 1), len(unit.items) if k else 1
     leaves = n0 * q**k
     if leaves > request.leaf_cap:
-        cap = request.leaf_cap
-        raise BudgetExceededError(f"evaluation tree needs {n0} x {q}^{k} leaves > cap {cap}", required=leaves, cap=cap)
+        raise BudgetExceededError(
+            f"evaluation tree needs {n0} x {q}^{k} leaves > cap {request.leaf_cap}",
+            required=leaves,
+            cap=request.leaf_cap,
+        )
 
     stages = [(stage0, steps[0]), *((unit, s) for s in steps[1:])]
     tree, ode = stages, []
@@ -249,15 +256,18 @@ def greek_iterated(request: GreekRequest) -> GreekResult:
         for s, after in zip(steps[1:], [*steps[2:], 0.0]):
             tree += [(moves, s), (drift, 0.5 * (s + after))]
     estimate, evaluated = _evaluate_tree(system, request.payoff, y0, tree, request.steps_per_segment, ode)
-    ode = ode if tree is stages else ode[:1] + ode[2::2]  # a fused level reports its moves stage
+    # one (count, error) per partition step: a fused level folds in the drift stage after its moves (level 1
+    # also the one before) at the largest count and the summed error estimates
+    levels = [ode[:1], ode[1:4], *(ode[i : i + 2] for i in range(4, len(ode), 2))]
+    levels = [[o] for o in ode] if tree is stages else levels
     return GreekResult(
         estimate=estimate,
         paths_evaluated=evaluated,
         formula_residuals=tuple(max(cubature.scaled_residuals(f.residuals, s)) for f, s in stages),
         direction_words=coeffs,
         decomposition_residual=residual,
-        ode_steps=tuple(n for n, _ in ode),
-        ode_errors=tuple(err for _, err in ode),
+        ode_steps=tuple(max(n for n, _ in g) for g in levels),
+        ode_errors=tuple(None if g[0][1] is None else math.fsum(e for _, e in g) for g in levels),
     )
 
 

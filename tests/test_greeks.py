@@ -359,7 +359,7 @@ class TestLevelBatching:
         system, y, v, steps = _tree_case(d, m_prime, direction, k)
         # at d = 2, m = 3 the solver-built stage 0 has paths of one and two
         # segments, so its level pads the one-segment paths; at m' = 5 the
-        # scalar tree runs the fused drift and moves stages the tree ran
+        # inner stages are D(s_1/2), M(s_1), D((s_1 + s_2)/2), .., M(s_k), D(s_k/2)
         ms = (2, 3) if d == 2 else (2,)
         trees = traced_stages(monkeypatch)
         for m, (name, payoff) in itertools.product(ms, BATCH_PAYOFFS[d].items()):
@@ -368,10 +368,18 @@ class TestLevelBatching:
                 m_prime=m_prime, partition=steps,
             )
             result = greek_iterated(request)
-            stages, ode = trees[-1]
-            assert len(stages) == (2 * k + 2 if m_prime == 5 and k else k + 1)
-            formulas = [scaled(f, s) for f, s in stages]
-            estimate, leaves = scalar_tree(system, payoff, y, formulas, [n for n, _ in ode])
+            stage0, inner = rescaled_stages(system, y, v, steps, m, m_prime)
+            expected = [(greeks.expectation_formula(d, m_prime), s) for s in steps[1:]]
+            if m_prime == 5 and k:
+                moves, drift = cubature._degree5_moves_and_drift(context(d, 5))
+                halves = [0.5 * (a + b) for a, b in zip((0.0, *steps[1:]), (*steps[1:], 0.0))]
+                fused = zip(steps[1:], halves[1:])
+                expected = [(drift, halves[0]), *itertools.chain(*(((moves, s), (drift, h)) for s, h in fused))]
+                inner = [scaled(f, s) for f, s in expected]
+            ran, ode = trees[-1]
+            assert ran[0][1] == steps[0] and len(ran) == 1 + len(expected)
+            assert all(f is g and s == r for (f, s), (g, r) in zip(ran[1:], expected)), (m, name)
+            estimate, leaves = scalar_tree(system, payoff, y, [stage0, *inner], [n for n, _ in ode])
             assert result.estimate.hex() == estimate.hex(), (m, name)
             assert result.paths_evaluated == leaves, (m, name)
             if d == 2:
@@ -382,7 +390,7 @@ class TestLevelBatching:
             if direction == 0.0:
                 assert (result.estimate, leaves) == (0.0, 0)
             elif m == 3:
-                assert len({p.times.tobytes() for p in stages[0][0].paths}) == 2
+                assert len({p.times.tobytes() for p in stage0.paths}) == 2
 
     @staticmethod
     def check_nan_field_is_never_evaluated(i):
@@ -932,10 +940,11 @@ class TestFusedDriftStages:
             request = dataclasses.replace(request, steps_per_segment=64)
             result = greek_iterated(request)
             assert abs(result.estimate - unfused_degree5_tree(request)) <= 1e-12, request.partition
-            assert result.ode_steps == (64,) * len(request.partition)
+            levels = len(request.partition)
+            assert (result.ode_steps, result.ode_errors) == ((64,) * levels, (None,) * levels)
         assert result.paths_evaluated == 15 * 13**2  # the hypo-elliptic request: 15 stage-0 paths, 13 per level
 
-    def test_drift_stages_take_at_most_two_steps_and_levels_report_their_moves(self, monkeypatch):
+    def test_drift_stages_take_at_most_two_steps_and_fold_into_their_levels(self, monkeypatch):
         trees = traced_stages(monkeypatch)
         moves, drift = cubature._degree5_moves_and_drift(context(1, 5))
         for request in self.box_corners():
@@ -948,7 +957,10 @@ class TestFusedDriftStages:
             halves = [0.5 * (a + b) for a, b in zip((0.0, *request.partition[1:]), (*request.partition[1:], 0.0))]
             assert [s for _, s in stages[1::2]] == halves
             assert max(n for n, _ in ode[1::2]) <= 2, ode
-            assert (result.ode_steps, result.ode_errors) == tuple(zip(*[ode[0], *ode[2::2]]))
+            # level 1 folds in D(s_1/2), M(s_1) and D((s_1 + s_2)/2); level j > 1, M(s_j) and the drift after it
+            levels = [[ode[0]], ode[1:4], *(ode[2 * j : 2 * j + 2] for j in range(2, k + 1))]
+            assert result.ode_steps == tuple(max(n for n, _ in g) for g in levels)
+            assert result.ode_errors == tuple(math.fsum(e for _, e in g) for g in levels)
             assert len(result.formula_residuals) == k + 1
 
 
