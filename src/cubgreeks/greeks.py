@@ -15,13 +15,15 @@ after, and at level 1 the one before too), its error the sum of their estimates.
 
 The step rule: unless ``steps_per_segment`` fixes it, a (formula, step) stage
 runs at the smallest integer n <= 16 RK4 steps per segment with err1 / n^4
-<= tol, else 16.  tol is ODE_TOL at stage 0, the whole tree of a one-step
-estimate and held to its 1e-10 identities, and INNER_ODE_TOL at each later
-stage, an expectation step of an iterated scheme whose own error is ~1e-3.
+<= tol, else 16.  tol is ODE_TOL for a one-stage tree (a one-step estimate,
+held to its 1e-10 identities); in a longer tree a stage of degree q at step s
+takes ODE_REL s^((q+1)/2), a fixed share of its own cubature error (Lyons &
+Victoir 2004), so the RK4 error shrinks with the partition.
 err1 = |y2 - y1| 16/15 / max(1, |y2|) is the one-step error estimated on at
-most 4 states of the level evolved at 1 and 2 steps, once per formula and tree:
-a later stage at a step s <= s_ref of that probe takes err1 (s / s_ref)^(5/2).
-A probe of the whole level with n <= 2 is the level.
+most 4 states of the level evolved at 1 and 2 steps, once per formula and tree,
+at the largest step s_ref the tree runs it at, on its first stage's states; a
+stage at step s takes err1 (s / s_ref)^(5/2).  A probe of every state at the
+stage's own step with n <= 2 is the level.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from .errors import (
 )
 
 DEFAULT_LEAF_CAP = 10**6
-ODE_TOL = 1e-11  # the step rule's bound on a stage's estimated relative RK4 error
-INNER_ODE_TOL = 1e-9  # the same bound on every stage after the first
+ODE_TOL = 1e-11  # the step rule's bound on a one-stage tree's estimated relative RK4 error
+ODE_REL = 1e-6  # a longer tree's bound on a stage of degree q at step s, as a share of s^((q+1)/2)
 
 
 @dataclass(frozen=True)
@@ -201,19 +203,17 @@ def _evaluate_tree(system, payoff, y0, stages, steps_per_segment, ode=None):
     """
     system, payoff = sde.batched(system, y0), sde._scalar_payoff(payoff, y0)
     states, weights = np.asarray(y0, dtype=float).reshape(1, -1), np.ones(1)
-    probed = {}  # id(formula) -> (step, err1) of its probe
-    for i, (formula, s) in enumerate(stages):
-        n, err, level = steps_per_segment, None, None
+    refs = {id(f): s for f, s in sorted(stages, key=lambda stage: stage[1])}  # id(formula) -> its largest step
+    probed = {}  # id(formula) -> err1 of its one probe, at that step
+    for formula, s in stages:
+        n, err, level, s_ref = steps_per_segment, None, None, refs[id(formula)]
         if n is None:
-            s_ref, err1 = probed.get(id(formula), (0.0, math.inf))
-            if s <= s_ref:
-                err1 *= (s / s_ref) ** 2.5
-            else:
-                err1, level = _probe(system, states, weights, formula, s)
-                probed[id(formula)] = (s, err1)
-            tol = INNER_ODE_TOL if i else ODE_TOL
+            if id(formula) not in probed:
+                probed[id(formula)], level = _probe(system, states, weights, formula, s_ref)
+            err1 = probed[id(formula)] * (s / s_ref) ** 2.5
+            tol = ODE_REL * s ** ((formula.ctx.m + 1) / 2) if len(stages) > 1 else ODE_TOL
             n = next((k for k in range(1, 16) if err1 <= tol * k**4), sde.DEFAULT_STEPS_PER_SEGMENT)
-            level, n = (level, 2) if level is not None and n <= 2 else (None, n)
+            level, n = (level, 2) if level is not None and s == s_ref and n <= 2 else (None, n)
             err = err1 / n**4
         states, weights = level or _evolve_level(system, states, weights, formula, s, n)
         if ode is not None:

@@ -372,10 +372,12 @@ class TestPartitionRecorded:
     carried from horizon 1, the m'=5 cases re-recorded when the degree-5
     formula became the Ninomiya-Victoir splitting (3 paths in place of 7).  DEFAULT_CASES
     are the same deltas under the default step rule, re-recorded when it took the
-    smallest integer step count in place of the smallest power of two, and again
-    when the stages after the first took greeks.INNER_ODE_TOL in place of ODE_TOL.
-    The m'=5 cases of both were re-recorded when the tree fused the drift halves
-    of its degree-5 levels (moves <= 4.5e-16)."""
+    smallest integer step count in place of the smallest power of two, again
+    when the stages after the first took a 1e-9 tolerance in place of ODE_TOL,
+    and again when every stage of an iterated tree took greeks.ODE_REL times
+    its own cubature order s^((q+1)/2), each formula probed once at its largest
+    step (moves <= 1.6e-7).  The m'=5 cases of both were re-recorded when the
+    tree fused the drift halves of its degree-5 levels (moves <= 4.5e-16)."""
 
     CASES = [
         ("3", "0.1", "4,2.0", "0x1.e5561ae698e2fp-2", 32),
@@ -385,11 +387,11 @@ class TestPartitionRecorded:
         ("5", "0.2", "3,2.0", "0x1.b9e0844d9644ep-2", 54),
     ]
     DEFAULT_CASES = [
-        ("3", "0.1", "4,2.0", "0x1.e5561ac6fe48cp-2", 32),
-        ("3", "0.1", "8,3.0", "0x1.dd933548c12c2p-2", 512),
-        ("3", "0.05", "6,1.5", "0x1.e3e6334c66b51p-2", 128),
-        ("5", "0.1", "2,1.0", "0x1.a7195ca9447f8p-2", 18),
-        ("5", "0.2", "3,2.0", "0x1.b9e0844619452p-2", 54),
+        ("3", "0.1", "4,2.0", "0x1.e55610ab37aecp-2", 32),
+        ("3", "0.1", "8,3.0", "0x1.dd932fd6bc757p-2", 512),
+        ("3", "0.05", "6,1.5", "0x1.e3e63039304c2p-2", 128),
+        ("5", "0.1", "2,1.0", "0x1.a7195947b80a9p-2", 18),
+        ("5", "0.2", "3,2.0", "0x1.b9e07d55e9c73p-2", 54),
     ]
 
     @staticmethod
